@@ -3,7 +3,7 @@
 
 Usage (from the repository root):
 
-    python3 perfbench/run.py --workload wc-resident --seed 1 --seconds 15 --trace 0
+    python3 perfbench/run.py --workload wc-resident --seed 1 --seconds 30 --trace 0
 
 The build goes to .bench_build/perfbench (Release); an up-to-date build is
 reused. Build output goes to stderr. The standard output of ti_bench is
@@ -58,7 +58,7 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, default=2017)
-    parser.add_argument("--seconds", type=int, default=15)
+    parser.add_argument("--seconds", type=int, default=30)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--threads", type=int, default=0,
                         help="0 = min(available CPUs, 4)")

@@ -66,7 +66,16 @@ constexpr uint32_t kSpreadSets = 20'000;  // RR sets per ad for σ({u})
 constexpr double kCpeMin = 1.0;
 constexpr double kCpeMax = 2.0;
 constexpr uint32_t kMaxThreads = 4;
-constexpr int kSetupRepeats = 7;
+// One untimed set-up first, so that the timed ones all start from a warm
+// heap; setup_s is the median of the timed ones.
+constexpr int kSetupWarmups = 1;
+constexpr int kSetupRepeats = 15;
+// glibc's mmap and trim thresholds, fixed during set-up (largest mmap
+// threshold glibc accepts) and at glibc's initial 128 KiB from the first
+// solve on.
+constexpr int kSetupMmapThreshold = 32 << 20;
+constexpr int kSetupTrimThreshold = 1 << 30;
+constexpr int kSolveMallocThreshold = 128 << 10;
 // Forward simulation of the chosen allocation: fixed seed and count, so
 // sim_revenue repeats exactly for a fixed allocation.
 constexpr uint64_t kSimSeed = 7;
@@ -92,13 +101,13 @@ struct WorkloadSpec {
 
 constexpr WorkloadSpec kWorkloads[] = {
     {"wc-resident", "com-dblp", 0.16,
-     graph::WeightingRegime::kWeightedCascade, 4, 500.0, 1000.0, 0, 500'000,
+     graph::WeightingRegime::kWeightedCascade, 4, 500.0, 1000.0, 0, 250'000,
      0},
     {"wc-budget25", "com-dblp", 0.16,
-     graph::WeightingRegime::kWeightedCascade, 4, 500.0, 1000.0, 0, 500'000,
-     8'450'000},
-    {"mix-selection", "soc-epinions1", 1.0,
-     graph::WeightingRegime::kTopicMix, 10, 3000.0, 6000.0, 2000, 200'000, 0},
+     graph::WeightingRegime::kWeightedCascade, 4, 500.0, 1000.0, 0, 250'000,
+     4'225'000},
+    {"mix-selection", "soc-epinions1", 0.5,
+     graph::WeightingRegime::kTopicMix, 10, 1000.0, 2000.0, 1000, 200'000, 0},
 };
 
 const WorkloadSpec* FindWorkload(std::string_view name) {
@@ -623,10 +632,17 @@ int Run(const Args& args) {
   std::printf("{\"env\": %s}\n", env);
   std::fflush(stdout);
 
-  // Set-up, repeated; the last instance is the one solved.
+  // Set-up, repeated; the last instance is the one solved. By default glibc
+  // raises its mmap threshold as large blocks are freed, so whether a
+  // set-up's arrays come from fresh, faulting pages or from the reused heap
+  // can switch part-way through a run, which moves set-up time by up to 40%
+  // between runs of one seed. Fixed thresholds keep every timed set-up on
+  // the reused heap.
+  mallopt(M_MMAP_THRESHOLD, kSetupMmapThreshold);
+  mallopt(M_TRIM_THRESHOLD, kSetupTrimThreshold);
   Setup setup;
   std::vector<double> setup_s, load_s, spreads_s, instance_s;
-  for (int i = 0; i < kSetupRepeats; ++i) {
+  for (int i = 0; i < kSetupWarmups + kSetupRepeats; ++i) {
     setup = {};  // release the previous instance first
     auto built = BuildSetup(*w, args.seed);
     if (!built.ok()) {
@@ -635,11 +651,17 @@ int Run(const Args& args) {
       return 1;
     }
     setup = std::move(built).value();
+    if (i < kSetupWarmups) continue;
     setup_s.push_back(setup.total_s);
     load_s.push_back(setup.load_s);
     spreads_s.push_back(setup.spreads_s);
     instance_s.push_back(setup.instance_s);
   }
+  // Solves allocate from fresh pages above 128 KiB, as a new process does,
+  // and free heap goes back to the kernel, so peak_rss_mib measures a
+  // solve's own footprint.
+  mallopt(M_MMAP_THRESHOLD, kSolveMallocThreshold);
+  mallopt(M_TRIM_THRESHOLD, kSolveMallocThreshold);
   const core::RmInstance& inst = *setup.instance;
   const core::TiOptions opt = SolveOptions(*w, threads, spill_dir.string());
 
