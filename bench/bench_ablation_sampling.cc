@@ -12,11 +12,11 @@
 #include <iostream>
 
 #include "bench/bench_util.h"
-#include "common/rng.h"
 #include "common/table_writer.h"
 #include "diffusion/cascade.h"
 #include "diffusion/exact.h"
 #include "graph/generators.h"
+#include "rrset/parallel_sampler.h"
 #include "rrset/rr_collection.h"
 #include "rrset/sample_sizer.h"
 #include "topic/tic_model.h"
@@ -94,11 +94,13 @@ void RrGeometryStudy(double scale) {
                                   "gamma")
                             : isa::topic::TopicDistribution::Uniform(1)),
         "mix");
-    isa::rrset::RrSampler sampler(ds->graph, mixed.probs());
+    isa::rrset::ParallelSampler sampler(
+        ds->graph, mixed.probs(),
+        isa::rrset::DiffusionModel::kIndependentCascade, 4,
+        {.num_threads = 1});
     isa::rrset::RrCollection col(ds->graph.num_nodes());
-    isa::Rng rng(4);
     isa::Stopwatch watch;
-    col.AddSets(sampler, 10'000, rng, {});
+    col.AddSets(sampler, 10'000, {});
     const double secs = watch.ElapsedSeconds();
     table.AddCell(ds->name);
     table.AddCell(col.MeanSetSize(), 2);

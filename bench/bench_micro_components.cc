@@ -16,6 +16,7 @@
 #include "diffusion/cascade.h"
 #include "graph/generators.h"
 #include "graph/pagerank.h"
+#include "rrset/parallel_sampler.h"
 #include "rrset/rr_collection.h"
 #include "rrset/rr_sampler.h"
 #include "topic/tic_model.h"
@@ -110,10 +111,11 @@ void BM_CoverageMaintenance(benchmark::State& state) {
   const auto& topics = SharedWc();
   for (auto _ : state) {
     state.PauseTiming();
-    isa::rrset::RrSampler sampler(g, topics.topic(0));
+    isa::rrset::ParallelSampler sampler(
+        g, topics.topic(0), isa::rrset::DiffusionModel::kIndependentCascade,
+        17, {.num_threads = 1});
     isa::rrset::RrCollection col(g.num_nodes());
-    isa::Rng rng(17);
-    col.AddSets(sampler, 20'000, rng, {});
+    col.AddSets(sampler, 20'000, {});
     std::vector<uint8_t> eligible(g.num_nodes(), 1);
     state.ResumeTiming();
     // Greedy loop: 50 argmax + removal rounds.
@@ -151,11 +153,12 @@ int RunHeapRepairSweep() {
   using isa::core::CoverageHeap;
   const auto& g = SharedBaGraph();
   const auto& topics = SharedWc();
-  isa::rrset::RrSampler sampler(g, topics.topic(0));
+  isa::rrset::ParallelSampler sampler(
+      g, topics.topic(0), isa::rrset::DiffusionModel::kIndependentCascade, 23,
+      {.num_threads = 1});
   isa::rrset::RrCollection col(g.num_nodes());
-  isa::Rng rng(23);
   constexpr uint64_t kBaseSets = 60'000;
-  col.AddSets(sampler, kBaseSets, rng, {});
+  col.AddSets(sampler, kBaseSets, {});
   std::vector<uint8_t> eligible(g.num_nodes(), 1);
   // Retire a few argmax nodes so the state resembles a mid-run engine
   // (some covered sets, some ineligible nodes).
@@ -177,7 +180,7 @@ int RunHeapRepairSweep() {
   bool tops_match = true;
   for (uint64_t batch : {64ull, 256ull, 1024ull, 4096ull, 16384ull}) {
     std::vector<isa::graph::NodeId> touched;
-    col.AddSets(sampler, batch, rng, {}, &touched);
+    col.AddSets(sampler, batch, {}, &touched);
     const double density =
         static_cast<double>(touched.size()) / g.num_nodes();
     constexpr int kReps = 20;

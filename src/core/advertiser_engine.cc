@@ -113,7 +113,7 @@ AdvertiserEngine::~AdvertiserEngine() = default;
 Status AdvertiserEngine::Init() {
   // Self-healing hook: if one of the store's cold chunks ever becomes
   // unreadable, its sets are regenerated from the recorded per-batch
-  // provenance seed through the same Rng(HashSeed(seed, id)) substreams
+  // provenance seed through RrSampler::SampleIds, the same per-id loop
   // that sampled them — bit-identical by construction. Ads sharing a store
   // have bitwise-identical Eq. 1 probabilities, so whichever engine
   // registers last serves every range; the per-range seed carries the
@@ -125,16 +125,7 @@ Status AdvertiserEngine::Init() {
              std::vector<graph::NodeId>* nodes) {
         rrset::RrSampler sampler(instance_.graph(), instance_.ad_probs(ad_),
                                  options_.model);
-        sizes->clear();
-        nodes->clear();
-        sizes->reserve(hi - lo);
-        std::vector<graph::NodeId> scratch;
-        for (uint64_t id = lo; id < hi; ++id) {
-          Rng rng(HashSeed(seed, id));
-          sampler.SampleInto(rng, &scratch);
-          sizes->push_back(static_cast<uint32_t>(scratch.size()));
-          nodes->insert(nodes->end(), scratch.begin(), scratch.end());
-        }
+        sampler.SampleIds(seed, lo, hi - lo, sizes, nodes);
       });
   theta_ = schedule_.ThetaFor(1);
   collection_.AddSets(sampler_, theta_, {});

@@ -243,11 +243,6 @@ class AdvertiserEngine {
   /// The θ schedule (pilot diagnostics via schedule().sizer()).
   const rrset::ThetaSchedule& schedule() const { return schedule_; }
   const rrset::RrCollection& collection() const { return collection_; }
-  /// This ad's sampler-side partition diagnostics (all-empty/zero on the
-  /// monolithic path; see rrset/parallel_sampler.h).
-  const rrset::PartitionSampleStats& partition_stats() const {
-    return sampler_.partition_stats();
-  }
 
   /// Driver-side per-ad buffers (heap, window, bitmaps, PageRank order),
   /// charged into TiAdStats::rr_memory_bytes so Table 3 reports the true

@@ -33,8 +33,7 @@ ParallelSampler::ParallelSampler(const graph::Graph& g,
           options.pool != nullptr
               ? options.pool->concurrency()
               : 4 * std::max(1u, std::thread::hardware_concurrency()))),
-      borrowed_pool_(options.pool),
-      partitions_(options.partitions) {}
+      borrowed_pool_(options.pool) {}
 
 ParallelSampler::~ParallelSampler() = default;
 ParallelSampler::ParallelSampler(ParallelSampler&&) noexcept = default;
@@ -59,15 +58,8 @@ void ParallelSampler::SampleRange(uint32_t w, uint64_t first_id,
   if (workers_[w] == nullptr) {
     workers_[w] = std::make_unique<RrSampler>(g_, probs_, model_);
   }
-  RrSampler& sampler = *workers_[w];
-  shard->sizes.reserve(count);
-  std::vector<graph::NodeId> scratch;
-  for (uint64_t i = 0; i < count; ++i) {
-    Rng rng(HashSeed(base_seed_, first_id + i));
-    sampler.SampleInto(rng, &scratch);
-    shard->sizes.push_back(static_cast<uint32_t>(scratch.size()));
-    shard->nodes.insert(shard->nodes.end(), scratch.begin(), scratch.end());
-  }
+  workers_[w]->SampleIds(base_seed_, first_id, count, &shard->sizes,
+                         &shard->nodes);
 }
 
 void ParallelSampler::SampleToBuffer(uint64_t first_id, uint64_t count,
@@ -80,10 +72,6 @@ void ParallelSampler::SampleToBuffer(uint64_t first_id, uint64_t count,
   // same std::bad_alloc a real heap exhaustion would raise on the reserve
   // calls below (on a pool task this marshals to the launcher's Wait).
   if (FailPointHit("sampler.alloc") != 0) throw std::bad_alloc();
-  if (partitioned()) {
-    SamplePartitioned(first_id, count, nodes, sizes);
-    return;
-  }
   const uint32_t workers = WorkerCountFor(count);
   if (workers_.size() < workers) workers_.resize(workers);
 
@@ -127,96 +115,6 @@ void ParallelSampler::SampleToBuffer(uint64_t first_id, uint64_t count,
   // path's tiny batches; multi-worker batches are large enough (>=
   // 2 * min_sets_per_thread) to amortize re-creation.
   workers_.resize(1);
-}
-
-void ParallelSampler::SamplePartitioned(uint64_t first_id, uint64_t count,
-                                        std::vector<graph::NodeId>* nodes,
-                                        std::vector<uint32_t>* sizes) {
-  const graph::PartitionedGraph& pg = *partitions_;
-  const uint32_t num_parts = pg.num_partitions();
-  if (stats_.sets_sampled.size() < num_parts) {
-    stats_.sets_sampled.resize(num_parts, 0);
-  }
-
-  // Root-ownership dispatch: replay only the FIRST draw of each set's
-  // substream (four SplitMix64 seeds + one NextBounded) to learn which
-  // partition owns it; the owning instance re-creates the full substream
-  // when it actually samples the set, so content stays a pure function of
-  // (base_seed, id) — bit-identical to the monolithic path.
-  const uint64_t n = g_.num_nodes();
-  std::vector<std::vector<uint64_t>> owned(num_parts);
-  std::vector<uint32_t> owner_of(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    Rng rng(HashSeed(base_seed_, first_id + i));
-    const graph::NodeId root =
-        static_cast<graph::NodeId>(rng.NextBounded(n));
-    const uint32_t owner = pg.PartitionOf(root);
-    owner_of[i] = owner;
-    owned[owner].push_back(first_id + i);
-    ++stats_.sets_sampled[owner];
-  }
-
-  // One PartitionRrSampler per partition that owns at least one set, one
-  // pool task per such partition. Partition granularity is deliberate: the
-  // partition is the locality domain (today a task, tomorrow a NUMA node
-  // or process), and the shard merge below never depends on task timing.
-  std::vector<std::unique_ptr<PartitionRrSampler>> instances(num_parts);
-  std::vector<Shard> shards(num_parts);
-  std::vector<uint32_t> active;
-  for (uint32_t p = 0; p < num_parts; ++p) {
-    if (owned[p].empty()) continue;
-    instances[p] =
-        std::make_unique<PartitionRrSampler>(pg, probs_, model_, p);
-    active.push_back(p);
-  }
-  auto run_partition = [&](uint32_t p) {
-    PartitionRrSampler& sampler = *instances[p];
-    Shard& shard = shards[p];
-    shard.sizes.reserve(owned[p].size());
-    std::vector<graph::NodeId> scratch;
-    for (uint64_t id : owned[p]) {
-      Rng rng(HashSeed(base_seed_, id));
-      sampler.SampleInto(rng, &scratch);
-      shard.sizes.push_back(static_cast<uint32_t>(scratch.size()));
-      shard.nodes.insert(shard.nodes.end(), scratch.begin(), scratch.end());
-    }
-  };
-  ThreadPool* run_pool =
-      (max_threads_ > 1 && active.size() > 1) ? pool() : nullptr;
-  if (run_pool != nullptr) {
-    run_pool->Run(active.size(),
-                  [&](uint64_t k) { run_partition(active[k]); });
-  } else {
-    for (uint32_t p : active) run_partition(p);
-  }
-
-  // Merge in ascending GLOBAL set-id order: owner_of[] replays the
-  // dispatch interleaving, per-partition cursors walk each shard exactly
-  // once. Same discipline as the thread-shard merge above.
-  sizes->reserve(count);
-  size_t total_nodes = 0;
-  for (const Shard& shard : shards) total_nodes += shard.nodes.size();
-  nodes->reserve(total_nodes);
-  std::vector<size_t> set_cursor(num_parts, 0);
-  std::vector<size_t> node_cursor(num_parts, 0);
-  for (uint64_t i = 0; i < count; ++i) {
-    const uint32_t owner = owner_of[i];
-    const Shard& shard = shards[owner];
-    const uint32_t set_size = shard.sizes[set_cursor[owner]++];
-    sizes->push_back(set_size);
-    nodes->insert(nodes->end(), shard.nodes.begin() + node_cursor[owner],
-                  shard.nodes.begin() + node_cursor[owner] + set_size);
-    node_cursor[owner] += set_size;
-  }
-
-  // Fold the instances' counters into the cumulative stats, then drop the
-  // instances: their epoch arrays are O(n) each, and keeping them alive
-  // between growth events would cost O(ads * partitions * n) idle memory —
-  // the same discipline as workers_.resize(1) on the thread-shard path.
-  for (uint32_t p : active) {
-    stats_.local_expansions += instances[p]->local_expansions();
-    stats_.frontier_crossings += instances[p]->frontier_crossings();
-  }
 }
 
 void ParallelSampler::SampleAppend(RrStore& store, uint64_t count) {

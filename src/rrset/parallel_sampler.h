@@ -1,11 +1,10 @@
-// Deterministic parallel RR-set sampling.
+// Deterministic parallel RR-set sampling — the only way RR sets enter an
+// RrStore.
 //
-// The serial path (RrStore::Sample) draws sets from one sequential Rng
-// stream, which fundamentally cannot be parallelized without replaying the
-// stream. ParallelSampler instead assigns every RR set an *absolute id* —
-// its index in the destination RrStore — and derives an independent Rng
-// substream per set via HashSeed(base_seed, set_id) (the substream
-// construction in common/rng.h). Consequences:
+// Every RR set has an *absolute id* — its index in the destination
+// RrStore — and is drawn from its own Rng substream
+// HashSeed(base_seed, set_id) (the substream construction in common/rng.h;
+// the per-id loop is RrSampler::SampleIds). Consequences:
 //
 //   - set `i`'s content depends only on (base_seed, i): sampling with 1, 2
 //     or 64 workers yields bit-identical stores;
@@ -14,30 +13,18 @@
 //     merge order is keyed by (shard, index), never by completion time;
 //   - repeated SampleAppend calls continue the id sequence exactly where
 //     the store left off, so incremental sample growth (Algorithm 2 line
-//     19) is as deterministic as one big batch.
-//
-// Partitioned mode (ParallelSamplerOptions::partitions): when an explicit
-// graph-partition layer is supplied, sets are dispatched to PER-PARTITION
-// SAMPLER INSTANCES instead of per-thread shards. Set `i`'s owning
-// partition is the partition of its ROOT node — and the root is the FIRST
-// draw of the set's substream Rng(HashSeed(base_seed, i)), so ownership is
-// a pure function of (base_seed, i, layout) that the dispatcher computes
-// without sampling. Each partition's instance (a PartitionRrSampler over
-// the partition-local CompactCsr stores) then replays the same substream
-// per owned set, and the per-partition shards are merged in ascending
-// GLOBAL set-id order — the same discipline as the thread-shard merge.
-// Because every set's content still depends only on (base_seed, i), the
-// output is bit-identical to the monolithic path at ANY partition count;
-// partitions only decide WHERE a set is drawn (today: which pool task /
-// future NUMA node or process), plus the frontier-crossing diagnostics.
+//     19) is as deterministic as one big batch;
+//   - base_seed is recorded as each batch's provenance, so a lost cold
+//     chunk can be re-sampled bit for bit (see RrStore::SetResampler).
 //
 // Execution: shard tasks run on a ThreadPool — either one *borrowed*
 // through ParallelSamplerOptions::pool (the shared per-RunTiGreedy pool,
 // so the driver's many samplers reuse one set of threads) or, for
 // standalone use, a pool the sampler lazily creates and owns. Either way
-// no thread is spawned per batch. The per-set Rng re-seed costs four
-// SplitMix64 draws — noise next to the reverse BFS each set runs. Each
-// worker keeps its own RrSampler (epoch array), reused across calls.
+// no thread is spawned per batch; num_threads = 1 runs inline on the
+// calling thread. The per-set Rng re-seed costs four SplitMix64 draws —
+// noise next to the reverse BFS each set runs. Each worker keeps its own
+// RrSampler (epoch array), reused across calls.
 
 #ifndef ISA_RRSET_PARALLEL_SAMPLER_H_
 #define ISA_RRSET_PARALLEL_SAMPLER_H_
@@ -47,10 +34,7 @@
 #include <span>
 #include <vector>
 
-#include "common/rng.h"
 #include "graph/graph.h"
-#include "graph/partitioned_graph.h"
-#include "rrset/partition_rr_sampler.h"
 #include "rrset/rr_collection.h"
 #include "rrset/rr_sampler.h"
 
@@ -60,34 +44,11 @@ class ThreadPool;
 
 namespace isa::rrset {
 
-/// Per-partition sampling diagnostics, cumulative across a sampler's
-/// batches. Pure functions of (base_seed, ids sampled, partition layout):
-/// identical at any thread count, but — unlike the sampled content — they
-/// legitimately differ across partition counts and are therefore excluded
-/// from the bit-identity invariant (like the spill tier's I/O counters).
-struct PartitionSampleStats {
-  /// Sets drawn by each partition's sampler instance (root-ownership).
-  std::vector<uint64_t> sets_sampled;
-  /// Node expansions that stayed in / left the owning instance's home
-  /// partition during reverse BFS.
-  uint64_t local_expansions = 0;
-  uint64_t frontier_crossings = 0;
-
-  /// Fraction of expansions served partition-locally (1.0 when idle).
-  double LocalHitRate() const {
-    const uint64_t total = local_expansions + frontier_crossings;
-    return total == 0
-               ? 1.0
-               : static_cast<double>(local_expansions) /
-                     static_cast<double>(total);
-  }
-};
-
 struct ParallelSamplerOptions {
   /// Worker threads. 0 = std::thread::hardware_concurrency() (or, when
   /// `pool` is set, the pool's concurrency); 1 = run inline on the calling
-  /// thread (legacy execution path) — the sampled sets are identical either
-  /// way, only wall-clock changes.
+  /// thread — the sampled sets are identical either way, only wall-clock
+  /// changes.
   uint32_t num_threads = 0;
   /// Below this many sets per would-be worker, fewer workers are used
   /// (down to inline execution): parallel dispatch for a handful of sets
@@ -97,12 +58,6 @@ struct ParallelSamplerOptions {
   /// sampler). When null, the sampler lazily creates a private pool the
   /// first time a batch is worth parallelizing.
   ThreadPool* pool = nullptr;
-  /// Explicit partition layer (not owned; must outlive the sampler). When
-  /// set with more than one partition, batches run through per-partition
-  /// sampler instances with root-ownership dispatch (see file comment);
-  /// null or single-partition falls back to the thread-shard path. The
-  /// sampled sets are bit-identical either way.
-  const graph::PartitionedGraph* partitions = nullptr;
 };
 
 /// Samples RR sets for one (graph, arc-probability) pair across a worker
@@ -148,14 +103,6 @@ class ParallelSampler {
   uint64_t base_seed() const { return base_seed_; }
   uint32_t max_threads() const { return max_threads_; }
 
-  /// True when batches run through the per-partition dispatch path.
-  bool partitioned() const {
-    return partitions_ != nullptr && partitions_->num_partitions() > 1;
-  }
-  /// Cumulative per-partition diagnostics (empty sets_sampled until the
-  /// first partitioned batch; all-zero counters on the monolithic path).
-  const PartitionSampleStats& partition_stats() const { return stats_; }
-
  private:
   // One worker's output: sets [first_id, first_id + sizes.size()) as
   // concatenated members plus per-set sizes.
@@ -169,11 +116,6 @@ class ParallelSampler {
   void SampleRange(uint32_t w, uint64_t first_id, uint64_t count,
                    Shard* shard);
 
-  // Partitioned dispatch path of SampleToBuffer (see file comment).
-  void SamplePartitioned(uint64_t first_id, uint64_t count,
-                         std::vector<graph::NodeId>* nodes,
-                         std::vector<uint32_t>* sizes);
-
   const graph::Graph& g_;
   std::span<const double> probs_;
   DiffusionModel model_;
@@ -185,9 +127,6 @@ class ParallelSampler {
   // Worker-private samplers (epoch arrays), created lazily, reused across
   // SampleAppend calls.
   std::vector<std::unique_ptr<RrSampler>> workers_;
-  // Partitioned mode: the partition layer (borrowed) and cumulative stats.
-  const graph::PartitionedGraph* partitions_ = nullptr;
-  PartitionSampleStats stats_;
 };
 
 }  // namespace isa::rrset

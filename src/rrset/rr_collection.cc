@@ -27,16 +27,6 @@ RrCollection::RrCollection(graph::NodeId num_nodes)
 RrCollection::RrCollection(std::shared_ptr<RrStore> store)
     : store_(std::move(store)), coverage_(store_->num_nodes(), 0) {}
 
-void RrCollection::AddSets(RrSampler& sampler, uint64_t count, Rng& rng,
-                           std::span<const graph::NodeId> current_seeds,
-                           std::vector<graph::NodeId>* touched) {
-  const uint64_t target = theta_ + count;
-  if (store_->num_sets() < target) {
-    store_->Sample(sampler, target - store_->num_sets(), rng);
-  }
-  AdoptUpTo(target, current_seeds, /*pool=*/nullptr, touched);
-}
-
 void RrCollection::AddSets(ParallelSampler& sampler, uint64_t count,
                            std::span<const graph::NodeId> current_seeds,
                            std::vector<graph::NodeId>* touched) {

@@ -41,9 +41,7 @@
 #include <span>
 #include <vector>
 
-#include "common/rng.h"
 #include "graph/graph.h"
-#include "rrset/rr_sampler.h"
 #include "rrset/rr_store.h"
 
 namespace isa {
@@ -73,22 +71,17 @@ class RrCollection {
   explicit RrCollection(std::shared_ptr<RrStore> store);
 
   /// Grows this view's adopted prefix by `count` sets, sampling more into
-  /// the store if needed. Matching Algorithm 3's bookkeeping, any newly
-  /// adopted set containing one of `current_seeds` is marked covered
-  /// immediately so covered_fraction() stays the estimator of F_R(S) over
-  /// the enlarged sample. When `touched` is non-null it is cleared and
-  /// filled with the nodes whose coverage increased, ascending — the delta
-  /// set incremental heap repair keys on (see core/advertiser_engine.h).
-  void AddSets(RrSampler& sampler, uint64_t count, Rng& rng,
-               std::span<const graph::NodeId> current_seeds,
-               std::vector<graph::NodeId>* touched = nullptr);
-
-  /// As above, but sampling through the deterministic parallel engine: the
+  /// the store through the deterministic parallel engine if needed: the
   /// adopted sets are bit-identical for a fixed sampler seed at any worker
-  /// count (see parallel_sampler.h). Coverage accumulation over the newly
+  /// count (see parallel_sampler.h). Matching Algorithm 3's bookkeeping,
+  /// any newly adopted set containing one of `current_seeds` is marked
+  /// covered immediately so covered_fraction() stays the estimator of
+  /// F_R(S) over the enlarged sample. Coverage accumulation over the newly
   /// adopted sets runs on the sampler's pool (per-worker count arrays
-  /// merged in node order — integer sums, so again bit-identical; the
-  /// `touched` delta set is likewise ascending at any worker count).
+  /// merged in node order — integer sums, so again bit-identical). When
+  /// `touched` is non-null it is cleared and filled with the nodes whose
+  /// coverage increased, ascending at any worker count — the delta set
+  /// incremental heap repair keys on (see core/advertiser_engine.h).
   void AddSets(ParallelSampler& sampler, uint64_t count,
                std::span<const graph::NodeId> current_seeds,
                std::vector<graph::NodeId>* touched = nullptr);

@@ -55,4 +55,19 @@ graph::NodeId RrSampler::SampleInto(Rng& rng,
   return root;
 }
 
+void RrSampler::SampleIds(uint64_t base_seed, uint64_t first_id,
+                          uint64_t count, std::vector<uint32_t>* sizes,
+                          std::vector<graph::NodeId>* nodes) {
+  sizes->clear();
+  nodes->clear();
+  sizes->reserve(count);
+  std::vector<graph::NodeId> scratch;
+  for (uint64_t i = 0; i < count; ++i) {
+    Rng rng(HashSeed(base_seed, first_id + i));
+    SampleInto(rng, &scratch);
+    sizes->push_back(static_cast<uint32_t>(scratch.size()));
+    nodes->insert(nodes->end(), scratch.begin(), scratch.end());
+  }
+}
+
 }  // namespace isa::rrset

@@ -48,6 +48,17 @@ class RrSampler {
   /// KPT estimator consumes.
   graph::NodeId SampleInto(Rng& rng, std::vector<graph::NodeId>* out);
 
+  /// Samples the RR sets with absolute ids [first_id, first_id + count),
+  /// set `id` from its own substream Rng(HashSeed(base_seed, id)), into
+  /// `sizes` (one cardinality per set) and `nodes` (the concatenated
+  /// members), both cleared first — the shape RrStore::AppendBatch takes.
+  /// Each set depends only on (base_seed, id); this is the one loop that
+  /// turns a (seed, set id) pair into an RR set, shared by
+  /// ParallelSampler's workers and the cold-chunk re-sampler.
+  void SampleIds(uint64_t base_seed, uint64_t first_id, uint64_t count,
+                 std::vector<uint32_t>* sizes,
+                 std::vector<graph::NodeId>* nodes);
+
   /// Arcs examined by the last SampleInto call (the TIM "width" w(R) used
   /// in KPT estimation is the in-arc count of the set's nodes; we report
   /// exactly that).

@@ -5,7 +5,6 @@
 
 #include "common/failpoint.h"
 #include "common/logging.h"
-#include "common/rng.h"
 #include "common/thread_pool.h"
 #include "rrset/spill_file.h"
 
@@ -31,18 +30,6 @@ RrStore::~RrStore() = default;
 RrStore::RrStore(RrStore&&) noexcept = default;
 RrStore& RrStore::operator=(RrStore&&) noexcept = default;
 
-void RrStore::Sample(RrSampler& sampler, uint64_t count, Rng& rng) {
-  // Sets stream straight into the flat arrays; the whole batch is then
-  // indexed as a unit (same policy as the parallel path's AppendBatch).
-  for (uint64_t i = 0; i < count; ++i) {
-    sampler.SampleInto(rng, &scratch_);
-    rr_nodes_.insert(rr_nodes_.end(), scratch_.begin(), scratch_.end());
-    total_postings_ += scratch_.size();
-    rr_offsets_.push_back(rr_nodes_.size());
-  }
-  IndexTail(/*pool=*/nullptr);
-}
-
 void RrStore::ChainAppend(graph::NodeId v, uint32_t id) {
   if (chain_head_.empty()) {
     chain_head_.assign(num_nodes_, kNoBlock);
@@ -66,17 +53,14 @@ void RrStore::ChainAppend(graph::NodeId v, uint32_t id) {
 
 void RrStore::AppendBatch(std::span<const graph::NodeId> nodes,
                           std::span<const uint32_t> sizes, ThreadPool* pool,
-                          std::optional<uint64_t> provenance_seed) {
+                          uint64_t provenance_seed) {
   if (sizes.empty()) return;
-  if (provenance_seed.has_value()) {
-    const uint64_t lo = num_sets();
-    const uint64_t hi = lo + sizes.size();
-    if (!provenance_.empty() && provenance_.back().hi == lo &&
-        provenance_.back().seed == *provenance_seed) {
-      provenance_.back().hi = hi;  // coalesce consecutive same-seed appends
-    } else {
-      provenance_.push_back(ProvenanceRange{lo, hi, *provenance_seed});
-    }
+  const uint64_t lo = num_sets();
+  const uint64_t hi = lo + sizes.size();
+  if (!provenance_.empty() && provenance_.back().seed == provenance_seed) {
+    provenance_.back().hi = hi;  // coalesce consecutive same-seed appends
+  } else {
+    provenance_.push_back(ProvenanceRange{lo, hi, provenance_seed});
   }
   // No exact-size reserve here: it would pin capacity == size and force a
   // full reallocation on every incremental growth batch; push_back's
@@ -463,21 +447,16 @@ const RrStore::RecoveredChunk& RrStore::RecoverChunk(uint32_t chunk) const {
   std::vector<uint32_t> part_sizes;
   std::vector<graph::NodeId> part_nodes;
   const auto resample_run = [&](uint64_t lo, uint64_t hi) {
+    // The provenance ranges tile [0, num_sets()) in ascending order.
     uint64_t pos = lo;
     for (const ProvenanceRange& p : provenance_) {
       if (p.hi <= pos) continue;
-      if (p.lo > pos) break;  // gap: ids [pos, p.lo) have no provenance
       const uint64_t rhi = std::min(p.hi, hi);
       resampler_(p.seed, pos, rhi, &part_sizes, &part_nodes);
       rec.sizes.insert(rec.sizes.end(), part_sizes.begin(), part_sizes.end());
       rec.nodes.insert(rec.nodes.end(), part_nodes.begin(), part_nodes.end());
       pos = rhi;
       if (pos == hi) break;
-    }
-    if (pos != hi) {
-      throw SpillIoError(
-          "RrStore: unreadable spill chunk covers sets with no recorded "
-          "provenance seed (serially sampled batch)");
     }
   };
   if (m.ids.empty()) {
@@ -628,7 +607,6 @@ uint64_t RrStore::direct_fallbacks() const {
 uint64_t RrStore::MemoryBytes() const {
   return rr_offsets_.capacity() * sizeof(uint64_t) +
          rr_nodes_.capacity() * sizeof(graph::NodeId) + IndexBytes() +
-         scratch_.capacity() * sizeof(graph::NodeId) +
          (spill_ == nullptr ? 0 : spill_->MetadataBytes()) + recovered_bytes_;
 }
 

@@ -65,13 +65,10 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 #include <span>
 #include <vector>
 
-#include "common/rng.h"
 #include "graph/graph.h"
-#include "rrset/rr_sampler.h"
 
 namespace isa {
 class ThreadPool;
@@ -104,22 +101,18 @@ class RrStore {
   RrStore(RrStore&&) noexcept;
   RrStore& operator=(RrStore&&) noexcept;
 
-  /// Samples `count` additional RR sets via `sampler` and indexes them.
-  void Sample(RrSampler& sampler, uint64_t count, Rng& rng);
-
   /// Appends pre-sampled sets: `sizes[k]` members of set k taken in order
-  /// from the concatenated `nodes`. Used by ParallelSampler's batch merge.
-  /// When `pool` is given, a compaction triggered by the batch builds the
-  /// index sharded across the pool (bit-identical to the serial build).
-  /// `provenance_seed`, when present, records that every appended id is
-  /// reproducible as Rng(HashSeed(provenance_seed, id)) — the substream
-  /// contract of ParallelSampler — which makes the ids recoverable by
-  /// re-sampling if their spill chunk later becomes unreadable. Batches
-  /// appended without provenance (the serial sequential-Rng path) are not
-  /// recoverable; a lost chunk over them is a permanent SpillIoError.
+  /// from the concatenated `nodes` — ParallelSampler's batch merge, the
+  /// only producer of RR sets. When `pool` is given, a compaction triggered
+  /// by the batch builds the index sharded across the pool (bit-identical
+  /// to the serial build). `provenance_seed` records that every appended
+  /// id is reproducible as Rng(HashSeed(provenance_seed, id)) — the
+  /// substream contract of ParallelSampler — which makes the ids
+  /// recoverable by re-sampling if their spill chunk later becomes
+  /// unreadable.
   void AppendBatch(std::span<const graph::NodeId> nodes,
-                   std::span<const uint32_t> sizes, ThreadPool* pool = nullptr,
-                   std::optional<uint64_t> provenance_seed = std::nullopt);
+                   std::span<const uint32_t> sizes, ThreadPool* pool,
+                   uint64_t provenance_seed);
 
   /// Total sets ever appended (hot + spilled).
   uint64_t num_sets() const {
@@ -266,8 +259,8 @@ class RrStore {
   /// Regenerates sets [lo, hi) from their recorded provenance seed:
   /// `sizes` gets one cardinality per id, `nodes` the concatenated
   /// members, both cleared first — the AppendBatch shape. Must reproduce
-  /// the ORIGINAL bits: implementations draw Rng(HashSeed(seed, id)) per
-  /// id, exactly like ParallelSampler::SampleRange.
+  /// the ORIGINAL bits: implementations call RrSampler::SampleIds(seed,
+  /// lo, hi - lo, ...), the loop ParallelSampler's workers run.
   using ResampleFn = std::function<void(
       uint64_t seed, uint64_t lo, uint64_t hi, std::vector<uint32_t>* sizes,
       std::vector<graph::NodeId>* nodes)>;
@@ -370,8 +363,6 @@ class RrStore {
   uint64_t chained_postings_ = 0;
   uint64_t indexed_sets_ = 0;             // prefix covered by CSR + chains
 
-  std::vector<graph::NodeId> scratch_;
-
   // Cold tier (created on first SpillPrefix). The scan counters mutate on
   // const scans; updated only from the (single) thread calling
   // StartColdScan / FinishColdScan, never from the prefetch backend.
@@ -390,9 +381,9 @@ class RrStore {
 
   // ---- re-sample recovery state ----
 
-  // Which provenance seed regenerates which id range. Ranges ascend, tile
-  // without gaps among themselves (consecutive same-seed appends coalesce),
-  // but need not cover every id: serially sampled batches record nothing.
+  // Which provenance seed regenerates which id range. Ranges ascend and
+  // tile [0, num_sets()) without gaps (consecutive same-seed appends
+  // coalesce).
   struct ProvenanceRange {
     uint64_t lo;
     uint64_t hi;

@@ -5,6 +5,7 @@
 
 #include "common/rng.h"
 #include "diffusion/exact.h"
+#include "rrset/parallel_sampler.h"
 #include "rrset/rr_collection.h"
 #include "rrset/rr_sampler.h"
 #include "rrset/sample_sizer.h"
@@ -103,10 +104,9 @@ TEST(RrEstimatorTest, MultiSeedCoverageEstimatesSpread) {
 TEST(RrCollectionTest, AddAndCoverageCounts) {
   auto g = test::MustGraph(3, {{0, 1}, {1, 2}});
   std::vector<double> probs(g.num_edges(), 1.0);
-  RrSampler sampler(g, probs);
+  auto sampler = test::InlineSampler(g, probs, 10);
   RrCollection col(3);
-  Rng rng(10);
-  col.AddSets(sampler, 300, rng, {});
+  col.AddSets(sampler, 300, {});
   EXPECT_EQ(col.total_sets(), 300u);
   EXPECT_EQ(col.covered_sets(), 0u);
   // With p = 1, node 0 is in every RR set.
@@ -119,10 +119,9 @@ TEST(RrCollectionTest, AddAndCoverageCounts) {
 TEST(RrCollectionTest, RemoveCoveredByZeroesOutNode) {
   auto g = test::MustGraph(3, {{0, 1}, {1, 2}});
   std::vector<double> probs(g.num_edges(), 1.0);
-  RrSampler sampler(g, probs);
+  auto sampler = test::InlineSampler(g, probs, 11);
   RrCollection col(3);
-  Rng rng(11);
-  col.AddSets(sampler, 200, rng, {});
+  col.AddSets(sampler, 200, {});
   const uint32_t removed = col.RemoveCoveredBy(0);
   EXPECT_EQ(removed, 200u);  // node 0 covered everything
   EXPECT_EQ(col.covered_sets(), 200u);
@@ -138,10 +137,9 @@ TEST(RrCollectionTest, MarginalCoverageAfterRemoval) {
   // RR(root=1) = {1}; RR(root=2) = {2}.
   auto g = test::MustGraph(3, {{1, 0}, {2, 0}});
   std::vector<double> probs(g.num_edges(), 1.0);
-  RrSampler sampler(g, probs);
+  auto sampler = test::InlineSampler(g, probs, 12);
   RrCollection col(3);
-  Rng rng(12);
-  col.AddSets(sampler, 3000, rng, {});
+  col.AddSets(sampler, 3000, {});
   const uint32_t cov1_before = col.CoverageOf(1);
   col.RemoveCoveredBy(0);  // removes all root-0 sets
   const uint32_t cov1_after = col.CoverageOf(1);
@@ -153,10 +151,9 @@ TEST(RrCollectionTest, MarginalCoverageAfterRemoval) {
 TEST(RrCollectionTest, ArgmaxCoverageRespectsEligibility) {
   auto g = test::MustGraph(3, {{0, 1}, {1, 2}});
   std::vector<double> probs(g.num_edges(), 1.0);
-  RrSampler sampler(g, probs);
+  auto sampler = test::InlineSampler(g, probs, 13);
   RrCollection col(3);
-  Rng rng(13);
-  col.AddSets(sampler, 100, rng, {});
+  col.AddSets(sampler, 100, {});
   std::vector<uint8_t> eligible = {1, 1, 1};
   EXPECT_EQ(col.ArgmaxCoverage(eligible), 0u);
   eligible[0] = 0;
@@ -170,10 +167,9 @@ TEST(RrCollectionTest, ArgmaxCoverageRespectsEligibility) {
 TEST(RrCollectionTest, TopCoverageOrdering) {
   auto g = test::MustGraph(3, {{0, 1}, {1, 2}});
   std::vector<double> probs(g.num_edges(), 1.0);
-  RrSampler sampler(g, probs);
+  auto sampler = test::InlineSampler(g, probs, 14);
   RrCollection col(3);
-  Rng rng(14);
-  col.AddSets(sampler, 500, rng, {});
+  col.AddSets(sampler, 500, {});
   std::vector<uint8_t> eligible = {1, 1, 1};
   auto top2 = col.TopCoverage(2, eligible);
   ASSERT_EQ(top2.size(), 2u);
@@ -186,16 +182,15 @@ TEST(RrCollectionTest, TopCoverageOrdering) {
 TEST(RrCollectionTest, AddSetsWithSeedsMarksCovered) {
   auto g = test::MustGraph(3, {{0, 1}, {1, 2}});
   std::vector<double> probs(g.num_edges(), 1.0);
-  RrSampler sampler(g, probs);
+  auto sampler = test::InlineSampler(g, probs, 15);
   RrCollection col(3);
-  Rng rng(15);
-  col.AddSets(sampler, 100, rng, {});
+  col.AddSets(sampler, 100, {});
   col.RemoveCoveredBy(0);
   EXPECT_DOUBLE_EQ(col.covered_fraction(), 1.0);
   // Grow the sample while seed {0} is active: new sets containing 0 are
   // covered immediately (Algorithm 3) — with p=1 that is all of them.
   const graph::NodeId seeds[1] = {0};
-  col.AddSets(sampler, 100, rng, seeds);
+  col.AddSets(sampler, 100, seeds);
   EXPECT_EQ(col.total_sets(), 200u);
   EXPECT_DOUBLE_EQ(col.covered_fraction(), 1.0);
 }
@@ -203,11 +198,10 @@ TEST(RrCollectionTest, AddSetsWithSeedsMarksCovered) {
 TEST(RrCollectionTest, MaxCoverageFractionAndMeanSize) {
   auto g = test::MustGraph(3, {{0, 1}, {1, 2}});
   std::vector<double> probs(g.num_edges(), 1.0);
-  RrSampler sampler(g, probs);
+  auto sampler = test::InlineSampler(g, probs, 16);
   RrCollection col(3);
-  Rng rng(16);
   EXPECT_DOUBLE_EQ(col.MaxCoverageFraction(), 0.0);
-  col.AddSets(sampler, 100, rng, {});
+  col.AddSets(sampler, 100, {});
   EXPECT_DOUBLE_EQ(col.MaxCoverageFraction(), 1.0);  // node 0 in all
   EXPECT_GE(col.MeanSetSize(), 1.0);
   EXPECT_LE(col.MeanSetSize(), 3.0);
@@ -241,19 +235,18 @@ void ExpectIndexMatchesBruteForce(const RrStore& store) {
 TEST(RrStoreIndexTest, IndexSurvivesChainGrowthAndCompactions) {
   auto g = test::MustGraph(6, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}});
   std::vector<double> probs(g.num_edges(), 0.7);
-  RrSampler sampler(g, probs);
+  auto sampler = test::InlineSampler(g, probs, 31);
   RrStore store(6);
-  Rng rng(31);
   // A big batch (compacts into the CSR base), then a trickle of tiny
   // batches (chained postings), then another big batch (compacts again):
   // the growth pattern RunTiGreedy's θ revisions produce.
-  store.Sample(sampler, 300, rng);
+  sampler.SampleAppend(store, 300);
   ExpectIndexMatchesBruteForce(store);
   for (int i = 0; i < 40; ++i) {
-    store.Sample(sampler, 1 + (i % 3), rng);
+    sampler.SampleAppend(store, 1 + (i % 3));
   }
   ExpectIndexMatchesBruteForce(store);
-  store.Sample(sampler, 2000, rng);
+  sampler.SampleAppend(store, 2000);
   ExpectIndexMatchesBruteForce(store);
   EXPECT_EQ(store.num_sets(), 300u + 79u + 2000u);
 }
@@ -261,10 +254,9 @@ TEST(RrStoreIndexTest, IndexSurvivesChainGrowthAndCompactions) {
 TEST(RrStoreIndexTest, EarlyExitStopsAscendingScan) {
   auto g = test::MustGraph(3, {{0, 1}, {1, 2}});
   std::vector<double> probs(g.num_edges(), 1.0);
-  RrSampler sampler(g, probs);
+  auto sampler = test::InlineSampler(g, probs, 32);
   RrStore store(3);
-  Rng rng(32);
-  store.Sample(sampler, 100, rng);
+  sampler.SampleAppend(store, 100);
   // Node 0 is in every set (p = 1). Stop after 10 visited ids.
   std::vector<uint32_t> seen;
   const bool completed = store.ForEachSetContaining(0, [&](uint32_t r) {
@@ -279,12 +271,11 @@ TEST(RrStoreIndexTest, EarlyExitStopsAscendingScan) {
 TEST(RrStoreIndexTest, MemoryAccountingCoversIndexAndBeatsLegacyLayout) {
   auto g = test::MustGraph(4, {{0, 1}, {0, 2}, {1, 3}, {2, 3}});
   std::vector<double> probs(g.num_edges(), 0.6);
-  RrSampler sampler(g, probs);
+  auto sampler = test::InlineSampler(g, probs, 33);
   RrStore store(4);
-  Rng rng(33);
   // 500 postings per popular node: bit_ceil rounds the legacy per-node
   // capacity to 512, so exact-fit CSR postings must come out smaller.
-  store.Sample(sampler, 500, rng);
+  sampler.SampleAppend(store, 500);
   EXPECT_GT(store.MemoryBytes(), 0u);
   EXPECT_GT(store.IndexBytes(), 0u);
   EXPECT_LT(store.IndexBytes(), store.MemoryBytes());

@@ -4,11 +4,10 @@
 
 #include <gtest/gtest.h>
 
-#include "common/rng.h"
 #include "core/ti_greedy.h"
 #include "graph/generators.h"
+#include "rrset/parallel_sampler.h"
 #include "rrset/rr_collection.h"
-#include "rrset/rr_sampler.h"
 #include "tests/test_util.h"
 #include "topic/tic_model.h"
 
@@ -18,12 +17,11 @@ namespace {
 TEST(SharedStoreTest, ViewsAdoptIndependentPrefixes) {
   auto g = test::MustGraph(3, {{0, 1}, {1, 2}});
   std::vector<double> probs(g.num_edges(), 1.0);
-  rrset::RrSampler sampler(g, probs);
+  auto sampler = test::InlineSampler(g, probs, 5);
   auto store = std::make_shared<rrset::RrStore>(3);
   rrset::RrCollection view_a(store), view_b(store);
-  Rng rng(5);
-  view_a.AddSets(sampler, 100, rng, {});
-  view_b.AddSets(sampler, 40, rng, {});
+  view_a.AddSets(sampler, 100, {});
+  view_b.AddSets(sampler, 40, {});
   EXPECT_EQ(view_a.total_sets(), 100u);
   EXPECT_EQ(view_b.total_sets(), 40u);
   // Store holds the max prefix; view B reuses A's first 40 sets.
@@ -36,12 +34,11 @@ TEST(SharedStoreTest, ViewsAdoptIndependentPrefixes) {
 TEST(SharedStoreTest, RemovalIsPerView) {
   auto g = test::MustGraph(3, {{0, 1}, {1, 2}});
   std::vector<double> probs(g.num_edges(), 1.0);
-  rrset::RrSampler sampler(g, probs);
+  auto sampler = test::InlineSampler(g, probs, 6);
   auto store = std::make_shared<rrset::RrStore>(3);
   rrset::RrCollection view_a(store), view_b(store);
-  Rng rng(6);
-  view_a.AddSets(sampler, 50, rng, {});
-  view_b.AddSets(sampler, 50, rng, {});
+  view_a.AddSets(sampler, 50, {});
+  view_b.AddSets(sampler, 50, {});
   view_a.RemoveCoveredBy(0);
   EXPECT_DOUBLE_EQ(view_a.covered_fraction(), 1.0);
   EXPECT_DOUBLE_EQ(view_b.covered_fraction(), 0.0);  // untouched
@@ -51,12 +48,11 @@ TEST(SharedStoreTest, RemovalIsPerView) {
 TEST(SharedStoreTest, RemovalStopsAtAdoptedPrefix) {
   auto g = test::MustGraph(3, {{0, 1}, {1, 2}});
   std::vector<double> probs(g.num_edges(), 1.0);
-  rrset::RrSampler sampler(g, probs);
+  auto sampler = test::InlineSampler(g, probs, 7);
   auto store = std::make_shared<rrset::RrStore>(3);
   rrset::RrCollection big(store), small(store);
-  Rng rng(7);
-  big.AddSets(sampler, 200, rng, {});
-  small.AddSets(sampler, 30, rng, {});
+  big.AddSets(sampler, 200, {});
+  small.AddSets(sampler, 30, {});
   EXPECT_EQ(small.RemoveCoveredBy(0), 30u);  // not 200
 }
 
@@ -65,13 +61,13 @@ TEST(SharedStoreTest, SharedVsPrivateSemanticsMatch) {
   // the store is private or shared.
   auto g = test::MustGraph(4, {{0, 1}, {0, 2}, {1, 3}, {2, 3}});
   std::vector<double> probs(g.num_edges(), 0.5);
-  rrset::RrSampler s1(g, probs), s2(g, probs);
-  Rng r1(9), r2(9);
+  auto s1 = test::InlineSampler(g, probs, 9);
+  auto s2 = test::InlineSampler(g, probs, 9);
   rrset::RrCollection priv(g.num_nodes());
-  priv.AddSets(s1, 500, r1, {});
+  priv.AddSets(s1, 500, {});
   auto store = std::make_shared<rrset::RrStore>(g.num_nodes());
   rrset::RrCollection shared(store);
-  shared.AddSets(s2, 500, r2, {});
+  shared.AddSets(s2, 500, {});
   for (graph::NodeId v = 0; v < 4; ++v) {
     EXPECT_EQ(priv.CoverageOf(v), shared.CoverageOf(v)) << "node " << v;
   }
@@ -82,11 +78,10 @@ TEST(SharedStoreTest, SharedVsPrivateSemanticsMatch) {
 TEST(SharedStoreTest, ViewMemoryExcludesStore) {
   auto g = test::MustGraph(3, {{0, 1}, {1, 2}});
   std::vector<double> probs(g.num_edges(), 1.0);
-  rrset::RrSampler sampler(g, probs);
+  auto sampler = test::InlineSampler(g, probs, 8);
   auto store = std::make_shared<rrset::RrStore>(3);
   rrset::RrCollection view(store);
-  Rng rng(8);
-  view.AddSets(sampler, 100, rng, {});
+  view.AddSets(sampler, 100, {});
   EXPECT_LT(view.MemoryBytes(/*include_store=*/false),
             view.MemoryBytes(/*include_store=*/true));
   EXPECT_GT(store->MemoryBytes(), 0u);

@@ -3,12 +3,15 @@
 #ifndef ISA_TESTS_TEST_UTIL_H_
 #define ISA_TESTS_TEST_UTIL_H_
 
+#include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/logging.h"
 #include "core/problem.h"
 #include "graph/graph.h"
+#include "rrset/parallel_sampler.h"
 #include "topic/tic_model.h"
 #include "topic/topic_distribution.h"
 
@@ -20,6 +23,17 @@ inline graph::Graph MustGraph(graph::NodeId n,
   auto g = graph::Graph::FromEdges(n, std::move(edges));
   ISA_CHECK(g.ok());
   return std::move(g).value();
+}
+
+/// A one-worker IC ParallelSampler: the deterministic sampling path run
+/// inline, set `i` drawn from Rng(HashSeed(seed, i)).
+inline rrset::ParallelSampler InlineSampler(const graph::Graph& g,
+                                            std::span<const double> probs,
+                                            uint64_t seed) {
+  rrset::ParallelSamplerOptions opts;
+  opts.num_threads = 1;
+  return rrset::ParallelSampler(
+      g, probs, rrset::DiffusionModel::kIndependentCascade, seed, opts);
 }
 
 /// A self-contained RM instance: owns graph, topic probabilities and the

@@ -218,7 +218,7 @@ def run(golden_path, fresh_path, time_ratio, allow_missing):
 
 def _matrix_doc(**overrides):
     cell = {
-        "id": "ds/wc/ic/carm/b1500/m0/t1/p1",
+        "id": "ds/wc/ic/carm/b1500/m0/t1",
         "revenue": 123.5,
         "seeding_cost": 40.0,
         "seeds": 17,
@@ -305,7 +305,7 @@ def self_test():
     # New fresh cell is a note, not a failure.
     extra = _matrix_doc()
     extra["cells"].append(dict(extra["cells"][0],
-                               id="ds/wc/ic/carm/b1500/m0/t2/p1"))
+                               id="ds/wc/ic/carm/b1500/m0/t2"))
     r = verdict(_matrix_doc(), extra)
     assert r.ok and any("new cell" in n for n in r.notes), (r.failures,
                                                            r.notes)
@@ -313,8 +313,8 @@ def self_test():
     # Non-matrix bench file: only the gate booleans are checked.
     r = verdict({"bench": "fig5_scalability", "determinism_ok": True},
                 {"bench": "fig5_scalability", "determinism_ok": True,
-                 "partition_determinism_ok": False})
-    assert not r.ok and "partition_determinism_ok" in r.failures[0], (
+                 "e2e_determinism_ok": False})
+    assert not r.ok and "e2e_determinism_ok" in r.failures[0], (
         r.failures)
 
     print("self-test ok")

@@ -9,10 +9,13 @@
 //   isa_cli --synthetic ba --nodes 10000 --ads 3 --algorithm ti-carm
 //   isa_cli --synthetic rmat --nodes 65536 --incentives superlinear --alpha 0.0001 --algorithm ti-csrm --window 5000 --seeds-csv out.csv
 
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
 
 #include "common/failpoint.h"
@@ -71,15 +74,6 @@ constexpr const char* kUsage = R"(isa_cli — incentivized social advertising ca
                         instead of O_DIRECT (the probe also
                         falls back automatically; equivalent to
                         ISA_DISABLE_O_DIRECT=1)
-  --partitions P        graph partitions for RR sampling (>= 1;
-                        1 = monolithic; results are identical at
-                        any partition count for a fixed seed)  [1]
-  --partition-policy S  node-range | edge-cut (cut-point rule;
-                        requires --partitions > 1)   [node-range]
-  --partition-mmap      back the partitions' compressed adjacency
-                        with memory-mapped temp files instead of
-                        heap buffers (requires --partitions > 1;
-                        never changes computed results)
   --failpoints SPEC     deterministic fault injection for chaos runs,
                         e.g. "spill.read.eio@every:1" (see
                         common/failpoint.h for the grammar; cold-read
@@ -97,6 +91,51 @@ int Fail(const isa::Status& status) {
   return 1;
 }
 
+// Numeric flag reads with a range check. Flags::GetInt/GetDouble report a
+// malformed value as an error, which .value_or() would swallow and run
+// with the default instead. These keep the first bad flag's error in
+// `*error` (returning the default), so main reads every numeric flag and
+// fails once, before any graph work.
+int64_t IntFlag(const isa::Flags& flags, const std::string& name,
+                int64_t def, int64_t lo, int64_t hi, isa::Status* error) {
+  auto value = flags.GetInt(name, def);
+  if (!value.ok()) {
+    if (error->ok()) *error = value.status();
+    return def;
+  }
+  if (value.value() < lo || value.value() > hi) {
+    std::string msg = "--" + name + " must be >= " + std::to_string(lo);
+    if (hi != INT64_MAX) msg += " and <= " + std::to_string(hi);
+    if (error->ok()) {
+      *error = isa::Status::InvalidArgument(
+          msg + " (got " + std::to_string(value.value()) + ")");
+    }
+    return def;
+  }
+  return value.value();
+}
+
+// A double flag that must be finite and in (0, below).
+double PositiveDoubleFlag(const isa::Flags& flags, const std::string& name,
+                          double def, double below, isa::Status* error) {
+  auto value = flags.GetDouble(name, def);
+  if (!value.ok()) {
+    if (error->ok()) *error = value.status();
+    return def;
+  }
+  const double v = value.value();
+  if (!(v > 0.0 && v < below && std::isfinite(v))) {
+    std::string msg = "--" + name + " must be > 0";
+    if (std::isfinite(below)) msg += isa::StrFormat(" and < %g", below);
+    if (error->ok()) {
+      *error = isa::Status::InvalidArgument(
+          msg + isa::StrFormat(" (got %g)", v));
+    }
+    return def;
+  }
+  return v;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -106,8 +145,8 @@ int main(int argc, char** argv) {
        "alpha", "algorithm", "model", "epsilon", "window", "theta-cap",
        "threads", "share-samples", "async-growth", "growth-delay",
        "rr-memory-budget", "spill-dir", "spill-chunk-bytes", "io-ring-depth",
-       "no-direct-io", "partitions", "partition-policy", "partition-mmap",
-       "failpoints", "seed", "seeds-csv", "validate", "help"});
+       "no-direct-io", "failpoints", "seed", "seeds-csv", "validate",
+       "help"});
   if (!flags_result.ok()) {
     std::fputs(kUsage, stderr);
     return Fail(flags_result.status());
@@ -118,26 +157,48 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  // ---- Growth-scheduling flag validation (before any expensive work).
-  // The engine itself treats growth-delay < 1 as 1 and silently ignores a
-  // delay without async mode; at the CLI boundary both are user error —
-  // reject them loudly instead of running a schedule the user didn't ask
-  // for.
+  // ---- Numeric flags (before any expensive work). ----
+  constexpr double kUnbounded = std::numeric_limits<double>::infinity();
+  isa::Status bad_flag;
+  const auto nodes = static_cast<isa::graph::NodeId>(
+      IntFlag(flags, "nodes", 10'000, 1, INT32_MAX, &bad_flag));
+  const auto h = static_cast<uint32_t>(
+      IntFlag(flags, "ads", 3, 1, UINT32_MAX, &bad_flag));
+  const auto threads = static_cast<uint32_t>(
+      IntFlag(flags, "threads", 0, 0, UINT32_MAX, &bad_flag));
+  const auto window = static_cast<uint32_t>(
+      IntFlag(flags, "window", 0, 0, UINT32_MAX, &bad_flag));
+  const auto theta_cap = static_cast<uint64_t>(
+      IntFlag(flags, "theta-cap", 500'000, 1, INT64_MAX, &bad_flag));
+  const auto seed = static_cast<uint64_t>(
+      IntFlag(flags, "seed", 42, 0, INT64_MAX, &bad_flag));
+  // A growth triggered in round r adopts at round r + delay; 0 would adopt
+  // before sampling finishes deterministically.
+  const auto growth_delay = static_cast<uint32_t>(
+      IntFlag(flags, "growth-delay", 2, 1, UINT32_MAX, &bad_flag));
+  // 0 disables spilling; a negative budget is a typo.
+  const int64_t rr_budget =
+      IntFlag(flags, "rr-memory-budget", 0, 0, INT64_MAX, &bad_flag);
+  const double epsilon =
+      PositiveDoubleFlag(flags, "epsilon", 0.3, 1.0, &bad_flag);
+  const double budget =
+      PositiveDoubleFlag(flags, "budget", 1000.0, kUnbounded, &bad_flag);
+  const double cpe = PositiveDoubleFlag(flags, "cpe", 1.0, kUnbounded,
+                                        &bad_flag);
+  const double alpha =
+      PositiveDoubleFlag(flags, "alpha", 0.2, kUnbounded, &bad_flag);
+  if (!bad_flag.ok()) return Fail(bad_flag);
+
+  // ---- Growth-scheduling flag validation. The engine itself treats
+  // growth-delay < 1 as 1 and silently ignores a delay without async mode;
+  // at the CLI boundary both are user error — reject them loudly instead
+  // of running a schedule the user didn't ask for.
   const bool async_growth =
       flags.GetBool("async-growth", false).value_or(false);
-  if (flags.Has("growth-delay")) {
-    if (!async_growth) {
-      return Fail(isa::Status::InvalidArgument(
-          "--growth-delay only applies to async growth; add --async-growth "
-          "or drop --growth-delay"));
-    }
-    const int64_t delay = flags.GetInt("growth-delay", 2).value_or(2);
-    if (delay < 1) {
-      return Fail(isa::Status::InvalidArgument(
-          "--growth-delay must be >= 1 round (a growth triggered in round "
-          "r adopts at round r + delay; 0 would adopt before sampling "
-          "finishes deterministically)"));
-    }
+  if (flags.Has("growth-delay") && !async_growth) {
+    return Fail(isa::Status::InvalidArgument(
+        "--growth-delay only applies to async growth; add --async-growth "
+        "or drop --growth-delay"));
   }
   if (async_growth &&
       flags.GetBool("share-samples", false).value_or(false)) {
@@ -147,14 +208,8 @@ int main(int argc, char** argv) {
                  "private stores\n");
   }
 
-  // Spill-tier flag validation: a negative budget is a typo, and a spill
-  // directory without a budget would silently do nothing.
-  const int64_t rr_budget =
-      flags.GetInt("rr-memory-budget", 0).value_or(0);
-  if (rr_budget < 0) {
-    return Fail(isa::Status::InvalidArgument(
-        "--rr-memory-budget must be >= 0 bytes (0 disables spilling)"));
-  }
+  // Spill-tier flag validation: a spill directory without a budget would
+  // silently do nothing.
   if (flags.Has("spill-dir") && rr_budget == 0) {
     return Fail(isa::Status::InvalidArgument(
         "--spill-dir only applies with a memory budget; add "
@@ -209,35 +264,6 @@ int main(int argc, char** argv) {
         "--rr-memory-budget or drop --no-direct-io"));
   }
 
-  // Partition-layer flag validation: the count must be >= 1, and the
-  // policy/mmap knobs without partitions would silently do nothing.
-  const int64_t partitions = flags.GetInt("partitions", 1).value_or(1);
-  if (partitions < 1) {
-    return Fail(isa::Status::InvalidArgument(
-        "--partitions must be >= 1 (1 = monolithic sampling)"));
-  }
-  isa::graph::PartitionPolicy partition_policy =
-      isa::graph::PartitionPolicy::kNodeRange;
-  if (flags.Has("partition-policy")) {
-    if (partitions == 1) {
-      return Fail(isa::Status::InvalidArgument(
-          "--partition-policy only applies with --partitions > 1; add "
-          "--partitions or drop --partition-policy"));
-    }
-    auto parsed = isa::graph::ParsePartitionPolicy(
-        flags.GetString("partition-policy", "node-range")
-            .value_or("node-range"));
-    if (!parsed.ok()) return Fail(parsed.status());
-    partition_policy = parsed.value();
-  }
-  const bool partition_mmap =
-      flags.GetBool("partition-mmap", false).value_or(false);
-  if (partition_mmap && partitions == 1) {
-    return Fail(isa::Status::InvalidArgument(
-        "--partition-mmap only applies with --partitions > 1; add "
-        "--partitions or drop --partition-mmap"));
-  }
-
   // Deterministic fault injection: validate the whole spec up front (a
   // typo'd entry fails here, in milliseconds, with the offending entry
   // named), then arm it for the run.
@@ -252,16 +278,11 @@ int main(int argc, char** argv) {
     }
   }
 
-  const uint64_t seed =
-      static_cast<uint64_t>(flags.GetInt("seed", 42).value_or(42));
-
   // ---- Graph. ----
   isa::Result<isa::graph::Graph> graph_result(
       isa::Status::InvalidArgument("need --graph or --synthetic"));
   const std::string path = flags.GetString("graph", "").value_or("");
   const std::string kind = flags.GetString("synthetic", "").value_or("");
-  const auto nodes = static_cast<isa::graph::NodeId>(
-      flags.GetInt("nodes", 10'000).value_or(10'000));
   if (!path.empty()) {
     graph_result = isa::graph::LoadEdgeListText(path);
   } else if (kind == "ba") {
@@ -296,18 +317,9 @@ int main(int argc, char** argv) {
   const auto& topics = topics_result.value();
 
   // ---- Advertisers & incentives. ----
-  const auto h =
-      static_cast<uint32_t>(flags.GetInt("ads", 3).value_or(3));
-  const double budget = flags.GetDouble("budget", 1000.0).value_or(1000.0);
-  const double cpe = flags.GetDouble("cpe", 1.0).value_or(1.0);
   auto model_result = isa::core::ParseIncentiveModel(
       flags.GetString("incentives", "linear").value_or("linear"));
   if (!model_result.ok()) return Fail(model_result.status());
-  const double alpha = flags.GetDouble("alpha", 0.2).value_or(0.2);
-  if (h == 0 || budget <= 0 || cpe <= 0) {
-    return Fail(isa::Status::InvalidArgument(
-        "--ads, --budget and --cpe must be positive"));
-  }
 
   auto spreads_result = isa::rrset::EstimateAllSingletonSpreads(
       graph, topics.topic(0), 50'000, seed + 1);
@@ -328,28 +340,21 @@ int main(int argc, char** argv) {
 
   // ---- Algorithm. ----
   isa::core::TiOptions options;
-  options.epsilon = flags.GetDouble("epsilon", 0.3).value_or(0.3);
-  options.window =
-      static_cast<uint32_t>(flags.GetInt("window", 0).value_or(0));
-  options.theta_cap = static_cast<uint64_t>(
-      flags.GetInt("theta-cap", 500'000).value_or(500'000));
-  options.num_threads =
-      static_cast<uint32_t>(flags.GetInt("threads", 0).value_or(0));
+  options.epsilon = epsilon;
+  options.window = window;
+  options.theta_cap = theta_cap;
+  options.num_threads = threads;
   options.seed = seed;
   options.share_samples =
       flags.GetBool("share-samples", false).value_or(false);
   options.async_growth =
       flags.GetBool("async-growth", false).value_or(false);
-  options.growth_delay_rounds =
-      static_cast<uint32_t>(flags.GetInt("growth-delay", 2).value_or(2));
+  options.growth_delay_rounds = growth_delay;
   options.rr_memory_budget_bytes = static_cast<uint64_t>(rr_budget);
   options.spill_directory = spill_dir;
   options.spill_chunk_bytes = static_cast<uint64_t>(spill_chunk_bytes);
   options.io_ring_depth = static_cast<uint32_t>(io_ring_depth);
   options.direct_io = !flags.GetBool("no-direct-io", false).value_or(false);
-  options.num_partitions = static_cast<uint32_t>(partitions);
-  options.partition_policy = partition_policy;
-  options.partition_mmap = partition_mmap;
   const std::string prop = flags.GetString("model", "ic").value_or("ic");
   if (prop == "lt") {
     options.propagation = isa::rrset::DiffusionModel::kLinearThreshold;
@@ -444,27 +449,6 @@ int main(int argc, char** argv) {
                 (unsigned long long)result.total_reads_in_flight_peak,
                 result.stores_direct_io,
                 (unsigned long long)result.total_direct_fallbacks);
-  }
-
-  if (result.num_partitions > 1) {
-    std::string per_partition;
-    for (size_t p = 0; p < result.total_partition_sets_sampled.size(); ++p) {
-      if (!per_partition.empty()) per_partition += " ";
-      per_partition +=
-          std::to_string(result.total_partition_sets_sampled[p]);
-    }
-    std::printf("partition layer: %u partitions (%s%s), graph %s resident"
-                " + %s mapped; sets per partition [%s]; local hit rate "
-                "%.3f (%llu local, %llu crossings)\n",
-                result.num_partitions,
-                isa::graph::PartitionPolicyName(partition_policy),
-                partition_mmap ? ", mmap" : "",
-                isa::HumanBytes(result.partition_graph_memory_bytes).c_str(),
-                isa::HumanBytes(result.partition_graph_mapped_bytes).c_str(),
-                per_partition.c_str(), result.partition_local_hit_rate,
-                (unsigned long long)result.total_partition_local_expansions,
-                (unsigned long long)
-                    result.total_partition_frontier_crossings);
   }
 
   const std::string csv =

@@ -1,11 +1,11 @@
 // isa_sweep — scenario-matrix driver over the dataset catalog.
 //
 // Expands dataset × weighting regime × diffusion model × rule × budget ×
-// threads × memory budget × partitions into a run list (bench/
-// sweep_matrix.h), executes every cell through RunTiGreedy, and emits one
-// self-describing BENCH_matrix.json ($ISA_BENCH_JSON_DIR or cwd; schema in
+// threads × memory budget into a run list (bench/sweep_matrix.h),
+// executes every cell through RunTiGreedy, and emits one self-describing
+// BENCH_matrix.json ($ISA_BENCH_JSON_DIR or cwd; schema in
 // docs/BENCHMARKS.md). Within each (dataset, regime, model, rule, budget)
-// group the thread/memory/partition variants must produce bit-identical
+// group the thread/memory variants must produce bit-identical
 // TiResults — any violation makes the driver EXIT NON-ZERO, so CI runs it
 // as a determinism gate.
 //
@@ -16,11 +16,11 @@
 //
 // Presets:
 //   full   2 datasets × 3 regimes × {ic} × 2 rules × 2 budgets ×
-//          mem {0} × threads {1,2,8} × partitions {1}        (72 cells)
+//          mem {0} × threads {1,2,8}                         (72 cells)
 //   smoke  1 dataset × 1 regime × {ic,lt} × 2 rules × 1 budget ×
-//          mem {0,0.25} × threads {1,2} × partitions {1,2}   (32 cells)
-// The smoke preset deliberately varies all three determinism axes at once
-// (threads, memory budget, partitions) — it is the ctest mini-matrix.
+//          mem {0,0.25} × threads {1,2}                      (16 cells)
+// The smoke preset deliberately varies both determinism axes at once
+// (threads, memory budget) — it is the ctest mini-matrix.
 
 #include <cstdio>
 #include <string>
@@ -59,7 +59,6 @@ SweepAxes FullPreset() {
   axes.budgets = {1'500, 4'500};
   axes.memory_fractions = {0.0};
   axes.threads = {1, 2, 8};
-  axes.partitions = {1};
   return axes;
 }
 
@@ -73,7 +72,6 @@ SweepAxes SmokePreset() {
   axes.budgets = {1'500};
   axes.memory_fractions = {0.0, 0.25};
   axes.threads = {1, 2};
-  axes.partitions = {1, 2};
   return axes;
 }
 
@@ -83,8 +81,7 @@ std::string AxesJson(const SweepAxes& axes) {
     for (const std::string& s : v) quoted.push_back("\"" + s + "\"");
     return isa::bench::JsonArray(quoted);
   };
-  std::vector<std::string> regimes, models, rules, budgets, mems, threads,
-      parts;
+  std::vector<std::string> regimes, models, rules, budgets, mems, threads;
   for (auto r : axes.regimes) {
     regimes.push_back(std::string("\"") +
                       isa::graph::WeightingRegimeName(r) + "\"");
@@ -101,7 +98,6 @@ std::string AxesJson(const SweepAxes& axes) {
     mems.push_back(isa::StrFormat("%g", f));
   }
   for (uint32_t t : axes.threads) threads.push_back(std::to_string(t));
-  for (uint32_t p : axes.partitions) parts.push_back(std::to_string(p));
   return isa::bench::JsonObject()
       .AddRaw("datasets", strings(axes.datasets))
       .AddRaw("regimes", isa::bench::JsonArray(regimes))
@@ -110,7 +106,6 @@ std::string AxesJson(const SweepAxes& axes) {
       .AddRaw("budgets", isa::bench::JsonArray(budgets))
       .AddRaw("memory_fractions", isa::bench::JsonArray(mems))
       .AddRaw("threads", isa::bench::JsonArray(threads))
-      .AddRaw("partitions", isa::bench::JsonArray(parts))
       .str();
 }
 
@@ -119,8 +114,8 @@ void PrintHelp() {
       "isa_sweep: scenario-matrix driver (BENCH_matrix.json emitter)\n\n"
       "  --preset full|smoke   matrix preset (default full)\n"
       "  --only k=v,...        keep only matching cells; keys: dataset,\n"
-      "                        regime, model, rule, budget, mem, threads,\n"
-      "                        partitions (repeat a key to OR values)\n"
+      "                        regime, model, rule, budget, mem, threads\n"
+      "                        (repeat a key to OR values)\n"
       "  --list                print cell ids and exit (no runs)\n"
       "  --scale S             dataset/budget scale in (0,1] (default 1;\n"
       "                        $ISA_BENCH_SCALE overrides the default)\n"
