@@ -18,29 +18,20 @@
 // revenue and θ bit for bit — spilling moves bytes, never results — and
 // the bench EXITS NON-ZERO on any mismatch (CI runs it as a gate, like the
 // fig5 determinism gate) or when the tight 25% row skipped no chunks
-// (chunks_skipped == 0 would mean the per-chunk envelope/Bloom filters
-// stopped working). A second 25% row forces the sync backend + buffered
-// reads, pinning the deep-queue/O_DIRECT pipeline to the serial reference
-// byte for byte under the same gate. The resident-vs-spill rows land in
-// BENCH_table3.json under "budget_rows" with the chunks_read /
-// chunks_skipped split, the resolved I/O backend + direct/buffered mode,
-// the queue-depth high-water mark and the run's wall-clock.
+// (chunks_skipped == 0 would mean the per-chunk envelope/postings lookup
+// stopped skipping). The resident-vs-spill rows land in BENCH_table3.json
+// under "budget_rows" with the chunks_read / chunks_skipped split, the
+// run's wall-clock and its ratio to the unbudgeted run's (the cost of the
+// budget; annotate-only, never gated).
 
 #include <cstdio>
 #include <iostream>
 
 #include "bench/bench_util.h"
-#include "common/async_io.h"
 #include "common/failpoint.h"
 #include "common/table_writer.h"
 
 namespace {
-
-// The backend every spill scan in this process resolves to (kAuto order:
-// io_uring > pool-pread; the bench always passes a pool-capable run).
-const char* ResolvedBackend() {
-  return isa::IoUringAvailable() ? "io_uring" : "pool-pread";
-}
 
 // The computed outcome only — memory/spill stats legitimately differ
 // across budgets.
@@ -174,8 +165,8 @@ int main() {
     auto ti = isa::bench::QualityTiOptions();
     ti.theta_cap = 80'000;
     ti.window = 5000;
-    // Small chunks give the per-chunk envelope/Bloom filters something to
-    // skip at bench scale (the 4 MiB default would put the whole cold
+    // Small chunks give the per-chunk envelope test something to skip at
+    // bench scale (the 4 MiB default would put the whole cold
     // tier in one or two chunks); results are chunk-size independent.
     ti.spill_chunk_bytes = 128ull << 10;
     auto reference = isa::core::RunTiCsrm(*setup.instance, ti);
@@ -188,22 +179,20 @@ int main() {
       store_bytes = std::max(store_bytes, st.rr_memory_bytes);
     }
 
-    isa::TableWriter sweep({"budget/store", "threads", "I/O", "resident final",
-                            "resident peak", "spilled", "chunks", "scans",
-                            "read", "skipped", "peak q", "seconds", "match"});
+    // Wall-clock relative to the unbudgeted run: what the budget costs.
+    const auto vs_unbudgeted = [&](const isa::core::TiResult& r) {
+      return r.elapsed_seconds /
+             std::max(reference.value().elapsed_seconds, 1e-9);
+    };
+    isa::TableWriter sweep({"budget/store", "threads", "resident final",
+                            "resident peak", "spilled", "chunks", "lookups",
+                            "read", "skipped", "seconds", "vs unbudgeted",
+                            "match"});
     auto add_row = [&](uint64_t budget, uint32_t threads,
-                       const std::string& io_backend,
                        const isa::core::TiResult& r, bool match) {
-      // Per-row I/O provenance: resolved backend plus whether the spill
-      // files actually read through O_DIRECT (the probe may fall back).
-      const bool direct = r.stores_direct_io > 0;
-      const std::string io_label =
-          budget == 0 ? std::string("-")
-                      : io_backend + (direct ? "+direct" : "+buffered");
       sweep.AddCell(budget == 0 ? std::string("unbudgeted")
                                 : isa::HumanBytes(budget));
       sweep.AddCell(uint64_t{threads});
-      sweep.AddCell(io_label);
       sweep.AddCell(isa::HumanBytes(r.total_rr_memory_bytes));
       sweep.AddCell(budget == 0 ? std::string("-")
                                 : isa::HumanBytes(SumResidentPeak(r)));
@@ -212,18 +201,14 @@ int main() {
       sweep.AddCell(r.total_scan_reloads);
       sweep.AddCell(r.total_chunks_read);
       sweep.AddCell(r.total_chunks_skipped);
-      sweep.AddCell(r.total_reads_in_flight_peak);
       sweep.AddCell(r.elapsed_seconds, 2);
+      sweep.AddCell(vs_unbudgeted(r), 2);
       sweep.AddCell(std::string(match ? "yes" : "MISMATCH"));
       isa::bench::Check(sweep.EndRow(), "sweep row");
       budget_rows.push_back(
           isa::bench::JsonObject()
               .Add("budget_bytes", budget)
               .Add("threads", uint64_t{threads})
-              .Add("io_backend", io_backend)
-              .Add("direct_io", direct)
-              .Add("reads_in_flight_peak", r.total_reads_in_flight_peak)
-              .Add("direct_fallbacks", r.total_direct_fallbacks)
               .Add("resident_final_bytes", r.total_rr_memory_bytes)
               .Add("resident_peak_bytes", SumResidentPeak(r))
               .Add("spilled_bytes", r.total_spilled_bytes)
@@ -232,52 +217,39 @@ int main() {
               .Add("chunks_read", r.total_chunks_read)
               .Add("chunks_skipped", r.total_chunks_skipped)
               .Add("elapsed_seconds", r.elapsed_seconds)
+              .Add("solve_ratio_vs_unbudgeted", vs_unbudgeted(r))
               .Add("seeds", r.total_seeds)
               .Add("matches_unbudgeted", match)
               .str());
     };
-    add_row(0, ti.num_threads, "none", reference.value(), true);
+    add_row(0, ti.num_threads, reference.value(), true);
 
     struct Run {
       double fraction;
       uint32_t threads;
-      bool sync_buffered;  // force the sync backend + buffered reads
     };
     // The tight 25% budget doubles as the CI gate's "tight budget" row;
-    // the 1-thread run re-proves budget determinism is thread-independent;
-    // the sync+buffered 25% run pins the deep-queue/O_DIRECT pipeline to
-    // the serial reference byte for byte (same gate: any divergence exits
-    // non-zero).
-    for (const Run run : {Run{0.5, 0, false}, Run{0.5, 1, false},
-                          Run{0.25, 0, false}, Run{0.25, 0, true}}) {
+    // the 1-thread run re-proves budget determinism is thread-independent.
+    for (const Run run : {Run{0.5, 0}, Run{0.5, 1}, Run{0.25, 0}}) {
       auto budgeted_ti = ti;
       budgeted_ti.rr_memory_budget_bytes =
           static_cast<uint64_t>(store_bytes * run.fraction);
       budgeted_ti.num_threads = run.threads;
-      if (run.sync_buffered) {
-        isa::SetAsyncIoBackendForTest(isa::AsyncIoBackend::kSync);
-        budgeted_ti.direct_io = false;
-      }
       auto budgeted = isa::core::RunTiCsrm(*setup.instance, budgeted_ti);
-      if (run.sync_buffered) {
-        isa::SetAsyncIoBackendForTest(isa::AsyncIoBackend::kAuto);
-      }
       isa::bench::Check(budgeted.status(), "TI-CSRM budgeted");
       const bool match =
           SameComputedResult(reference.value(), budgeted.value());
       if (!match) budget_mismatch = true;
-      // The tight-budget row must show the chunk filters earning their
-      // keep: plenty spilled, and at least one chunk skipped without I/O.
-      if (run.fraction == 0.25 && !run.sync_buffered &&
+      // The tight-budget row must show the chunk lookups skipping: plenty
+      // spilled, and at least one chunk skipped.
+      if (run.fraction == 0.25 &&
           budgeted.value().total_chunks_skipped == 0) {
         filters_dead = true;
       }
       add_row(budgeted_ti.rr_memory_budget_bytes, run.threads,
-              run.sync_buffered ? "sync" : ResolvedBackend(),
               budgeted.value(), match);
-      std::fprintf(stderr, "  [budget %.0f%% threads=%u%s] done\n",
-                   run.fraction * 100, run.threads,
-                   run.sync_buffered ? " sync+buffered" : "");
+      std::fprintf(stderr, "  [budget %.0f%% threads=%u] done\n",
+                   run.fraction * 100, run.threads);
     }
 
     // Faulted run: the tight 25% budget again, with a permanent EIO
@@ -301,8 +273,6 @@ int main() {
       sweep.AddCell(isa::HumanBytes(faulted_ti.rr_memory_budget_bytes) +
                     " +EIO");
       sweep.AddCell(uint64_t{faulted_ti.num_threads});
-      sweep.AddCell(std::string(ResolvedBackend()) +
-                    (r.stores_direct_io > 0 ? "+direct" : "+buffered"));
       sweep.AddCell(isa::HumanBytes(r.total_rr_memory_bytes));
       sweep.AddCell(isa::HumanBytes(SumResidentPeak(r)));
       sweep.AddCell(isa::HumanBytes(r.total_spilled_bytes));
@@ -310,21 +280,20 @@ int main() {
       sweep.AddCell(r.total_scan_reloads);
       sweep.AddCell(r.total_chunks_read);
       sweep.AddCell(r.total_chunks_skipped);
-      sweep.AddCell(r.total_reads_in_flight_peak);
       sweep.AddCell(r.elapsed_seconds, 2);
+      sweep.AddCell(vs_unbudgeted(r), 2);
       sweep.AddCell(std::string(recovery_ok ? "yes" : "MISMATCH"));
       isa::bench::Check(sweep.EndRow(), "sweep row");
       budget_rows.push_back(
           isa::bench::JsonObject()
               .Add("budget_bytes", faulted_ti.rr_memory_budget_bytes)
               .Add("threads", uint64_t{faulted_ti.num_threads})
-              .Add("io_backend", std::string(ResolvedBackend()))
-              .Add("direct_io", r.stores_direct_io > 0)
               .Add("failpoints", std::string("spill.read.eio@every:1"))
               .Add("degradation_events", r.total_degradation_events)
               .Add("recovered_sets", r.total_recovered_sets)
               .Add("spill_retries", r.total_spill_retries)
               .Add("elapsed_seconds", r.elapsed_seconds)
+              .Add("solve_ratio_vs_unbudgeted", vs_unbudgeted(r))
               .Add("recovery_ok", recovery_ok)
               .str());
       std::fprintf(stderr, "  [budget 25%% + injected EIO] done\n");
@@ -352,7 +321,7 @@ int main() {
   if (filters_dead) {
     std::fprintf(stderr,
                  "[bench] FAIL: the 25%%-budget run skipped no cold "
-                 "chunks — the envelope/Bloom chunk filters are not "
+                 "chunks — the envelope/postings chunk skips are not "
                  "engaging\n");
     return 2;
   }

@@ -1,5 +1,6 @@
 #include "bench/sweep_matrix.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <map>
 #include <memory>
@@ -339,12 +340,25 @@ core::TiOptions CellTiOptions(const SweepCell& cell, uint64_t budget_bytes,
   return opt;
 }
 
+// The per-store anchor memory fractions scale: the largest per-ad
+// footprint of an unbudgeted run (each store is charged to the first ad
+// using it, so this is about the biggest store plus one view) — the
+// bench_table3 convention. Anchoring on the all-stores total instead would
+// hand each store a budget several times its own size.
+uint64_t PerStoreBytes(const core::TiResult& r) {
+  uint64_t bytes = 0;
+  for (const core::TiAdStats& st : r.ad_stats) {
+    bytes = std::max(bytes, st.rr_memory_bytes);
+  }
+  return bytes;
+}
+
 // Group state threaded through a matrix run: the determinism base result
-// and the unbudgeted byte anchor for memory fractions.
+// and the unbudgeted per-store byte anchor for memory fractions.
 struct GroupState {
   bool have_base = false;
   core::TiResult base;
-  uint64_t unbudgeted_bytes = 0;
+  uint64_t unbudgeted_store_bytes = 0;
 };
 
 }  // namespace
@@ -369,7 +383,8 @@ Result<MatrixReport> RunMatrix(const std::vector<SweepCell>& cells,
     const core::RmInstance& inst = ie.value()->instance;
     GroupState& group = groups[cell.group];
 
-    // Memory fractions are relative to the group's unbudgeted footprint.
+    // Memory fractions are relative to the group's unbudgeted per-store
+    // footprint.
     // If filtering removed the unbudgeted cell, run a hidden probe to
     // re-establish the anchor (it doubles as the determinism base).
     if (cell.memory_fraction > 0.0 && !group.have_base) {
@@ -379,7 +394,7 @@ Result<MatrixReport> RunMatrix(const std::vector<SweepCell>& cells,
       auto res = core::RunTiGreedy(inst, CellTiOptions(probe, 0, options));
       if (!res.ok()) return res.status();
       group.base = std::move(res).value();
-      group.unbudgeted_bytes = group.base.total_rr_memory_bytes;
+      group.unbudgeted_store_bytes = PerStoreBytes(group.base);
       group.have_base = true;
       ++report.probe_runs;
       if (options.verbose) {
@@ -390,7 +405,7 @@ Result<MatrixReport> RunMatrix(const std::vector<SweepCell>& cells,
     const uint64_t budget_bytes =
         cell.memory_fraction > 0.0
             ? static_cast<uint64_t>(
-                  static_cast<double>(group.unbudgeted_bytes) *
+                  static_cast<double>(group.unbudgeted_store_bytes) *
                   cell.memory_fraction)
             : 0;
 
@@ -401,6 +416,13 @@ Result<MatrixReport> RunMatrix(const std::vector<SweepCell>& cells,
       return Status::Internal(cell.id + ": " + res.status().ToString());
     }
     const core::TiResult& r = res.value();
+    // A budgeted cell that spilled nothing never exercised the cold tier,
+    // so its determinism check would prove nothing about it.
+    if (cell.memory_fraction > 0.0 && r.total_spilled_bytes == 0) {
+      return Status::Internal(
+          cell.id + ": memory budget " + std::to_string(budget_bytes) +
+          " bytes per store spilled nothing");
+    }
 
     CellOutcome out;
     out.cell = cell;
@@ -420,7 +442,7 @@ Result<MatrixReport> RunMatrix(const std::vector<SweepCell>& cells,
     if (!group.have_base) {
       group.base = r;
       if (cell.memory_fraction == 0.0) {
-        group.unbudgeted_bytes = r.total_rr_memory_bytes;
+        group.unbudgeted_store_bytes = PerStoreBytes(r);
       }
       group.have_base = true;
     } else {

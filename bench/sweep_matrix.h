@@ -19,9 +19,11 @@
 // violation fails the whole matrix; the driver exits non-zero.
 //
 // Memory fractions follow the bench_table3 convention: fraction f > 0
-// means rr_memory_budget_bytes = f × (the group's unbudgeted run's
-// total_rr_memory_bytes). If filtering removed the unbudgeted cell, a
-// hidden probe run re-establishes the anchor (and the determinism base).
+// means rr_memory_budget_bytes = f × (the group's unbudgeted run's largest
+// per-ad rr_memory_bytes — about one store's footprint; the budget is per
+// store). If filtering removed the unbudgeted cell, a hidden probe run
+// re-establishes the anchor (and the determinism base). A budgeted cell
+// that spills nothing fails the run: it would not test the cold tier.
 
 #ifndef ISA_BENCH_SWEEP_MATRIX_H_
 #define ISA_BENCH_SWEEP_MATRIX_H_
@@ -153,8 +155,9 @@ struct MatrixReport {
   size_t probe_runs = 0;       // hidden unbudgeted anchors (filtered bases)
 };
 
-/// Runs every cell. Errors from dataset loading or the TI driver abort the
-/// whole matrix (a partial capture must not masquerade as a full one).
+/// Runs every cell. Errors from dataset loading or the TI driver, and a
+/// budgeted cell that spilled nothing, abort the whole matrix (a partial
+/// capture must not masquerade as a full one).
 Result<MatrixReport> RunMatrix(const std::vector<SweepCell>& cells,
                                const SweepRunOptions& options);
 

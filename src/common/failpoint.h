@@ -15,8 +15,8 @@
 //
 //   entry   := site '.' kind '@' trigger
 //   site    := dotted name of an instrumented site ("spill.read",
-//              "spill.write", "spill.resample", "async.submit",
-//              "async.complete", "pool.alloc", "sampler.alloc")
+//              "spill.write", "spill.resample", "pool.alloc",
+//              "sampler.alloc")
 //   kind    := eio | enospc | eagain | enomem | ebusy | eof | throw
 //              (the payload the site injects: an errno, kFailPointEof for
 //              EOF-before-length, or kFailPointThrow for allocation sites)
@@ -43,8 +43,8 @@
 
 namespace isa {
 
-/// Payload for ".eof" entries: matches AsyncFileReader::Wait's -1 =
-/// EOF-before-requested-length convention.
+/// Payload for ".eof" entries: EOF before the requested length (the spill
+/// file's short-read condition).
 inline constexpr int kFailPointEof = -1;
 /// Payload for ".throw" entries: allocation sites translate any firing
 /// into their native exception (std::bad_alloc, SpillIoError), so the

@@ -117,8 +117,9 @@ Status AdvertiserEngine::Init() {
   // that sampled them — bit-identical by construction. Ads sharing a store
   // have bitwise-identical Eq. 1 probabilities, so whichever engine
   // registers last serves every range; the per-range seed carries the
-  // per-ad substream. This engine must outlive the store's cold scans
-  // (true in RunTiGreedy: scans end with the scheduler, before teardown).
+  // per-ad substream. This engine must outlive the store's cold lookups
+  // (true in RunTiGreedy: lookups end with the scheduler, before
+  // teardown).
   collection_.store()->SetResampler(
       [this](uint64_t seed, uint64_t lo, uint64_t hi,
              std::vector<uint32_t>* sizes,
@@ -273,20 +274,14 @@ void AdvertiserEngine::MarkNodeTaken(graph::NodeId v) {
   if (candidate_ == v) candidate_fresh_ = false;
 }
 
-void AdvertiserEngine::PrefetchCommit(graph::NodeId v) {
-  collection_.PrefetchRemoveCoveredBy(v, options_.sampler.pool);
-}
-
 void AdvertiserEngine::CommitSeed(graph::NodeId v) {
   seeds_.push_back(v);
   seeding_cost_ += instance_.incentive(ad_, v);
-  // The shared pool parallelizes cold-chunk scans when this ad's store
-  // has spilled sets (no-op on resident-only stores).
   if (windowed()) {
-    collection_.RemoveCoveredBy(v, &touched_scratch_, options_.sampler.pool);
+    collection_.RemoveCoveredBy(v, &touched_scratch_);
     for (graph::NodeId u : touched_scratch_) MarkWindowDirty(u);
   } else {
-    collection_.RemoveCoveredBy(v, nullptr, options_.sampler.pool);
+    collection_.RemoveCoveredBy(v);
   }
   revenue_ = instance_.cpe(ad_) * dn_ * collection_.covered_fraction();
   payment_ = revenue_ + seeding_cost_;

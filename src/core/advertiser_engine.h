@@ -185,12 +185,6 @@ class AdvertiserEngine {
   /// (including this one) as well.
   void CommitSeed(graph::NodeId v);
 
-  /// Starts CommitSeed(v)'s cold-tier chunk reads early (see
-  /// RrCollection::PrefetchRemoveCoveredBy) so the disk I/O overlaps the
-  /// commit's MarkNodeTaken fan-out across every engine. State-neutral
-  /// and optional; a no-op when this ad's store has nothing spilled.
-  void PrefetchCommit(graph::NodeId v);
-
   // ---- Growth stage (lines 17-21, Eq. 10, Algorithm 3). ----
 
   /// If the seed count has reached the latent size s̃_j, revises s̃_j by

@@ -139,14 +139,8 @@ void SelectionScheduler::Run(Allocation* allocation) {
       round_robin_next_ = (chosen_ad + 1) % h;
     }
 
-    // Lines 10-15: commit the pair. The chosen ad's cold-tier reads (if
-    // its store has spilled sets) go out first, so the disk streams while
-    // every engine runs its MarkNodeTaken candidate repair; CommitSeed
-    // then consumes the prefetched scan. The apply order inside
-    // RemoveCoveredBy is unchanged, so the result is bit-identical with
-    // the prefetch on or off.
+    // Lines 10-15: commit the pair.
     const graph::NodeId v = ads_[chosen_ad]->candidate();
-    ads_[chosen_ad]->PrefetchCommit(v);
     for (uint32_t k = 0; k < h; ++k) ads_[k]->MarkNodeTaken(v);
     ads_[chosen_ad]->CommitSeed(v);
     allocation->seed_sets[chosen_ad].push_back(v);

@@ -169,9 +169,6 @@ Result<TiResult> RunTiGreedy(const RmInstance& instance,
         to.rr_memory_budget_bytes = options.rr_memory_budget_bytes;
         to.spill_directory = options.spill_directory;
         to.chunk_target_bytes = options.spill_chunk_bytes;
-        to.io_ring_depth = options.io_ring_depth;
-        to.direct_io = options.direct_io;
-        to.direct_io_min_bytes = options.direct_io_min_bytes;
         StoreSpillGroup g;
         g.tier = std::make_unique<rrset::TieredRrStore>(
             ads[group.front()]->collection().store(), to);
@@ -231,9 +228,6 @@ Result<TiResult> RunTiGreedy(const RmInstance& instance,
       st.spill_retry_successes = store->spill_retry_successes();
       st.degradation_events = store->degradation_events();
       st.recovered_sets = store->recovered_sets();
-      st.reads_in_flight_peak = store->reads_in_flight_peak();
-      st.direct_io_active = store->direct_io_active();
-      st.direct_fallbacks = store->direct_fallbacks();
       for (const StoreSpillGroup& g : spill_groups) {
         if (g.tier->store().get() == store) {
           st.rr_resident_peak_bytes = g.tier->meter().peak_bytes();
@@ -262,10 +256,6 @@ Result<TiResult> RunTiGreedy(const RmInstance& instance,
     result.total_scan_reloads += st.scan_reloads;
     result.total_chunks_read += st.chunks_read;
     result.total_chunks_skipped += st.chunks_skipped;
-    result.total_reads_in_flight_peak =
-        std::max(result.total_reads_in_flight_peak, st.reads_in_flight_peak);
-    if (st.direct_io_active) ++result.stores_direct_io;
-    result.total_direct_fallbacks += st.direct_fallbacks;
     result.total_spill_retries += st.spill_retries;
     result.total_spill_retry_successes += st.spill_retry_successes;
     result.total_degradation_events += st.degradation_events;

@@ -133,11 +133,12 @@ struct TiOptions {
   /// resident — the pre-spill behavior, byte for byte). When a store's
   /// resident footprint exceeds the budget at a barrier round, its oldest
   /// fully-adopted sets are evicted to an on-disk columnar chunk file and
-  /// later coverage removals over them run as sequential chunk scans (see
-  /// rrset/tiered_store.h). Spill decisions happen only at the round
-  /// loop's deterministic barriers and never change any computed value,
-  /// so a fixed seed still yields a bit-identical TiResult (allocations,
-  /// revenue, θ, growth counters) at ANY thread count and ANY budget —
+  /// later coverage removals over them read back only the spilled sets
+  /// that contain the committed seed (see rrset/tiered_store.h). Spill
+  /// decisions happen only at the round loop's deterministic barriers
+  /// and never change any computed value, so a fixed seed still yields a
+  /// bit-identical TiResult (allocations, revenue, θ, growth counters) at
+  /// ANY thread count and ANY budget —
   /// only the memory/spill statistics differ. The budget is a target:
   /// a hot (not yet fully adopted) tail larger than the budget stays
   /// resident.
@@ -145,27 +146,11 @@ struct TiOptions {
   /// Directory for spill chunk files (empty = the system temp directory).
   /// Files are removed when the run's stores are destroyed.
   std::string spill_directory;
-  /// Chunk payload target for spill files (see SpillOptions). Smaller
-  /// chunks give the per-chunk Bloom/envelope filters more to skip;
-  /// larger chunks amortize the per-chunk read. Never affects computed
-  /// results, only I/O granularity and the chunk counters.
+  /// Chunk member-bytes target for spill files (see SpillOptions).
+  /// Smaller chunks have tighter node envelopes to skip by; every chunk
+  /// pays one postings index over its envelope on disk. Never affects
+  /// computed results, only the on-disk layout and the chunk counters.
   uint64_t spill_chunk_bytes = 4ull << 20;
-  /// Cold-scan queue depth: up to this many spill-chunk reads in flight
-  /// per scan (SpillOptions::io_ring_depth; clamped to [1, 128]). 1
-  /// degrades to the old one-outstanding pipeline. Never affects computed
-  /// results — completions are applied in submission order everywhere.
-  uint32_t io_ring_depth = 16;
-  /// O_DIRECT for cold-chunk reads (probed per spill file, transparent
-  /// buffered fallback; ISA_DISABLE_O_DIRECT=1 forces the fallback).
-  /// Never affects computed results, only page-cache behavior.
-  bool direct_io = true;
-  /// Spill size (bytes on disk) a store must reach before its cold scans
-  /// switch from buffered to O_DIRECT reads — small spills are served
-  /// straight from the page cache their own writes populated, which beats
-  /// flushing them out just to re-read from storage (see
-  /// SpillOptions::direct_io_min_bytes). Deterministic; never affects
-  /// computed results. 0 = direct from the first spilled byte.
-  uint64_t direct_io_min_bytes = 64ull << 20;
   /// Safety cap on total selected seeds (0 = unlimited).
   uint64_t max_seeds = 0;
   /// Nodes that may not be selected as seeds for any ad (e.g. users who
@@ -196,25 +181,18 @@ struct TiAdStats {
   uint64_t rr_index_legacy_bytes = 0;
   /// Out-of-core tier (rr_memory_budget_bytes > 0; charged to the first
   /// ad using the store, like rr_memory_bytes): bytes of the store
-  /// evicted to disk, chunks in its spill file, cold-tier scan passes
-  /// (commits that had to consult the cold tier), chunks actually fetched
-  /// from disk vs skipped by the footer envelope/Bloom filters across
-  /// those passes, and the store's peak RESIDENT bytes as observed at the
-  /// spill barrier checks (0 when unbudgeted — use rr_memory_bytes,
-  /// which is then also the final resident figure).
+  /// evicted to disk, chunks in its spill file, cold-tier lookups
+  /// (commits that had to consult the cold tier), chunks that yielded
+  /// covered sets vs chunks skipped (node envelope, postings miss, or no
+  /// alive hit) across those lookups, and the store's peak RESIDENT
+  /// bytes as observed at the spill barrier checks (0 when unbudgeted —
+  /// use rr_memory_bytes, which is then also the final resident figure).
   uint64_t spilled_bytes = 0;
   uint64_t spill_chunks = 0;
   uint64_t scan_reloads = 0;
   uint64_t chunks_read = 0;
   uint64_t chunks_skipped = 0;
   uint64_t rr_resident_peak_bytes = 0;
-  /// Deep-queue I/O observability (store counters, charged to the first
-  /// ad using the store): the high-water mark of cold-chunk reads in
-  /// flight, whether the store's spill file reads through O_DIRECT, and
-  /// direct reads healed by buffered re-reads.
-  uint64_t reads_in_flight_peak = 0;
-  bool direct_io_active = false;
-  uint64_t direct_fallbacks = 0;
   /// Failure handling (store counters charged to the first ad using the
   /// store, like rr_memory_bytes; growth_admission_caps is per-ad).
   /// spill_retries counts transient cold-tier I/O attempts that were
@@ -262,12 +240,6 @@ struct TiResult {
   uint64_t total_scan_reloads = 0;
   uint64_t total_chunks_read = 0;
   uint64_t total_chunks_skipped = 0;
-  /// Deep-queue I/O: MAX over stores of reads_in_flight_peak (a depth,
-  /// not a sum), stores reading through O_DIRECT, and direct-read
-  /// fallbacks summed.
-  uint64_t total_reads_in_flight_peak = 0;
-  uint32_t stores_direct_io = 0;
-  uint64_t total_direct_fallbacks = 0;
   /// Failure-handling totals (see TiAdStats; all 0 on a fault-free run).
   /// degradation/recovery never change the computed fields above — a
   /// fixed seed yields the same allocation/revenue/θ with or without

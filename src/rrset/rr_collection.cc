@@ -202,7 +202,7 @@ std::vector<graph::NodeId> RrCollection::TopCoverage(
 
 uint32_t RrCollection::RemoveCoveredBy(graph::NodeId v,
                                        std::vector<graph::NodeId>* touched,
-                                       ThreadPool* pool) {
+                                       ThreadPool* /*pool*/) {
   if (touched != nullptr) {
     touched->clear();
     if (touch_mark_.empty()) touch_mark_.assign(store_->num_nodes(), 0);
@@ -220,73 +220,24 @@ uint32_t RrCollection::RemoveCoveredBy(graph::NodeId v,
       }
     }
   };
-  // Cold tier first (ascending set id; coverage updates are sums, so the
-  // split changes nothing observable vs a resident-only store). Spilled
-  // ids are always below the adopted prefix, so no theta_ guard is needed
-  // beyond the scan's max_id. Reuse a scan started by
-  // PrefetchRemoveCoveredBy when it matches this node (its chunk
-  // selection depends only on v and immutable footers, so starting early
-  // changes nothing); a stale scan for another node is discarded — its
-  // destructor drains the in-flight read.
-  std::unique_ptr<RrStore::ColdScan> cold;
-  if (pending_cold_ != nullptr && pending_cold_node_ == v) {
-    cold = std::move(pending_cold_);
-  } else if (store_->first_resident_set() > 0) {
-    cold = store_->StartColdScan(
-        v, std::min(theta_, store_->first_resident_set()), pool, alive_);
+  // Cold tier first, then the hot index (coverage updates are sums, so
+  // the split changes nothing observable vs a resident-only store). The
+  // max_id cap keeps the cold lookup inside this view's adopted prefix.
+  if (store_->first_resident_set() > 0) {
+    store_->ForEachSpilledSetContaining(
+        v, std::min(theta_, store_->first_resident_set()), alive_, cover_set);
   }
-  pending_cold_.reset();
-  pending_cold_node_ = kInvalidNode;
-
-  if (cold == nullptr) {
-    // Resident-only store (or a fully filtered cold tier): stream the hot
-    // index straight into cover_set, no staging.
-    store_->ForEachSetContaining(v, [&](uint32_t r) {
-      if (r >= theta_) return false;  // ids ascend; rest is beyond the prefix
-      if (!alive_[r]) return true;
-      cover_set(r, store_->SetMembers(r));
-      return true;
-    });
-  } else {
-    // Overlap: walk the hot index (a pure read of index + alive flags —
-    // the cold apply cannot change either for hot ids) while the cold
-    // chunks stream in, then apply cold before hot, each ascending — the
-    // exact call sequence of the streaming path above on a resident-only
-    // store. The alive filter goes in as the scan's candidate predicate:
-    // old spilled sets are mostly covered already, and filtering before
-    // the membership scan keeps the scan from even reading their members.
-    hot_matches_.clear();
-    store_->ForEachSetContaining(v, [&](uint32_t r) {
-      if (r >= theta_) return false;
-      if (alive_[r]) hot_matches_.push_back(r);
-      return true;
-    });
-    store_->FinishColdScan(
-        *cold, alive_,
-        [&](uint64_t r, std::span<const graph::NodeId> members) {
-          cover_set(r, members);
-        });
-    for (uint32_t r : hot_matches_) cover_set(r, store_->SetMembers(r));
-  }
+  store_->ForEachSetContaining(v, [&](uint32_t r) {
+    if (r >= theta_) return false;  // ids ascend; rest is beyond the prefix
+    if (!alive_[r]) return true;
+    cover_set(r, store_->SetMembers(r));
+    return true;
+  });
   if (touched != nullptr) {
     for (graph::NodeId w : *touched) touch_mark_[w] = 0;
     std::sort(touched->begin(), touched->end());
   }
   return removed;
-}
-
-void RrCollection::PrefetchRemoveCoveredBy(graph::NodeId v,
-                                           ThreadPool* pool) {
-  pending_cold_.reset();
-  pending_cold_node_ = kInvalidNode;
-  if (store_->first_resident_set() == 0) return;
-  // The alive filter is safe to evaluate at prefetch time: between here
-  // and the consuming RemoveCoveredBy no set can die (only RemoveCoveredBy
-  // kills sets, and a prefetch for a different node is discarded), so the
-  // chunk selection is identical to one made at commit time.
-  pending_cold_ = store_->StartColdScan(
-      v, std::min(theta_, store_->first_resident_set()), pool, alive_);
-  if (pending_cold_ != nullptr) pending_cold_node_ = v;
 }
 
 double RrCollection::MaxCoverageFraction() const {
@@ -298,8 +249,7 @@ double RrCollection::MaxCoverageFraction() const {
 
 uint64_t RrCollection::MemoryBytes(bool include_store) const {
   uint64_t bytes = alive_.capacity() + coverage_.capacity() * sizeof(uint32_t) +
-                   touch_mark_.capacity() +
-                   hot_matches_.capacity() * sizeof(uint32_t);
+                   touch_mark_.capacity();
   if (include_store) bytes += store_->MemoryBytes();
   return bytes;
 }

@@ -28,10 +28,11 @@
 // Spill interplay: the view's per-set alive flags and per-node coverage
 // counts always stay resident (1 byte / 4 bytes per entry). Only the set
 // MEMBERS go cold, and the view re-reads members in exactly one situation —
-// when a committed seed covers a set (RemoveCoveredBy). That path scans the
-// store's cold chunks first (ascending set id), then the hot index; since
-// both visit the same sets with the same contents as a resident-only store
-// would, every derived quantity is bit-identical at any memory budget.
+// when a committed seed covers a set (RemoveCoveredBy). That path looks the
+// seed up in the store's cold chunks first (reading only the alive sets
+// that contain it), then in the hot index; since both visit the same sets
+// with the same contents as a resident-only store would, every derived
+// quantity is bit-identical at any memory budget.
 
 #ifndef ISA_RRSET_RR_COLLECTION_H_
 #define ISA_RRSET_RR_COLLECTION_H_
@@ -115,28 +116,20 @@ class RrCollection {
 
   /// Marks all alive adopted sets containing `v` covered and updates the
   /// coverage counts of their members. Returns how many sets were newly
-  /// covered. When the store has a spilled prefix, its cold chunks are
-  /// applied first (streamed through the store's prefetch pipeline, with
-  /// `pool` as the read backend), then the hot index — ascending set id
-  /// throughout, so the result is bit-identical to a resident-only store
-  /// at any backend or worker count. When `touched` is non-null it is
-  /// cleared and filled with the nodes whose coverage decreased (members
-  /// of the newly covered sets), ascending — the windowed candidate rule
-  /// uses this delta set to avoid re-settling unaffected window entries.
+  /// covered. When the store has a spilled prefix, its cold sets are
+  /// applied first (RrStore::ForEachSpilledSetContaining: a postings
+  /// lookup per chunk, then reads of only the alive sets containing v),
+  /// then the hot index — the same sets with the same members as on a
+  /// resident-only store, so the result is bit-identical to one at any
+  /// budget. When `touched` is non-null it is cleared and filled with the
+  /// nodes whose coverage decreased (members of the newly covered sets),
+  /// ascending — the windowed candidate rule uses this delta set to avoid
+  /// re-settling unaffected window entries. Runs on the calling thread;
+  /// `pool` is accepted so callers holding a pool keep one call shape,
+  /// and is not used.
   uint32_t RemoveCoveredBy(graph::NodeId v,
                            std::vector<graph::NodeId>* touched = nullptr,
                            ThreadPool* pool = nullptr);
-
-  /// Starts the cold-tier half of RemoveCoveredBy(v) early: the chunk
-  /// filter runs and the first chunk read goes out now, so the disk I/O
-  /// overlaps whatever the caller does between here and the matching
-  /// RemoveCoveredBy(v) — the selection scheduler calls this before a
-  /// commit's MarkNodeTaken fan-out (candidate/heap repair across every
-  /// engine). Observable state is untouched: the pending scan is consumed
-  /// by the next RemoveCoveredBy for the same node, and any other call
-  /// discards it (the in-flight read is drained, results dropped). No-op
-  /// when the store has nothing spilled.
-  void PrefetchRemoveCoveredBy(graph::NodeId v, ThreadPool* pool = nullptr);
 
   /// θ — sets adopted by this view.
   uint64_t total_sets() const { return theta_; }
@@ -178,14 +171,6 @@ class RrCollection {
   // Scratch for delta collection: per-node dedup marks (lazily allocated,
   // reset via the collected list rather than O(n) clears).
   std::vector<uint8_t> touch_mark_;
-  // Cold scan started by PrefetchRemoveCoveredBy, pending its
-  // RemoveCoveredBy (which also consults pending_cold_node_ to reject a
-  // stale scan for a different node).
-  std::unique_ptr<RrStore::ColdScan> pending_cold_;
-  graph::NodeId pending_cold_node_ = kInvalidNode;
-  // Scratch for the overlap path: hot-index matches collected while the
-  // cold chunks stream in.
-  std::vector<uint32_t> hot_matches_;
 };
 
 }  // namespace isa::rrset

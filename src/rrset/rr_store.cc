@@ -218,16 +218,13 @@ void RrStore::SpillPrefix(uint64_t new_first, const SpillOptions& options,
   if (new_first <= first_resident_) return;
   if (spill_ == nullptr) {
     spill_ = std::make_unique<SpillFile>(
-        options.path.empty() ? MakeSpillPath() : options.path,
-        options.bloom_bits_per_key, options.direct_io);
+        options.path.empty() ? MakeSpillPath() : options.path);
   }
-  scan_ring_depth_ = options.io_ring_depth;
-  scan_direct_min_bytes_ = options.direct_io_min_bytes;
   const uint64_t target = std::max<uint64_t>(1, options.chunk_target_bytes);
   // Cluster gate: a pure function of num_nodes — never of load or
   // schedule — so the chunk layout is deterministic. Tiny graphs keep
   // the zero-copy dense layout: their whole member universe fits every
-  // chunk anyway, so clustering could not sharpen any filter.
+  // chunk anyway, so clustering could not tighten any envelope.
   constexpr uint64_t kClusterMinNodes = 4096;
   const bool clustered = num_nodes_ >= kClusterMinNodes;
   if (!clustered) {
@@ -256,11 +253,9 @@ void RrStore::SpillPrefix(uint64_t new_first, const SpillOptions& options,
     // Node-clustered carving (see file comment): order the batch by each
     // set's minimum member id — under the usual hub-first node numbering,
     // the set's most influential member — then carve that order into
-    // target-sized chunks. Sets sharing a dominant member land together,
-    // so a chunk dies wholesale when that member is committed as a seed
-    // (every set containing it is covered) and later scans skip it via
-    // the caller's alive filter; chunks of sets with no low-id member get
-    // a tight node_min envelope and are skipped for hub queries outright.
+    // target-sized chunks. Sets sharing a dominant member land together;
+    // chunks of sets with no low-id member get a tight node_min envelope
+    // and are skipped for hub lookups without any I/O.
     // The order is a pure function of the batch's members, so the layout
     // stays deterministic. The gathered nodes column is a copy — the
     // price of clustering — but eviction is rare and the copy is one
@@ -365,69 +360,6 @@ void RrStore::DropPrefix(uint64_t new_first, ThreadPool* pool) {
   RebuildIndex(pool);
 }
 
-RrStore::ColdScan::ColdScan() = default;
-RrStore::ColdScan::~ColdScan() = default;
-
-std::unique_ptr<RrStore::ColdScan> RrStore::StartColdScan(
-    graph::NodeId v, uint64_t max_id, ThreadPool* pool,
-    std::span<const uint8_t> alive) const {
-  if (spill_ == nullptr) return nullptr;
-  const std::span<const SpillFile::ChunkMeta> chunks = spill_->chunks();
-  // True when at least one of the chunk's set ids (capped at max_id) is
-  // still alive — evaluated on the in-memory id mirror, one byte load per
-  // set. No dead-prefix memo here: several views of a shared store filter
-  // with DIFFERENT alive vectors, so per-store cursors would be wrong.
-  const auto any_alive = [&](const SpillFile::ChunkMeta& m) {
-    if (m.ids.empty()) {
-      const uint64_t hi = std::min(m.set_hi, max_id);
-      for (uint64_t id = m.set_lo; id < hi; ++id) {
-        if (alive[id] != 0) return true;
-      }
-      return false;
-    }
-    for (const uint32_t id : m.ids) {
-      if (id >= max_id) break;  // ids ascend within a chunk
-      if (alive[id] != 0) return true;
-    }
-    return false;
-  };
-  std::vector<uint32_t> cand;
-  std::vector<uint32_t> disk;  // cand minus the recovered-chunk cache
-  uint64_t considered = 0;
-  for (uint32_t i = 0; i < chunks.size(); ++i) {
-    // set_lo is the chunk's minimum id (also for sparse chunks). Sharded
-    // batches interleave id ranges across chunks, so no early break.
-    if (chunks[i].set_lo >= max_id) continue;
-    ++considered;
-    // Footer-only skip tests: set-range overlap established above, then
-    // node envelope + Bloom filter, then the alive filter — cheapest
-    // first, no disk I/O on any of them.
-    if (!spill_->ChunkMightContain(i, v)) continue;
-    if (!alive.empty() && !any_alive(chunks[i])) continue;
-    cand.push_back(i);
-    if (!recovered_.contains(i)) disk.push_back(i);
-  }
-  if (considered == 0) return nullptr;
-  ++scan_reloads_;
-  chunks_read_ += cand.size();
-  chunks_skipped_ += considered - cand.size();
-  if (cand.empty()) return nullptr;
-  auto scan = std::make_unique<ColdScan>();
-  scan->node = v;
-  scan->max_id = max_id;
-  scan->chunks = std::move(cand);
-  // The cursor batch-submits up to scan_ring_depth_ chunk reads here; the
-  // bytes stream in while the caller runs whatever compute it wants to
-  // overlap. Recovered chunks are served from the resident cache, never
-  // re-read from disk.
-  if (!disk.empty()) {
-    scan->cursor = std::make_unique<SpillChunkCursor>(
-        *spill_, std::move(disk), pool, scan_ring_depth_,
-        /*use_direct=*/ScanDirectReads());
-  }
-  return scan;
-}
-
 const RrStore::RecoveredChunk& RrStore::RecoverChunk(uint32_t chunk) const {
   const auto it = recovered_.find(chunk);
   if (it != recovered_.end()) return it->second;
@@ -498,81 +430,88 @@ const RrStore::RecoveredChunk& RrStore::RecoverChunk(uint32_t chunk) const {
   return recovered_.emplace(chunk, std::move(rec)).first->second;
 }
 
-void RrStore::FinishColdScan(
-    ColdScan& scan, std::span<const uint8_t> alive,
+void RrStore::ForEachSpilledSetContaining(
+    graph::NodeId v, uint64_t max_id, std::span<const uint8_t> alive,
     const std::function<void(uint64_t, std::span<const graph::NodeId>)>& fn)
     const {
+  if (spill_ == nullptr) return;
   const std::span<const SpillFile::ChunkMeta> chunks = spill_->chunks();
-  std::vector<uint32_t> sizes_buf;
-  std::vector<graph::NodeId> nodes_buf;
-  for (const uint32_t c : scan.chunks) {
+  const auto wanted = [&](uint64_t id) {
+    return alive.empty() || alive[id] != 0;
+  };
+  // One chunk's hits: ids[h]'s members are members[ends[h - 1], ends[h]).
+  std::vector<uint32_t> local;
+  std::vector<uint64_t> ids;
+  std::vector<size_t> ends;
+  std::vector<graph::NodeId> members;
+  const auto clear_hits = [&] {
+    ids.clear();
+    ends.clear();
+    members.clear();
+  };
+  // Member scan over a recovered chunk's cached columns — the rare path.
+  const auto scan_recovered = [&](const SpillFile::ChunkMeta& m,
+                                  const RecoveredChunk& rec) {
+    uint64_t off = 0;
+    for (uint64_t s = 0; s < rec.sizes.size(); ++s) {
+      const uint64_t id = m.SetIdAt(s);
+      if (id >= max_id) break;  // ids ascend within a chunk
+      const std::span<const graph::NodeId> set(rec.nodes.data() + off,
+                                               rec.sizes[s]);
+      off += rec.sizes[s];
+      if (!wanted(id) || std::find(set.begin(), set.end(), v) == set.end()) {
+        continue;
+      }
+      ids.push_back(id);
+      members.insert(members.end(), set.begin(), set.end());
+      ends.push_back(members.size());
+    }
+  };
+  uint64_t considered = 0;
+  uint64_t read = 0;
+  for (uint32_t c = 0; c < chunks.size(); ++c) {
     const SpillFile::ChunkMeta& m = chunks[c];
-    std::span<const uint32_t> sizes;
-    std::span<const graph::NodeId> nodes;
+    // set_lo is the chunk's minimum id (also for sparse chunks). Sharded
+    // batches interleave id ranges across chunks, so no early break.
+    if (m.set_lo >= max_id) continue;
+    ++considered;
+    if (m.postings == 0 || v < m.node_min || v > m.node_max) continue;
+    clear_hits();
     const auto cached = recovered_.find(c);
     if (cached != recovered_.end()) {
-      sizes = cached->second.sizes;
-      nodes = cached->second.nodes;
-    } else if (scan.cursor != nullptr) {
+      scan_recovered(m, cached->second);
+    } else {
       try {
-        // chunk k+1 prefetches while k is applied below
-        const bool ok = scan.cursor->Next();
-        ISA_CHECK(ok && scan.cursor->chunk() == c);
-        sizes = scan.cursor->sizes();
-        nodes = scan.cursor->nodes();
-      } catch (const SpillIoError&) {
-        // Permanent read failure mid-pipeline: abandon the cursor (this
-        // chunk and every later disk chunk fall through to the per-chunk
-        // path below — one fresh re-read, then re-sample recovery).
-        reads_in_flight_peak_ = std::max(reads_in_flight_peak_,
-                                         scan.cursor->reads_in_flight_peak());
-        scan.cursor.reset();
-      }
-    }
-    if (sizes.data() == nullptr) {
-      try {
-        spill_->ReadChunk(c, &sizes_buf, &nodes_buf);
-        sizes = sizes_buf;
-        nodes = nodes_buf;
-      } catch (const SpillIoError&) {
-        const RecoveredChunk& rec = RecoverChunk(c);
-        sizes = rec.sizes;
-        nodes = rec.nodes;
-      }
-    }
-    uint64_t off = 0;
-    for (uint64_t s = 0; s < sizes.size(); ++s) {
-      const uint64_t id = m.SetIdAt(s);
-      const uint32_t size = sizes[s];
-      if (id >= scan.max_id) break;  // ids ascend within a chunk
-      // The alive filter runs before the membership scan: among old
-      // spilled sets most are already covered, and they must cost one
-      // byte load beyond the chunk read itself, nothing more.
-      if (alive.empty() || alive[id] != 0) {
-        const graph::NodeId* members = nodes.data() + off;
-        for (uint32_t i = 0; i < size; ++i) {
-          if (members[i] == scan.node) {
-            fn(id, std::span<const graph::NodeId>(members, size));
-            break;
-          }
+        spill_->SetsContaining(c, v, &local);
+        for (const uint32_t k : local) {
+          const uint64_t id = m.SetIdAt(k);
+          if (id >= max_id) break;
+          if (!wanted(id)) continue;
+          spill_->AppendSetMembers(c, k, &members);
+          ids.push_back(id);
+          ends.push_back(members.size());
         }
+      } catch (const SpillIoError&) {
+        // The bounded retries gave up on this chunk. Nothing of it has
+        // reached fn yet: drop the partial hits and rebuild the chunk by
+        // re-sampling.
+        clear_hits();
+        scan_recovered(m, RecoverChunk(c));
       }
-      off += size;
+    }
+    if (ids.empty()) continue;
+    ++read;
+    size_t begin = 0;
+    for (size_t h = 0; h < ids.size(); ++h) {
+      fn(ids[h], std::span<const graph::NodeId>(members.data() + begin,
+                                                ends[h] - begin));
+      begin = ends[h];
     }
   }
-  if (scan.cursor != nullptr) {
-    reads_in_flight_peak_ = std::max(reads_in_flight_peak_,
-                                     scan.cursor->reads_in_flight_peak());
-  }
-}
-
-void RrStore::ForEachSpilledSetContaining(
-    graph::NodeId v, uint64_t max_id, ThreadPool* pool,
-    std::span<const uint8_t> alive,
-    const std::function<void(uint64_t, std::span<const graph::NodeId>)>& fn)
-    const {
-  std::unique_ptr<ColdScan> scan = StartColdScan(v, max_id, pool, alive);
-  if (scan != nullptr) FinishColdScan(*scan, alive, fn);
+  if (considered == 0) return;
+  ++scan_reloads_;
+  chunks_read_ += read;
+  chunks_skipped_ += considered - read;
 }
 
 uint64_t RrStore::SpilledBytes() const {
@@ -589,17 +528,6 @@ uint64_t RrStore::spill_retry_successes() const {
 
 uint64_t RrStore::SpillChunks() const {
   return spill_ == nullptr ? 0 : spill_->num_chunks();
-}
-
-bool RrStore::ScanDirectReads() const {
-  return spill_ != nullptr && spill_->direct_io_active() &&
-         spill_->bytes_on_disk() >= scan_direct_min_bytes_;
-}
-
-bool RrStore::direct_io_active() const { return ScanDirectReads(); }
-
-uint64_t RrStore::direct_fallbacks() const {
-  return spill_ == nullptr ? 0 : spill_->direct_fallbacks();
 }
 
 // -------------------------------------------------------------- accounting

@@ -10,12 +10,14 @@
 //                      exactly those sets;
 //   cold (spilled)   — sets [0, first_resident_set) evicted to an
 //                      append-only columnar chunk file (spill_file.h),
-//                      readable only through sequential chunk scans.
+//                      each chunk with its own node -> set postings
+//                      index on disk; reachable only through
+//                      ForEachSpilledSetContaining's targeted reads.
 //
 // Eviction moves a *prefix*: set ids are adoption order, so the oldest,
 // fully-adopted sets go cold first (they are exactly the sets no adoption
 // or index append will touch again; a coverage view only revisits them
-// when a committed seed covers one — the chunk-scan path). The spill
+// when a committed seed covers one — the cold lookup path). The spill
 // policy (when and how much to evict) lives in tiered_store.h; this class
 // only provides the mechanism.
 //
@@ -38,25 +40,22 @@
 // usual hub-first numbering is the set's most influential member — and
 // that order is carved into target-sized chunks (a stable counting sort;
 // the layout is a pure function of the batch's members, never of load).
-// Sets sharing a dominant member land in the same chunks, so when that
-// member is committed as a seed every set containing it dies at once and
-// whole chunks drop out of later scans via the caller's alive filter;
-// chunks whose sets have no low-id member get a tight node_min envelope
-// and are skipped for hub queries without any I/O. Clustered chunks carry
-// an explicit ascending id list (sparse chunks, spill_file.h). The gate
-// is a pure function of num_nodes: tiny graphs keep the dense zero-copy
-// carve, since every chunk would contain the whole member universe
-// anyway.
+// Sets sharing a dominant member land in the same chunks, and chunks
+// whose sets have no low-id member get a tight node_min envelope, so hub
+// lookups skip them without any I/O. Clustered chunks carry an explicit
+// ascending id list (sparse chunks, spill_file.h). The gate is a pure
+// function of num_nodes: tiny graphs keep the dense zero-copy carve,
+// since every chunk would contain the whole member universe anyway.
 //
 // Determinism: nothing here draws randomness. Spilling changes only WHERE
-// set bytes live, never their values or the order scans visit them: cold
-// chunks stream in deterministic file order with ids ascending WITHIN each
+// set bytes live, never their values or the order lookups visit them:
+// cold chunks in deterministic file order with ids ascending WITHIN each
 // chunk (globally ascending only until clustering interleaves a batch's id
 // ranges), then the hot index ascending. Consumers' per-set applies
 // commute across that reorder (RemoveCoveredBy sets alive flags and
 // decrements per-ad sums — order-independent per distinct id), so any
 // computation over the store is bit-identical at any spill schedule,
-// worker count, queue depth, or memory budget.
+// worker count, or memory budget.
 
 #ifndef ISA_RRSET_RR_STORE_H_
 #define ISA_RRSET_RR_STORE_H_
@@ -77,7 +76,6 @@ class ThreadPool;
 namespace isa::rrset {
 
 class SpillFile;
-class SpillChunkCursor;
 struct SpillOptions;
 
 /// Append-only flat storage of RR sets with an inverted index and an
@@ -188,69 +186,26 @@ class RrStore {
   uint64_t first_resident_set() const { return first_resident_; }
 
   /// Invokes fn(set_id, members) for every SPILLED set with id < max_id
-  /// whose members contain `v` — in deterministic chunk (file) order, ids
-  /// ascending within each chunk (globally ascending only while no
-  /// node-clustered batch interleaves ranges; fn must commute across chunk
-  /// reorder, which coverage removal does). Chunks whose footer metadata
-  /// excludes `v` — id range at or beyond max_id, node-envelope miss, or
-  /// Bloom-filter miss (spill_file.h) — are skipped without touching
-  /// disk; the rest are streamed through a SpillChunkCursor, which keeps
-  /// up to the spill ring depth of further chunks' reads in flight
-  /// (io_uring, pool workers, or plain pread) while chunk k is applied.
-  /// fn always runs serially in list order, so the call sequence is
-  /// identical at any queue depth. A non-empty `alive` byte span (one
-  /// byte per set id, nonzero = pass; must cover every id below max_id)
-  /// pre-filters set ids BEFORE the membership test — callers pass their
-  /// alive flags, so already-covered sets — the common case among old
-  /// spilled sets — cost one byte load, not a member scan. A raw span
-  /// rather than a predicate: the test runs once per spilled set per
-  /// scan, far too hot for an indirect call. Counters: one
-  /// scan_reloads() tick per call that consulted the cold tier; each
-  /// considered chunk lands in chunks_read() or chunks_skipped(). A chunk
-  /// whose read permanently fails is healed in place — re-read once, then
-  /// re-sampled from provenance (see SetResampler) — so SpillIoError
+  /// whose members contain `v` and whose `alive` byte is nonzero (an
+  /// empty span passes every id; otherwise it must cover every id below
+  /// max_id) — in deterministic chunk (file) order, ids ascending within
+  /// each chunk (globally ascending only while no node-clustered batch
+  /// interleaves ranges; fn must commute across chunk reorder, which
+  /// coverage removal does). Per chunk overlapping [0, max_id): no I/O
+  /// when v lies outside the node envelope; else one read of v's postings
+  /// offsets (equal offsets = v absent, the chunk is skipped), one read of
+  /// v's set-index slice, and per set that survives the max_id and alive
+  /// filters one read of its member offsets and one of its members. A
+  /// chunk's hits are all read before fn sees any of them, so a failed
+  /// read never leaves a chunk half applied. Runs on the calling thread.
+  /// Counters: one scan_reloads() tick per call with at least one chunk
+  /// overlapping [0, max_id); each such chunk lands in chunks_read() when
+  /// it yielded at least one set, else in chunks_skipped(). A read that
+  /// still fails after the bounded retries heals the chunk in place by
+  /// re-sampling it from provenance (see SetResampler), so SpillIoError
   /// escapes only when recovery itself is impossible.
   void ForEachSpilledSetContaining(
-      graph::NodeId v, uint64_t max_id, ThreadPool* pool,
-      std::span<const uint8_t> alive,
-      const std::function<void(uint64_t, std::span<const graph::NodeId>)>&
-          fn) const;
-
-  /// A cold scan in flight: created by StartColdScan (filter + first read
-  /// issued), drained by FinishColdScan. Lets callers overlap the scan's
-  /// disk reads with unrelated compute between the two calls (see
-  /// RrCollection::PrefetchRemoveCoveredBy).
-  struct ColdScan {
-    ColdScan();
-    ~ColdScan();
-    graph::NodeId node = 0;
-    uint64_t max_id = 0;
-    /// Every candidate chunk, ascending. Chunks already in the recovery
-    /// cache are served from memory; the rest stream through `cursor`
-    /// (which covers exactly the non-recovered subset, in order).
-    std::vector<uint32_t> chunks;
-    std::unique_ptr<SpillChunkCursor> cursor;
-  };
-
-  /// First half of ForEachSpilledSetContaining: selects the candidate
-  /// chunks (updating the scan counters) and starts the first chunk read.
-  /// Returns null when the cold tier contributes nothing to this scan —
-  /// no spill, no chunk overlapping [0, max_id), or every overlapping
-  /// chunk filtered out. A non-empty `alive` span adds a fourth
-  /// footer-only skip test: a chunk none of whose mirrored set ids
-  /// (dense range or sparse list, capped at max_id) is alive is skipped
-  /// without I/O — under the clustered layout whole chunks die when
-  /// their anchor node is committed as a seed, so this skip grows
-  /// stronger as the greedy run progresses. The span must match the one
-  /// later given to FinishColdScan (monotone narrowing is fine: ids can
-  /// die between the calls, never revive).
-  std::unique_ptr<ColdScan> StartColdScan(
-      graph::NodeId v, uint64_t max_id, ThreadPool* pool,
-      std::span<const uint8_t> alive = {}) const;
-  /// Second half: streams the scan's chunks and applies alive/fn in
-  /// ascending id order (contract as above). Consumes the scan.
-  void FinishColdScan(
-      ColdScan& scan, std::span<const uint8_t> alive,
+      graph::NodeId v, uint64_t max_id, std::span<const uint8_t> alive,
       const std::function<void(uint64_t, std::span<const graph::NodeId>)>&
           fn) const;
 
@@ -270,14 +225,14 @@ class RrStore {
   /// graph + probabilities; any member of a share_samples group works —
   /// their Eq. 1 probabilities are bitwise identical, and per-range
   /// provenance seeds carry the per-ad substream). The callable must stay
-  /// valid for every future cold scan. Without one, a permanent cold-read
-  /// fault propagates as SpillIoError (the pre-recovery fail-stop path).
+  /// valid for every future cold lookup. Without one, a permanent
+  /// cold-read fault propagates as SpillIoError (fail-stop).
   void SetResampler(ResampleFn fn) { resampler_ = std::move(fn); }
 
   /// Recovery events: unreadable chunks healed by re-sampling (one event
   /// per chunk) and the total sets regenerated. Recovered chunks live in a
   /// resident cache (charged to MemoryBytes) and are never read from disk
-  /// again.
+  /// again; lookups scan their cached members.
   uint64_t degradation_events() const { return degradation_events_; }
   uint64_t recovered_sets() const { return recovered_sets_; }
   /// Bounded-retry counters of the spill I/O layer (see SpillFile).
@@ -289,25 +244,16 @@ class RrStore {
   uint64_t SpilledBytes() const;
   /// Chunks in the spill file.
   uint64_t SpillChunks() const;
-  /// Cold-tier scan passes: coverage-removal scans that had at least one
-  /// chunk overlapping their id range (whether or not any chunk was read).
+  /// Cold-tier lookups: ForEachSpilledSetContaining calls that had at
+  /// least one chunk overlapping their id range.
   uint64_t scan_reloads() const { return scan_reloads_; }
-  /// Chunks fetched across all scans — from disk or, after a recovery,
-  /// from the resident recovered-chunk cache.
+  /// Overlapping chunks that yielded at least one set (read from disk or,
+  /// after a recovery, from the resident recovered-chunk cache).
   uint64_t chunks_read() const { return chunks_read_; }
-  /// Overlapping chunks skipped without disk I/O (envelope or Bloom miss).
+  /// Overlapping chunks that yielded nothing: v outside the envelope,
+  /// absent from the chunk's postings, or present only in sets filtered
+  /// out by max_id or the alive flags.
   uint64_t chunks_skipped() const { return chunks_skipped_; }
-  /// High-water mark of cold-chunk reads in flight over all scans (0 until
-  /// a scan actually overlapped reads; bounded by the spill ring depth).
-  uint64_t reads_in_flight_peak() const { return reads_in_flight_peak_; }
-  /// True when cold scans currently read through O_DIRECT: the spill
-  /// file's direct fd is open (SpillFile::direct_io_active) AND the file
-  /// has outgrown SpillOptions::direct_io_min_bytes — below that, scans
-  /// deliberately stay on the buffered fd, where the bytes the spill just
-  /// wrote are plain page-cache hits. False before any spill.
-  bool direct_io_active() const;
-  /// Direct-read failures healed by buffered re-reads (SpillFile).
-  uint64_t direct_fallbacks() const;
 
   // ---- Accounting. ----
 
@@ -363,21 +309,12 @@ class RrStore {
   uint64_t chained_postings_ = 0;
   uint64_t indexed_sets_ = 0;             // prefix covered by CSR + chains
 
-  // Cold tier (created on first SpillPrefix). The scan counters mutate on
-  // const scans; updated only from the (single) thread calling
-  // StartColdScan / FinishColdScan, never from the prefetch backend.
+  // Cold tier (created on first SpillPrefix). The lookup counters mutate
+  // on const lookups, which run on a single thread at a time.
   std::unique_ptr<SpillFile> spill_;
-  // Queue depth for scan cursors (SpillOptions::io_ring_depth, recorded
-  // at spill time; the default matches AsyncFileReader::kDefaultDepth).
-  uint32_t scan_ring_depth_ = 16;
-  // Scan-side direct-read gate (SpillOptions::direct_io_min_bytes,
-  // recorded at spill time): scans use the O_DIRECT fd only once the file
-  // holds at least this many bytes. See ScanDirectReads().
-  uint64_t scan_direct_min_bytes_ = 64ull << 20;
   mutable uint64_t scan_reloads_ = 0;
   mutable uint64_t chunks_read_ = 0;
   mutable uint64_t chunks_skipped_ = 0;
-  mutable uint64_t reads_in_flight_peak_ = 0;
 
   // ---- re-sample recovery state ----
 
@@ -394,17 +331,12 @@ class RrStore {
 
   // A chunk healed by re-sampling: its columns, resident for the rest of
   // the run (the disk copy is presumed bad forever). Keyed by chunk index.
-  // Like the scan counters, this state mutates on const scans and is only
-  // touched from the single thread draining FinishColdScan.
+  // Like the lookup counters, this state mutates on const lookups.
   struct RecoveredChunk {
     std::vector<uint32_t> sizes;
     std::vector<graph::NodeId> nodes;
   };
   const RecoveredChunk& RecoverChunk(uint32_t chunk) const;
-  // Whether a cold scan started now would use the O_DIRECT fd (the
-  // direct_io_min_bytes gate) — the scan-level truth direct_io_active()
-  // reports.
-  bool ScanDirectReads() const;
   mutable std::map<uint32_t, RecoveredChunk> recovered_;
   mutable uint64_t recovered_bytes_ = 0;  // cache footprint, in MemoryBytes
   mutable uint64_t degradation_events_ = 0;

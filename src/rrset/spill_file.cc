@@ -1,32 +1,27 @@
 #include "rrset/spill_file.h"
 
 #include <fcntl.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <new>
 #include <thread>
 
 #include "common/failpoint.h"
 #include "common/logging.h"
-#include "common/thread_pool.h"
 
 namespace isa::rrset {
 
 namespace {
 
-// The on-disk footer v3: ChunkMeta's scalar fields at fixed width plus the
-// Bloom and id columns' lengths, written LAST in each chunk's padded
-// region so the file is self-describing (a backward walk from EOF reads
-// the final footer, whose file_offset locates its region's start — the
-// previous footer ends right there; magic + version pin the layout).
+// The on-disk footer v4: ChunkMeta's scalar fields at fixed width plus the
+// index and id columns' lengths, written LAST in each chunk's region so
+// the file is self-describing (a backward walk from EOF reads the final
+// footer, whose file_offset locates its region's start — the previous
+// footer ends right there; magic + version pin the layout).
 struct DiskFooter {
   uint64_t set_lo;
   uint64_t set_hi;
@@ -34,25 +29,16 @@ struct DiskFooter {
   uint32_t node_max;
   uint64_t file_offset;
   uint64_t postings;
-  uint64_t bloom_words;  // the filter follows the payload on disk
-  uint32_t num_sets;     // < set_hi - set_lo means a sparse id list follows
-                         // the filter (num_sets uint32 ids, ascending)
+  uint64_t index_postings;  // length of the index_sets column
+  uint32_t num_sets;        // < set_hi - set_lo means a sparse id list
+                            // precedes the footer (num_sets uint32 ids)
   uint32_t version;
   uint32_t magic;
   uint32_t pad0;
 };
 static_assert(sizeof(DiskFooter) == 64);
-constexpr uint32_t kFooterMagic = 0x33415349;  // "ISA3"
-constexpr uint32_t kFooterVersion = 3;
-
-// Chunk regions start and end on this boundary at minimum, whatever the
-// O_DIRECT probe said — the layout must not depend on the filesystem du
-// jour, only the probed alignment may RAISE it.
-constexpr uint32_t kMinIoAlignment = 4096;
-
-uint64_t RoundUp(uint64_t x, uint64_t align) {
-  return (x + align - 1) / align * align;
-}
+constexpr uint32_t kFooterMagic = 0x34415349;  // "ISA4"
+constexpr uint32_t kFooterVersion = 4;
 
 [[noreturn]] void ThrowIo(const char* op, const char* path,
                           const char* detail) {
@@ -121,41 +107,6 @@ int PreadOnce(int fd, void* data, size_t len, uint64_t offset) {
   return 0;
 }
 
-// ---- Bloom filter (k = 3 by double hashing over a power-of-two size) ----
-
-// SplitMix64's finalizer — a cheap full-avalanche mixer; the filter only
-// needs the two derived hashes to be well spread, not cryptographic.
-uint64_t MixHash(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-constexpr uint32_t kBloomProbes = 3;
-
-void BloomInsert(std::vector<uint64_t>& bloom, graph::NodeId v) {
-  const uint64_t mask = bloom.size() * 64 - 1;  // power-of-two bit count
-  const uint64_t h1 = MixHash(v);
-  const uint64_t h2 = MixHash(~static_cast<uint64_t>(v)) | 1;
-  for (uint32_t i = 0; i < kBloomProbes; ++i) {
-    const uint64_t bit = (h1 + i * h2) & mask;
-    bloom[bit >> 6] |= 1ull << (bit & 63);
-  }
-}
-
-bool BloomMayContain(std::span<const uint64_t> bloom, graph::NodeId v) {
-  if (bloom.empty()) return true;  // filters disabled
-  const uint64_t mask = bloom.size() * 64 - 1;
-  const uint64_t h1 = MixHash(v);
-  const uint64_t h2 = MixHash(~static_cast<uint64_t>(v)) | 1;
-  for (uint32_t i = 0; i < kBloomProbes; ++i) {
-    const uint64_t bit = (h1 + i * h2) & mask;
-    if ((bloom[bit >> 6] & (1ull << (bit & 63))) == 0) return false;
-  }
-  return true;
-}
-
 }  // namespace
 
 void SpillFile::WriteAll(const void* data, size_t len, uint64_t offset) {
@@ -190,25 +141,6 @@ void SpillFile::ReadAll(void* data, size_t len, uint64_t offset) const {
   }
 }
 
-void SpillFile::SyncForDirectReads() const {
-  if (direct_fd_ < 0) return;
-  if (!dirty_.exchange(false, std::memory_order_acq_rel)) return;
-  int rc;
-  do {
-    rc = ::fdatasync(fd_);
-  } while (rc != 0 && errno == EINTR);
-  if (rc != 0) {
-    // Direct reads would race the unflushed page cache — demote the file
-    // to buffered reads for the rest of its life rather than risk stale
-    // bytes. Buffered reads see the cache and stay coherent.
-    ISA_LOG("SpillFile: fdatasync(%s) failed (%s); disabling O_DIRECT",
-            path_.c_str(), std::strerror(errno));
-    ::close(direct_fd_);
-    direct_fd_ = -1;
-    dirty_.store(true, std::memory_order_relaxed);
-  }
-}
-
 std::string MakeSpillPath(const std::string& dir) {
   static std::atomic<uint64_t> seq{0};
   std::string base = dir;
@@ -221,9 +153,7 @@ std::string MakeSpillPath(const std::string& dir) {
          std::to_string(seq.fetch_add(1)) + ".bin";
 }
 
-SpillFile::SpillFile(std::string path, uint32_t bloom_bits_per_key,
-                     bool direct_io)
-    : path_(std::move(path)), bloom_bits_per_key_(bloom_bits_per_key) {
+SpillFile::SpillFile(std::string path) : path_(std::move(path)) {
   // O_EXCL (and no O_TRUNC): the spill path is predictable
   // (pid + sequence), so a file or symlink planted there by another
   // process must never be truncated or followed. If the name is taken,
@@ -239,40 +169,9 @@ SpillFile::SpillFile(std::string path, uint32_t bloom_bits_per_key,
     }
     path_ = requested + "." + std::to_string(attempt);
   }
-  // O_DIRECT probe: a second read-only fd for cold scans. tmpfs and some
-  // network filesystems reject the flag outright — that is the buffered
-  // fallback, not an error. ISA_DISABLE_O_DIRECT forces the fallback,
-  // mirroring the ISA_DISABLE_IO_URING switch, and is re-read per open so
-  // tests can toggle it.
-  if (direct_io && std::getenv("ISA_DISABLE_O_DIRECT") == nullptr) {
-    direct_fd_ = ::open(path_.c_str(),
-                        O_RDONLY | O_DIRECT | O_CLOEXEC | O_NOFOLLOW);
-  }
-#ifdef STATX_DIOALIGN
-  if (direct_fd_ >= 0) {
-    struct statx stx{};
-    if (::statx(direct_fd_, "", AT_EMPTY_PATH, STATX_DIOALIGN, &stx) == 0 &&
-        (stx.stx_mask & STATX_DIOALIGN) != 0) {
-      if (stx.stx_dio_offset_align == 0 || stx.stx_dio_mem_align == 0) {
-        // The filesystem took the flag but cannot serve direct I/O here.
-        ::close(direct_fd_);
-        direct_fd_ = -1;
-      } else {
-        // One alignment serves offsets, lengths and buffers alike; the
-        // probe may only raise the floor, never lower it, so the chunk
-        // layout stays deterministic across filesystems.
-        io_alignment_ = std::max(
-            kMinIoAlignment,
-            std::max(stx.stx_dio_offset_align, stx.stx_dio_mem_align));
-      }
-    }
-  }
-#endif
-  ISA_CHECK(std::has_single_bit(io_alignment_));
 }
 
 SpillFile::~SpillFile() {
-  if (direct_fd_ >= 0) ::close(direct_fd_);
   if (fd_ >= 0) ::close(fd_);
   ::unlink(path_.c_str());
 }
@@ -299,6 +198,8 @@ void SpillFile::AppendChunk(uint64_t set_lo, uint64_t set_hi,
     ISA_CHECK(ids.size() == sizes.size());
     ISA_CHECK(set_lo == ids.front() && set_hi == ids.back() + 1);
   }
+  // Member and index offsets are uint32 columns.
+  ISA_CHECK(nodes.size() < UINT32_MAX);
   if (batch_active_) {
     // Sharded chunks of one batch may interleave id-wise; they must stay
     // inside the declared batch range.
@@ -321,203 +222,118 @@ void SpillFile::AppendChunk(uint64_t set_lo, uint64_t set_hi,
     if (v < meta.node_min) meta.node_min = v;
     if (v > meta.node_max) meta.node_max = v;
   }
-  if (bloom_bits_per_key_ > 0 && !nodes.empty()) {
-    // Size the filter on DISTINCT ids — RR sets of the same chunk overlap
-    // heavily on hub nodes, and sizing on raw postings would pay for each
-    // duplicate. One sort of the chunk's postings at spill time buys an
-    // exact count.
-    distinct_scratch_.assign(nodes.begin(), nodes.end());
-    std::sort(distinct_scratch_.begin(), distinct_scratch_.end());
-    const uint64_t distinct = static_cast<uint64_t>(
-        std::unique(distinct_scratch_.begin(), distinct_scratch_.end()) -
-        distinct_scratch_.begin());
-    const uint64_t bits =
-        std::bit_ceil(std::max<uint64_t>(64, distinct * bloom_bits_per_key_));
-    meta.bloom.assign(bits / 64, 0);
-    for (graph::NodeId v : nodes) BloomInsert(meta.bloom, v);
-  }
 
-  // Region layout: [sizes][nodes][bloom][ids][zero pad][footer], the
-  // footer flush against the next alignment boundary so every chunk's
-  // file_offset is aligned and an alignment-rounded payload read never
-  // crosses EOF.
+  std::vector<uint32_t> member_offsets(sizes.size() + 1, 0);
+  for (size_t k = 0; k < sizes.size(); ++k) {
+    member_offsets[k + 1] = member_offsets[k] + sizes[k];
+  }
+  ISA_CHECK(member_offsets.back() == nodes.size());
+
+  // Postings index: a counting sort of (node, set) pairs over the
+  // envelope, sets visited in ascending k so every node's slice comes out
+  // ascending. A member repeated within one set is indexed once (`last`
+  // in the count pass, the slice's previous entry in the fill pass). The
+  // offsets column and the set-index column are built in one buffer and
+  // written in one piece.
+  const uint64_t span = meta.EnvelopeSpan();
+  std::vector<uint32_t> index;
+  if (span > 0) {
+    std::vector<uint32_t> fill(span + 1, 0);
+    {
+      std::vector<uint32_t> last(span, UINT32_MAX);
+      for (uint32_t k = 0; k < sizes.size(); ++k) {
+        for (uint32_t i = member_offsets[k]; i < member_offsets[k + 1];
+             ++i) {
+          const uint64_t slot = nodes[i] - meta.node_min;
+          if (last[slot] == k) continue;
+          last[slot] = k;
+          ++fill[slot + 1];
+        }
+      }
+    }
+    for (uint64_t slot = 0; slot < span; ++slot) fill[slot + 1] += fill[slot];
+    index.resize(span + 1 + fill[span]);
+    std::copy(fill.begin(), fill.end(), index.begin());
+    uint32_t* const sets = index.data() + span + 1;
+    for (uint32_t k = 0; k < sizes.size(); ++k) {
+      for (uint32_t i = member_offsets[k]; i < member_offsets[k + 1]; ++i) {
+        const uint64_t slot = nodes[i] - meta.node_min;
+        uint32_t& at = fill[slot];
+        if (at > index[slot] && sets[at - 1] == k) continue;
+        sets[at++] = k;
+      }
+    }
+  }
+  const uint64_t index_postings = span == 0 ? 0 : index.size() - span - 1;
+
+  // Region layout: [member offsets][nodes][index][ids][footer].
   uint64_t cursor = bytes_;
-  WriteAll(sizes.data(), sizes.size_bytes(), cursor);
-  cursor += sizes.size_bytes();
-  WriteAll(nodes.data(), nodes.size_bytes(), cursor);
-  cursor += nodes.size_bytes();
-  const uint64_t bloom_bytes = meta.bloom.size() * sizeof(uint64_t);
-  if (bloom_bytes > 0) {
-    WriteAll(meta.bloom.data(), bloom_bytes, cursor);
-    cursor += bloom_bytes;
-  }
-  if (!meta.ids.empty()) {
-    WriteAll(meta.ids.data(), meta.ids.size() * sizeof(uint32_t), cursor);
-    cursor += meta.ids.size() * sizeof(uint32_t);
-  }
-  const uint64_t region_end =
-      RoundUp(cursor + sizeof(DiskFooter), io_alignment_);
-  const uint64_t pad = region_end - sizeof(DiskFooter) - cursor;
-  if (pad > 0) {
-    const std::vector<char> zeros(pad, 0);
-    WriteAll(zeros.data(), pad, cursor);
-    cursor += pad;
-  }
+  const auto write = [&](const void* data, uint64_t len) {
+    if (len == 0) return;
+    WriteAll(data, len, cursor);
+    cursor += len;
+  };
+  write(member_offsets.data(), member_offsets.size() * sizeof(uint32_t));
+  write(nodes.data(), nodes.size_bytes());
+  write(index.data(), index.size() * sizeof(uint32_t));
+  write(meta.ids.data(), meta.ids.size() * sizeof(uint32_t));
   const DiskFooter footer{meta.set_lo,
                           meta.set_hi,
                           meta.node_min,
                           meta.node_max,
                           meta.file_offset,
                           meta.postings,
-                          static_cast<uint64_t>(meta.bloom.size()),
+                          index_postings,
                           static_cast<uint32_t>(meta.NumSets()),
                           kFooterVersion,
                           kFooterMagic,
                           0};
-  WriteAll(&footer, sizeof(footer), cursor);
-  bytes_ = region_end;
-  bloom_bytes_ += meta.bloom.capacity() * sizeof(uint64_t);
+  write(&footer, sizeof(footer));
+  bytes_ = cursor;
   ids_bytes_ += meta.ids.capacity() * sizeof(uint32_t);
   chunks_.push_back(std::move(meta));
-  dirty_.store(true, std::memory_order_release);
 }
 
 void SpillFile::ReadChunk(size_t chunk, std::vector<uint32_t>* sizes,
                           std::vector<graph::NodeId>* nodes) const {
   const ChunkMeta& meta = chunks_[chunk];
-  sizes->resize(meta.NumSets());
+  // Read the member offsets into `sizes`, then difference them in place.
+  sizes->resize(meta.NumSets() + 1);
   nodes->resize(meta.postings);
   ReadAll(sizes->data(), sizes->size() * sizeof(uint32_t), meta.file_offset);
   ReadAll(nodes->data(), nodes->size() * sizeof(graph::NodeId),
-          meta.file_offset + sizes->size() * sizeof(uint32_t));
+          meta.NodesAt());
+  for (size_t k = 0; k + 1 < sizes->size(); ++k) {
+    (*sizes)[k] = (*sizes)[k + 1] - (*sizes)[k];
+  }
+  sizes->pop_back();
 }
 
-bool SpillFile::ChunkMightContain(size_t chunk, graph::NodeId v) const {
+void SpillFile::SetsContaining(size_t chunk, graph::NodeId v,
+                               std::vector<uint32_t>* local) const {
   const ChunkMeta& meta = chunks_[chunk];
-  if (meta.postings == 0 || v < meta.node_min || v > meta.node_max) {
-    return false;
-  }
-  return BloomMayContain(meta.bloom, v);
+  local->clear();
+  if (meta.postings == 0 || v < meta.node_min || v > meta.node_max) return;
+  uint32_t range[2];
+  ReadAll(range, sizeof(range),
+          meta.IndexOffsetsAt() +
+              uint64_t{v - meta.node_min} * sizeof(uint32_t));
+  if (range[0] == range[1]) return;
+  local->resize(range[1] - range[0]);
+  ReadAll(local->data(), local->size() * sizeof(uint32_t),
+          meta.IndexSetsAt() + uint64_t{range[0]} * sizeof(uint32_t));
 }
 
-// ------------------------------------------------------- SpillChunkCursor
-
-SpillChunkCursor::SpillChunkCursor(const SpillFile& file,
-                                   std::vector<uint32_t> chunks,
-                                   ThreadPool* pool, uint32_t depth,
-                                   bool use_direct)
-    : file_(file),
-      chunks_(std::move(chunks)),
-      reader_(pool, AsyncIoBackend::kAuto, std::max(1u, depth)) {
-  direct_ = use_direct && file_.direct_io_active();
-  if (direct_) {
-    file_.SyncForDirectReads();
-    // SyncForDirectReads may have demoted the file mid-probe.
-    direct_ = file_.direct_io_active();
-  }
-  // depth buffers in flight + 1 being consumed; positions use idx % size.
-  bufs_.resize(std::min<size_t>(
-      chunks_.size(), static_cast<size_t>(reader_.depth()) + 1));
-  const size_t first = std::min<size_t>(reader_.depth(), chunks_.size());
-  std::vector<AsyncReadRequest> reqs;
-  reqs.reserve(first);
-  for (size_t i = 0; i < first; ++i) reqs.push_back(RequestFor(i));
-  if (!reqs.empty()) reader_.SubmitBatch(reqs);
-  next_submit_ = first;
-}
-
-SpillChunkCursor::~SpillChunkCursor() {
-  // Drain in-flight reads BEFORE freeing their buffers: the reader member
-  // is declared after bufs_, so it destructs first, but be explicit.
-  while (reader_.in_flight()) static_cast<void>(reader_.Wait());
-  for (AlignedBuffer& b : bufs_) std::free(b.data);
-}
-
-AsyncReadRequest SpillChunkCursor::RequestFor(size_t idx) {
-  const SpillFile::ChunkMeta& meta = file_.chunks_[chunks_[idx]];
-  AlignedBuffer& b = bufs_[idx % bufs_.size()];
-  const size_t payload = meta.PayloadBytes();
-  // Direct reads must cover whole alignment units; the chunk region is
-  // padded so the rounded read stays inside it.
-  const size_t want =
-      direct_ ? RoundUp(payload, file_.io_alignment()) : payload;
-  if (b.cap < want) {
-    std::free(b.data);
-    b.data = nullptr;
-    b.cap = 0;
-    void* p = nullptr;
-    if (posix_memalign(&p, file_.io_alignment(), want) != 0) {
-      throw std::bad_alloc();
-    }
-    b.data = static_cast<char*>(p);
-    b.cap = want;
-  }
-  return {direct_ ? file_.direct_fd_ : file_.fd_, meta.file_offset, b.data,
-          want};
-}
-
-bool SpillChunkCursor::Next() {
-  if (pos_ == chunks_.size()) return false;
-  const SpillFile::ChunkMeta& meta = file_.chunks_[chunks_[pos_]];
-  AlignedBuffer& b = bufs_[pos_ % bufs_.size()];
-  int err = reader_.Wait();
-  if (const int e = FailPointHit("spill.read")) err = e;
-  if (err != 0 && !TransientIoError(err) && direct_) {
-    // O_DIRECT fallback rung: a PERMANENT-looking direct-path failure
-    // (alignment quirk, driver refusal — typically EINVAL) gets one
-    // buffered re-read before it costs the scan its chunk. Transient
-    // errors skip this rung and take the counted retry ladder below.
-    file_.direct_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-    err = FailPointHit("spill.read");
-    if (err == 0) {
-      err = PreadOnce(file_.fd_, b.data, meta.PayloadBytes(),
-                      meta.file_offset);
-    }
-  }
-  // A transiently failed chunk is re-read synchronously (buffered) — the
-  // pipeline's overlap is lost for one chunk, its bytes and apply order
-  // are not.
-  for (int attempt = 1;
-       err != 0 && TransientIoError(err) && attempt < kMaxIoAttempts;
-       ++attempt) {
-    file_.retries_.fetch_add(1, std::memory_order_relaxed);
-    BackoffYield(attempt - 1);
-    err = FailPointHit("spill.read");
-    if (err == 0) {
-      err = PreadOnce(file_.fd_, b.data, meta.PayloadBytes(),
-                      meta.file_offset);
-    }
-    if (err == 0) {
-      file_.retry_successes_.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  if (err != 0) {
-    ThrowIo("read", file_.path_.c_str(), IoErrorDetail(err));
-  }
-  ++pos_;
-  // Keep the queue full: one new submission per delivery tops the window
-  // back up to depth outstanding reads.
-  if (next_submit_ < chunks_.size() &&
-      reader_.pending() < reader_.depth()) {
-    const AsyncReadRequest req = RequestFor(next_submit_);
-    reader_.Start(req.fd, req.offset, req.buf, req.len);
-    ++next_submit_;
-  }
-  return true;
-}
-
-const uint32_t* SpillChunkCursor::PayloadAt(size_t idx) const {
-  return reinterpret_cast<const uint32_t*>(bufs_[idx % bufs_.size()].data);
-}
-
-std::span<const uint32_t> SpillChunkCursor::sizes() const {
-  const SpillFile::ChunkMeta& meta = file_.chunks_[chunks_[pos_ - 1]];
-  return {PayloadAt(pos_ - 1), meta.NumSets()};
-}
-
-std::span<const graph::NodeId> SpillChunkCursor::nodes() const {
-  const SpillFile::ChunkMeta& meta = file_.chunks_[chunks_[pos_ - 1]];
-  return {PayloadAt(pos_ - 1) + meta.NumSets(), meta.postings};
+void SpillFile::AppendSetMembers(size_t chunk, uint64_t k,
+                                 std::vector<graph::NodeId>* members) const {
+  const ChunkMeta& meta = chunks_[chunk];
+  uint32_t range[2];
+  ReadAll(range, sizeof(range), meta.file_offset + k * sizeof(uint32_t));
+  const size_t old = members->size();
+  members->resize(old + (range[1] - range[0]));
+  if (range[1] == range[0]) return;
+  ReadAll(members->data() + old, (range[1] - range[0]) * sizeof(graph::NodeId),
+          meta.NodesAt() + uint64_t{range[0]} * sizeof(graph::NodeId));
 }
 
 }  // namespace isa::rrset

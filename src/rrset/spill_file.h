@@ -3,49 +3,48 @@
 //
 // A chunk holds an ascending list of RR set ids (a contiguous range
 // [set_lo, set_hi) for dense chunks; an explicit sparse id list for the
-// node-clustered chunks RrStore::SpillPrefix emits) in two columns, exactly
-// the (sizes, nodes) shape RrStore::AppendBatch consumes, followed by its
-// skip metadata. On-disk chunk region (v3):
+// node-clustered chunks RrStore::SpillPrefix emits) as a member column
+// plus a chunk-local inverted index over it. On-disk chunk region (v4):
 //
-//   [uint32 sizes[num_sets]]          cardinality per set, in id order
-//   [uint32 nodes[postings]]          concatenated members, in id order
-//   [uint64 bloom[bloom_words]]       Bloom filter over the member node ids
-//   [uint32 ids[num_sets]]            sparse chunks only: the set ids
-//   [zero padding]                    to the alignment boundary
-//   [footer v3]                       id range + count, node-id min/max,
-//                                     payload offset, posting count,
-//                                     bloom length, version + magic
+//   [uint32 member_offsets[num_sets + 1]]  prefix sums of the set sizes:
+//                                          set k's members are
+//                                          nodes[member_offsets[k],
+//                                                member_offsets[k + 1])
+//   [uint32 nodes[postings]]               concatenated members, id order
+//   [uint32 index_offsets[span + 1]]       postings CSR over the node-id
+//                                          envelope (span = node_max -
+//                                          node_min + 1): node v's entries
+//                                          are index_sets[index_offsets[
+//                                          v - node_min], ...[v - node_min
+//                                          + 1])
+//   [uint32 index_sets[index_postings]]    chunk-local set indices k,
+//                                          ascending per node, one per
+//                                          distinct (node, set) pair
+//   [uint32 ids[num_sets]]                 sparse chunks only: the set ids
+//   [footer v4]                            id range + count, node-id
+//                                          min/max, region offset, posting
+//                                          counts, version + magic
 //
-// Every chunk region starts and ends on an I/O alignment boundary (the
-// direct-I/O offset alignment queried at open, at least 4096 bytes), so
-// O_DIRECT reads of a chunk payload — rounded up to the alignment — never
-// cross EOF and need no offset fix-up. The footer sits at the END of the
-// padded region, so the file stays self-describing by a backward footer
-// walk from EOF (each footer names its chunk's file_offset; the previous
-// footer ends where that region starts). Footers are mirrored in memory —
-// bloom words and sparse id lists included — so scans can skip chunks by
-// id range, by the node-id [min, max] envelope, or by a Bloom miss without
-// touching the disk (ChunkMightContain). The filter is built at spill
-// time over the chunk's distinct member ids (k = 3 probes by double
-// hashing, bloom_bits_per_key bits per distinct id rounded up to a
-// power-of-two word count), so a low-selectivity seed skips most chunks at
-// ~1 bit of resident cost per posting.
+// (The two index columns are absent from a chunk with no members.)
+// Regions are packed back to back; the footer ends each region, so the
+// file stays self-describing by a backward footer walk from EOF (each
+// footer names its region's file_offset; the previous footer ends where
+// that region starts). Footers are mirrored in memory — sparse id lists
+// included, nothing per posting — and every column's file offset follows
+// from the mirrored counts, so a lookup needs no resident index.
 //
-// Reads: appends are buffered pwrites on the writing fd; scans prefer a
-// second read-only fd opened with O_DIRECT (probed per open; tmpfs and
-// friends reject it and fall back to buffered reads transparently, and
-// ISA_DISABLE_O_DIRECT=1 forces the fallback, mirroring the io_uring
-// switch), so spilled bytes stop being double-cached in the page cache.
-// The first direct read after an append epoch is preceded by one
-// fdatasync, keeping direct reads coherent with the buffered writes. A
-// direct read that fails is retried through the buffered fd before the
-// bounded retry ladder engages (direct_fallbacks counts those). All reads
-// use positional I/O, so concurrent chunk reads need no locking.
+// A lookup for node v touches only what it needs: outside the envelope no
+// I/O at all; otherwise one read of v's two index offsets (equal offsets
+// = v is certainly absent — an exact skip), one read of v's set-index
+// slice, then per wanted set one read of its two member offsets and one of
+// its members. Members of sets that do not contain v are never read.
 //
-// The file is created O_EXCL at a process-unique name (a pre-existing
-// file or symlink at the requested path is never truncated or followed —
-// the constructor retries with a fresh suffix instead) and removed by the
-// destructor; it is a cache of evicted state, never a persistence format.
+// All reads are buffered positional preads through the bounded retry
+// layer, so concurrent reads need no locking. The file is created O_EXCL
+// at a process-unique name (a pre-existing file or symlink at the
+// requested path is never truncated or followed — the constructor retries
+// with a fresh suffix instead) and removed by the destructor; it is a
+// cache of evicted state, never a persistence format.
 
 #ifndef ISA_RRSET_SPILL_FILE_H_
 #define ISA_RRSET_SPILL_FILE_H_
@@ -57,12 +56,7 @@
 #include <string>
 #include <vector>
 
-#include "common/async_io.h"
 #include "graph/graph.h"
-
-namespace isa {
-class ThreadPool;
-}
 
 namespace isa::rrset {
 
@@ -85,34 +79,11 @@ struct SpillOptions {
   /// directory (see MakeSpillPath). The actual file may get a retry
   /// suffix when the exclusive create loses a race — see SpillFile::path.
   std::string path;
-  /// Target payload bytes per chunk. Chunks close at the first set
+  /// Target member bytes per chunk. Chunks close at the first set
   /// boundary past the target, so one oversized RR set still lands in a
-  /// single (oversized) chunk. Smaller chunks skip better on scans;
-  /// larger chunks amortize the per-chunk read syscall.
+  /// single (oversized) chunk. Every chunk carries an index column the
+  /// size of its node-id envelope, so tiny targets pay that per chunk.
   uint64_t chunk_target_bytes = 4ull << 20;
-  /// Bloom bits per distinct member node id in a chunk (rounded up to a
-  /// power-of-two filter size; ~8 bits with k = 3 gives a ~3% false-
-  /// positive rate). 0 disables the filters — chunks are then skipped by
-  /// the node-id envelope only.
-  uint32_t bloom_bits_per_key = 8;
-  /// Maximum chunk reads in flight per cold scan (the AsyncFileReader
-  /// queue depth; clamped to [1, AsyncFileReader::kMaxDepth]). 1 degrades
-  /// to the old one-outstanding pipeline.
-  uint32_t io_ring_depth = AsyncFileReader::kDefaultDepth;
-  /// Try O_DIRECT for cold-tier chunk reads (probed per open; falls back
-  /// to buffered reads when the filesystem refuses, and
-  /// ISA_DISABLE_O_DIRECT=1 in the environment forces the fallback).
-  bool direct_io = true;
-  /// Spill-file size (bytes on disk) below which cold scans read through
-  /// the buffered fd even when the O_DIRECT fd is open. A small spill
-  /// still lives in the page cache its own writes populated, so buffered
-  /// reads are plain cache hits; direct reads of the same bytes force an
-  /// fdatasync and hit storage. Past the threshold the spill no longer
-  /// fits cache-resident and direct reads win back the double-caching.
-  /// Deterministic (a pure function of bytes written) and reported
-  /// honestly: RrStore::direct_io_active() reflects the scan-level
-  /// decision. 0 = direct from the first byte.
-  uint64_t direct_io_min_bytes = 64ull << 20;
 };
 
 /// A process-unique spill file path: `<dir>/isa-spill-<pid>-<seq>.bin`,
@@ -120,7 +91,7 @@ struct SpillOptions {
 std::string MakeSpillPath(const std::string& dir = {});
 
 /// Append-only columnar chunk file (see file comment). Appends are
-/// single-writer; chunk reads are thread-safe (positional I/O) and may run
+/// single-writer; reads are thread-safe (positional I/O) and may run
 /// concurrently with each other but not with an append.
 class SpillFile {
  public:
@@ -132,24 +103,18 @@ class SpillFile {
     /// partition the batch's ids; across batches the id ranges ascend.
     uint64_t set_lo = 0;
     uint64_t set_hi = 0;
-    /// Envelope of the member node ids in this chunk — scans for a node v
-    /// outside [node_min, node_max] skip the chunk without reading it.
+    /// Envelope of the member node ids in this chunk — lookups for a node
+    /// v outside [node_min, node_max] skip the chunk without reading it.
     graph::NodeId node_min = 0;
     graph::NodeId node_max = 0;
-    /// Byte offset of the sizes column in the file (always a multiple of
-    /// the file's I/O alignment). The nodes column follows contiguously,
-    /// so one read of PayloadBytes() at this offset fetches the whole
-    /// chunk.
+    /// Byte offset of the region (its member-offset column) in the file.
     uint64_t file_offset = 0;
     /// Total members over the chunk's sets (the nodes column length).
     uint64_t postings = 0;
-    /// Bloom filter over the member ids (power-of-two bit count; empty =
-    /// filters disabled). Mirrored from disk; charged to MetadataBytes.
-    std::vector<uint64_t> bloom;
-    /// Sparse chunks: the ascending set ids, one per sizes entry (empty =
-    /// dense, ids are set_lo + k). Mirrored resident — recovery needs the
-    /// exact id list when the disk copy is unreadable — and charged to
-    /// MetadataBytes.
+    /// Sparse chunks: the ascending set ids, one per set (empty = dense,
+    /// ids are set_lo + k). Mirrored resident — lookups map chunk-local
+    /// indices to ids, and recovery needs the exact id list when the disk
+    /// copy is unreadable — and charged to MetadataBytes.
     std::vector<uint32_t> ids;
 
     uint64_t NumSets() const {
@@ -158,20 +123,27 @@ class SpillFile {
     uint64_t SetIdAt(uint64_t k) const {
       return ids.empty() ? set_lo + k : ids[k];
     }
-    uint64_t PayloadBytes() const {
-      return (NumSets() + postings) * sizeof(uint32_t);
+    /// Node ids the index columns span (0 for a chunk without members).
+    uint64_t EnvelopeSpan() const {
+      return postings == 0 ? 0 : uint64_t{node_max} - node_min + 1;
+    }
+    /// File offsets of the columns (see the file comment's layout).
+    uint64_t NodesAt() const {
+      return file_offset + (NumSets() + 1) * sizeof(uint32_t);
+    }
+    uint64_t IndexOffsetsAt() const {
+      return NodesAt() + postings * sizeof(graph::NodeId);
+    }
+    uint64_t IndexSetsAt() const {
+      return IndexOffsetsAt() + (EnvelopeSpan() + 1) * sizeof(uint32_t);
     }
   };
 
   /// Creates the file at `path` with O_EXCL, retrying with a numeric
-  /// suffix while the name is taken (path() reports the winner), and
-  /// probes O_DIRECT on a second read-only fd unless `direct_io` is false
-  /// or ISA_DISABLE_O_DIRECT is set. Throws SpillIoError on creation
-  /// failure — the spill tier is backing storage; running on without it
-  /// would silently break the memory budget. A failed O_DIRECT probe is
-  /// not an error: reads fall back to the buffered fd.
-  explicit SpillFile(std::string path, uint32_t bloom_bits_per_key = 8,
-                     bool direct_io = true);
+  /// suffix while the name is taken (path() reports the winner). Throws
+  /// SpillIoError on creation failure — the spill tier is backing storage;
+  /// running on without it would silently break the memory budget.
+  explicit SpillFile(std::string path);
   ~SpillFile();
   SpillFile(const SpillFile&) = delete;
   SpillFile& operator=(const SpillFile&) = delete;
@@ -184,9 +156,10 @@ class SpillFile {
 
   /// Appends the sets listed in `ids` (ascending; empty = the dense range
   /// [set_lo, set_hi)): `sizes[k]` members of the k-th id taken in order
-  /// from the concatenated `nodes`. Computes the node-id envelope and
-  /// Bloom filter and writes payload + metadata + footer, padded to the
-  /// I/O alignment. Without a BeginBatch, set_lo must be at or past every
+  /// from the concatenated `nodes`. Builds the member-offset column and
+  /// the chunk-local postings index (a counting sort over the node-id
+  /// envelope — O(postings + span), no comparison sort) and writes the
+  /// region. Without a BeginBatch, set_lo must be at or past every
   /// previously appended id — a lower id means a caller re-spilled a
   /// range after a SpillIoError (the file is then inconsistent; fail
   /// loudly). Throws SpillIoError on I/O failure (the chunk is then not
@@ -196,43 +169,41 @@ class SpillFile {
                    std::span<const graph::NodeId> nodes,
                    std::span<const uint32_t> ids = {});
 
-  /// Reads chunk `chunk` back into `sizes`/`nodes` (resized to fit) — the
-  /// exact columns AppendChunk wrote. Always buffered (the recovery
-  /// ladder's fresh re-read must not share the direct path's failure
-  /// mode). Thread-safe against other reads. Throws SpillIoError on I/O
-  /// failure. Scans prefer SpillChunkCursor, which overlaps reads with
-  /// applies.
+  /// Reads chunk `chunk`'s sets back into `sizes`/`nodes` (resized to
+  /// fit) — the exact columns AppendChunk was given. Thread-safe against
+  /// other reads. Throws SpillIoError on I/O failure.
   void ReadChunk(size_t chunk, std::vector<uint32_t>* sizes,
                  std::vector<graph::NodeId>* nodes) const;
 
-  /// False when chunk `chunk` certainly does not contain node `v` (by the
-  /// footer envelope or a Bloom miss) — the scan-time skip test; never
-  /// reads the disk. True may be a Bloom false positive.
-  bool ChunkMightContain(size_t chunk, graph::NodeId v) const;
+  /// Sets `local` to the chunk-local indices (ascending) of the sets in
+  /// chunk `chunk` that contain `v` — exact, no false positives. No I/O
+  /// when v lies outside the chunk's envelope; otherwise one read of v's
+  /// index offsets plus, when v is present, one read of its slice.
+  /// Throws SpillIoError on I/O failure.
+  void SetsContaining(size_t chunk, graph::NodeId v,
+                      std::vector<uint32_t>* local) const;
+
+  /// Appends the members of chunk-local set `k` of chunk `chunk` to
+  /// `members`: one read of its two member offsets, one of the members.
+  /// Throws SpillIoError on I/O failure (`members` is then unspecified).
+  void AppendSetMembers(size_t chunk, uint64_t k,
+                        std::vector<graph::NodeId>* members) const;
 
   std::span<const ChunkMeta> chunks() const { return chunks_; }
   size_t num_chunks() const { return chunks_.size(); }
 
-  /// Bytes written to disk (payload + filters + footers + alignment
-  /// padding) — the non-resident tier's size for Table 3 accounting.
+  /// Bytes written to disk (members, index columns, id lists, footers) —
+  /// the non-resident tier's size for Table 3 accounting.
   uint64_t bytes_on_disk() const { return bytes_; }
 
-  /// Resident bytes this object itself holds (the footer mirror — Bloom
-  /// words and sparse id lists included) — charged into
-  /// RrStore::MemoryBytes so the accounting stays honest.
+  /// Resident bytes this object itself holds (the footer mirror, sparse
+  /// id lists included) — charged into RrStore::MemoryBytes so the
+  /// accounting stays honest.
   uint64_t MetadataBytes() const {
-    return chunks_.capacity() * sizeof(ChunkMeta) + bloom_bytes_ + ids_bytes_;
+    return chunks_.capacity() * sizeof(ChunkMeta) + ids_bytes_;
   }
 
   const std::string& path() const { return path_; }
-
-  /// True when the O_DIRECT read fd is open: cold scans bypass the page
-  /// cache. False = buffered fallback (unsupported filesystem or
-  /// ISA_DISABLE_O_DIRECT).
-  bool direct_io_active() const { return direct_fd_ >= 0; }
-  /// The I/O alignment chunk regions are padded to (≥ 4096; also a valid
-  /// O_DIRECT offset/length/buffer alignment when direct_io_active).
-  uint32_t io_alignment() const { return io_alignment_; }
 
   /// Transient-fault retries issued by the bounded retry layer (reads and
   /// writes combined) and how many of them ultimately succeeded. A
@@ -245,115 +216,25 @@ class SpillFile {
   uint64_t retry_successes() const {
     return retry_successes_.load(std::memory_order_relaxed);
   }
-  /// Failed direct (O_DIRECT) chunk reads that were retried through the
-  /// buffered fd — the recovery ladder's direct-I/O fallback rung.
-  uint64_t direct_fallbacks() const {
-    return direct_fallbacks_.load(std::memory_order_relaxed);
-  }
 
  private:
-  friend class SpillChunkCursor;
-
   // pwrite/pread the full range with failpoint hooks ("spill.write" /
   // "spill.read") and bounded transient retries; throws SpillIoError when
   // the retry budget runs out or the fault is permanent.
   void WriteAll(const void* data, size_t len, uint64_t offset);
   void ReadAll(void* data, size_t len, uint64_t offset) const;
-  // fdatasync the writing fd once per append epoch before direct reads,
-  // keeping O_DIRECT reads coherent with the buffered writes. No-op when
-  // direct I/O is inactive or nothing was appended since the last call.
-  void SyncForDirectReads() const;
 
   std::string path_;
-  int fd_ = -1;  // buffered read/write fd (appends, fallback reads)
-  // O_DIRECT read-only fd; -1 = buffered fallback. Mutable: a failed
-  // fdatasync closes it (buffered reads stay coherent, direct ones would
-  // not), demoting the file to buffered mid-flight.
-  mutable int direct_fd_ = -1;
-  uint32_t io_alignment_ = 4096;
-  uint32_t bloom_bits_per_key_;
+  int fd_ = -1;
   uint64_t bytes_ = 0;
-  uint64_t bloom_bytes_ = 0;  // resident bytes of the mirrored filters
   uint64_t ids_bytes_ = 0;    // resident bytes of the mirrored id lists
   uint64_t max_set_hi_ = 0;   // highest id bound appended so far
   bool batch_active_ = false;
   uint64_t batch_lo_ = 0;
   uint64_t batch_hi_ = 0;
   std::vector<ChunkMeta> chunks_;
-  std::vector<graph::NodeId> distinct_scratch_;  // AppendChunk's sort buffer
-  mutable std::atomic<bool> dirty_{false};  // appended since last fdatasync
   mutable std::atomic<uint64_t> retries_{0};
   mutable std::atomic<uint64_t> retry_successes_{0};
-  mutable std::atomic<uint64_t> direct_fallbacks_{0};
-};
-
-/// Deep-queue pipelined reader over an ascending list of a SpillFile's
-/// chunk indices: the whole filtered list (capped at the queue depth) is
-/// submitted in one batch when the cursor is built, and while the caller
-/// consumes chunk k's columns, up to depth further chunks' bytes stream
-/// into a ring of alignment-padded buffers (common/async_io.h picks
-/// io_uring, pool workers, or plain preads — the same bytes arrive
-/// whichever backend serves the reads, and the FIFO Wait re-orders
-/// out-of-order completions). Chunks are delivered strictly in list
-/// order: consumers that apply per chunk keep their deterministic call
-/// sequence at any queue depth, prefetch on or off. Reads go through the
-/// file's O_DIRECT fd when active (buffer, offset and length aligned;
-/// failed direct reads fall back to buffered re-reads).
-///
-/// The SpillFile must outlive the cursor and must not be appended to while
-/// a cursor is live. Not thread-safe; one cursor per scan.
-class SpillChunkCursor {
- public:
-  /// `use_direct = false` pins this scan to the buffered fd even when the
-  /// file's O_DIRECT fd is open — how RrStore keeps small cache-resident
-  /// spills on the cheap path (SpillOptions::direct_io_min_bytes).
-  SpillChunkCursor(const SpillFile& file, std::vector<uint32_t> chunks,
-                   ThreadPool* pool,
-                   uint32_t depth = AsyncFileReader::kDefaultDepth,
-                   bool use_direct = true);
-  ~SpillChunkCursor();
-
-  /// Advances to the next chunk in the list, blocking only until ITS bytes
-  /// landed (a further chunk's read is then started to keep the queue
-  /// full). Returns false when the list is exhausted. A failed direct
-  /// read is re-read buffered; a transiently failed read is retried
-  /// synchronously up to the file's retry budget; a permanent failure (or
-  /// exhausted budget) throws SpillIoError — the caller may then still
-  /// recover the remaining chunks per-chunk (see RrStore::FinishColdScan).
-  /// The spans below are valid until the next call.
-  bool Next();
-
-  /// Index (into file.chunks()) of the chunk Next() delivered.
-  uint32_t chunk() const { return chunks_[pos_ - 1]; }
-  std::span<const uint32_t> sizes() const;
-  std::span<const graph::NodeId> nodes() const;
-
-  const char* backend_name() const { return reader_.backend_name(); }
-  /// High-water mark of reads in flight (see AsyncFileReader).
-  uint64_t reads_in_flight_peak() const {
-    return reader_.reads_in_flight_peak();
-  }
-
- private:
-  // An aligned buffer of the pool: posix_memalign'd to the file's I/O
-  // alignment (a valid O_DIRECT memory alignment), grown monotonically.
-  struct AlignedBuffer {
-    char* data = nullptr;
-    size_t cap = 0;
-  };
-  // The read request for list position idx, into its ring buffer (resized
-  // to the alignment-rounded length when direct I/O is active).
-  AsyncReadRequest RequestFor(size_t idx);
-  const uint32_t* PayloadAt(size_t idx) const;
-
-  const SpillFile& file_;
-  std::vector<uint32_t> chunks_;
-  size_t pos_ = 0;          // chunks consumed; reads are in flight for
-                            // positions [pos_, pos_ + reader_.pending())
-  size_t next_submit_ = 0;  // first list position not yet submitted
-  bool direct_ = false;     // this scan reads through the O_DIRECT fd
-  std::vector<AlignedBuffer> bufs_;  // ring; position idx uses idx % size
-  AsyncFileReader reader_;
 };
 
 }  // namespace isa::rrset

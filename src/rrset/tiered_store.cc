@@ -11,9 +11,6 @@ TieredRrStore::TieredRrStore(std::shared_ptr<RrStore> store,
                              TieredStoreOptions options)
     : store_(std::move(store)), options_(std::move(options)) {
   spill_options_.chunk_target_bytes = options_.chunk_target_bytes;
-  spill_options_.io_ring_depth = options_.io_ring_depth;
-  spill_options_.direct_io = options_.direct_io;
-  spill_options_.direct_io_min_bytes = options_.direct_io_min_bytes;
   if (enabled()) {
     // Resolve the path once so every spill of this store appends to the
     // same file.
@@ -30,15 +27,14 @@ void TieredRrStore::MaybeSpill(uint64_t max_evictable, ThreadPool* pool) {
     // Walk the eviction frontier forward until the estimated reclaim
     // covers the overshoot. Each evicted set frees its members (4 B per
     // posting), its inverted-index posting (~4 B each in the CSR base)
-    // and its offset slot (8 B), but the spill's resident footer mirror
-    // grows by up to ~1 B per posting of Bloom filter (bloom_bits_per_key
-    // bits per distinct id; duplicates make this an upper bound), hence
-    // the -1 below. The clustered layout's sparse id mirror (~4 B per
-    // set) is NOT subtracted here: sets average only a handful of members,
-    // so folding it in would over-evict the frontier by several percent —
-    // it is absorbed by the estimate erring low anyway (capacity slack
-    // also falls at the exact-fit rebuild), which only means MaybeSpill
-    // occasionally evicts one chunk more at the next barrier.
+    // and its offset slot (8 B); the estimate counts 1 B less per
+    // posting, so the walk evicts a margin past the overshoot. The margin
+    // covers the clustered layout's sparse id mirror, which stays
+    // resident (~4 B per set, well under 1 B per posting at typical set
+    // sizes); the spill's postings index lives on disk only. Capacity
+    // slack freed by the exact-fit rebuild is not counted either, so the
+    // estimate errs low, which only means MaybeSpill occasionally evicts
+    // one chunk more than the budget needs.
     const uint64_t need = resident - budget;
     uint64_t new_first = store_->first_resident_set();
     uint64_t freed = 0;

@@ -14,7 +14,7 @@
 // it — old sets are disproportionately ALREADY covered (every earlier seed
 // had a chance to cover them), and covered sets are never read again, so
 // spilling them costs nothing; the remaining alive cold sets are serviced
-// by the chunk-scan path (RrStore::ForEachSpilledSetContaining).
+// by the cold lookup path (RrStore::ForEachSpilledSetContaining).
 //
 // Determinism: MaybeSpill runs only at barrier rounds (fixed points of the
 // round loop), its inputs — resident bytes, view thetas — are themselves
@@ -49,13 +49,6 @@ struct TieredStoreOptions {
   /// Directory for the chunk file (empty = system temp directory). The
   /// file is removed when the store dies.
   std::string spill_directory;
-  /// Cold-scan queue depth (see SpillOptions::io_ring_depth).
-  uint32_t io_ring_depth = 16;
-  /// O_DIRECT cold-scan reads (see SpillOptions::direct_io).
-  bool direct_io = true;
-  /// Spill size below which scans stay buffered even with direct I/O on
-  /// (see SpillOptions::direct_io_min_bytes). 0 = direct immediately.
-  uint64_t direct_io_min_bytes = 64ull << 20;
 };
 
 /// Budget policy over one RrStore (see file comment). Not thread-safe;

@@ -4,7 +4,7 @@
 // matrix) that spec is exercised instead — runs the budgeted end-to-end
 // fixture, and asserts the recovery contract:
 //
-//   - read-side-only fault specs (spill.read / spill.resample / async.*)
+//   - read-side-only fault specs (spill.read / spill.resample)
 //     must either complete with a TiResult whose computed fields are
 //     bit-identical to the fault-free run, or fail with a clean
 //     Status::ResourceExhausted (the unrecoverable double-fault case);
@@ -90,8 +90,7 @@ bool ReadSideOnly(const std::string& spec) {
   auto parsed = FailPoints::Parse(spec);
   if (!parsed.ok()) return false;
   for (const FailPoints::Spec& s : parsed.value()) {
-    if (s.site != "spill.read" && s.site != "spill.resample" &&
-        s.site != "async.submit" && s.site != "async.complete") {
+    if (s.site != "spill.read" && s.site != "spill.resample") {
       return false;
     }
   }
@@ -146,8 +145,8 @@ TEST(SpillChaosTest, SeededFaultMatrixPreservesResultOrFailsClean) {
     specs = {
         "spill.read.eio@every:1",
         "spill.read.eagain@every:3",
-        "async.complete.eio@p:0.3:7,spill.read.eio@7",
-        "async.submit.eio@every:2",
+        "spill.read.eio@p:0.3:7,spill.read.eio@7",
+        "spill.read.eio@every:2",
         "spill.read.eio@every:1,spill.resample.throw@5",
         "spill.write.enospc@p:0.2:99",
         "spill.write.enospc@2,spill.read.eof@p:0.1:5",

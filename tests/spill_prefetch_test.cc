@@ -1,15 +1,16 @@
-// The cold-tier read path added on top of the out-of-core RR store:
-// exclusive spill-file creation (no truncation/symlink following), the
-// per-chunk Bloom filters and their scan counters, the SpillChunkCursor
-// prefetch pipeline across every I/O backend (io_uring / pool pread /
-// sync), fault injection via the FailPoints registry (truncation/EOF is a
-// permanent unit-level SpillIoError; a permanent cold-read fault mid-run
+// The cold-tier read path of the out-of-core RR store: exclusive
+// spill-file creation (no truncation/symlink following), the per-chunk
+// postings lookup (exact against a brute-force scan of every chunk, with
+// absent nodes answered without reading any member), the lookup counters,
+// coverage removal over re-sampled chunks cached in memory (identical to
+// removal over disk reads), fault injection via the FailPoints registry (truncation/EOF is
+// a permanent unit-level SpillIoError; a permanent cold-read fault mid-run
 // is RECOVERED by re-sampling, a spill-write ENOSPC degrades to resident
 // completion, and only an unrecoverable double fault still surfaces as
 // Status::ResourceExhausted), and the end-to-end invariant: a fixed seed
-// yields a bit-identical TiResult with the prefetch on or off, on any
-// backend, at 1/2/8 threads. Recovery bit-identity and the failure
-// counters are covered in depth by spill_recovery_test.cc.
+// yields a bit-identical TiResult under a memory budget at 1/2/8 threads.
+// Recovery bit-identity and the failure counters are covered in depth by
+// spill_recovery_test.cc.
 
 #include <fcntl.h>
 #include <sys/stat.h>
@@ -21,14 +22,13 @@
 #include <sstream>
 #include <vector>
 
-#include "common/async_io.h"
 #include "common/failpoint.h"
-#include "common/thread_pool.h"
 #include "core/ti_greedy.h"
 #include "graph/generators.h"
 #include "gtest/gtest.h"
 #include "rrset/parallel_sampler.h"
 #include "rrset/rr_collection.h"
+#include "rrset/rr_store.h"
 #include "rrset/spill_file.h"
 #include "tests/test_util.h"
 #include "topic/tic_model.h"
@@ -45,7 +45,6 @@ using rrset::ParallelSampler;
 using rrset::ParallelSamplerOptions;
 using rrset::RrCollection;
 using rrset::RrStore;
-using rrset::SpillChunkCursor;
 using rrset::SpillFile;
 using rrset::SpillIoError;
 using rrset::SpillOptions;
@@ -81,36 +80,10 @@ std::string ReadFile(const std::string& path) {
   return out.str();
 }
 
-// Restores the process-wide backend override (and any armed failpoints)
-// no matter how a test exits.
+// Disarms every failpoint no matter how a test exits.
 struct IoStateGuard {
-  ~IoStateGuard() {
-    SetAsyncIoBackendForTest(AsyncIoBackend::kAuto);
-    FailPoints::Clear();
-  }
+  ~IoStateGuard() { FailPoints::Clear(); }
 };
-
-// The backends every test sweeps: the two portable ones always, io_uring
-// when the kernel grants it.
-std::vector<AsyncIoBackend> Backends() {
-  std::vector<AsyncIoBackend> b = {AsyncIoBackend::kSync,
-                                   AsyncIoBackend::kPoolPread};
-  if (IoUringAvailable()) b.push_back(AsyncIoBackend::kIoUring);
-  return b;
-}
-
-const char* BackendName(AsyncIoBackend b) {
-  switch (b) {
-    case AsyncIoBackend::kIoUring:
-      return "io_uring";
-    case AsyncIoBackend::kPoolPread:
-      return "pool-pread";
-    case AsyncIoBackend::kSync:
-      return "sync";
-    default:
-      return "auto";
-  }
-}
 
 // ------------------------------------------------ exclusive file creation
 
@@ -165,105 +138,126 @@ TEST(SpillHardeningTest, SymlinkAtSpillPathIsNotFollowed) {
   ::unlink(target.c_str());
 }
 
-// ------------------------------------------------------ per-chunk Blooms
+// ------------------------------------------------- per-chunk postings
 
-TEST(SpillBloomTest, NoFalseNegativesAndSaneFalsePositiveRate) {
-  SpillFile file(rrset::MakeSpillPath(), /*bloom_bits_per_key=*/8);
-  // One chunk holding every EVEN id below 4000 (2000 distinct members,
-  // duplicates included to check they do not inflate the filter).
-  std::vector<graph::NodeId> nodes;
+// The chunk-local sets containing v, by brute force over ReadChunk's
+// columns: the reference the postings lookup must reproduce exactly.
+std::vector<uint32_t> BruteForceSets(const SpillFile& file, size_t chunk,
+                                     graph::NodeId v) {
   std::vector<uint32_t> sizes;
-  for (graph::NodeId v = 0; v < 4000; v += 2) {
-    nodes.push_back(v);
-    nodes.push_back(v);  // duplicate
+  std::vector<graph::NodeId> nodes;
+  file.ReadChunk(chunk, &sizes, &nodes);
+  std::vector<uint32_t> out;
+  auto begin = nodes.begin();
+  for (uint32_t k = 0; k < sizes.size(); ++k) {
+    const auto end = begin + sizes[k];
+    if (std::find(begin, end, v) != end) out.push_back(k);
+    begin = end;
   }
-  sizes.push_back(static_cast<uint32_t>(nodes.size()));
-  file.AppendChunk(0, 1, sizes, nodes);
-
-  // Bloom filters never produce false negatives.
-  for (graph::NodeId v = 0; v < 4000; v += 2) {
-    ASSERT_TRUE(file.ChunkMightContain(0, v)) << "member " << v;
-  }
-  // Absent ODD ids inside the envelope: only Bloom false positives pass.
-  // 8 bits per distinct key with k = 3 gives ~3% FPR; assert a generous
-  // ceiling so the test is not seed-sensitive.
-  uint32_t false_positives = 0;
-  uint32_t probes = 0;
-  for (graph::NodeId v = 1; v < 4000; v += 2) {
-    ++probes;
-    if (file.ChunkMightContain(0, v)) ++false_positives;
-  }
-  EXPECT_LT(static_cast<double>(false_positives) / probes, 0.10)
-      << false_positives << "/" << probes;
-  // Outside the node envelope the answer is definitive regardless.
-  EXPECT_FALSE(file.ChunkMightContain(0, 5000));
-
-  // bloom_bits_per_key = 0 disables the filter: everything inside the
-  // envelope might be present.
-  SpillFile plain(rrset::MakeSpillPath(), 0);
-  plain.AppendChunk(0, 1, sizes, nodes);
-  EXPECT_TRUE(plain.ChunkMightContain(0, 1));
-  EXPECT_FALSE(plain.ChunkMightContain(0, 5000));
-  EXPECT_LT(plain.MetadataBytes(), file.MetadataBytes());
+  return out;
 }
 
-// ------------------------------------------------- SpillChunkCursor
-
-TEST(SpillPrefetchTest, CursorMatchesReadChunkAcrossBackends) {
-  IoStateGuard guard;
-  SpillFile file(rrset::MakeSpillPath());
-  // Five chunks of deterministic synthetic sets with varying shapes.
-  std::vector<std::vector<uint32_t>> all_sizes;
-  std::vector<std::vector<graph::NodeId>> all_nodes;
-  uint64_t next_set = 0;
-  for (uint32_t c = 0; c < 5; ++c) {
-    std::vector<uint32_t> sizes;
-    std::vector<graph::NodeId> nodes;
-    for (uint32_t s = 0; s < 3 + c; ++s) {
-      const uint32_t card = 1 + (s * 7 + c) % 5;
-      sizes.push_back(card);
-      for (uint32_t i = 0; i < card; ++i) {
-        nodes.push_back(static_cast<graph::NodeId>(c * 1000 + s * 10 + i));
+// Checks SetsContaining(chunk, v) against the brute force for every chunk
+// and every node (plus one past the largest). Where v is absent the lookup
+// must end after at most the index-offsets read — it still succeeds with a
+// fault armed on the second read, so no member is ever read — and a v
+// outside the envelope must not read at all.
+void ExpectExactPostings(const SpillFile& file, graph::NodeId num_nodes) {
+  std::vector<uint32_t> got;
+  for (size_t c = 0; c < file.num_chunks(); ++c) {
+    const SpillFile::ChunkMeta& m = file.chunks()[c];
+    for (graph::NodeId v = 0; v <= num_nodes; ++v) {
+      const std::vector<uint32_t> want = BruteForceSets(file, c, v);
+      if (!want.empty()) {
+        file.SetsContaining(c, v, &got);
+        ASSERT_EQ(got, want) << "chunk " << c << " node " << v;
+        continue;
       }
+      const bool in_envelope =
+          m.postings > 0 && v >= m.node_min && v <= m.node_max;
+      ASSERT_TRUE(FailPoints::Arm(in_envelope ? "spill.read.eio@2"
+                                              : "spill.read.eio@1")
+                      .ok());
+      file.SetsContaining(c, v, &got);
+      FailPoints::Clear();
+      ASSERT_TRUE(got.empty()) << "chunk " << c << " node " << v;
     }
-    file.AppendChunk(next_set, next_set + sizes.size(), sizes, nodes);
-    next_set += sizes.size();
-    all_sizes.push_back(std::move(sizes));
-    all_nodes.push_back(std::move(nodes));
   }
+}
 
-  ThreadPool pool(4);
-  for (const AsyncIoBackend backend : Backends()) {
-    SCOPED_TRACE(BackendName(backend));
-    SetAsyncIoBackendForTest(backend);
-    // Full walk and a filtered (skipping) walk both deliver exactly the
-    // chunks asked for, in order, bytes intact.
-    for (const std::vector<uint32_t>& want :
-         {std::vector<uint32_t>{0, 1, 2, 3, 4}, std::vector<uint32_t>{1, 3},
-          std::vector<uint32_t>{4}, std::vector<uint32_t>{}}) {
-      SpillChunkCursor cursor(file, want, &pool);
-      size_t k = 0;
-      while (cursor.Next()) {
-        ASSERT_LT(k, want.size());
-        EXPECT_EQ(cursor.chunk(), want[k]);
-        const auto sizes = cursor.sizes();
-        const auto nodes = cursor.nodes();
-        EXPECT_TRUE(std::equal(sizes.begin(), sizes.end(),
-                               all_sizes[want[k]].begin(),
-                               all_sizes[want[k]].end()));
-        EXPECT_TRUE(std::equal(nodes.begin(), nodes.end(),
-                               all_nodes[want[k]].begin(),
-                               all_nodes[want[k]].end()));
-        ++k;
+// Sampled RR sets plus one set that repeats a member (indexed once).
+struct SampledSets {
+  graph::NodeId num_nodes = 0;
+  std::vector<uint32_t> sizes;
+  std::vector<graph::NodeId> nodes;
+  std::vector<uint64_t> offsets;  // per set, into nodes; size = sets + 1
+
+  SampledSets(const Graph& g, uint64_t count) : num_nodes(g.num_nodes()) {
+    const std::vector<double> probs(g.num_edges(), 0.1);
+    MakeSampler(g, probs, 1).SampleToBuffer(0, count, &nodes, &sizes);
+    sizes.push_back(3);
+    nodes.insert(nodes.end(), {3, 3, 7});
+    offsets.push_back(0);
+    for (uint32_t size : sizes) offsets.push_back(offsets.back() + size);
+  }
+  uint32_t NumSets() const { return static_cast<uint32_t>(sizes.size()); }
+  // Appends the sets listed in `ids` (ascending) as one chunk; `sparse`
+  // records them as an explicit id list.
+  void Append(SpillFile& file, const std::vector<uint32_t>& ids,
+              bool sparse) const {
+    std::vector<uint32_t> chunk_sizes;
+    std::vector<graph::NodeId> chunk_nodes;
+    for (const uint32_t id : ids) {
+      chunk_sizes.push_back(sizes[id]);
+      chunk_nodes.insert(chunk_nodes.end(), nodes.begin() + offsets[id],
+                         nodes.begin() + offsets[id + 1]);
+    }
+    file.AppendChunk(ids.front(), ids.back() + 1, chunk_sizes, chunk_nodes,
+                     sparse ? std::span<const uint32_t>(ids)
+                            : std::span<const uint32_t>());
+  }
+};
+
+TEST(SpillPostingsTest, LookupMatchesBruteForceForEveryNodeAndChunk) {
+  IoStateGuard guard;
+  const Graph g = MakeBaGraph(300, 3);
+  const SampledSets sets(g, 600);
+  const uint32_t n = sets.NumSets();
+
+  // Dense layout: consecutive id ranges of 64 sets.
+  {
+    SCOPED_TRACE("dense");
+    SpillFile file(rrset::MakeSpillPath());
+    for (uint32_t lo = 0; lo < n; lo += 64) {
+      std::vector<uint32_t> ids;
+      for (uint32_t id = lo; id < std::min(n, lo + 64); ++id) {
+        ids.push_back(id);
       }
-      EXPECT_EQ(k, want.size());
+      sets.Append(file, ids, /*sparse=*/false);
     }
-    // Abandoning a cursor mid-walk (prefetch in flight) must be safe: the
-    // destructor drains the outstanding read.
-    {
-      SpillChunkCursor cursor(file, {0, 1, 2, 3, 4}, &pool);
-      ASSERT_TRUE(cursor.Next());
+    ExpectExactPostings(file, sets.num_nodes);
+  }
+  // Clustered layout: one batch carved into interleaved sparse chunks
+  // (chunk c holds the ids congruent to c mod 7).
+  {
+    SCOPED_TRACE("clustered");
+    SpillFile file(rrset::MakeSpillPath());
+    file.BeginBatch(0, n);
+    for (uint32_t c = 0; c < 7; ++c) {
+      std::vector<uint32_t> ids;
+      for (uint32_t id = c; id < n; id += 7) ids.push_back(id);
+      sets.Append(file, ids, /*sparse=*/true);
     }
+    ExpectExactPostings(file, sets.num_nodes);
+  }
+  // The degenerate one-set-per-chunk target.
+  {
+    SCOPED_TRACE("one set per chunk");
+    SpillFile file(rrset::MakeSpillPath());
+    for (uint32_t id = 0; id < 120; ++id) {
+      sets.Append(file, {id}, /*sparse=*/false);
+    }
+    ExpectExactPostings(file, sets.num_nodes);
   }
 }
 
@@ -271,8 +265,8 @@ TEST(SpillPrefetchTest, CursorMatchesReadChunkAcrossBackends) {
 
 TEST(SpillPrefetchTest, ScanCountersPartitionConsideredChunks) {
   // A graph much larger than a chunk's distinct-member reach, so most
-  // chunks genuinely lack most nodes and the Bloom filters have real
-  // skips to find.
+  // chunks genuinely lack most nodes and the lookups have real skips to
+  // find.
   const Graph g = MakeBaGraph(2000, 2);
   const std::vector<double> probs(g.num_edges(), 0.05);
   RrStore store(g.num_nodes());
@@ -294,7 +288,7 @@ TEST(SpillPrefetchTest, ScanCountersPartitionConsideredChunks) {
     const uint64_t skip0 = store.chunks_skipped();
     std::vector<uint32_t> got;
     store.ForEachSpilledSetContaining(
-        v, 3000, nullptr, {},
+        v, 3000, {},
         [&](uint64_t r, std::span<const graph::NodeId>) {
           got.push_back(static_cast<uint32_t>(r));
         });
@@ -310,19 +304,24 @@ TEST(SpillPrefetchTest, ScanCountersPartitionConsideredChunks) {
               num_chunks);
   }
   EXPECT_EQ(store.scan_reloads(), scans);
-  // The filters must be earning skips on this fixture (most nodes are
+  // The lookups must be earning skips on this fixture (most nodes are
   // absent from most chunks), while every emitted hit above proves reads
   // were never skipped wrongly.
   EXPECT_GT(store.chunks_skipped(), 0u);
   EXPECT_GT(store.chunks_read(), 0u);
 }
 
-// ------------------------------------------------- prefetch = no-op state
+// ------------------------------------- resident cached chunks = disk
 
+// A chunk healed by re-sampling stays resident, and later lookups scan its
+// cached members instead of reading postings from disk. Coverage removal
+// over a store whose every spilled chunk is already in memory that way
+// must match removal over plain targeted reads, seed for seed — and must
+// not touch the disk again.
 TEST(SpillPrefetchTest, PrefetchedRemoveCoveredByMatchesPlain) {
+  IoStateGuard guard;
   const Graph g = MakeBaGraph(300, 3);
   const std::vector<double> probs(g.num_edges(), 0.1);
-  ThreadPool pool(4);
 
   RrCollection plain(g.num_nodes());
   RrCollection prefetched(g.num_nodes());
@@ -339,20 +338,26 @@ TEST(SpillPrefetchTest, PrefetchedRemoveCoveredByMatchesPlain) {
   plain.store()->SpillPrefix(1500, so);
   prefetched.store()->SpillPrefix(1500, so);
 
+  // With every disk read failing, a lookup re-samples each chunk it
+  // consults into the resident cache; one lookup per node consults all.
+  RrStore& cached = *prefetched.store();
+  cached.SetResampler(test::IcResampler(g, probs));
+  ASSERT_TRUE(FailPoints::Arm("spill.read.eio@every:1").ok());
+  for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
+    cached.ForEachSpilledSetContaining(
+        v, 1500, {}, [](uint64_t, std::span<const graph::NodeId>) {});
+  }
+  FailPoints::Clear();
+  const uint64_t recoveries = cached.degradation_events();
+  ASSERT_EQ(recoveries, cached.SpillChunks());
+
   std::vector<graph::NodeId> touched_a, touched_b;
-  uint32_t step = 0;
   for (const graph::NodeId seed : {7u, 42u, 199u, 42u, 0u, 250u}) {
-    // Exercise all three prefetch shapes: exact prefetch, stale prefetch
-    // for a different node (must be discarded), and no prefetch.
-    if (step % 3 == 0) {
-      prefetched.PrefetchRemoveCoveredBy(seed, &pool);
-    } else if (step % 3 == 1) {
-      prefetched.PrefetchRemoveCoveredBy(seed + 1, &pool);
-    }
-    ++step;
     const uint32_t removed_a = plain.RemoveCoveredBy(seed, &touched_a);
-    const uint32_t removed_b =
-        prefetched.RemoveCoveredBy(seed, &touched_b, &pool);
+    // Any disk read from the cached store would now fail and re-sample.
+    ASSERT_TRUE(FailPoints::Arm("spill.read.eio@every:1").ok());
+    const uint32_t removed_b = prefetched.RemoveCoveredBy(seed, &touched_b);
+    FailPoints::Clear();
     ASSERT_EQ(removed_a, removed_b) << "seed " << seed;
     ASSERT_EQ(touched_a, touched_b) << "seed " << seed;
     ASSERT_EQ(plain.covered_sets(), prefetched.covered_sets());
@@ -361,56 +366,57 @@ TEST(SpillPrefetchTest, PrefetchedRemoveCoveredByMatchesPlain) {
           << "seed " << seed << " node " << v;
     }
   }
+  EXPECT_EQ(cached.degradation_events(), recoveries);
+  EXPECT_EQ(plain.store()->degradation_events(), 0u);
+  EXPECT_GT(plain.store()->chunks_read(), 0u);
 }
 
 // --------------------------------------------------------- fault injection
 
 TEST(SpillFaultTest, TruncatedFileSurfacesEofAcrossBackends) {
   IoStateGuard guard;
-  ThreadPool pool(2);
-  for (const AsyncIoBackend backend : Backends()) {
-    SCOPED_TRACE(BackendName(backend));
-    SetAsyncIoBackendForTest(backend);
-    SpillFile file(rrset::MakeSpillPath());
-    const std::vector<uint32_t> sizes = {2, 1};
-    const std::vector<graph::NodeId> nodes = {1, 2, 3};
-    file.AppendChunk(0, 2, sizes, nodes);
-    file.AppendChunk(2, 4, sizes, nodes);
-    // Cut into the SECOND chunk's payload: chunk 0 still reads fine, the
-    // pipelined read of chunk 1 comes up short and must surface as
-    // SpillIoError (unexpected EOF), not as silent truncation.
-    ASSERT_EQ(::truncate(file.path().c_str(),
-                         static_cast<off_t>(file.chunks()[1].file_offset + 4)),
-              0);
-    SpillChunkCursor cursor(file, {0, 1}, &pool);
-    ASSERT_TRUE(cursor.Next());
-    EXPECT_EQ(cursor.chunk(), 0u);
-    EXPECT_THROW(cursor.Next(), SpillIoError);
-    // The non-pipelined read path reports the same condition.
-    std::vector<uint32_t> rs;
-    std::vector<graph::NodeId> rn;
-    EXPECT_THROW(file.ReadChunk(1, &rs, &rn), SpillIoError);
-  }
+  SpillFile file(rrset::MakeSpillPath());
+  const std::vector<uint32_t> sizes = {2, 1};
+  const std::vector<graph::NodeId> nodes = {1, 2, 3};
+  file.AppendChunk(0, 2, sizes, nodes);
+  file.AppendChunk(2, 4, sizes, nodes);
+  // Cut into the SECOND chunk's columns: chunk 0 still reads fine, every
+  // read of chunk 1 comes up short and must surface as SpillIoError
+  // (unexpected EOF), not as silent truncation.
+  ASSERT_EQ(::truncate(file.path().c_str(),
+                       static_cast<off_t>(file.chunks()[1].file_offset + 4)),
+            0);
+  std::vector<uint32_t> local;
+  file.SetsContaining(0, 2, &local);
+  EXPECT_EQ(local, std::vector<uint32_t>{0});
+  EXPECT_THROW(file.SetsContaining(1, 2, &local), SpillIoError);
+  std::vector<graph::NodeId> members;
+  EXPECT_THROW(file.AppendSetMembers(1, 0, &members), SpillIoError);
+  std::vector<uint32_t> rs;
+  std::vector<graph::NodeId> rn;
+  file.ReadChunk(0, &rs, &rn);
+  EXPECT_EQ(rn, nodes);
+  EXPECT_THROW(file.ReadChunk(1, &rs, &rn), SpillIoError);
 }
 
 TEST(SpillFaultTest, InjectedReadErrorSurfacesAsSpillIoError) {
   IoStateGuard guard;
-  ThreadPool pool(2);
-  for (const AsyncIoBackend backend : Backends()) {
-    SCOPED_TRACE(BackendName(backend));
-    SetAsyncIoBackendForTest(backend);
-    SpillFile file(rrset::MakeSpillPath());
-    const std::vector<uint32_t> sizes = {1};
-    const std::vector<graph::NodeId> nodes = {9};
-    file.AppendChunk(0, 1, sizes, nodes);
-    // Raw SpillFile/cursor reads have no re-sampling fallback: a
-    // permanent EIO (injected on every read so the retry path cannot
-    // sidestep it) must surface as SpillIoError.
-    ASSERT_TRUE(FailPoints::Arm("spill.read.eio@every:1").ok());
-    SpillChunkCursor cursor(file, {0}, &pool);
-    EXPECT_THROW(cursor.Next(), SpillIoError);
-    FailPoints::Clear();
-  }
+  SpillFile file(rrset::MakeSpillPath());
+  const std::vector<uint32_t> sizes = {1};
+  const std::vector<graph::NodeId> nodes = {9};
+  file.AppendChunk(0, 1, sizes, nodes);
+  // Raw SpillFile reads have no re-sampling fallback: a permanent EIO
+  // (injected on every read so the retry path cannot sidestep it) must
+  // surface as SpillIoError from every read path.
+  ASSERT_TRUE(FailPoints::Arm("spill.read.eio@every:1").ok());
+  std::vector<uint32_t> local;
+  EXPECT_THROW(file.SetsContaining(0, 9, &local), SpillIoError);
+  std::vector<graph::NodeId> members;
+  EXPECT_THROW(file.AppendSetMembers(0, 0, &members), SpillIoError);
+  std::vector<uint32_t> rs;
+  std::vector<graph::NodeId> rn;
+  EXPECT_THROW(file.ReadChunk(0, &rs, &rn), SpillIoError);
+  FailPoints::Clear();
 }
 
 // The driver contract: permanent cold-tier faults mid-run DEGRADE instead
@@ -496,9 +502,8 @@ TEST(SpillFaultTest, EnospcOnSpillWriteDegradesToResidentCompletion) {
 
 // ------------------------------------------------ end-to-end bit identity
 
-// The acceptance gate: prefetch on/off (sync backend = off), io_uring vs
-// fallback, O_DIRECT on vs off, 1/2/8 threads — all bit-identical to the
-// unbudgeted single-thread reference.
+// The acceptance gate: a budgeted run at 1/2/8 threads is bit-identical
+// to the unbudgeted single-thread reference.
 TEST(SpillPrefetchTest, TiResultBitIdenticalAcrossBackendsAndThreads) {
   IoStateGuard guard;
   SpillFaultEndToEndFixture f;
@@ -514,42 +519,25 @@ TEST(SpillPrefetchTest, TiResultBitIdenticalAcrossBackendsAndThreads) {
     max_store_bytes = std::max(max_store_bytes, st.rr_memory_bytes);
   }
   options.rr_memory_budget_bytes = max_store_bytes / 2;
-  options.spill_chunk_bytes = 16u << 10;  // several chunks to pipeline
-  // The fixture's spill is tiny; without this the direct_io dimension
-  // would be silently demoted to buffered by the size gate.
-  options.direct_io_min_bytes = 0;
+  options.spill_chunk_bytes = 16u << 10;  // several chunks per spill
 
-  for (const AsyncIoBackend backend : Backends()) {
-    SetAsyncIoBackendForTest(backend);
-    for (const bool direct_io : {true, false}) {
-      options.direct_io = direct_io;
-      for (uint32_t threads : {1u, 2u, 8u}) {
-        SCOPED_TRACE(testing::Message()
-                     << BackendName(backend) << " "
-                     << (direct_io ? "O_DIRECT" : "buffered") << " "
-                     << threads << " threads");
-        options.num_threads = threads;
-        auto budgeted = RunTiGreedy(*f.instance, options);
-        ASSERT_TRUE(budgeted.ok()) << budgeted.status().message();
-        const TiResult& r = budgeted.value();
-        EXPECT_EQ(reference.allocation.seed_sets, r.allocation.seed_sets);
-        EXPECT_EQ(reference.total_revenue, r.total_revenue);  // bitwise
-        EXPECT_EQ(reference.total_seeding_cost, r.total_seeding_cost);
-        EXPECT_EQ(reference.total_seeds, r.total_seeds);
-        EXPECT_EQ(reference.total_theta, r.total_theta);
-        EXPECT_EQ(reference.total_growth_events, r.total_growth_events);
-        // The run must exercise the pipeline for the comparison to mean
-        // anything: chunks were read, and the budget genuinely bit.
-        EXPECT_GT(r.total_spilled_bytes, 0u);
-        EXPECT_GT(r.total_scan_reloads, 0u);
-        EXPECT_GT(r.total_chunks_read, 0u);
-        // direct_io=false must actually turn the probe off (the on case
-        // is filesystem-dependent, so only the off direction is asserted).
-        if (!direct_io) {
-          EXPECT_EQ(r.stores_direct_io, 0u);
-        }
-      }
-    }
+  for (uint32_t threads : {1u, 2u, 8u}) {
+    SCOPED_TRACE(testing::Message() << threads << " threads");
+    options.num_threads = threads;
+    auto budgeted = RunTiGreedy(*f.instance, options);
+    ASSERT_TRUE(budgeted.ok()) << budgeted.status().message();
+    const TiResult& r = budgeted.value();
+    EXPECT_EQ(reference.allocation.seed_sets, r.allocation.seed_sets);
+    EXPECT_EQ(reference.total_revenue, r.total_revenue);  // bitwise
+    EXPECT_EQ(reference.total_seeding_cost, r.total_seeding_cost);
+    EXPECT_EQ(reference.total_seeds, r.total_seeds);
+    EXPECT_EQ(reference.total_theta, r.total_theta);
+    EXPECT_EQ(reference.total_growth_events, r.total_growth_events);
+    // The run must exercise the cold tier for the comparison to mean
+    // anything: chunks were read, and the budget genuinely bit.
+    EXPECT_GT(r.total_spilled_bytes, 0u);
+    EXPECT_GT(r.total_scan_reloads, 0u);
+    EXPECT_GT(r.total_chunks_read, 0u);
   }
 }
 

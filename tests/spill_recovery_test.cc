@@ -2,29 +2,25 @@
 // set i is a pure function of (base_seed, i) — so a permanently failed
 // chunk read is recovered by re-sampling the chunk's id range from its
 // recorded provenance seed instead of aborting. This suite covers the
-// recovery ladder rung by rung (transient retry → fresh re-read →
-// re-sample → fail-stop when recovery is impossible), the footer
-// cross-check that rejects a wrong regeneration, the write-side
-// degradation (ENOSPC disables eviction; the scheduler's admission policy
-// caps θ-growth), and the acceptance gate: with a permanent cold-read
-// fault injected on EVERY read, RunTiGreedy completes with
-// degradation_events > 0 and recovered_sets > 0 and a TiResult whose
-// computed fields are bit-identical to the fault-free run, on every I/O
-// backend at 1/2/8 threads.
+// recovery ladder rung by rung (transient retry → re-sample → fail-stop
+// when recovery is impossible), the footer cross-check that rejects a
+// wrong regeneration, the write-side degradation (ENOSPC disables
+// eviction; the scheduler's admission policy caps θ-growth), and the
+// acceptance gates: with a permanent cold-read fault injected on EVERY
+// read, or on one postings read, or on one member read, RunTiGreedy
+// completes with degradation_events > 0 and a TiResult whose computed
+// fields are bit-identical to the fault-free run, at 1/2/8 threads.
 
 #include <algorithm>
 #include <memory>
 #include <vector>
 
-#include "common/async_io.h"
 #include "common/failpoint.h"
-#include "common/rng.h"
 #include "common/thread_pool.h"
 #include "core/ti_greedy.h"
 #include "graph/generators.h"
 #include "gtest/gtest.h"
 #include "rrset/parallel_sampler.h"
-#include "rrset/rr_sampler.h"
 #include "rrset/rr_store.h"
 #include "rrset/spill_file.h"
 #include "rrset/tiered_store.h"
@@ -41,7 +37,6 @@ using core::TiResult;
 using graph::Graph;
 using rrset::ParallelSampler;
 using rrset::ParallelSamplerOptions;
-using rrset::RrSampler;
 using rrset::RrStore;
 using rrset::SpillIoError;
 using rrset::SpillOptions;
@@ -50,10 +45,7 @@ using rrset::TieredStoreOptions;
 
 struct FaultGuard {
   FaultGuard() { FailPoints::Clear(); }
-  ~FaultGuard() {
-    FailPoints::Clear();
-    SetAsyncIoBackendForTest(AsyncIoBackend::kAuto);
-  }
+  ~FaultGuard() { FailPoints::Clear(); }
 };
 
 Graph MakeBaGraph(graph::NodeId n, uint32_t m, uint64_t seed = 9) {
@@ -75,27 +67,6 @@ ParallelSampler MakeSampler(const Graph& g, std::span<const double> probs,
   opts.min_sets_per_thread = 1;
   return ParallelSampler(g, probs, rrset::DiffusionModel::kIndependentCascade,
                          kSamplerSeed, opts);
-}
-
-// The honest resampler: regenerates set `id` exactly as ParallelSampler
-// drew it — same per-set substream Rng(HashSeed(seed, id)), same
-// single-threaded RrSampler walk.
-RrStore::ResampleFn MakeResampler(const Graph& g, std::vector<double> probs) {
-  return [&g, probs = std::move(probs)](
-             uint64_t seed, uint64_t lo, uint64_t hi,
-             std::vector<uint32_t>* sizes,
-             std::vector<graph::NodeId>* nodes) {
-    RrSampler sampler(g, probs, rrset::DiffusionModel::kIndependentCascade);
-    sizes->clear();
-    nodes->clear();
-    std::vector<graph::NodeId> scratch;
-    for (uint64_t id = lo; id < hi; ++id) {
-      Rng rng(HashSeed(seed, id));
-      sampler.SampleInto(rng, &scratch);
-      sizes->push_back(static_cast<uint32_t>(scratch.size()));
-      nodes->insert(nodes->end(), scratch.begin(), scratch.end());
-    }
-  };
 }
 
 // A spilled store plus the pre-spill ground truth to compare scans against.
@@ -120,7 +91,7 @@ struct SpilledStoreFixture {
   std::vector<uint32_t> Scan(graph::NodeId v) const {
     std::vector<uint32_t> got;
     store.ForEachSpilledSetContaining(
-        v, kSets, nullptr, {},
+        v, kSets, {},
         [&](uint64_t r, std::span<const graph::NodeId>) {
           got.push_back(static_cast<uint32_t>(r));
         });
@@ -134,9 +105,9 @@ struct SpilledStoreFixture {
 TEST(SpillRecoveryTest, PermanentReadFaultHealsBitIdenticalScan) {
   FaultGuard guard;
   SpilledStoreFixture f;
-  f.store.SetResampler(MakeResampler(f.g, f.probs));
-  // EVERY disk read fails: the fresh re-read rung can never succeed, so
-  // every consulted chunk must be rebuilt by re-sampling — and the scan
+  f.store.SetResampler(test::IcResampler(f.g, f.probs));
+  // EVERY disk read fails: the bounded retries cannot help, so every
+  // consulted chunk must be rebuilt by re-sampling — and the lookup
   // results must not change by a single set id.
   ASSERT_TRUE(FailPoints::Arm("spill.read.eio@every:1").ok());
   for (graph::NodeId v = 0; v < f.g.num_nodes(); v += 13) {
@@ -170,6 +141,23 @@ TEST(SpillRecoveryTest, TransientReadFaultRetriesWithoutDegradation) {
   EXPECT_EQ(f.store.recovered_sets(), 0u);
 }
 
+TEST(SpillRecoveryTest, AsyncCompleteFaultHealsByRereadWithoutResample) {
+  FaultGuard guard;
+  SpilledStoreFixture f;
+  // No resampler installed, and every targeted read after the first —
+  // postings offsets, set-index slices, member offsets, members — fails
+  // on its first attempt: re-reading must heal each one on its own,
+  // without any chunk falling through to re-sampling.
+  ASSERT_TRUE(FailPoints::Arm("spill.read.eagain@every:2").ok());
+  for (graph::NodeId v = 0; v < f.g.num_nodes(); v += 97) {
+    ASSERT_EQ(f.Scan(v), f.expected[v]) << "node " << v;
+  }
+  EXPECT_GT(f.store.spill_retry_successes(), f.store.chunks_read());
+  EXPECT_EQ(f.store.spill_retries(), f.store.spill_retry_successes());
+  EXPECT_EQ(f.store.degradation_events(), 0u);
+  EXPECT_EQ(f.store.recovered_sets(), 0u);
+}
+
 TEST(SpillRecoveryTest, NoResamplerMeansFailStop) {
   FaultGuard guard;
   SpilledStoreFixture f;
@@ -198,31 +186,12 @@ TEST(SpillRecoveryTest, CorruptResampleIsRejectedByFooterCheck) {
 TEST(SpillRecoveryTest, DoubleFaultOnResampleFailsStop) {
   FaultGuard guard;
   SpilledStoreFixture f;
-  f.store.SetResampler(MakeResampler(f.g, f.probs));
+  f.store.SetResampler(test::IcResampler(f.g, f.probs));
   // Read fails AND the recovery path fails (disk full while paging the
   // regeneration, say): clean SpillIoError, no partial recovery state.
   ASSERT_TRUE(
       FailPoints::Arm("spill.read.eio@every:1,spill.resample.enospc@1").ok());
   EXPECT_THROW(f.Scan(0), SpillIoError);
-  EXPECT_EQ(f.store.recovered_sets(), 0u);
-}
-
-TEST(SpillRecoveryTest, AsyncCompleteFaultHealsByRereadWithoutResample) {
-  FaultGuard guard;
-  SpilledStoreFixture f;
-  // No resampler installed: when only the pipelined (async) read path is
-  // faulted, the per-chunk fresh re-read rung of the ladder must heal the
-  // scan on its own.
-  for (const AsyncIoBackend backend :
-       {AsyncIoBackend::kSync, AsyncIoBackend::kPoolPread}) {
-    SetAsyncIoBackendForTest(backend);
-    FailPoints::Clear();
-    ASSERT_TRUE(FailPoints::Arm("async.complete.eio@every:1").ok());
-    for (graph::NodeId v = 0; v < f.g.num_nodes(); v += 97) {
-      ASSERT_EQ(f.Scan(v), f.expected[v]) << "node " << v;
-    }
-  }
-  EXPECT_EQ(f.store.degradation_events(), 0u);
   EXPECT_EQ(f.store.recovered_sets(), 0u);
 }
 
@@ -295,17 +264,9 @@ void ExpectSameComputedResult(const TiResult& a, const TiResult& b) {
   EXPECT_EQ(a.total_growth_events, b.total_growth_events);
 }
 
-std::vector<AsyncIoBackend> Backends() {
-  std::vector<AsyncIoBackend> b = {AsyncIoBackend::kSync,
-                                   AsyncIoBackend::kPoolPread};
-  if (IoUringAvailable()) b.push_back(AsyncIoBackend::kIoUring);
-  return b;
-}
-
-// The ISSUE acceptance gate: permanent cold-read faults on every read, at
-// 1/2/8 threads on every available I/O backend — the run completes, the
-// counters report the recoveries, and the computed TiResult is
-// bit-identical to the fault-free run.
+// The acceptance gate: permanent cold-read faults on every read, at 1/2/8
+// threads — the run completes, the counters report the recoveries, and
+// the computed TiResult is bit-identical to the fault-free run.
 TEST(SpillRecoveryEndToEndTest, FaultedRunBitIdenticalAcrossBackendsAndThreads) {
   FaultGuard guard;
   RecoveryEndToEndFixture f;
@@ -314,24 +275,59 @@ TEST(SpillRecoveryEndToEndTest, FaultedRunBitIdenticalAcrossBackendsAndThreads) 
   ASSERT_GT(clean.value().total_seeds, 0u);
   ASSERT_EQ(clean.value().total_degradation_events, 0u);
 
-  for (const AsyncIoBackend backend : Backends()) {
-    SetAsyncIoBackendForTest(backend);
-    for (uint32_t threads : {1u, 2u, 8u}) {
-      SCOPED_TRACE(testing::Message()
-                   << "backend " << static_cast<int>(backend) << " "
-                   << threads << " threads");
-      TiOptions options = f.BudgetedOptions();
-      options.num_threads = threads;
-      FailPoints::Clear();
-      ASSERT_TRUE(FailPoints::Arm("spill.read.eio@every:1").ok());
-      auto faulted = RunTiGreedy(*f.instance, options);
-      FailPoints::Clear();
-      ASSERT_TRUE(faulted.ok()) << faulted.status().message();
-      ExpectSameComputedResult(clean.value(), faulted.value());
-      EXPECT_GT(faulted.value().total_degradation_events, 0u);
-      EXPECT_GT(faulted.value().total_recovered_sets, 0u);
-    }
+  for (uint32_t threads : {1u, 2u, 8u}) {
+    SCOPED_TRACE(testing::Message() << threads << " threads");
+    TiOptions options = f.BudgetedOptions();
+    options.num_threads = threads;
+    FailPoints::Clear();
+    ASSERT_TRUE(FailPoints::Arm("spill.read.eio@every:1").ok());
+    auto faulted = RunTiGreedy(*f.instance, options);
+    FailPoints::Clear();
+    ASSERT_TRUE(faulted.ok()) << faulted.status().message();
+    ExpectSameComputedResult(clean.value(), faulted.value());
+    EXPECT_GT(faulted.value().total_degradation_events, 0u);
+    EXPECT_GT(faulted.value().total_recovered_sets, 0u);
   }
+}
+
+// One permanent fault on a single targeted read, at 1/2/8 threads. Every
+// cold read of a run belongs to a lookup, and the fixture's 1-byte budget
+// spills each store's whole adopted sample into one chunk before the first
+// commit, so the first commit's lookup reads, in order: (1) the seed's
+// postings offsets, (2) its postings slice, (3) the first alive set's
+// member offsets, (4) that set's members. `spec` faults one of them; the
+// chunk must be rebuilt by re-sampling with the result unchanged.
+void ExpectSingleReadFaultHeals(const std::string& spec) {
+  RecoveryEndToEndFixture f;
+  auto clean = RunTiGreedy(*f.instance, f.BudgetedOptions());
+  ASSERT_TRUE(clean.ok()) << clean.status().message();
+  for (uint32_t threads : {1u, 2u, 8u}) {
+    SCOPED_TRACE(testing::Message() << spec << ", " << threads << " threads");
+    TiOptions options = f.BudgetedOptions();
+    options.num_threads = threads;
+    FailPoints::Clear();
+    ASSERT_TRUE(FailPoints::Arm(spec).ok());
+    auto faulted = RunTiGreedy(*f.instance, options);
+    const uint64_t fires = FailPoints::TotalFires();
+    FailPoints::Clear();
+    ASSERT_TRUE(faulted.ok()) << faulted.status().message();
+    EXPECT_EQ(fires, 1u);
+    ExpectSameComputedResult(clean.value(), faulted.value());
+    EXPECT_GT(faulted.value().total_degradation_events, 0u);
+    EXPECT_GT(faulted.value().total_recovered_sets, 0u);
+  }
+}
+
+TEST(SpillRecoveryEndToEndTest, PostingsReadFaultHealsBitIdentical) {
+  FaultGuard guard;
+  ExpectSingleReadFaultHeals("spill.read.eio@1");  // postings offsets
+  ExpectSingleReadFaultHeals("spill.read.eio@2");  // postings slice
+}
+
+TEST(SpillRecoveryEndToEndTest, MemberReadFaultHealsBitIdentical) {
+  FaultGuard guard;
+  ExpectSingleReadFaultHeals("spill.read.eio@3");  // member offsets
+  ExpectSingleReadFaultHeals("spill.read.eio@4");  // members
 }
 
 TEST(SpillRecoveryEndToEndTest, EnospcDegradedRunCompletesWithAdmissionCaps) {

@@ -129,10 +129,10 @@ struct SpilledStoreCase {
 // Collects ForEachSpilledSetContaining(v) into (id, members) pairs.
 std::vector<std::pair<uint64_t, std::vector<graph::NodeId>>> SpilledHits(
     const RrStore& store, graph::NodeId v, uint64_t max_id,
-    ThreadPool* pool = nullptr, std::span<const uint8_t> alive = {}) {
+    std::span<const uint8_t> alive = {}) {
   std::vector<std::pair<uint64_t, std::vector<graph::NodeId>>> out;
   store.ForEachSpilledSetContaining(
-      v, max_id, pool, alive,
+      v, max_id, alive,
       [&](uint64_t r, std::span<const graph::NodeId> m) {
         out.emplace_back(r, std::vector<graph::NodeId>(m.begin(), m.end()));
       });
@@ -202,29 +202,40 @@ TEST(SpillStoreTest, SpillPrefixPreservesQueriesAndShrinksMemory) {
   }
 }
 
+// A store filled by a pooled sampler and evicted with a pooled index
+// rebuild must serve the same cold lookups — ids, members and emission
+// order — and the same hot index as one built serially, in both the dense
+// and the node-clustered chunk layouts.
 TEST(SpillStoreTest, ParallelScanMatchesSerial) {
-  const Graph g = MakeBaGraph(300, 3);
-  SpilledStoreCase c(g, 4000);
-  SpillOptions so;
-  so.chunk_target_bytes = 1u << 12;  // many chunks so the pool has work
-  c.store.SpillPrefix(3500, so);
-  ASSERT_GT(c.store.SpillChunks(), 3u);
-
   ThreadPool pool(4);
-  for (graph::NodeId v = 0; v < c.store.num_nodes(); v += 7) {
-    const auto serial = SpilledHits(c.store, v, 4000, nullptr);
-    const auto parallel = SpilledHits(c.store, v, 4000, &pool);
-    ASSERT_EQ(serial.size(), parallel.size()) << "node " << v;
-    for (size_t i = 0; i < serial.size(); ++i) {
-      EXPECT_EQ(serial[i].first, parallel[i].first);
-      EXPECT_EQ(serial[i].second, parallel[i].second);
+  for (const graph::NodeId n : {300u, 5000u}) {
+    SCOPED_TRACE(n < 4096 ? "dense layout" : "clustered layout");
+    const Graph g = MakeBaGraph(n, 2);
+    const std::vector<double> probs(g.num_edges(), 0.1);
+    RrStore serial(g.num_nodes());
+    RrStore parallel(g.num_nodes());
+    MakeSampler(g, probs, /*threads=*/1).SampleAppend(serial, 4000);
+    MakeSampler(g, probs, /*threads=*/4).SampleAppend(parallel, 4000);
+    SpillOptions so;
+    so.chunk_target_bytes = 1u << 12;  // many chunks
+    serial.SpillPrefix(3500, so);
+    parallel.SpillPrefix(3500, so, &pool);
+    ASSERT_GT(serial.SpillChunks(), 3u);
+    ASSERT_EQ(serial.SpillChunks(), parallel.SpillChunks());
+
+    for (graph::NodeId v = 0; v < g.num_nodes(); v += 7) {
+      ASSERT_EQ(SpilledHits(serial, v, 4000), SpilledHits(parallel, v, 4000))
+          << "node " << v;
+      ASSERT_EQ(serial.SetsContaining(v), parallel.SetsContaining(v))
+          << "node " << v;
     }
+    EXPECT_EQ(serial.chunks_read(), parallel.chunks_read());
+    EXPECT_EQ(serial.chunks_skipped(), parallel.chunks_skipped());
   }
 }
 
-// The alive filter must drop sets before the membership scan (the
-// RemoveCoveredBy alive flags ride on it, so covered sets cost nothing);
-// serial and pooled paths must agree on the filtered view.
+// The alive filter must drop sets before their members are read (the
+// RemoveCoveredBy alive flags ride on it, so covered sets cost nothing).
 TEST(SpillStoreTest, AliveFilterDropsBeforeEmit) {
   const Graph g = MakeBaGraph(200, 3);
   SpilledStoreCase c(g, 1500);
@@ -232,7 +243,6 @@ TEST(SpillStoreTest, AliveFilterDropsBeforeEmit) {
   so.chunk_target_bytes = 1u << 12;
   c.store.SpillPrefix(1500, so);
 
-  ThreadPool pool(4);
   std::vector<uint8_t> even_only(1500);
   for (size_t r = 0; r < even_only.size(); ++r) even_only[r] = r % 2 == 0;
   for (graph::NodeId v = 0; v < c.store.num_nodes(); v += 11) {
@@ -240,13 +250,11 @@ TEST(SpillStoreTest, AliveFilterDropsBeforeEmit) {
     for (uint32_t r : c.sets_containing[v]) {
       if (r % 2 == 0) expected.push_back(r);
     }
-    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
-      const auto hits = SpilledHits(c.store, v, 1500, p, even_only);
-      ASSERT_EQ(hits.size(), expected.size()) << "node " << v;
-      for (size_t i = 0; i < hits.size(); ++i) {
-        EXPECT_EQ(hits[i].first, expected[i]);
-        EXPECT_EQ(hits[i].second, c.members[expected[i]]);
-      }
+    const auto hits = SpilledHits(c.store, v, 1500, even_only);
+    ASSERT_EQ(hits.size(), expected.size()) << "node " << v;
+    for (size_t i = 0; i < hits.size(); ++i) {
+      EXPECT_EQ(hits[i].first, expected[i]);
+      EXPECT_EQ(hits[i].second, c.members[expected[i]]);
     }
   }
 }

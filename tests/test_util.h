@@ -9,9 +9,12 @@
 #include <vector>
 
 #include "common/logging.h"
+#include "common/rng.h"
 #include "core/problem.h"
 #include "graph/graph.h"
 #include "rrset/parallel_sampler.h"
+#include "rrset/rr_sampler.h"
+#include "rrset/rr_store.h"
 #include "topic/tic_model.h"
 #include "topic/topic_distribution.h"
 
@@ -34,6 +37,30 @@ inline rrset::ParallelSampler InlineSampler(const graph::Graph& g,
   opts.num_threads = 1;
   return rrset::ParallelSampler(
       g, probs, rrset::DiffusionModel::kIndependentCascade, seed, opts);
+}
+
+/// The honest re-sampler for an IC store filled by a ParallelSampler:
+/// regenerates set `id` exactly as the sampler drew it — same per-set
+/// substream Rng(HashSeed(seed, id)), same single-threaded RrSampler walk.
+/// `g` must outlive the returned callable.
+inline rrset::RrStore::ResampleFn IcResampler(const graph::Graph& g,
+                                              std::vector<double> probs) {
+  return [&g, probs = std::move(probs)](
+             uint64_t seed, uint64_t lo, uint64_t hi,
+             std::vector<uint32_t>* sizes,
+             std::vector<graph::NodeId>* nodes) {
+    rrset::RrSampler sampler(g, probs,
+                             rrset::DiffusionModel::kIndependentCascade);
+    sizes->clear();
+    nodes->clear();
+    std::vector<graph::NodeId> scratch;
+    for (uint64_t id = lo; id < hi; ++id) {
+      Rng rng(HashSeed(seed, id));
+      sampler.SampleInto(rng, &scratch);
+      sizes->push_back(static_cast<uint32_t>(scratch.size()));
+      nodes->insert(nodes->end(), scratch.begin(), scratch.end());
+    }
+  };
 }
 
 /// A self-contained RM instance: owns graph, topic probabilities and the

@@ -62,18 +62,11 @@ constexpr const char* kUsage = R"(isa_cli — incentivized social advertising ca
                         the computed allocation)             [0]
   --spill-dir PATH      directory for spill chunk files (default:
                         system temp dir; files are removed on exit)
-  --spill-chunk-bytes B chunk payload target for spill files (> 0;
-                        smaller chunks give the envelope/Bloom
-                        filters more to skip, larger chunks
-                        amortize per-chunk reads; never changes
-                        computed results)              [4194304]
-  --io-ring-depth D     cold-scan chunk reads in flight (>= 1;
-                        1 = the old one-outstanding pipeline;
-                        never changes computed results)     [16]
-  --no-direct-io        read cold chunks through the page cache
-                        instead of O_DIRECT (the probe also
-                        falls back automatically; equivalent to
-                        ISA_DISABLE_O_DIRECT=1)
+  --spill-chunk-bytes B member-bytes target per spill chunk (> 0;
+                        smaller chunks have tighter node
+                        envelopes, each pays a postings index
+                        on disk; never changes computed
+                        results)                       [4194304]
   --failpoints SPEC     deterministic fault injection for chaos runs,
                         e.g. "spill.read.eio@every:1" (see
                         common/failpoint.h for the grammar; cold-read
@@ -144,9 +137,8 @@ int main(int argc, char** argv) {
       {"graph", "synthetic", "nodes", "ads", "budget", "cpe", "incentives",
        "alpha", "algorithm", "model", "epsilon", "window", "theta-cap",
        "threads", "share-samples", "async-growth", "growth-delay",
-       "rr-memory-budget", "spill-dir", "spill-chunk-bytes", "io-ring-depth",
-       "no-direct-io", "failpoints", "seed", "seeds-csv", "validate",
-       "help"});
+       "rr-memory-budget", "spill-dir", "spill-chunk-bytes", "failpoints",
+       "seed", "seeds-csv", "validate", "help"});
   if (!flags_result.ok()) {
     std::fputs(kUsage, stderr);
     return Fail(flags_result.status());
@@ -225,7 +217,7 @@ int main(int argc, char** argv) {
           "--spill-dir is not an existing directory: " + spill_dir));
     }
   }
-  // Cold-tier I/O knobs. Like --spill-dir these only matter with a budget,
+  // Chunk size. Like --spill-dir it only matters with a budget,
   // and a malformed value is a typo worth rejecting before graph work
   // starts. Note: .value_or() would silently swallow a non-numeric value,
   // so check the Result explicitly.
@@ -243,25 +235,6 @@ int main(int argc, char** argv) {
           "--spill-chunk-bytes only applies with a memory budget; add "
           "--rr-memory-budget or drop --spill-chunk-bytes"));
     }
-  }
-  const auto ring_depth_result = flags.GetInt("io-ring-depth", 16);
-  if (!ring_depth_result.ok()) return Fail(ring_depth_result.status());
-  const int64_t io_ring_depth = ring_depth_result.value();
-  if (flags.Has("io-ring-depth")) {
-    if (io_ring_depth < 1) {
-      return Fail(isa::Status::InvalidArgument(
-          "--io-ring-depth must be >= 1 outstanding read"));
-    }
-    if (rr_budget == 0) {
-      return Fail(isa::Status::InvalidArgument(
-          "--io-ring-depth only applies with a memory budget; add "
-          "--rr-memory-budget or drop --io-ring-depth"));
-    }
-  }
-  if (flags.Has("no-direct-io") && rr_budget == 0) {
-    return Fail(isa::Status::InvalidArgument(
-        "--no-direct-io only applies with a memory budget; add "
-        "--rr-memory-budget or drop --no-direct-io"));
   }
 
   // Deterministic fault injection: validate the whole spec up front (a
@@ -353,8 +326,6 @@ int main(int argc, char** argv) {
   options.rr_memory_budget_bytes = static_cast<uint64_t>(rr_budget);
   options.spill_directory = spill_dir;
   options.spill_chunk_bytes = static_cast<uint64_t>(spill_chunk_bytes);
-  options.io_ring_depth = static_cast<uint32_t>(io_ring_depth);
-  options.direct_io = !flags.GetBool("no-direct-io", false).value_or(false);
   const std::string prop = flags.GetString("model", "ic").value_or("ic");
   if (prop == "lt") {
     options.propagation = isa::rrset::DiffusionModel::kLinearThreshold;
@@ -428,9 +399,10 @@ int main(int argc, char** argv) {
               (unsigned long long)result.total_theta_cap_hits);
   if (spilling) {
     std::printf("spill tier: budget %s per store, %s spilled in %llu "
-                "chunks; %llu cold scans read %llu chunks, skipped %llu "
-                "(envelope/Bloom); recovery: %llu retries (%llu succeeded), "
-                "%llu degradations, %llu re-sampled sets, %llu growth caps\n",
+                "chunks; %llu cold lookups read %llu chunks, skipped %llu "
+                "(envelope/postings); recovery: %llu retries (%llu "
+                "succeeded), %llu degradations, %llu re-sampled sets, %llu "
+                "growth caps\n",
                 isa::HumanBytes(options.rr_memory_budget_bytes).c_str(),
                 isa::HumanBytes(result.total_spilled_bytes).c_str(),
                 (unsigned long long)result.total_spill_chunks,
@@ -442,13 +414,6 @@ int main(int argc, char** argv) {
                 (unsigned long long)result.total_degradation_events,
                 (unsigned long long)result.total_recovered_sets,
                 (unsigned long long)result.total_growth_admission_caps);
-    std::printf("cold-scan I/O: queue depth %u (peak %llu reads in "
-                "flight), %u stores O_DIRECT, %llu direct-read "
-                "fallbacks\n",
-                options.io_ring_depth,
-                (unsigned long long)result.total_reads_in_flight_peak,
-                result.stores_direct_io,
-                (unsigned long long)result.total_direct_fallbacks);
   }
 
   const std::string csv =
