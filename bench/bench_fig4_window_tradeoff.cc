@@ -2,6 +2,10 @@
 // on FLIXSTER* and EPINIONS* with linear incentives, α ∈ {0.2, 0.5}.
 // Paper headline: revenue grows with w (maximum at w = n), running time
 // grows much faster; w = 1 behaves like TI-CARM's candidate rule.
+// Here the running time does not grow linearly with w: the window keeps
+// its top-w entries under a tournament tree, so retiring a candidate costs
+// O(log w) (core/advertiser_engine.h), and larger windows cost mostly the
+// extra seeds they select and the larger samples those seeds need.
 
 #include <cstdio>
 #include <iostream>

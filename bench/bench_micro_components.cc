@@ -1,13 +1,18 @@
 // Google-benchmark microbenchmarks for the library's hot components:
 // graph generation, Eq. 1 probability mixing, forward cascades, RR
-// sampling, coverage maintenance, and weighted PageRank — plus a
-// heap-repair sweep (incremental CELF repair vs full rebuild at several
-// coverage-delta densities) that runs after the registered benchmarks and
-// emits BENCH_micro.json via the shared ISA_BENCH_JSON_DIR plumbing.
+// sampling, coverage maintenance, and weighted PageRank — plus two gated
+// sweeps that run after the registered benchmarks and emit
+// BENCH_micro.json via the shared ISA_BENCH_JSON_DIR plumbing: heap repair
+// (incremental CELF repair vs full rebuild at several coverage-delta
+// densities) and window retire throughput (the selection window's
+// tournament tree vs a linear argmax scan over the same window states).
 
 #include <benchmark/benchmark.h>
 
+#include <cstdio>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "common/rng.h"
@@ -147,9 +152,11 @@ BENCHMARK(BM_WeightedPageRank)->Unit(benchmark::kMillisecond);
 // rescanning all n nodes (core/advertiser_engine.h). This sweep grows the
 // sample by batches of increasing size — i.e. increasing coverage-delta
 // density — and times both strategies from identical heap states, cross-
-// checking that they settle to the same top. Returns non-zero on a
-// mismatch (same spirit as the fig5 determinism gate).
-int RunHeapRepairSweep() {
+// checking that they settle to the same top. Returns false on a mismatch
+// (same spirit as the fig5 determinism gate).
+constexpr uint64_t kHeapBaseSets = 60'000;  // sets sampled before the sweep
+
+bool RunHeapRepairSweep(std::vector<std::string>* rows) {
   using isa::core::CoverageHeap;
   const auto& g = SharedBaGraph();
   const auto& topics = SharedWc();
@@ -157,8 +164,7 @@ int RunHeapRepairSweep() {
       g, topics.topic(0), isa::rrset::DiffusionModel::kIndependentCascade, 23,
       {.num_threads = 1});
   isa::rrset::RrCollection col(g.num_nodes());
-  constexpr uint64_t kBaseSets = 60'000;
-  col.AddSets(sampler, kBaseSets, {});
+  col.AddSets(sampler, kHeapBaseSets, {});
   std::vector<uint8_t> eligible(g.num_nodes(), 1);
   // Retire a few argmax nodes so the state resembles a mid-run engine
   // (some covered sets, some ineligible nodes).
@@ -176,7 +182,6 @@ int RunHeapRepairSweep() {
               g.num_nodes());
   std::printf("%12s %14s %10s %16s %14s %9s\n", "batch_sets", "touched_nodes",
               "density", "incremental_us", "rebuild_us", "speedup");
-  std::vector<std::string> rows;
   bool tops_match = true;
   for (uint64_t batch : {64ull, 256ull, 1024ull, 4096ull, 16384ull}) {
     std::vector<isa::graph::NodeId> touched;
@@ -214,34 +219,108 @@ int RunHeapRepairSweep() {
                 static_cast<unsigned long long>(batch), touched.size(),
                 100.0 * density, 1e6 * inc_seconds, 1e6 * rebuild_seconds,
                 speedup, match ? "" : "  TOP MISMATCH");
-    rows.push_back(isa::bench::JsonObject()
-                       .Add("batch_sets", batch)
-                       .Add("touched_nodes", static_cast<uint64_t>(touched.size()))
-                       .Add("delta_density", density)
-                       .Add("incremental_seconds", inc_seconds)
-                       .Add("rebuild_seconds", rebuild_seconds)
-                       .Add("speedup", speedup)
-                       .Add("top_matches", match)
-                       .str());
+    rows->push_back(isa::bench::JsonObject()
+                        .Add("batch_sets", batch)
+                        .Add("touched_nodes",
+                             static_cast<uint64_t>(touched.size()))
+                        .Add("delta_density", density)
+                        .Add("incremental_seconds", inc_seconds)
+                        .Add("rebuild_seconds", rebuild_seconds)
+                        .Add("speedup", speedup)
+                        .Add("top_matches", match)
+                        .str());
     // Continue the sweep from the exact post-growth heap.
     base = fresh;
   }
 
-  isa::bench::JsonObject out;
-  out.Add("bench", "micro_components")
-      .Add("hardware_concurrency",
-           static_cast<uint64_t>(std::thread::hardware_concurrency()))
-      .Add("num_nodes", g.num_nodes())
-      .Add("base_sets", kBaseSets)
-      .Add("determinism_ok", tops_match)
-      .AddRaw("heap_repair", isa::bench::JsonArray(rows));
-  isa::bench::WriteBenchJson("BENCH_micro.json", out.str());
   if (!tops_match) {
     std::fprintf(stderr,
                  "[bench] heap-repair settled tops diverged from rebuild\n");
-    return 2;
   }
-  return 0;
+  return tops_match;
+}
+
+// ---- Window retire throughput: tournament tree vs linear scan. ----
+//
+// The windowed cost-sensitive rule retires its candidate whenever it is
+// over budget: the winner leaves its slot and the slot is refilled from
+// the heap. This sweep replays one such retire sequence per window size w
+// twice — through core::SelectionWindow (O(log w) per retire) and through
+// a reference linear argmax over the same slots (O(w), the scan the tree
+// replaced) — and gates on both picking the same winner at every step.
+// Coverages repeat and half the costs sit on a coarse grid, so ratio and
+// coverage ties reach the node-id tie-break. Returns false on a mismatch.
+bool RunWindowRetireSweep(std::vector<std::string>* rows) {
+  using isa::core::CoverageHeapEntry;
+  using isa::core::SelectionWindow;
+  constexpr uint32_t kRetires = 20'000;
+  std::printf("\nwindow retire: tournament tree vs linear scan, %u retires\n",
+              kRetires);
+  std::printf("%8s %16s %16s %9s\n", "window", "tree_retires/s",
+              "scan_retires/s", "speedup");
+  bool winners_match = true;
+  for (uint32_t w : {64u, 1000u, 8192u}) {
+    // Entry i fills the initial window (i < w) or refills the i-th retire.
+    const uint32_t n = w + kRetires;
+    isa::Rng rng(0x5e1ec7 + w);
+    std::vector<double> costs(n);
+    std::vector<CoverageHeapEntry> entries(n);
+    for (uint32_t v = 0; v < n; ++v) {
+      costs[v] = rng.NextBounded(2)
+                     ? 0.5 * static_cast<double>(1 + rng.NextBounded(8))
+                     : 0.5 + 4.0 * rng.NextDouble();
+      entries[v] = {static_cast<uint32_t>(1 + rng.NextBounded(64)), v};
+    }
+
+    SelectionWindow tree;
+    tree.Reset(w, costs);
+    for (uint32_t s = 0; s < w; ++s) tree.Set(s, entries[s]);
+    std::vector<uint32_t> tree_winners(kRetires);
+    isa::Stopwatch tree_watch;
+    for (uint32_t i = 0; i < kRetires; ++i) {
+      const uint32_t slot = tree.Winner();
+      tree_winners[i] = tree.entry(slot).node;
+      tree.Clear(slot);
+      tree.Set(slot, entries[w + i]);
+    }
+    const double tree_seconds = tree_watch.ElapsedSeconds();
+
+    std::vector<CoverageHeapEntry> slots(entries.begin(),
+                                         entries.begin() + w);
+    std::vector<uint32_t> scan_winners(kRetires);
+    isa::Stopwatch scan_watch;
+    for (uint32_t i = 0; i < kRetires; ++i) {
+      uint32_t best = 0;
+      for (uint32_t s = 1; s < w; ++s) {
+        if (isa::core::RatioBefore(slots[s], slots[best], costs)) best = s;
+      }
+      scan_winners[i] = slots[best].node;
+      slots[best] = entries[w + i];
+    }
+    const double scan_seconds = scan_watch.ElapsedSeconds();
+    benchmark::DoNotOptimize(tree_winners.data());
+    benchmark::DoNotOptimize(scan_winners.data());
+
+    const bool match = tree_winners == scan_winners;
+    winners_match = winners_match && match;
+    const double tree_rate = kRetires / tree_seconds;
+    const double scan_rate = kRetires / scan_seconds;
+    std::printf("%8u %16.0f %16.0f %8.1fx%s\n", w, tree_rate, scan_rate,
+                tree_rate / scan_rate, match ? "" : "  WINNER MISMATCH");
+    rows->push_back(isa::bench::JsonObject()
+                        .Add("window", w)
+                        .Add("retires", kRetires)
+                        .Add("tree_retires_per_s", tree_rate)
+                        .Add("scan_retires_per_s", scan_rate)
+                        .Add("speedup", tree_rate / scan_rate)
+                        .Add("winners_match", match)
+                        .str());
+  }
+  if (!winners_match) {
+    std::fprintf(stderr,
+                 "[bench] window tree winners diverged from the scan\n");
+  }
+  return winners_match;
 }
 
 }  // namespace
@@ -251,7 +330,21 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  // The heap-repair sweep runs after the registered benchmarks (filter
-  // them out with --benchmark_filter=X to get just the sweep + JSON).
-  return RunHeapRepairSweep();
+  // The gated sweeps run after the registered benchmarks (filter them out
+  // with --benchmark_filter=X to get just the sweeps + JSON).
+  std::vector<std::string> heap_rows, window_rows;
+  const bool heap_ok = RunHeapRepairSweep(&heap_rows);
+  const bool window_ok = RunWindowRetireSweep(&window_rows);
+  isa::bench::JsonObject out;
+  out.Add("bench", "micro_components")
+      .Add("hardware_concurrency",
+           static_cast<uint64_t>(std::thread::hardware_concurrency()))
+      .Add("num_nodes", SharedBaGraph().num_nodes())
+      .Add("base_sets", kHeapBaseSets)
+      .Add("determinism_ok", heap_ok)
+      .Add("window_winners_ok", window_ok)
+      .AddRaw("heap_repair", isa::bench::JsonArray(heap_rows))
+      .AddRaw("window_retire", isa::bench::JsonArray(window_rows));
+  isa::bench::WriteBenchJson("BENCH_micro.json", out.str());
+  return heap_ok && window_ok ? 0 : 2;
 }

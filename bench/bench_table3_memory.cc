@@ -5,11 +5,8 @@
 // and therefore maintains larger RR samples. Paper also reports total seed
 // counts at h = 20 (DBLP: 4676 vs 7276; LIVEJOURNAL: 4327 vs 6123).
 
-// Each row also lands in BENCH_table3.json with the inverted-index bytes
-// under the CSR-compacted layout next to what the pre-CSR vector<vector>
-// layout would have used for the same postings (TiResult's
-// total_rr_index_bytes / total_rr_index_legacy_bytes) — the before/after
-// evidence for the index compaction.
+// Each row also lands in BENCH_table3.json with the inverted-index share
+// of the bytes (TiResult::total_rr_index_bytes, both algorithms' stores).
 //
 // Budget sweep (out-of-core spill tier): the bench then re-runs TI-CSRM on
 // the DBLP* fixture with TiOptions::rr_memory_budget_bytes at 50% and 25%
@@ -60,8 +57,7 @@ int main() {
 
   std::vector<std::string> json_rows;
   isa::TableWriter table({"dataset", "h", "TI-CARM bytes", "TI-CSRM bytes",
-                          "CSRM/CARM", "CARM seeds", "CSRM seeds",
-                          "index vs legacy"});
+                          "CSRM/CARM", "CARM seeds", "CSRM seeds"});
 
   const struct {
     isa::eval::DatasetId id;
@@ -103,12 +99,8 @@ int main() {
       auto csrm = isa::core::RunTiCsrm(*setup.instance, ti);
       isa::bench::Check(csrm.status(), "TI-CSRM");
 
-      // Index layout before/after, summed over both algorithms' stores.
       const uint64_t index_bytes = carm.value().total_rr_index_bytes +
                                    csrm.value().total_rr_index_bytes;
-      const uint64_t legacy_bytes =
-          carm.value().total_rr_index_legacy_bytes +
-          csrm.value().total_rr_index_legacy_bytes;
 
       table.AddCell(name);
       table.AddCell(uint64_t{h});
@@ -120,9 +112,6 @@ int main() {
           2);
       table.AddCell(carm.value().total_seeds);
       table.AddCell(csrm.value().total_seeds);
-      table.AddCell(static_cast<double>(index_bytes) /
-                        std::max<uint64_t>(1, legacy_bytes),
-                    2);
       isa::bench::Check(table.EndRow(), "row");
       std::fprintf(stderr, "  [%s h=%u] done\n", name.c_str(), h);
 
@@ -135,7 +124,6 @@ int main() {
               .Add("carm_seeds", carm.value().total_seeds)
               .Add("csrm_seeds", csrm.value().total_seeds)
               .Add("index_bytes", index_bytes)
-              .Add("legacy_index_bytes", legacy_bytes)
               .str());
     }
   }

@@ -1,6 +1,7 @@
 #include "core/advertiser_engine.h"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "common/logging.h"
@@ -12,11 +13,7 @@ namespace isa::core {
 
 bool CoverageHeap::Before(const CoverageHeapEntry& a,
                           const CoverageHeapEntry& b) const {
-  if (ratio_keyed_) {
-    const double lhs = static_cast<double>(a.cov) * costs_[b.node];
-    const double rhs = static_cast<double>(b.cov) * costs_[a.node];
-    if (lhs != rhs) return lhs > rhs;
-  }
+  if (ratio_keyed_) return RatioBefore(a, b, costs_);
   if (a.cov != b.cov) return a.cov > b.cov;
   return a.node < b.node;
 }
@@ -78,6 +75,42 @@ void CoverageHeap::Push(CoverageHeapEntry e) {
   std::push_heap(heap_.begin(), heap_.end(), Cmp());
 }
 
+// --------------------------------------------------------- SelectionWindow
+
+void SelectionWindow::Reset(uint32_t slots, std::span<const double> costs) {
+  costs_ = costs;
+  leaves_ = std::bit_ceil(std::max<uint32_t>(slots, 1));
+  slots_.assign(slots, CoverageHeapEntry{0, AdvertiserEngine::kNoNode});
+  tree_.assign(2 * static_cast<size_t>(leaves_), kNoSlot);
+}
+
+void SelectionWindow::Set(uint32_t slot, CoverageHeapEntry e) {
+  slots_[slot] = e;
+  tree_[leaves_ + slot] = slot;
+  Replay(slot);
+}
+
+void SelectionWindow::Clear(uint32_t slot) {
+  tree_[leaves_ + slot] = kNoSlot;
+  Replay(slot);
+}
+
+void SelectionWindow::Replay(uint32_t slot) {
+  for (size_t i = (leaves_ + slot) / 2; i >= 1; i /= 2) {
+    const uint32_t l = tree_[2 * i];
+    const uint32_t r = tree_[2 * i + 1];
+    const uint32_t win =
+        l == kNoSlot   ? r
+        : r == kNoSlot ? l
+        : RatioBefore(slots_[r], slots_[l], costs_) ? r
+                                                    : l;
+    // `slot` only went from or to empty, so above an unchanged winner
+    // nothing changed.
+    if (win == tree_[i]) return;
+    tree_[i] = win;
+  }
+}
+
 // -------------------------------------------------------- AdvertiserEngine
 
 AdvertiserEngine::AdvertiserEngine(uint32_t ad, const RmInstance& instance,
@@ -103,8 +136,9 @@ AdvertiserEngine::AdvertiserEngine(uint32_t ad, const RmInstance& instance,
   }
   heap_.Configure(options_.ratio_keyed_heap, instance.incentives(ad));
   if (windowed()) {
-    in_window_.assign(eligible_.size(), 0);
-    window_dirty_.assign(eligible_.size(), 0);
+    ISA_CHECK(options_.window < kDirtyBit);
+    window_slot_.assign(eligible_.size(), kNotInWindow);
+    DumpWindowToHeap();  // heap still empty: just sizes the empty window
   }
 }
 
@@ -142,10 +176,10 @@ Status AdvertiserEngine::Init() {
 }
 
 void AdvertiserEngine::MarkWindowDirty(graph::NodeId v) {
-  if (in_window_[v] && !window_dirty_[v]) {
-    window_dirty_[v] = 1;
-    ++window_dirty_count_;
-  }
+  const uint32_t state = window_slot_[v];
+  if (state & kDirtyBit) return;  // not in the window, or already listed
+  window_slot_[v] = state | kDirtyBit;
+  window_dirty_.push_back(state);
 }
 
 void AdvertiserEngine::RetireNode(graph::NodeId v) {
@@ -157,49 +191,48 @@ void AdvertiserEngine::MaintainWindow() {
   // Drop entries whose node left the ground set or changed coverage (both
   // mark the node dirty when they happen); a still-live dropped node
   // re-enters the race through the heap with its refreshed exact count.
-  // Non-dirty entries are exact and eligible, so they carry over.
-  if (window_dirty_count_ > 0) {
-    size_t out = 0;
-    for (const CoverageHeapEntry& e : window_buf_) {
-      if (!window_dirty_[e.node]) {
-        window_buf_[out++] = e;
-        continue;
-      }
-      window_dirty_[e.node] = 0;
-      in_window_[e.node] = 0;
-      const uint32_t cov = collection_.CoverageOf(e.node);
-      if (eligible_[e.node] && cov > 0) {
-        heap_.Push(CoverageHeapEntry{cov, e.node});
-      }
-    }
-    window_buf_.resize(out);
-    window_dirty_count_ = 0;
+  // Unlisted entries are exact and eligible, so they carry over.
+  for (uint32_t slot : window_dirty_) {
+    const graph::NodeId v = window_.entry(slot).node;
+    window_slot_[v] = kNotInWindow;
+    window_.Clear(slot);
+    window_free_.push_back(slot);
+    const uint32_t cov = collection_.CoverageOf(v);
+    if (eligible_[v] && cov > 0) heap_.Push(CoverageHeapEntry{cov, v});
   }
+  window_dirty_.clear();
   // Refill to w entries from the settled heap. Kept entries rank at least
   // as high as every heap entry (they were top-w when added and nothing
   // outside the window has gained coverage since — growths dump the whole
   // window first), so kept ∪ refill is exactly the current top-w.
-  while (window_buf_.size() < options_.window &&
-         heap_.SettleTop(collection_, eligible_)) {
+  while (!window_free_.empty() && heap_.SettleTop(collection_, eligible_)) {
     const CoverageHeapEntry e = heap_.Top();
     heap_.PopTop();
-    if (in_window_[e.node]) continue;  // stale duplicate of a window entry
-    in_window_[e.node] = 1;
-    window_buf_.push_back(e);
+    if (window_slot_[e.node] != kNotInWindow) continue;  // stale duplicate
+    const uint32_t slot = window_free_.back();
+    window_free_.pop_back();
+    window_slot_[e.node] = slot;
+    window_.Set(slot, e);
   }
 }
 
 void AdvertiserEngine::DumpWindowToHeap() {
-  for (const CoverageHeapEntry& e : window_buf_) {
-    in_window_[e.node] = 0;
-    window_dirty_[e.node] = 0;
+  for (uint32_t slot = 0; slot < window_.num_slots(); ++slot) {
+    if (!window_.occupied(slot)) continue;
+    const CoverageHeapEntry& e = window_.entry(slot);
+    window_slot_[e.node] = kNotInWindow;
     // The snapshot may be stale either way after a growth; the repair's
     // fresh delta entries restore the upper-bound invariant, and stale
     // duplicates are purged on settle.
     heap_.Push(e);
   }
-  window_buf_.clear();
-  window_dirty_count_ = 0;
+  window_.Reset(options_.window, instance_.incentives(ad_));
+  window_dirty_.clear();
+  window_free_.resize(options_.window);
+  // Descending, so the stack hands out slot 0 first.
+  for (uint32_t i = 0; i < options_.window; ++i) {
+    window_free_[i] = options_.window - 1 - i;
+  }
 }
 
 void AdvertiserEngine::ComputeCandidate() {
@@ -222,23 +255,11 @@ void AdvertiserEngine::ComputeCandidate() {
         break;
       }
       // Windowed variant (Fig. 4): maintain the persistent top-`window`
-      // buffer, then pick the best coverage-to-cost ratio among it. Ties
-      // break by larger coverage, then smaller node id, so the winner does
-      // not depend on the buffer's internal order.
+      // slots; the tournament tree's root is their best entry under the
+      // exact Algorithm 5 key.
       MaintainWindow();
-      double best_cov = 0.0, best_cost = 1.0;
-      for (const CoverageHeapEntry& e : window_buf_) {
-        const double cov = static_cast<double>(e.cov);
-        const double cost = instance_.incentive(ad_, e.node);
-        const bool tie = cov * best_cost == best_cov * cost;
-        if (chosen == kNoNode ||
-            RatioGreater(cov, cost, best_cov, best_cost) ||
-            (tie && cov > best_cov) ||
-            (tie && cov == best_cov && e.node < chosen)) {
-          chosen = e.node;
-          best_cov = cov;
-          best_cost = cost;
-        }
+      if (window_.Winner() != SelectionWindow::kNoSlot) {
+        chosen = window_.entry(window_.Winner()).node;
       }
       break;
     }
@@ -325,7 +346,7 @@ void AdvertiserEngine::FinishGrowth() {
     // Coverage went up for the touched nodes; repair instead of the old
     // full-scan rebuild. The window must re-settle entirely: nodes outside
     // it may now out-rank kept entries.
-    DumpWindowToHeap();
+    if (windowed()) DumpWindowToHeap();
     heap_.ApplyCoverageIncreases(collection_, eligible_, touched_scratch_);
   }
   // Algorithm 3: refresh estimates against the enlarged sample.
@@ -378,8 +399,9 @@ uint64_t AdvertiserEngine::WorkingBufferBytes() const {
   return heap_.BufferBytes() + eligible_.capacity() +
          seeds_.capacity() * sizeof(graph::NodeId) +
          pr_order_.capacity() * sizeof(graph::NodeId) +
-         window_buf_.capacity() * sizeof(CoverageHeapEntry) +
-         in_window_.capacity() + window_dirty_.capacity() +
+         window_.BufferBytes() +
+         (window_slot_.capacity() + window_dirty_.capacity() +
+          window_free_.capacity()) * sizeof(uint32_t) +
          touched_scratch_.capacity() * sizeof(graph::NodeId) +
          pending_.nodes.capacity() * sizeof(graph::NodeId) +
          pending_.sizes.capacity() * sizeof(uint32_t);

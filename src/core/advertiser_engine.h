@@ -22,14 +22,21 @@
 // Repair cost is O(|delta| log heap) instead of O(n + heap rebuild).
 //
 // The top-w window (Algorithm 5's restriction, Fig. 4) is persistent: the
-// exact top-w entries live outside the heap in window_buf_, and only
-// entries whose node was touched by a coverage delta (or taken/retired)
-// are dropped and re-settled from the heap; unaffected entries carry over
-// between rounds instead of being re-popped and re-pushed every round.
+// exact top-w entries live outside the heap in the w fixed slots of a
+// SelectionWindow, and only entries whose node was touched by a coverage
+// delta (or taken/retired) are dropped and re-settled from the heap;
+// unaffected entries carry over between rounds. Marking a node appends its
+// slot to a dirty list, and maintenance walks that list instead of the
+// window. A tournament (winner) tree over the slots yields the line-7
+// candidate at its root, so dropping or refilling a slot replays one
+// leaf-to-root path: retiring an infeasible candidate costs O(log w), not
+// two O(w) passes. The tree's key is exact (CompareProducts), so it is a
+// total order and the winner does not depend on which slot holds what.
 
 #ifndef ISA_CORE_ADVERTISER_ENGINE_H_
 #define ISA_CORE_ADVERTISER_ENGINE_H_
 
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -55,17 +62,53 @@ inline bool RatioGreater(double a, double b, double c, double d) {
   return a * d > c * b;
 }
 
+/// Sign (-1, 0 or +1) of the exact a·d − c·b for non-negative operands,
+/// i.e. a/b against c/d cross-multiplied as in RatioGreater, but without
+/// RatioGreater's rounding: the rounded products decide unless they tie,
+/// and then their std::fma rounding errors do (a·d = p + fma(a, d, −p)
+/// exactly while the product neither overflows nor falls below the normal
+/// range). Rounded comparisons are not transitive; this one is.
+inline int CompareProducts(double a, double d, double c, double b) {
+  const double p = a * d;
+  const double q = c * b;
+  // Rounding is monotone, so unequal rounded products order the exact ones.
+  if (p != q) return p > q ? 1 : -1;
+  // A shared factor decides alone, a·d − a·b = a·(d − b), without the two
+  // fma calls.
+  if (a == c) return a == 0 ? 0 : (d > b) - (d < b);
+  if (d == b) return d == 0 ? 0 : (a > c) - (a < c);
+  const double ep = std::fma(a, d, -p);
+  const double eq = std::fma(c, b, -q);
+  return (ep > eq) - (ep < eq);
+}
+
 /// Lazy max-heap entry: coverage snapshot at push time.
 struct CoverageHeapEntry {
   uint32_t cov;
   graph::NodeId node;
 };
 
+/// The Algorithm 5 key: "a ranks before b" by exact coverage/cost ratio
+/// (a zero cost ranks above any finite ratio), then larger coverage, then
+/// smaller node id — a strict total order over distinct nodes.
+inline bool RatioBefore(const CoverageHeapEntry& a, const CoverageHeapEntry& b,
+                        std::span<const double> costs) {
+  const double cost_a = costs[a.node];
+  const double cost_b = costs[b.node];
+  // Equal keys are the most common compare in a lazy heap: settle them
+  // before the products.
+  if (a.cov == b.cov && cost_a == cost_b) return a.node < b.node;
+  const int ratio = CompareProducts(a.cov, cost_b, b.cov, cost_a);
+  if (ratio != 0) return ratio > 0;
+  if (a.cov != b.cov) return a.cov > b.cov;
+  return a.node < b.node;
+}
+
 /// Lazy max-heap over candidate nodes with incremental repair (see file
 /// comment). Keyed by coverage (ties by larger coverage then smaller node
-/// id) or, when configured ratio-keyed, by coverage/cost cross-multiplied
-/// to dodge zero-cost nodes — both keys are non-increasing between sample
-/// growths, which is what makes the lazy settle exact.
+/// id) or, when configured ratio-keyed, by RatioBefore — both keys are
+/// non-increasing between sample growths, which is what makes the lazy
+/// settle exact.
 class CoverageHeap {
  public:
   /// `costs` is only read when `ratio_keyed`; it must outlive the heap.
@@ -105,8 +148,7 @@ class CoverageHeap {
     return heap_.capacity() * sizeof(CoverageHeapEntry);
   }
 
-  /// Strict-weak "a ranks before b" under the configured key (exposed for
-  /// the window scan's tie-breaking and tests).
+  /// Strict total order "a ranks before b" under the configured key.
   bool Before(const CoverageHeapEntry& a, const CoverageHeapEntry& b) const;
 
  private:
@@ -120,6 +162,45 @@ class CoverageHeap {
   std::vector<CoverageHeapEntry> heap_;
   std::span<const double> costs_;
   bool ratio_keyed_ = false;
+};
+
+/// The windowed rule's top-w buffer: `slots` fixed entry slots under a
+/// tournament (winner) tree keyed by RatioBefore. Set and Clear replay the
+/// slot's leaf-to-root path, O(log slots); Winner() reads the root.
+class SelectionWindow {
+ public:
+  static constexpr uint32_t kNoSlot = UINT32_MAX;
+
+  /// Empties the window and sizes it to `slots`; `costs` must outlive it.
+  void Reset(uint32_t slots, std::span<const double> costs);
+
+  /// Fills the empty `slot` with `e`.
+  void Set(uint32_t slot, CoverageHeapEntry e);
+  /// Empties the occupied `slot`.
+  void Clear(uint32_t slot);
+
+  uint32_t num_slots() const { return static_cast<uint32_t>(slots_.size()); }
+  bool occupied(uint32_t slot) const { return tree_[leaves_ + slot] == slot; }
+  const CoverageHeapEntry& entry(uint32_t slot) const { return slots_[slot]; }
+  /// Slot of the best entry under RatioBefore, or kNoSlot when empty.
+  uint32_t Winner() const { return tree_[1]; }
+
+  uint64_t BufferBytes() const {
+    return slots_.capacity() * sizeof(CoverageHeapEntry) +
+           tree_.capacity() * sizeof(uint32_t);
+  }
+
+ private:
+  // Recomputes the winners above `slot`'s leaf, stopping early where an
+  // ancestor's winner is unchanged.
+  void Replay(uint32_t slot);
+
+  std::vector<CoverageHeapEntry> slots_;
+  // Implicit binary tree, root at 1, leaf of slot s at leaves_ + s (s, or
+  // kNoSlot while empty); an inner node holds its subtree's winning slot.
+  std::vector<uint32_t> tree_;
+  uint32_t leaves_ = 1;  // a power of two >= slots_.size()
+  std::span<const double> costs_;
 };
 
 /// Construction parameters beyond the (instance, ad) pair.
@@ -253,12 +334,12 @@ class AdvertiserEngine {
            !options_.ratio_keyed_heap;
   }
   // Node left the ground set or changed coverage: a window entry holding it
-  // must be re-settled next maintenance.
+  // must be re-settled next maintenance (its slot joins the dirty list).
   void MarkWindowDirty(graph::NodeId v);
   // Retire v from this ad's ground set (infeasible or taken).
   void RetireNode(graph::NodeId v);
-  // Drops dirty/ineligible window entries back into the heap, then refills
-  // the window to w exact entries from the settled heap.
+  // Drops the dirty list's entries back into the heap, then refills the
+  // free slots to w exact entries from the settled heap.
   void MaintainWindow();
   // Returns the whole window to the heap (before a growth repair, whose
   // fresh delta entries restore the upper-bound invariant).
@@ -292,10 +373,15 @@ class AdvertiserEngine {
 
   CoverageHeap heap_;
   // Persistent top-w window (windowed cost-sensitive rule only).
-  std::vector<CoverageHeapEntry> window_buf_;
-  std::vector<uint8_t> in_window_;      // per node
-  std::vector<uint8_t> window_dirty_;   // per node, only set while in window
-  uint32_t window_dirty_count_ = 0;
+  SelectionWindow window_;
+  // Per node: its window slot, or kNotInWindow; kDirtyBit marks a slot
+  // already on window_dirty_. kNotInWindow carries the bit too, so one
+  // test skips both "not in the window" and "already dirty".
+  static constexpr uint32_t kDirtyBit = 1u << 31;
+  static constexpr uint32_t kNotInWindow = UINT32_MAX;
+  std::vector<uint32_t> window_slot_;
+  std::vector<uint32_t> window_dirty_;  // slots to drop, in marking order
+  std::vector<uint32_t> window_free_;   // empty slots (a stack)
 
   // PageRank order + consumed prefix (kPageRank rule).
   std::vector<graph::NodeId> pr_order_;

