@@ -1,15 +1,19 @@
 // Google-benchmark microbenchmarks for the library's hot components:
 // graph generation, Eq. 1 probability mixing, forward cascades, RR
-// sampling, coverage maintenance, and weighted PageRank — plus two gated
+// sampling, coverage maintenance, and weighted PageRank — plus three gated
 // sweeps that run after the registered benchmarks and emit
 // BENCH_micro.json via the shared ISA_BENCH_JSON_DIR plumbing: heap repair
 // (incremental CELF repair vs full rebuild at several coverage-delta
-// densities) and window retire throughput (the selection window's
-// tournament tree vs a linear argmax scan over the same window states).
+// densities), window retire throughput (the selection window's tournament
+// tree vs a linear argmax scan over the same window states) and the RR
+// sampling kernel (the coin column vs the per-arc probability walk, plus
+// the column's build time).
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -19,6 +23,7 @@
 #include "common/stopwatch.h"
 #include "core/advertiser_engine.h"
 #include "diffusion/cascade.h"
+#include "graph/dataset_catalog.h"
 #include "graph/generators.h"
 #include "graph/pagerank.h"
 #include "rrset/parallel_sampler.h"
@@ -323,6 +328,142 @@ bool RunWindowRetireSweep(std::vector<std::string>* rows) {
   return winners_match;
 }
 
+// ---- Sampling kernel: coin column vs the per-arc walk. ----
+//
+// rrset::RrSampler flips a node's in-arcs with one integer coin when they
+// share a probability (rr_sampler.h). This sweep samples the same ids
+// twice on one thread — with the real coin column and with an all-mixed
+// column, which sends every node down the per-arc NextBernoulli(probs[e])
+// loop the coin replaced — and gates on an FNV-1a hash of the sampled
+// sets agreeing. Instances are the perfbench stand-ins: a weighted-cascade
+// Barabási–Albert graph (wc-resident's) and a topic-mix power-law graph
+// (mix-selection's, uniform topic mix). The column's build is timed on
+// its own (`coin_column_build`). Returns false on a hash mismatch.
+constexpr uint64_t kKernelSets = 100'000;
+constexpr int kKernelReps = 5;
+constexpr int kBuildReps = 21;
+
+uint64_t HashSets(const std::vector<uint32_t>& sizes,
+                  const std::vector<isa::graph::NodeId>& nodes) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  auto mix = [&h](uint64_t x) { h = (h ^ x) * 0x100000001b3ULL; };
+  for (uint32_t s : sizes) mix(s);  // set boundaries, then the members
+  for (isa::graph::NodeId v : nodes) mix(v);
+  return h;
+}
+
+bool RunSamplingKernelSweep(std::vector<std::string>* kernel_rows,
+                            std::vector<std::string>* build_rows) {
+  struct Instance {
+    const char* name;
+    const char* dataset;
+    isa::graph::WeightingRegime regime;
+    double scale;
+  };
+  const Instance instances[] = {
+      {"wc-ba", "com-dblp", isa::graph::WeightingRegime::kWeightedCascade,
+       0.16},
+      {"topic-mix", "soc-epinions1", isa::graph::WeightingRegime::kTopicMix,
+       0.5},
+  };
+  std::printf("\nsampling kernel: coin column vs per-arc walk, %llu sets, "
+              "1 thread, median of %d (column build: median of %d)\n",
+              static_cast<unsigned long long>(kKernelSets), kKernelReps,
+              kBuildReps);
+  std::printf("%-10s %8s %9s %9s %9s %14s %16s %9s\n", "instance", "nodes",
+              "arcs", "uniform", "build_ms", "coin_sets/s", "per_arc_sets/s",
+              "speedup");
+  bool hashes_match = true;
+  for (const Instance& in : instances) {
+    isa::graph::DatasetCatalog::Options copt;
+    copt.scale = in.scale;
+    copt.seed = 1;
+    copt.cache_synthetic = false;
+    auto loaded = isa::graph::DatasetCatalog::Load(in.dataset, in.regime,
+                                                   copt)
+                      .value();
+    const Graph& g = loaded.graph;
+    const auto topics = isa::topic::TopicEdgeProbabilities::Create(
+                            g, std::move(loaded.arc_weights))
+                            .value();
+    const auto mixed =
+        isa::topic::AdProbabilities::Mix(
+            topics, isa::topic::TopicDistribution::Uniform(
+                        topics.num_topics()))
+            .value();
+    const std::span<const double> probs = mixed.probs();
+
+    std::vector<double> build_seconds;
+    std::shared_ptr<const isa::rrset::CoinColumn> coins;
+    for (int r = 0; r < kBuildReps; ++r) {
+      isa::Stopwatch w;
+      coins = isa::rrset::BuildCoinColumn(g, probs);
+      build_seconds.push_back(w.ElapsedSeconds());
+    }
+    const auto uniform = static_cast<uint64_t>(std::count_if(
+        coins->begin(), coins->end(),
+        [](uint64_t c) { return c != isa::rrset::kCoinMixed; }));
+
+    const auto ic = isa::rrset::DiffusionModel::kIndependentCascade;
+    isa::rrset::RrSampler coin(g, probs, ic, coins);
+    isa::rrset::RrSampler per_arc(
+        g, probs, ic,
+        std::make_shared<const isa::rrset::CoinColumn>(
+            g.num_nodes(), isa::rrset::kCoinMixed));
+    std::vector<double> coin_s, per_arc_s;
+    uint64_t coin_hash = 0, per_arc_hash = 0;
+    std::vector<uint32_t> sizes;
+    std::vector<isa::graph::NodeId> nodes;
+    for (int r = 0; r < kKernelReps; ++r) {  // alternate to share drift
+      isa::Stopwatch w;
+      coin.SampleIds(/*base_seed=*/29, 0, kKernelSets, &sizes, &nodes);
+      coin_s.push_back(w.ElapsedSeconds());
+      coin_hash = HashSets(sizes, nodes);
+      w.Reset();
+      per_arc.SampleIds(/*base_seed=*/29, 0, kKernelSets, &sizes, &nodes);
+      per_arc_s.push_back(w.ElapsedSeconds());
+      per_arc_hash = HashSets(sizes, nodes);
+    }
+    const bool match = coin_hash == per_arc_hash;
+    hashes_match = hashes_match && match;
+    const double build_ms = 1e3 * isa::bench::Median(build_seconds);
+    const double coin_rate = kKernelSets / isa::bench::Median(coin_s);
+    const double per_arc_rate = kKernelSets / isa::bench::Median(per_arc_s);
+    std::printf("%-10s %8u %9llu %9llu %9.3f %14.0f %16.0f %8.2fx%s\n",
+                in.name, g.num_nodes(),
+                static_cast<unsigned long long>(g.num_edges()),
+                static_cast<unsigned long long>(uniform), build_ms, coin_rate,
+                per_arc_rate, coin_rate / per_arc_rate,
+                match ? "" : "  SET HASH MISMATCH");
+    char hash_str[24];
+    std::snprintf(hash_str, sizeof(hash_str), "0x%016llx",
+                  static_cast<unsigned long long>(coin_hash));
+    kernel_rows->push_back(isa::bench::JsonObject()
+                               .Add("instance", in.name)
+                               .Add("nodes", g.num_nodes())
+                               .Add("arcs", g.num_edges())
+                               .Add("uniform_nodes", uniform)
+                               .Add("sets", kKernelSets)
+                               .Add("coin_sets_per_s", coin_rate)
+                               .Add("per_arc_sets_per_s", per_arc_rate)
+                               .Add("speedup", coin_rate / per_arc_rate)
+                               .Add("sets_hash", hash_str)
+                               .Add("sets_match", match)
+                               .str());
+    build_rows->push_back(isa::bench::JsonObject()
+                              .Add("instance", in.name)
+                              .Add("nodes", g.num_nodes())
+                              .Add("arcs", g.num_edges())
+                              .Add("build_ms", build_ms)
+                              .str());
+  }
+  if (!hashes_match) {
+    std::fprintf(stderr,
+                 "[bench] coin-column sets diverged from the per-arc walk\n");
+  }
+  return hashes_match;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -332,9 +473,10 @@ int main(int argc, char** argv) {
   benchmark::Shutdown();
   // The gated sweeps run after the registered benchmarks (filter them out
   // with --benchmark_filter=X to get just the sweeps + JSON).
-  std::vector<std::string> heap_rows, window_rows;
+  std::vector<std::string> heap_rows, window_rows, kernel_rows, build_rows;
   const bool heap_ok = RunHeapRepairSweep(&heap_rows);
   const bool window_ok = RunWindowRetireSweep(&window_rows);
+  const bool kernel_ok = RunSamplingKernelSweep(&kernel_rows, &build_rows);
   isa::bench::JsonObject out;
   out.Add("bench", "micro_components")
       .Add("hardware_concurrency",
@@ -343,8 +485,11 @@ int main(int argc, char** argv) {
       .Add("base_sets", kHeapBaseSets)
       .Add("determinism_ok", heap_ok)
       .Add("window_winners_ok", window_ok)
+      .Add("coin_sets_ok", kernel_ok)
       .AddRaw("heap_repair", isa::bench::JsonArray(heap_rows))
-      .AddRaw("window_retire", isa::bench::JsonArray(window_rows));
+      .AddRaw("window_retire", isa::bench::JsonArray(window_rows))
+      .AddRaw("sampling_kernel", isa::bench::JsonArray(kernel_rows))
+      .AddRaw("coin_column_build", isa::bench::JsonArray(build_rows));
   isa::bench::WriteBenchJson("BENCH_micro.json", out.str());
-  return heap_ok && window_ok ? 0 : 2;
+  return heap_ok && window_ok && kernel_ok ? 0 : 2;
 }

@@ -12,6 +12,7 @@
 #ifndef ISA_BENCH_BENCH_UTIL_H_
 #define ISA_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -53,6 +54,12 @@ inline double EffectiveScale(double bench_default) {
   const char* raw = std::getenv("ISA_BENCH_SCALE");
   if (raw == nullptr) return bench_default;
   return eval::BenchScaleFromEnv();
+}
+
+/// Median of a non-empty sample (the upper middle for an even count).
+inline double Median(std::vector<double> v) {
+  std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+  return v[v.size() / 2];
 }
 
 /// The paper's per-dataset α grids (Figure 2/3 x-axes).

@@ -148,18 +148,19 @@ Status AdvertiserEngine::Init() {
   // Self-healing hook: if one of the store's cold chunks ever becomes
   // unreadable, its sets are regenerated from the recorded per-batch
   // provenance seed through RrSampler::SampleIds, the same per-id loop
-  // that sampled them — bit-identical by construction. Ads sharing a store
-  // have bitwise-identical Eq. 1 probabilities, so whichever engine
-  // registers last serves every range; the per-range seed carries the
-  // per-ad substream. This engine must outlive the store's cold lookups
-  // (true in RunTiGreedy: lookups end with the scheduler, before
-  // teardown).
+  // that sampled them — bit-identical by construction — sharing the
+  // engine sampler's coin column rather than rebuilding it per chunk. Ads
+  // sharing a store have bitwise-identical Eq. 1 probabilities, so
+  // whichever engine registers last serves every range; the per-range
+  // seed carries the per-ad substream. This engine must outlive the
+  // store's cold lookups (true in RunTiGreedy: lookups end with the
+  // scheduler, before teardown).
   collection_.store()->SetResampler(
       [this](uint64_t seed, uint64_t lo, uint64_t hi,
              std::vector<uint32_t>* sizes,
              std::vector<graph::NodeId>* nodes) {
         rrset::RrSampler sampler(instance_.graph(), instance_.ad_probs(ad_),
-                                 options_.model);
+                                 options_.model, sampler_.coins());
         sampler.SampleIds(seed, lo, hi - lo, sizes, nodes);
       });
   theta_ = schedule_.ThetaFor(1);

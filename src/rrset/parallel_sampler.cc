@@ -33,7 +33,10 @@ ParallelSampler::ParallelSampler(const graph::Graph& g,
           options.pool != nullptr
               ? options.pool->concurrency()
               : 4 * std::max(1u, std::thread::hardware_concurrency()))),
-      borrowed_pool_(options.pool) {}
+      borrowed_pool_(options.pool),
+      coins_(model == DiffusionModel::kIndependentCascade
+                 ? BuildCoinColumn(g, probs)
+                 : nullptr) {}
 
 ParallelSampler::~ParallelSampler() = default;
 ParallelSampler::ParallelSampler(ParallelSampler&&) noexcept = default;
@@ -56,7 +59,7 @@ ThreadPool* ParallelSampler::pool() {
 void ParallelSampler::SampleRange(uint32_t w, uint64_t first_id,
                                   uint64_t count, Shard* shard) {
   if (workers_[w] == nullptr) {
-    workers_[w] = std::make_unique<RrSampler>(g_, probs_, model_);
+    workers_[w] = std::make_unique<RrSampler>(g_, probs_, model_, coins_);
   }
   workers_[w]->SampleIds(base_seed_, first_id, count, &shard->sizes,
                          &shard->nodes);

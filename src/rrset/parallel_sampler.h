@@ -25,6 +25,13 @@
 // calling thread. The per-set Rng re-seed costs four SplitMix64 draws —
 // noise next to the reverse BFS each set runs. Each worker keeps its own
 // RrSampler (epoch array), reused across calls.
+//
+// Under IC the constructor builds the (graph, probs) pair's coin column
+// once (see rr_sampler.h: one exact integer coin per node whose in-arcs
+// share a probability, so the walk skips the per-arc probability gather)
+// and every worker sampler shares it — workers beyond the first are
+// re-created per multi-worker batch, the column is not. coins() hands it
+// to other samplers of the same pair, e.g. a cold-chunk re-sampler.
 
 #ifndef ISA_RRSET_PARALLEL_SAMPLER_H_
 #define ISA_RRSET_PARALLEL_SAMPLER_H_
@@ -102,6 +109,8 @@ class ParallelSampler {
 
   uint64_t base_seed() const { return base_seed_; }
   uint32_t max_threads() const { return max_threads_; }
+  /// The shared coin column (null under LT).
+  const std::shared_ptr<const CoinColumn>& coins() const { return coins_; }
 
  private:
   // One worker's output: sets [first_id, first_id + sizes.size()) as
@@ -124,6 +133,7 @@ class ParallelSampler {
   uint32_t max_threads_;
   ThreadPool* borrowed_pool_;
   std::unique_ptr<ThreadPool> owned_pool_;
+  std::shared_ptr<const CoinColumn> coins_;
   // Worker-private samplers (epoch arrays), created lazily, reused across
   // SampleAppend calls.
   std::vector<std::unique_ptr<RrSampler>> workers_;

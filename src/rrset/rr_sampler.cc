@@ -1,11 +1,39 @@
 #include "rrset/rr_sampler.h"
 
+#include "common/logging.h"
+
 namespace isa::rrset {
 
+std::shared_ptr<const CoinColumn> BuildCoinColumn(
+    const graph::Graph& g, std::span<const double> probs) {
+  auto coins = std::make_shared<CoinColumn>(g.num_nodes(), kCoinNever);
+  // Per-node gather over the in-arc ids, leaving at the first mismatch.
+  for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
+    auto eids = g.InEdgeIds(v);
+    if (eids.empty()) continue;
+    const double p0 = probs[eids[0]];
+    uint64_t state = CoinState(p0);
+    for (size_t k = 1; k < eids.size(); ++k) {
+      const double p = probs[eids[k]];
+      if (p != p0 && CoinState(p) != state) {
+        state = kCoinMixed;
+        break;
+      }
+    }
+    (*coins)[v] = state;
+  }
+  return coins;
+}
+
 RrSampler::RrSampler(const graph::Graph& g, std::span<const double> probs,
-                     DiffusionModel model)
-    : g_(g), probs_(probs), model_(model),
-      visited_epoch_(g.num_nodes(), 0) {}
+                     DiffusionModel model,
+                     std::shared_ptr<const CoinColumn> coins)
+    : g_(g), probs_(probs), model_(model), coins_(std::move(coins)),
+      visited_epoch_(g.num_nodes(), 0) {
+  if (model_ != DiffusionModel::kIndependentCascade) return;
+  if (coins_ == nullptr) coins_ = BuildCoinColumn(g, probs);
+  ISA_CHECK(coins_->size() == g.num_nodes());
+}
 
 graph::NodeId RrSampler::SampleInto(Rng& rng,
                                     std::vector<graph::NodeId>* out) {
@@ -16,6 +44,7 @@ graph::NodeId RrSampler::SampleInto(Rng& rng,
       static_cast<graph::NodeId>(rng.NextBounded(g_.num_nodes()));
   visited_epoch_[root] = epoch_;
   out->push_back(root);
+  const uint64_t* coins = coins_ != nullptr ? coins_->data() : nullptr;
   // Reverse BFS over live in-arcs; the two models differ only in how a
   // reached node's in-arcs are declared live.
   for (size_t head = 0; head < out->size(); ++head) {
@@ -24,13 +53,25 @@ graph::NodeId RrSampler::SampleInto(Rng& rng,
     auto eids = g_.InEdgeIds(v);
     last_width_ += sources.size();
     if (model_ == DiffusionModel::kIndependentCascade) {
-      // IC: flip each in-arc (u -> v) independently.
-      for (size_t k = 0; k < sources.size(); ++k) {
-        const graph::NodeId u = sources[k];
-        if (visited_epoch_[u] == epoch_) continue;
-        if (rng.NextBernoulli(probs_[eids[k]])) {
-          visited_epoch_[u] = epoch_;
-          out->push_back(u);
+      // IC: flip each in-arc (u -> v) independently — with v's one coin
+      // when its in-arcs agree, else with each arc's own probability.
+      const uint64_t coin = coins[v];
+      if (coin == kCoinMixed) {
+        for (size_t k = 0; k < sources.size(); ++k) {
+          const graph::NodeId u = sources[k];
+          if (visited_epoch_[u] == epoch_) continue;
+          if (rng.NextBernoulli(probs_[eids[k]])) {
+            visited_epoch_[u] = epoch_;
+            out->push_back(u);
+          }
+        }
+      } else if (coin != kCoinNever) {
+        for (const graph::NodeId u : sources) {
+          if (visited_epoch_[u] == epoch_) continue;
+          if (FlipCoin(coin, rng)) {
+            visited_epoch_[u] = epoch_;
+            out->push_back(u);
+          }
         }
       }
     } else {

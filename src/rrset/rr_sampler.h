@@ -10,11 +10,29 @@
 //
 // Ad-specificity (TIC): each ad has its own arc probabilities (Eq. 1), so
 // each advertiser keeps its own sampler + collection, as in Algorithm 2.
+//
+// Coin column (IC only). Under weighted cascade and uniform IC every in-arc
+// of a node shares one probability, so the per-arc gather probs[eid] and
+// its int-to-double coin are redundant. A CoinColumn holds one uint64_t per
+// node, built once per (graph, probs) pair:
+//   - kCoinNever  (p <= 0): the arc is dead, no draw;
+//   - kCoinAlways (p >= 1): the arc is live, no draw;
+//   - a threshold t < 2^53: one draw x, live iff (x >> 11) < t;
+//   - kCoinMixed: the in-arcs disagree; the walk falls back to the per-arc
+//     Rng::NextBernoulli(probs[eid]) loop.
+// The threshold walk is bit-exact, not approximately equal: NextDouble()
+// is k * 2^-53 for the integer k = x >> 11, scaling by 2^53 is exact, so
+// k * 2^-53 < p  <=>  k < p * 2^53  <=>  k < ceil(p * 2^53) = t. A node is
+// uniform when all its in-arcs give the same state — exactly the condition
+// under which they make identical decisions, so no float equality is
+// involved. NaN maps to t = 0: like NextBernoulli(NaN) it draws once and
+// never succeeds. Every sampled set, draw for draw, equals the per-arc walk.
 
 #ifndef ISA_RRSET_RR_SAMPLER_H_
 #define ISA_RRSET_RR_SAMPLER_H_
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -35,13 +53,52 @@ enum class DiffusionModel {
   kLinearThreshold,
 };
 
+/// Per-node IC coin states (see the file comment): a threshold below 2^53,
+/// or one of the three sentinels.
+using CoinColumn = std::vector<uint64_t>;
+inline constexpr uint64_t kCoinAlways = uint64_t{1} << 53;
+inline constexpr uint64_t kCoinNever = kCoinAlways + 1;
+inline constexpr uint64_t kCoinMixed = ~uint64_t{0};
+
+/// The coin state deciding exactly as Rng::NextBernoulli(p), draw for draw.
+inline uint64_t CoinState(double p) {
+  if (p <= 0.0) return kCoinNever;
+  if (p >= 1.0) return kCoinAlways;
+  if (p != p) return 0;  // NaN: NextBernoulli draws and never succeeds
+  const double scaled = p * 0x1p53;  // exact: a power-of-two scale
+  const auto t = static_cast<uint64_t>(scaled);
+  return t + (static_cast<double>(t) != scaled);  // ceil, no libm call
+}
+
+/// A threshold coin's verdict on the raw draw `x`: NextDouble() < p for
+/// the draw Rng::Next() == x.
+inline bool CoinAccepts(uint64_t threshold, uint64_t x) {
+  return (x >> 11) < threshold;
+}
+
+/// One Bernoulli trial under `state` (not kCoinMixed): Rng::NextBernoulli(p)
+/// for the p that CoinState mapped to it, consuming the same draws.
+inline bool FlipCoin(uint64_t state, Rng& rng) {
+  if (state >= kCoinAlways) return state == kCoinAlways;
+  return CoinAccepts(state, rng.Next());
+}
+
+/// The coin column of `probs` (indexed by forward EdgeId) over g's nodes.
+/// A node with no in-arcs reads kCoinNever.
+std::shared_ptr<const CoinColumn> BuildCoinColumn(
+    const graph::Graph& g, std::span<const double> probs);
+
 /// Generates random RR sets for one (graph, arc-probability) pair.
 /// Not thread-safe; create one per thread.
 class RrSampler {
  public:
   /// `probs` is indexed by forward EdgeId and must outlive the sampler.
+  /// Under IC the sampler shares `coins`, which must be
+  /// BuildCoinColumn(g, probs), or builds its own when it is null (one-off
+  /// samplers); LT ignores it.
   RrSampler(const graph::Graph& g, std::span<const double> probs,
-            DiffusionModel model = DiffusionModel::kIndependentCascade);
+            DiffusionModel model = DiffusionModel::kIndependentCascade,
+            std::shared_ptr<const CoinColumn> coins = nullptr);
 
   /// Samples one RR set into `out` (cleared first). Returns the root node.
   /// Also accumulates `width` — the number of arcs examined — which the
@@ -68,6 +125,7 @@ class RrSampler {
   const graph::Graph& g_;
   std::span<const double> probs_;
   DiffusionModel model_;
+  std::shared_ptr<const CoinColumn> coins_;
   std::vector<uint32_t> visited_epoch_;
   uint32_t epoch_ = 0;
   uint64_t last_width_ = 0;

@@ -35,12 +35,17 @@ void SampleSizer::RunPilot(const graph::Graph& g,
              : 1);
 
   // Task-indexed samplers (O(n) epoch arrays), created lazily and reused
-  // across the doubling rounds; slot 0 doubles as the serial sampler.
+  // across the doubling rounds; slot 0 doubles as the serial sampler. All
+  // share one coin column.
   std::vector<std::unique_ptr<RrSampler>> samplers(
       options_.pool == nullptr ? 1 : options_.pool->concurrency());
+  const auto coins = options_.model == DiffusionModel::kIndependentCascade
+                         ? BuildCoinColumn(g, probs)
+                         : nullptr;
   auto sampler_for = [&](uint64_t t) -> RrSampler& {
     if (samplers[t] == nullptr) {
-      samplers[t] = std::make_unique<RrSampler>(g, probs, options_.model);
+      samplers[t] =
+          std::make_unique<RrSampler>(g, probs, options_.model, coins);
     }
     return *samplers[t];
   };

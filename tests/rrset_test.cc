@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <span>
 
 #include "common/rng.h"
 #include "diffusion/exact.h"
@@ -56,6 +58,205 @@ TEST(RrSamplerTest, WidthCountsInArcs) {
     } else {
       EXPECT_EQ(sampler.last_width(), 0u);
     }
+  }
+}
+
+// ---------- Coin column ----------
+
+// The probabilities the exactness argument has to survive: both zeros,
+// the smallest subnormal, the smallest and a non-integer scaled threshold,
+// the largest double below 1, and values at or above 1.
+std::vector<double> EdgeProbabilities() {
+  return {0.0,     -0.0,   std::numeric_limits<double>::denorm_min(),
+          0x1p-53, 0x3p-54, 0.5, std::nextafter(1.0, 0.0), 1.0, 1.5};
+}
+
+TEST(CoinStateTest, ThresholdDecidesExactlyAsNextDouble) {
+  std::vector<double> ps = EdgeProbabilities();
+  Rng prng(41);
+  for (int i = 0; i < 100'000; ++i) {
+    // Half uniform on [0, 1), half log-uniform down to 2^-60, so small
+    // thresholds with fractional scaled values are well covered.
+    const double u = prng.NextDouble();
+    ps.push_back(i % 2 == 0
+                     ? u
+                     : std::ldexp(0.5 + u / 2, -prng.NextInRange(1, 60)));
+  }
+  Rng xrng(42);
+  for (const double p : ps) {
+    const uint64_t state = CoinState(p);
+    if (p <= 0.0) {
+      ASSERT_EQ(state, kCoinNever) << p;
+      continue;
+    }
+    if (p >= 1.0) {
+      ASSERT_EQ(state, kCoinAlways) << p;
+      continue;
+    }
+    ASSERT_LT(state, kCoinAlways) << p;
+    // Random draws, plus the draws k = t - 1 and k = t on either side of
+    // the threshold, where an off-by-one would show.
+    std::vector<uint64_t> xs = {xrng.Next(), xrng.Next(), xrng.Next()};
+    if (state > 0) xs.push_back(((state - 1) << 11) | (xrng.Next() >> 53));
+    xs.push_back((state << 11) | (xrng.Next() >> 53));
+    for (const uint64_t x : xs) {
+      ASSERT_EQ(CoinAccepts(state, x),
+                static_cast<double>(x >> 11) * 0x1p-53 < p)
+          << std::hexfloat << p << " x=" << x;
+    }
+  }
+}
+
+TEST(CoinStateTest, FlipCoinConsumesDrawsLikeNextBernoulli) {
+  std::vector<double> ps = EdgeProbabilities();
+  ps.push_back(std::numeric_limits<double>::quiet_NaN());
+  Rng prng(43);
+  for (int i = 0; i < 1000; ++i) ps.push_back(prng.NextDouble());
+  for (size_t i = 0; i < ps.size(); ++i) {
+    const double p = ps[i];
+    Rng coin(HashSeed(44, i));
+    Rng reference(HashSeed(44, i));
+    const uint64_t state = CoinState(p);
+    for (int t = 0; t < 16; ++t) {
+      ASSERT_EQ(FlipCoin(state, coin), reference.NextBernoulli(p)) << p;
+    }
+    // Same number of draws: the streams are still in step.
+    ASSERT_EQ(coin.Next(), reference.Next()) << p;
+  }
+}
+
+TEST(CoinStateTest, NanDrawsOnceAndNeverSucceeds) {
+  // NextBernoulli(NaN) consumes a draw and returns false; the coin maps
+  // NaN to threshold 0, which does the same.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(CoinState(nan), 0u);
+  Rng coin(45), reference(45);
+  EXPECT_FALSE(FlipCoin(CoinState(nan), coin));
+  EXPECT_FALSE(reference.NextBernoulli(nan));
+  EXPECT_EQ(coin.Next(), reference.Next());
+}
+
+TEST(CoinColumnTest, NodeIsUniformWhenItsArcsShareAThreshold) {
+  // In-arcs of: 0 none; 1 one arc; 2 {0.1, next double above 0.1} (unequal
+  // doubles, one threshold); 3 {0.25, 0.5}; 4 {1, 1.5}; 5 {0, -0}.
+  auto g = test::MustGraph(
+      6, {{0, 1}, {0, 2}, {1, 2}, {0, 3}, {1, 3}, {0, 4}, {1, 4}, {0, 5},
+          {1, 5}});
+  std::vector<double> probs(g.num_edges());
+  auto set = [&](graph::NodeId v, std::vector<double> ps) {
+    auto eids = g.InEdgeIds(v);
+    ASSERT_EQ(eids.size(), ps.size());
+    for (size_t k = 0; k < ps.size(); ++k) probs[eids[k]] = ps[k];
+  };
+  set(1, {0.3});
+  set(2, {0.1, std::nextafter(0.1, 1.0)});
+  set(3, {0.25, 0.5});
+  set(4, {1.0, 1.5});
+  set(5, {0.0, -0.0});
+  const auto coins = BuildCoinColumn(g, probs);
+  ASSERT_EQ(coins->size(), 6u);
+  EXPECT_EQ((*coins)[0], kCoinNever);
+  EXPECT_EQ((*coins)[1], CoinState(0.3));
+  EXPECT_EQ((*coins)[2], CoinState(0.1));
+  EXPECT_EQ((*coins)[3], kCoinMixed);
+  EXPECT_EQ((*coins)[4], kCoinAlways);
+  EXPECT_EQ((*coins)[5], kCoinNever);
+}
+
+// The per-arc walk the coin column replaced, kept here as the reference:
+// every in-arc flips Rng::NextBernoulli(probs[eid]).
+void ReferenceSampleIds(const graph::Graph& g, std::span<const double> probs,
+                        uint64_t seed, uint64_t count,
+                        std::vector<uint32_t>* sizes,
+                        std::vector<graph::NodeId>* nodes) {
+  std::vector<uint8_t> seen(g.num_nodes(), 0);
+  std::vector<graph::NodeId> rr;
+  for (uint64_t id = 0; id < count; ++id) {
+    Rng rng(HashSeed(seed, id));
+    rr.assign(1, static_cast<graph::NodeId>(rng.NextBounded(g.num_nodes())));
+    seen[rr[0]] = 1;
+    for (size_t head = 0; head < rr.size(); ++head) {
+      auto sources = g.InNeighbors(rr[head]);
+      auto eids = g.InEdgeIds(rr[head]);
+      for (size_t k = 0; k < sources.size(); ++k) {
+        if (seen[sources[k]]) continue;
+        if (rng.NextBernoulli(probs[eids[k]])) {
+          seen[sources[k]] = 1;
+          rr.push_back(sources[k]);
+        }
+      }
+    }
+    for (graph::NodeId v : rr) seen[v] = 0;
+    sizes->push_back(static_cast<uint32_t>(rr.size()));
+    nodes->insert(nodes->end(), rr.begin(), rr.end());
+  }
+}
+
+TEST(CoinColumnTest, SampleIdsMatchesPerArcReferenceSetForSet) {
+  // Random digraph whose nodes mix every coin state: in-degree 0 and 1,
+  // uniform 1/indeg (weighted cascade), uniform 0 and 1, and mixed arcs
+  // drawn from {0, 1, random}.
+  for (uint64_t trial = 0; trial < 8; ++trial) {
+    Rng rng(HashSeed(46, trial));
+    const graph::NodeId n = 400;
+    std::vector<graph::Edge> edges;
+    for (graph::NodeId v = 0; v < n; ++v) {
+      const uint64_t indeg = v % 7 == 0   ? 0
+                             : v % 7 == 1 ? 1
+                                          : rng.NextBounded(12);
+      for (uint64_t k = 0; k < indeg; ++k) {
+        edges.push_back({static_cast<graph::NodeId>(rng.NextBounded(n)), v});
+      }
+    }
+    auto g = test::MustGraph(n, std::move(edges));
+    std::vector<double> probs(g.num_edges());
+    size_t regimes[4] = {0, 0, 0, 0};
+    for (graph::NodeId v = 0; v < n; ++v) {
+      auto eids = g.InEdgeIds(v);
+      const uint64_t regime = rng.NextBounded(4);
+      // regime 3 (-1) draws each arc from {0, 1, random}: mixed.
+      const double uniform =
+          regime == 0   ? 1.0 / std::max<size_t>(1, eids.size())
+          : regime == 1 ? 0.0
+          : regime == 2 ? 1.0
+                        : -1.0;
+      for (const graph::EdgeId e : eids) {
+        const uint64_t pick = rng.NextBounded(4);
+        probs[e] = uniform >= 0.0 ? uniform
+                   : pick == 0    ? 0.0
+                   : pick == 1    ? 1.0
+                                  : rng.NextDouble() * 0.6;
+      }
+    }
+    const auto coins = BuildCoinColumn(g, probs);
+    for (const uint64_t state : *coins) {
+      ++regimes[state == kCoinMixed    ? 0
+                : state == kCoinNever  ? 1
+                : state == kCoinAlways ? 2
+                                       : 3];
+    }
+    for (size_t r : regimes) ASSERT_GT(r, 0u) << "trial " << trial;
+
+    std::vector<uint32_t> want_sizes, got_sizes;
+    std::vector<graph::NodeId> want_nodes, got_nodes;
+    const uint64_t seed = HashSeed(47, trial);
+    ReferenceSampleIds(g, probs, seed, 3000, &want_sizes, &want_nodes);
+    RrSampler sampler(g, probs);
+    sampler.SampleIds(seed, 0, 3000, &got_sizes, &got_nodes);
+    ASSERT_EQ(got_sizes, want_sizes) << "trial " << trial;
+    ASSERT_EQ(got_nodes, want_nodes) << "trial " << trial;
+    // Multi-member sets, so the walk went past the root.
+    ASSERT_GT(want_nodes.size(), 2 * want_sizes.size());
+
+    // The parallel sampler's workers share one column: same sets.
+    ParallelSamplerOptions po;
+    po.num_threads = 3;
+    po.min_sets_per_thread = 100;
+    ParallelSampler parallel(g, probs, DiffusionModel::kIndependentCascade,
+                             seed, po);
+    parallel.SampleToBuffer(0, 3000, &got_nodes, &got_sizes);
+    ASSERT_EQ(got_sizes, want_sizes) << "trial " << trial;
+    ASSERT_EQ(got_nodes, want_nodes) << "trial " << trial;
   }
 }
 
