@@ -23,10 +23,7 @@ int main() {
   isa::TableWriter table({"h", "independent engagements",
                           "competitive engagements", "overcount"});
   for (uint32_t h : {1u, 2u, 5u, 10u}) {
-    auto ds = isa::bench::MustValue(
-        isa::eval::BuildDataset(isa::eval::DatasetId::kEpinions, scale,
-                                2017),
-        "BuildDataset");
+    auto ds = isa::bench::LoadDataset("soc-epinions1", scale);
     isa::eval::WorkloadOptions opt;
     opt.num_advertisers = h;
     opt.budget_min = opt.budget_max = 800 * scale * 10;

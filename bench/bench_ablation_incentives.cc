@@ -34,11 +34,8 @@ int main() {
   };
 
   for (const auto& src : sources) {
-    auto ds = isa::bench::MustValue(
-        isa::eval::BuildDataset(isa::eval::DatasetId::kEpinions, scale, 2017),
-        "BuildDataset");
-    auto opt = isa::bench::QualityWorkload(isa::eval::DatasetId::kEpinions,
-                                           scale);
+    auto ds = isa::bench::LoadDataset("soc-epinions1", scale);
+    auto opt = isa::bench::QualityWorkload("soc-epinions1", scale);
     opt.spread_source = src.source;
     if (src.effort > 0) opt.spread_effort = src.effort;
     opt.incentive_model = isa::core::IncentiveModel::kLinear;

@@ -80,11 +80,8 @@ void RrGeometryStudy(double scale) {
   std::printf("--- (c) RR-set geometry per dataset (10k sets each) ---\n");
   isa::TableWriter table({"dataset", "mean RR size", "bytes per set",
                           "sets per second"});
-  for (auto id : {isa::eval::DatasetId::kFlixster,
-                  isa::eval::DatasetId::kEpinions,
-                  isa::eval::DatasetId::kDblp}) {
-    auto ds = isa::bench::MustValue(isa::eval::BuildDataset(id, scale, 2017),
-                                    "BuildDataset");
+  for (const char* name : {"flixster", "soc-epinions1", "com-dblp"}) {
+    auto ds = isa::bench::LoadDataset(name, scale);
     auto mixed = isa::bench::MustValue(
         isa::topic::AdProbabilities::Mix(
             ds->topics, ds->num_topics > 1

@@ -22,10 +22,7 @@ int main() {
   isa::TableWriter table({"h", "mode", "RR memory", "memory ratio",
                           "seconds", "revenue", "seeds"});
   for (uint32_t h : {2u, 5u, 10u, 20u}) {
-    auto ds = isa::bench::MustValue(
-        isa::eval::BuildDataset(isa::eval::DatasetId::kEpinions, scale,
-                                2017),
-        "BuildDataset");
+    auto ds = isa::bench::LoadDataset("soc-epinions1", scale);
     isa::eval::WorkloadOptions opt;
     opt.num_advertisers = h;
     opt.budget_min = opt.budget_max = 1'000 * scale;

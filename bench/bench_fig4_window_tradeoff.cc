@@ -23,12 +23,9 @@ int main() {
                           "seconds", "seeds", "theta total"});
   const uint32_t windows[] = {1, 50, 100, 250, 500, 1000, 2500, 5000, 0};
 
-  for (auto id :
-       {isa::eval::DatasetId::kFlixster, isa::eval::DatasetId::kEpinions}) {
-    auto ds = isa::bench::MustValue(isa::eval::BuildDataset(id, scale, 2017),
-                                    "BuildDataset");
-    const std::string name = ds->name;
-    auto workload = isa::bench::QualityWorkload(id, scale);
+  for (const std::string name : {"flixster", "soc-epinions1"}) {
+    auto ds = isa::bench::LoadDataset(name, scale);
+    auto workload = isa::bench::QualityWorkload(name, scale);
     workload.incentive_model = isa::core::IncentiveModel::kLinear;
     auto setup = isa::bench::MustValue(
         isa::eval::BuildExperiment(std::move(ds), workload),

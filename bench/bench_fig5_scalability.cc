@@ -45,7 +45,7 @@ constexpr int kSweepReps = 5;             // timed runs per sweep point
 constexpr double kMinSamplerRunS = 0.2;   // wall time per timed sampler run
 
 struct DatasetPlan {
-  isa::eval::DatasetId id;
+  const char* dataset;               // catalog name
   double fixed_budget;               // for the h sweep
   uint32_t max_h;                    // cap on the h sweep
   std::vector<double> budget_sweep;  // for the budget sweep (h = 5)
@@ -310,15 +310,13 @@ int main() {
               "RR memory");
 
   const DatasetPlan plans[] = {
-      {isa::eval::DatasetId::kDblp, 1'500 * scale, 20,
-       {1'000, 2'000, 3'000, 4'000}},
-      {isa::eval::DatasetId::kLiveJournal, 3'000 * scale, 10, {}},
+      {"com-dblp", 1'500 * scale, 20, {1'000, 2'000, 3'000, 4'000}},
+      {"soc-livejournal1", 3'000 * scale, 10, {}},
   };
 
   bool e2e_deterministic = true;
   for (const DatasetPlan& plan : plans) {
-    auto ds = isa::bench::MustValue(
-        isa::eval::BuildDataset(plan.id, scale, 2017), "BuildDataset");
+    auto ds = isa::bench::LoadDataset(plan.dataset, scale);
     // (a, b): h sweep at fixed budget.
     for (uint32_t h : {1u, 5u, 10u, 15u, 20u}) {
       if (h > plan.max_h) break;
@@ -330,7 +328,7 @@ int main() {
       auto inst = MakeInstance(*ds, 5, budget * scale);
       RunBoth(inst, ds->name.c_str(), "budget", budget * scale);
     }
-    if (plan.id == isa::eval::DatasetId::kDblp) {
+    if (ds->name == "com-dblp") {
       e2e_deterministic = RunE2eThreadSweep(*ds, plan.fixed_budget);
     }
   }

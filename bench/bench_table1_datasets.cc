@@ -2,8 +2,10 @@
 //
 // Paper: FLIXSTER 30K/425K (directed), EPINIONS 76K/509K (directed),
 // DBLP 317K/1.05M (undirected), LIVEJOURNAL 4.8M/69M (directed).
-// Ours are synthetic stand-ins (DESIGN.md §4); this bench prints their
-// realized statistics side by side with the paper's figures.
+// Every graph comes from graph::DatasetCatalog — the real SNAP file under
+// $ISA_DATA_DIR when present, else its synthetic stand-in; this bench
+// prints each catalog entry's realized statistics side by side with the
+// paper's size from its spec.
 
 #include <cstdio>
 #include <iostream>
@@ -12,42 +14,23 @@
 #include "common/table_writer.h"
 #include "graph/stats.h"
 
-namespace {
-
-struct PaperRow {
-  isa::eval::DatasetId id;
-  const char* paper_nodes;
-  const char* paper_edges;
-  const char* paper_type;
-};
-
-}  // namespace
-
 int main() {
   const double scale = isa::bench::EffectiveScale(1.0);
   std::printf("=== Table 1: dataset statistics (stand-ins at scale %.2f) "
               "===\n\n",
               scale);
 
-  const PaperRow rows[] = {
-      {isa::eval::DatasetId::kFlixster, "30K", "425K", "directed"},
-      {isa::eval::DatasetId::kEpinions, "76K", "509K", "directed"},
-      {isa::eval::DatasetId::kDblp, "317K", "1.05M", "undirected"},
-      {isa::eval::DatasetId::kLiveJournal, "4.8M", "69M", "directed"},
-  };
-
   isa::TableWriter table({"dataset", "paper #nodes", "paper #edges",
                           "paper type", "ours #nodes", "ours #edges",
                           "ours type", "max outdeg", "max indeg",
                           "largest WCC"});
-  for (const PaperRow& row : rows) {
-    auto ds = isa::bench::MustValue(
-        isa::eval::BuildDataset(row.id, scale, 2017), "BuildDataset");
+  for (const auto& spec : isa::graph::DatasetCatalog::BuiltinSpecs()) {
+    auto ds = isa::bench::LoadDataset(spec.name, scale);
     const auto stats = isa::graph::ComputeStats(ds->graph);
     table.AddCell(ds->name);
-    table.AddCell(std::string(row.paper_nodes));
-    table.AddCell(std::string(row.paper_edges));
-    table.AddCell(std::string(row.paper_type));
+    table.AddCell(uint64_t{spec.paper_nodes});
+    table.AddCell(spec.paper_edges);
+    table.AddCell(std::string(spec.undirected ? "undirected" : "directed"));
     table.AddCell(uint64_t{stats.num_nodes});
     table.AddCell(uint64_t{stats.num_edges});
     table.AddCell(std::string(stats.looks_bidirectional

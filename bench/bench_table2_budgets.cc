@@ -20,11 +20,9 @@ int main() {
 
   isa::TableWriter table({"dataset", "budget mean", "budget max",
                           "budget min", "cpe mean", "cpe max", "cpe min"});
-  for (auto id :
-       {isa::eval::DatasetId::kFlixster, isa::eval::DatasetId::kEpinions}) {
-    auto ds = isa::bench::MustValue(isa::eval::BuildDataset(id, scale, 2017),
-                                    "BuildDataset");
-    auto opt = isa::bench::QualityWorkload(id, scale);
+  for (const char* name : {"flixster", "soc-epinions1"}) {
+    auto ds = isa::bench::LoadDataset(name, scale);
+    auto opt = isa::bench::QualityWorkload(name, scale);
     auto ads = isa::bench::MustValue(isa::eval::MakeAdvertisers(*ds, opt),
                                      "MakeAdvertisers");
     double bsum = 0, bmax = 0, bmin = 1e18, csum = 0, cmax = 0, cmin = 1e18;

@@ -60,20 +60,17 @@ int main() {
                           "CSRM/CARM", "CARM seeds", "CSRM seeds"});
 
   const struct {
-    isa::eval::DatasetId id;
+    std::string name;  // catalog name
     double budget;
   } plans[] = {
-      {isa::eval::DatasetId::kDblp, 1'500},
-      {isa::eval::DatasetId::kLiveJournal, 3'000},
+      {"com-dblp", 1'500},
+      {"soc-livejournal1", 3'000},
   };
 
   for (const auto& plan : plans) {
-    auto ds = isa::bench::MustValue(
-        isa::eval::BuildDataset(plan.id, scale, 2017), "BuildDataset");
-    const std::string name = ds->name;
+    const std::string& name = plan.name;
     // LIVEJOURNAL* stops at h = 10 for runtime (same reason as Figure 5).
-    const uint32_t max_h =
-        plan.id == isa::eval::DatasetId::kLiveJournal ? 10u : 20u;
+    const uint32_t max_h = name == "soc-livejournal1" ? 10u : 20u;
     for (uint32_t h : {1u, 5u, 10u, 15u, 20u}) {
       if (h > max_h) break;
       isa::eval::WorkloadOptions opt;
@@ -84,11 +81,8 @@ int main() {
       opt.alpha = 0.2;
       opt.spread_source = isa::eval::SpreadSource::kOutDegreeProxy;
       auto setup = isa::bench::MustValue(
-          isa::eval::BuildExperiment(
-              isa::bench::MustValue(
-                  isa::eval::BuildDataset(plan.id, scale, 2017),
-                  "BuildDataset"),
-              opt),
+          isa::eval::BuildExperiment(isa::bench::LoadDataset(name, scale),
+                                     opt),
           "BuildExperiment");
 
       auto ti = isa::bench::QualityTiOptions();
@@ -137,9 +131,7 @@ int main() {
   bool recovery_ok = false;   // faulted-run row — see gate below
   std::vector<std::string> budget_rows;
   {
-    auto ds = isa::bench::MustValue(
-        isa::eval::BuildDataset(isa::eval::DatasetId::kDblp, scale, 2017),
-        "BuildDataset");
+    auto ds = isa::bench::LoadDataset("com-dblp", scale);
     isa::eval::WorkloadOptions opt;
     opt.num_advertisers = 5;
     opt.budget_min = opt.budget_max = 1'500 * scale;

@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -29,6 +30,7 @@
 #include "core/ti_greedy.h"
 #include "eval/datasets.h"
 #include "eval/workload.h"
+#include "graph/dataset_catalog.h"
 
 namespace isa::bench {
 
@@ -56,6 +58,16 @@ inline double EffectiveScale(double bench_default) {
   return eval::BenchScaleFromEnv();
 }
 
+/// Catalog entry `name` (graph::DatasetCatalog) at `scale` with the
+/// catalog's default seed, wrapped for the eval layer.
+inline std::unique_ptr<eval::Dataset> LoadDataset(std::string_view name,
+                                                  double scale) {
+  graph::DatasetCatalog::Options opt;
+  opt.scale = scale;
+  return MustValue(eval::MakeDataset(graph::DatasetCatalog::Load(name, opt)),
+                   "load dataset");
+}
+
 /// Median of a non-empty sample (the upper middle for an even count).
 inline double Median(std::vector<double> v) {
   std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
@@ -63,9 +75,9 @@ inline double Median(std::vector<double> v) {
 }
 
 /// The paper's per-dataset α grids (Figure 2/3 x-axes).
-inline std::vector<double> AlphaGrid(eval::DatasetId id,
+inline std::vector<double> AlphaGrid(std::string_view dataset,
                                      core::IncentiveModel model) {
-  const bool flixster = id == eval::DatasetId::kFlixster;
+  const bool flixster = dataset == "flixster";
   switch (model) {
     case core::IncentiveModel::kLinear:
       return {0.1, 0.2, 0.3, 0.4, 0.5};
@@ -89,12 +101,12 @@ inline std::vector<double> AlphaGrid(eval::DatasetId id,
 /// all ads to meet their budgets is less than n", i.e. the knapsack — not
 /// the partition matroid — is the binding constraint, and a linear budget
 /// scale on a sub-linear-spread stand-in would violate that design rule.
-inline eval::WorkloadOptions QualityWorkload(eval::DatasetId id,
+inline eval::WorkloadOptions QualityWorkload(std::string_view dataset,
                                              double scale) {
   eval::WorkloadOptions opt;
   opt.num_advertisers = 10;
   const double budget_scale = 0.5 * scale;
-  if (id == eval::DatasetId::kFlixster) {
+  if (dataset == "flixster") {
     opt.budget_min = 6'000 * budget_scale;
     opt.budget_max = 20'000 * budget_scale;
   } else {

@@ -87,15 +87,13 @@ inline std::vector<SweepPoint> RunQualitySweep(double scale) {
     std::fprintf(stderr, "  [loaded cached sweep from %s]\n", cache.c_str());
     return points;
   }
-  for (auto id :
-       {eval::DatasetId::kFlixster, eval::DatasetId::kEpinions}) {
-    auto ds = MustValue(eval::BuildDataset(id, scale, 2017), "BuildDataset");
-    const std::string name = ds->name;
-    auto workload = QualityWorkload(id, scale);
+  for (const std::string name : {"flixster", "soc-epinions1"}) {
+    auto ds = LoadDataset(name, scale);
+    auto workload = QualityWorkload(name, scale);
     auto setup = MustValue(eval::BuildExperiment(std::move(ds), workload),
                            "BuildExperiment");
     for (core::IncentiveModel model : AllIncentiveModels()) {
-      for (double alpha : AlphaGrid(id, model)) {
+      for (double alpha : AlphaGrid(name, model)) {
         Check(eval::RebuildInstanceWithIncentives(setup, model, alpha),
               "RebuildInstanceWithIncentives");
         SweepPoint point;

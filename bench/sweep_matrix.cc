@@ -259,19 +259,11 @@ Result<DatasetEntry*> GetDataset(
   copt.seed = options.seed;
   auto loaded = graph::DatasetCatalog::Load(cell.dataset, cell.regime, copt);
   if (!loaded.ok()) return loaded.status();
-
-  auto ds = std::make_unique<eval::Dataset>();
-  ds->name = cell.dataset;
-  ds->graph = std::move(loaded.value().graph);
-  auto topics = topic::TopicEdgeProbabilities::Create(
-      ds->graph, std::move(loaded.value().arc_weights));
-  if (!topics.ok()) return topics.status();
-  ds->topics = std::move(topics).value();
-  ds->num_topics = ds->topics.num_topics();
-
   DatasetEntry entry;
-  entry.dataset = std::move(ds);
   entry.source = loaded.value().source;
+  auto ds = eval::MakeDataset(std::move(loaded));
+  if (!ds.ok()) return ds.status();
+  entry.dataset = std::move(ds).value();
   auto [pos, inserted] = cache.emplace(key, std::move(entry));
   (void)inserted;
   return &pos->second;

@@ -16,10 +16,13 @@
 #include "core/ti_greedy.h"
 #include "eval/datasets.h"
 #include "eval/workload.h"
+#include "graph/dataset_catalog.h"
 
 int main() {
-  auto ds = isa::eval::BuildDataset(isa::eval::DatasetId::kEpinions,
-                                    /*scale=*/0.05, /*seed=*/2017)
+  isa::graph::DatasetCatalog::Options catalog;
+  catalog.scale = 0.05;
+  auto ds = isa::eval::MakeDataset(
+                isa::graph::DatasetCatalog::Load("soc-epinions1", catalog))
                 .value();
   std::printf("network: %s (%u users, %u follow arcs)\n\n",
               ds->name.c_str(), ds->graph.num_nodes(),

@@ -1,115 +1,24 @@
 #include "eval/datasets.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdlib>
 
 #include "common/strings.h"
-#include "graph/generators.h"
 
 namespace isa::eval {
 
-const char* DatasetName(DatasetId id) {
-  switch (id) {
-    case DatasetId::kFlixster:
-      return "FLIXSTER*";
-    case DatasetId::kEpinions:
-      return "EPINIONS*";
-    case DatasetId::kDblp:
-      return "DBLP*";
-    case DatasetId::kLiveJournal:
-      return "LIVEJOURNAL*";
-  }
-  return "UNKNOWN";
-}
-
-namespace {
-
-uint32_t ScaledPow2(uint32_t base_scale, double scale) {
-  // Shrink a power-of-two node count by whole powers of two.
-  uint32_t s = base_scale;
-  while (scale < 0.75 && s > 10) {
-    scale *= 2.0;
-    --s;
-  }
-  return s;
-}
-
-}  // namespace
-
-Result<std::unique_ptr<Dataset>> BuildDataset(DatasetId id, double scale,
-                                              uint64_t seed) {
-  if (scale <= 0.0 || scale > 1.0) {
-    return Status::InvalidArgument("BuildDataset: scale must be in (0,1]");
-  }
+Result<std::unique_ptr<Dataset>> MakeDataset(
+    Result<graph::LoadedDataset> loaded) {
+  if (!loaded.ok()) return loaded.status();
+  graph::LoadedDataset& in = loaded.value();
   auto ds = std::make_unique<Dataset>();
-  ds->name = DatasetName(id);
-
-  switch (id) {
-    case DatasetId::kFlixster: {
-      graph::RmatOptions opt;
-      opt.scale = ScaledPow2(15, scale);  // 32,768 nodes at scale 1
-      opt.num_edges = static_cast<uint64_t>(
-          425'000 * std::pow(2.0, static_cast<int>(opt.scale) - 15));
-      opt.seed = seed;
-      auto g = graph::GenerateRmat(opt);
-      if (!g.ok()) return g.status();
-      ds->graph = std::move(g).value();
-      ds->num_topics = 10;
-      auto topics = topic::MakeDegreeScaledRandom(ds->graph, ds->num_topics,
-                                                  seed + 1);
-      if (!topics.ok()) return topics.status();
-      ds->topics = std::move(topics).value();
-      break;
-    }
-    case DatasetId::kEpinions: {
-      graph::PowerLawOptions opt;
-      opt.num_nodes = std::max<graph::NodeId>(
-          64, static_cast<graph::NodeId>(76'000 * scale));
-      opt.num_edges = static_cast<uint64_t>(509'000 * scale);
-      opt.exponent = 2.0;
-      opt.seed = seed;
-      auto g = graph::GeneratePowerLaw(opt);
-      if (!g.ok()) return g.status();
-      ds->graph = std::move(g).value();
-      ds->num_topics = 1;
-      auto topics = topic::MakeWeightedCascade(ds->graph, 1);
-      if (!topics.ok()) return topics.status();
-      ds->topics = std::move(topics).value();
-      break;
-    }
-    case DatasetId::kDblp: {
-      graph::BarabasiAlbertOptions opt;
-      opt.num_nodes = std::max<graph::NodeId>(
-          64, static_cast<graph::NodeId>(100'000 * scale));
-      opt.edges_per_node = 3;  // ~600K arcs after bidirection at scale 1
-      opt.bidirectional = true;
-      opt.seed = seed;
-      auto g = graph::GenerateBarabasiAlbert(opt);
-      if (!g.ok()) return g.status();
-      ds->graph = std::move(g).value();
-      ds->num_topics = 1;
-      auto topics = topic::MakeWeightedCascade(ds->graph, 1);
-      if (!topics.ok()) return topics.status();
-      ds->topics = std::move(topics).value();
-      break;
-    }
-    case DatasetId::kLiveJournal: {
-      graph::RmatOptions opt;
-      opt.scale = ScaledPow2(18, scale);  // 262,144 nodes at scale 1
-      opt.num_edges = static_cast<uint64_t>(
-          3'000'000 * std::pow(2.0, static_cast<int>(opt.scale) - 18));
-      opt.seed = seed;
-      auto g = graph::GenerateRmat(opt);
-      if (!g.ok()) return g.status();
-      ds->graph = std::move(g).value();
-      ds->num_topics = 1;
-      auto topics = topic::MakeWeightedCascade(ds->graph, 1);
-      if (!topics.ok()) return topics.status();
-      ds->topics = std::move(topics).value();
-      break;
-    }
-  }
+  ds->name = in.spec.name;
+  ds->graph = std::move(in.graph);
+  auto topics = topic::TopicEdgeProbabilities::Create(
+      ds->graph, std::move(in.arc_weights));
+  if (!topics.ok()) return topics.status();
+  ds->topics = std::move(topics).value();
+  ds->num_topics = ds->topics.num_topics();
   return ds;
 }
 

@@ -1,22 +1,12 @@
-// Named dataset stand-ins for the paper's evaluation graphs.
+// The evaluation's view of a dataset: a graph plus its per-topic arc
+// probabilities.
 //
-// The paper evaluates on FLIXSTER (30K/425K, directed, TIC with L = 10
-// learned topics), EPINIONS (76K/509K, directed, weighted-cascade, L = 1),
-// DBLP (317K/1.05M undirected -> both directions), and LIVEJOURNAL
-// (4.8M/69M, directed, weighted-cascade). None of those datasets is
-// redistributable in this environment, so each is replaced by a synthetic
-// stand-in with matched directedness and heavy-tailed degrees (DESIGN.md §4):
-//
-//   FLIXSTER*     R-MAT, 32,768 nodes / ~425K arcs, L = 10 degree-scaled
-//                 random per-topic probabilities (stand-in for MLE-learned)
-//   EPINIONS*     power-law configuration model, 76K / ~509K arcs, WC, L = 1
-//   DBLP*         Barabási–Albert bidirectional, scaled to 100K nodes
-//                 (paper: 317K) so every bench fits a laptop budget, WC
-//   LIVEJOURNAL*  R-MAT, 262,144 nodes / ~3M arcs (paper: 4.8M/69M,
-//                 scaled ~18x), WC
-//
-// The `scale` parameter multiplies node/edge targets for quick runs
-// (tests use scale ≈ 0.05).
+// Graphs come from graph::DatasetCatalog, the one dataset layer: a named
+// entry ("flixster", "soc-epinions1", "com-dblp", "soc-livejournal1")
+// resolves to a real SNAP file under $ISA_DATA_DIR when present, else to a
+// deterministic synthetic stand-in with matched directedness, size and
+// weighting regime (see dataset_catalog.h). MakeDataset wraps that result
+// for the workload and instance builders.
 
 #ifndef ISA_EVAL_DATASETS_H_
 #define ISA_EVAL_DATASETS_H_
@@ -25,19 +15,11 @@
 #include <string>
 
 #include "common/status.h"
+#include "graph/dataset_catalog.h"
 #include "graph/graph.h"
 #include "topic/tic_model.h"
 
 namespace isa::eval {
-
-enum class DatasetId {
-  kFlixster,
-  kEpinions,
-  kDblp,
-  kLiveJournal,
-};
-
-const char* DatasetName(DatasetId id);
 
 /// A materialized dataset: graph + per-topic arc probabilities.
 /// Held by unique_ptr so the graph's address stays stable for the
@@ -49,11 +31,11 @@ struct Dataset {
   uint32_t num_topics = 1;
 };
 
-/// Builds the stand-in deterministically from `seed`. `scale` in (0, 1]
-/// shrinks node/edge targets proportionally.
-Result<std::unique_ptr<Dataset>> BuildDataset(DatasetId id,
-                                              double scale = 1.0,
-                                              uint64_t seed = 2017);
+/// Wraps a catalog materialization (graph::DatasetCatalog::Load): the
+/// graph moves in, and its per-topic arc weights become the dataset's
+/// topic::TopicEdgeProbabilities. A failed load passes through.
+Result<std::unique_ptr<Dataset>> MakeDataset(
+    Result<graph::LoadedDataset> loaded);
 
 /// Reads the ISA_BENCH_SCALE environment variable (default 1.0, clamped to
 /// [0.01, 1.0]) — lets `for b in build/bench/*; do $b; done` be resized

@@ -1,6 +1,7 @@
 // Named real-dataset resolution for the paper's evaluation graphs.
 //
-// The paper evaluates on SNAP graphs (com-DBLP, LiveJournal, Epinions).
+// The paper evaluates on SNAP graphs (com-DBLP, LiveJournal, Epinions) and
+// on FLIXSTER.
 // `DatasetCatalog` resolves a dataset NAME to a graph plus per-arc
 // influence weights, in three steps:
 //
@@ -116,7 +117,7 @@ class DatasetCatalog {
   };
 
   /// The built-in entries: "com-dblp", "soc-livejournal1",
-  /// "soc-epinions1".
+  /// "soc-epinions1", "flixster".
   static const std::vector<DatasetSpec>& BuiltinSpecs();
   static std::vector<std::string> Names();
 
@@ -126,6 +127,10 @@ class DatasetCatalog {
   /// Materializes `spec` under `options`: file, then cache, then
   /// generator (see file comment). Weights follow spec.regime.
   static Result<LoadedDataset> Load(const DatasetSpec& spec,
+                                    const Options& options);
+
+  /// Resolve + Load under the spec's own regime.
+  static Result<LoadedDataset> Load(std::string_view name,
                                     const Options& options);
 
   /// Resolve + Load, with the regime overridden (the sweep's regime axis).

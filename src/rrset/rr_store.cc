@@ -220,106 +220,26 @@ void RrStore::SpillPrefix(uint64_t new_first, const SpillOptions& options,
         options.path.empty() ? MakeSpillPath() : options.path);
   }
   const uint64_t target = std::max<uint64_t>(1, options.chunk_target_bytes);
-  // Cluster gate: a pure function of num_nodes — never of load or
-  // schedule — so the chunk layout is deterministic. Tiny graphs keep
-  // the zero-copy dense layout: their whole member universe fits every
-  // chunk anyway, so clustering could not tighten any envelope.
-  constexpr uint64_t kClusterMinNodes = 4096;
-  const bool clustered = num_nodes_ >= kClusterMinNodes;
-  if (!clustered) {
-    // Dense carving: [first_resident_, new_first) in id order, each
-    // chunk's nodes column a zero-copy span of rr_nodes_.
-    std::vector<uint32_t> sizes;
-    uint64_t lo = first_resident_;
-    while (lo < new_first) {
-      uint64_t hi = lo;
-      uint64_t bytes = 0;
-      sizes.clear();
-      while (hi < new_first && bytes < target) {
-        const uint64_t members = PostingsInRange(hi, hi + 1);
-        sizes.push_back(static_cast<uint32_t>(members));
-        bytes += members * sizeof(graph::NodeId) + sizeof(uint32_t);
-        ++hi;
-      }
-      const uint64_t node_lo = rr_offsets_[lo - first_resident_];
-      const uint64_t node_hi = rr_offsets_[hi - first_resident_];
-      spill_->AppendChunk(lo, hi, sizes,
-                          std::span<const graph::NodeId>(
-                              rr_nodes_.data() + node_lo, node_hi - node_lo));
-      lo = hi;
+  // Carve [first_resident_, new_first) into chunks in id order, each
+  // chunk's nodes column a zero-copy span of rr_nodes_.
+  std::vector<uint32_t> sizes;
+  uint64_t lo = first_resident_;
+  while (lo < new_first) {
+    uint64_t hi = lo;
+    uint64_t bytes = 0;
+    sizes.clear();
+    while (hi < new_first && bytes < target) {
+      const uint64_t members = PostingsInRange(hi, hi + 1);
+      sizes.push_back(static_cast<uint32_t>(members));
+      bytes += members * sizeof(graph::NodeId) + sizeof(uint32_t);
+      ++hi;
     }
-  } else {
-    // Node-clustered carving (see file comment): order the batch by each
-    // set's minimum member id — under the usual hub-first node numbering,
-    // the set's most influential member — then carve that order into
-    // target-sized chunks. Sets sharing a dominant member land together;
-    // chunks of sets with no low-id member get a tight node_min envelope
-    // and are skipped for hub lookups without any I/O.
-    // The order is a pure function of the batch's members, so the layout
-    // stays deterministic. The gathered nodes column is a copy — the
-    // price of clustering — but eviction is rare and the copy is one
-    // chunk at a time.
-    spill_->BeginBatch(first_resident_, new_first);
-    const uint64_t batch = new_first - first_resident_;
-    std::vector<graph::NodeId> anchor(batch, 0);
-    // Stable counting sort by anchor: O(batch + num_nodes) where a
-    // comparison sort costs O(batch log batch) — eviction sits on the
-    // critical path of every budget barrier, so the carve must stay
-    // cheap. Ties keep ascending id order (the scatter walks ids
-    // forward), exactly what a stable_sort by anchor would produce. The
-    // histogram is O(num_nodes), no bigger than the store's own per-node
-    // index structures.
-    std::vector<uint32_t> start(num_nodes_ + 1, 0);
-    for (uint64_t r = first_resident_; r < new_first; ++r) {
-      const std::span<const graph::NodeId> members = SetMembers(r);
-      graph::NodeId a = 0;
-      if (!members.empty()) {
-        a = members[0];
-        for (const graph::NodeId m : members) a = std::min(a, m);
-      }
-      anchor[r - first_resident_] = a;
-      ++start[a + 1];
-    }
-    for (uint64_t v = 1; v <= num_nodes_; ++v) start[v] += start[v - 1];
-    std::vector<uint32_t> order(batch);
-    for (uint64_t r = first_resident_; r < new_first; ++r) {
-      order[start[anchor[r - first_resident_]]++] =
-          static_cast<uint32_t>(r);
-    }
-    std::vector<uint32_t> sizes;
-    std::vector<uint32_t> ids;
-    std::vector<graph::NodeId> nodes;
-    size_t k = 0;
-    while (k < order.size()) {
-      ids.clear();
-      uint64_t bytes = 0;
-      while (k < order.size() && bytes < target) {
-        const uint32_t id = order[k];
-        // Charge sizes + nodes only — the same accounting as the dense
-        // path, so clustering never changes the chunk count. The sparse
-        // ids column rides on top of the target on disk.
-        bytes += PostingsInRange(id, id + 1) * sizeof(graph::NodeId) +
-                 sizeof(uint32_t);
-        ids.push_back(id);
-        ++k;
-      }
-      // Chunk membership is what clusters; on disk the contract stays
-      // "ids ascend within a chunk", so sort before gathering.
-      std::sort(ids.begin(), ids.end());
-      sizes.clear();
-      nodes.clear();
-      for (const uint32_t id : ids) {
-        const std::span<const graph::NodeId> members = SetMembers(id);
-        sizes.push_back(static_cast<uint32_t>(members.size()));
-        nodes.insert(nodes.end(), members.begin(), members.end());
-      }
-      // A run that came out contiguous needs no id list on disk or in
-      // the footer mirror.
-      const bool dense = ids.back() - ids.front() + 1 == ids.size();
-      spill_->AppendChunk(ids.front(), ids.back() + 1, sizes, nodes,
-                          dense ? std::span<const uint32_t>()
-                                : std::span<const uint32_t>(ids));
-    }
+    const uint64_t node_lo = rr_offsets_[lo - first_resident_];
+    const uint64_t node_hi = rr_offsets_[hi - first_resident_];
+    spill_->AppendChunk(lo, hi, sizes,
+                        std::span<const graph::NodeId>(
+                            rr_nodes_.data() + node_lo, node_hi - node_lo));
+    lo = hi;
   }
   DropPrefix(new_first, pool);
 }
@@ -377,31 +297,16 @@ const RrStore::RecoveredChunk& RrStore::RecoverChunk(uint32_t chunk) const {
   rec.nodes.reserve(m.postings);
   std::vector<uint32_t> part_sizes;
   std::vector<graph::NodeId> part_nodes;
-  const auto resample_run = [&](uint64_t lo, uint64_t hi) {
-    // The provenance ranges tile [0, num_sets()) in ascending order.
-    uint64_t pos = lo;
-    for (const ProvenanceRange& p : provenance_) {
-      if (p.hi <= pos) continue;
-      const uint64_t rhi = std::min(p.hi, hi);
-      resampler_(p.seed, pos, rhi, &part_sizes, &part_nodes);
-      rec.sizes.insert(rec.sizes.end(), part_sizes.begin(), part_sizes.end());
-      rec.nodes.insert(rec.nodes.end(), part_nodes.begin(), part_nodes.end());
-      pos = rhi;
-      if (pos == hi) break;
-    }
-  };
-  if (m.ids.empty()) {
-    resample_run(m.set_lo, m.set_hi);
-  } else {
-    // Sparse chunk: regenerate each maximal consecutive id run — the
-    // columns come out in the chunk's own (ascending id-list) order.
-    size_t k = 0;
-    while (k < m.ids.size()) {
-      size_t j = k + 1;
-      while (j < m.ids.size() && m.ids[j] == m.ids[j - 1] + 1) ++j;
-      resample_run(m.ids[k], static_cast<uint64_t>(m.ids[j - 1]) + 1);
-      k = j;
-    }
+  // The provenance ranges tile [0, num_sets()) in ascending order.
+  uint64_t pos = m.set_lo;
+  for (const ProvenanceRange& p : provenance_) {
+    if (pos == m.set_hi) break;
+    if (p.hi <= pos) continue;
+    const uint64_t hi = std::min(p.hi, m.set_hi);
+    resampler_(p.seed, pos, hi, &part_sizes, &part_nodes);
+    rec.sizes.insert(rec.sizes.end(), part_sizes.begin(), part_sizes.end());
+    rec.nodes.insert(rec.nodes.end(), part_nodes.begin(), part_nodes.end());
+    pos = hi;
   }
   // Cross-check the regenerated columns against the chunk footer — a
   // mismatch means the re-sampler does not reproduce the original bits,
@@ -453,8 +358,8 @@ void RrStore::ForEachSpilledSetContaining(
                                   const RecoveredChunk& rec) {
     uint64_t off = 0;
     for (uint64_t s = 0; s < rec.sizes.size(); ++s) {
-      const uint64_t id = m.SetIdAt(s);
-      if (id >= max_id) break;  // ids ascend within a chunk
+      const uint64_t id = m.set_lo + s;
+      if (id >= max_id) break;
       const std::span<const graph::NodeId> set(rec.nodes.data() + off,
                                                rec.sizes[s]);
       off += rec.sizes[s];
@@ -470,9 +375,8 @@ void RrStore::ForEachSpilledSetContaining(
   uint64_t read = 0;
   for (uint32_t c = 0; c < chunks.size(); ++c) {
     const SpillFile::ChunkMeta& m = chunks[c];
-    // set_lo is the chunk's minimum id (also for sparse chunks). Sharded
-    // batches interleave id ranges across chunks, so no early break.
-    if (m.set_lo >= max_id) continue;
+    // Chunks ascend in id: none from here on overlaps [0, max_id).
+    if (m.set_lo >= max_id) break;
     ++considered;
     if (m.postings == 0 || v < m.node_min || v > m.node_max) continue;
     clear_hits();
@@ -483,7 +387,7 @@ void RrStore::ForEachSpilledSetContaining(
       try {
         spill_->SetsContaining(c, v, &local);
         for (const uint32_t k : local) {
-          const uint64_t id = m.SetIdAt(k);
+          const uint64_t id = m.set_lo + k;
           if (id >= max_id) break;
           if (!wanted(id)) continue;
           spill_->AppendSetMembers(c, k, &members);

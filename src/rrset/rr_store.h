@@ -9,9 +9,9 @@
 //                      plus the CSR + chained-postings inverted index over
 //                      exactly those sets;
 //   cold (spilled)   — sets [0, first_resident_set) evicted to an
-//                      append-only columnar chunk file (spill_file.h),
-//                      each chunk with its own node -> set postings
-//                      index on disk; reachable only through
+//                      append-only columnar chunk file (spill_file.h) in
+//                      dense id-range chunks, each with its own node ->
+//                      set postings index on disk; reachable only through
 //                      ForEachSpilledSetContaining's targeted reads.
 //
 // Eviction moves a *prefix*: set ids are adoption order, so the oldest,
@@ -35,27 +35,18 @@
 // slack. A spill rebuilds the index the same way, so the index never
 // holds a spilled id.
 //
-// Node-clustered chunk layout: within one eviction batch, sets are
-// ordered by their ANCHOR — the minimum member node id, which under the
-// usual hub-first numbering is the set's most influential member — and
-// that order is carved into target-sized chunks (a stable counting sort;
-// the layout is a pure function of the batch's members, never of load).
-// Sets sharing a dominant member land in the same chunks, and chunks
-// whose sets have no low-id member get a tight node_min envelope, so hub
-// lookups skip them without any I/O. Clustered chunks carry an explicit
-// ascending id list (sparse chunks, spill_file.h). The gate is a pure
-// function of num_nodes: tiny graphs keep the dense zero-copy carve,
-// since every chunk would contain the whole member universe anyway.
+// Chunk layout: an eviction batch is carved in id order into contiguous
+// [set_lo, set_hi) chunks of ~chunk_target_bytes, each chunk's member
+// column a zero-copy span of the resident storage. The per-chunk postings
+// are what let a lookup skip a chunk; the layout itself is a pure function
+// of the set sizes and the target, never of load.
 //
 // Determinism: nothing here draws randomness. Spilling changes only WHERE
 // set bytes live, never their values or the order lookups visit them:
-// cold chunks in deterministic file order with ids ascending WITHIN each
-// chunk (globally ascending only until clustering interleaves a batch's id
-// ranges), then the hot index ascending. Consumers' per-set applies
-// commute across that reorder (RemoveCoveredBy sets alive flags and
-// decrements per-ad sums — order-independent per distinct id), so any
-// computation over the store is bit-identical at any spill schedule,
-// worker count, or memory budget.
+// cold chunks ascending in id, then the hot index ascending, so every
+// lookup visits set ids globally ascending. Any computation over the
+// store is therefore bit-identical at any spill schedule, worker count,
+// or memory budget.
 
 #ifndef ISA_RRSET_RR_STORE_H_
 #define ISA_RRSET_RR_STORE_H_
@@ -188,14 +179,12 @@ class RrStore {
   /// Invokes fn(set_id, members) for every SPILLED set with id < max_id
   /// whose members contain `v` and whose `alive` byte is nonzero (an
   /// empty span passes every id; otherwise it must cover every id below
-  /// max_id) — in deterministic chunk (file) order, ids ascending within
-  /// each chunk (globally ascending only while no node-clustered batch
-  /// interleaves ranges; fn must commute across chunk reorder, which
-  /// coverage removal does). Per chunk overlapping [0, max_id): no I/O
-  /// when v lies outside the node envelope; else one read of v's postings
-  /// offsets (equal offsets = v absent, the chunk is skipped), one read of
-  /// v's set-index slice, and per set that survives the max_id and alive
-  /// filters one read of its member offsets and one of its members. A
+  /// max_id) — ids ascending (chunks tile ascending id ranges in file
+  /// order). Per chunk overlapping [0, max_id): no I/O when v lies outside
+  /// the node envelope; else one read of v's postings offsets (equal
+  /// offsets = v absent, the chunk is skipped), one read of v's set-index
+  /// slice, and per set that survives the max_id and alive filters one
+  /// read of its member offsets and one of its members. A
   /// chunk's hits are all read before fn sees any of them, so a failed
   /// read never leaves a chunk half applied. Runs on the calling thread.
   /// Counters: one scan_reloads() tick per call with at least one chunk
@@ -239,6 +228,8 @@ class RrStore {
   uint64_t spill_retries() const;
   uint64_t spill_retry_successes() const;
 
+  /// The chunk file (nullptr = never spilled), for layout inspection.
+  const SpillFile* spill_file() const { return spill_.get(); }
   /// Bytes of this store's sets on disk (0 = never spilled). Non-resident:
   /// excluded from MemoryBytes, reported separately for Table 3.
   uint64_t SpilledBytes() const;

@@ -17,8 +17,8 @@ namespace isa::rrset {
 
 namespace {
 
-// The on-disk footer v4: ChunkMeta's scalar fields at fixed width plus the
-// index and id columns' lengths, written LAST in each chunk's region so
+// The on-disk footer v5: ChunkMeta's scalar fields at fixed width plus the
+// index column's length, written LAST in each chunk's region so
 // the file is self-describing (a backward walk from EOF reads the final
 // footer, whose file_offset locates its region's start — the previous
 // footer ends right there; magic + version pin the layout).
@@ -30,15 +30,12 @@ struct DiskFooter {
   uint64_t file_offset;
   uint64_t postings;
   uint64_t index_postings;  // length of the index_sets column
-  uint32_t num_sets;        // < set_hi - set_lo means a sparse id list
-                            // precedes the footer (num_sets uint32 ids)
   uint32_t version;
   uint32_t magic;
-  uint32_t pad0;
 };
-static_assert(sizeof(DiskFooter) == 64);
-constexpr uint32_t kFooterMagic = 0x34415349;  // "ISA4"
-constexpr uint32_t kFooterVersion = 4;
+static_assert(sizeof(DiskFooter) == 56);
+constexpr uint32_t kFooterMagic = 0x35415349;  // "ISA5"
+constexpr uint32_t kFooterVersion = 5;
 
 [[noreturn]] void ThrowIo(const char* op, const char* path,
                           const char* detail) {
@@ -176,40 +173,17 @@ SpillFile::~SpillFile() {
   ::unlink(path_.c_str());
 }
 
-void SpillFile::BeginBatch(uint64_t batch_lo, uint64_t batch_hi) {
-  ISA_CHECK(batch_lo <= batch_hi);
-  // Batches must tile ascending id ranges without overlap — a lower bound
-  // means a caller re-spilled a range after a SpillIoError (the file is
-  // then inconsistent; fail loudly).
-  ISA_CHECK(batch_lo >= max_set_hi_);
-  batch_active_ = true;
-  batch_lo_ = batch_lo;
-  batch_hi_ = batch_hi;
-  max_set_hi_ = batch_hi;
-}
-
 void SpillFile::AppendChunk(uint64_t set_lo, uint64_t set_hi,
                             std::span<const uint32_t> sizes,
-                            std::span<const graph::NodeId> nodes,
-                            std::span<const uint32_t> ids) {
-  if (ids.empty()) {
-    ISA_CHECK(set_hi - set_lo == sizes.size());
-  } else {
-    ISA_CHECK(ids.size() == sizes.size());
-    ISA_CHECK(set_lo == ids.front() && set_hi == ids.back() + 1);
-  }
+                            std::span<const graph::NodeId> nodes) {
+  ISA_CHECK(set_hi - set_lo == sizes.size());
   // Member and index offsets are uint32 columns.
   ISA_CHECK(nodes.size() < UINT32_MAX);
-  if (batch_active_) {
-    // Sharded chunks of one batch may interleave id-wise; they must stay
-    // inside the declared batch range.
-    ISA_CHECK(set_lo >= batch_lo_ && set_hi <= batch_hi_);
-  } else {
-    // Without a batch, chunks tile ascending ranges directly (see
-    // BeginBatch for why a lower id must fail).
-    ISA_CHECK(set_lo >= max_set_hi_);
-    max_set_hi_ = set_hi;
-  }
+  // Chunks tile ascending ranges; a lower id means a caller re-spilled a
+  // range after a SpillIoError (the file is then inconsistent; fail
+  // loudly).
+  ISA_CHECK(set_lo >= max_set_hi_);
+  max_set_hi_ = set_hi;
   ChunkMeta meta;
   meta.set_lo = set_lo;
   meta.set_hi = set_hi;
@@ -217,7 +191,6 @@ void SpillFile::AppendChunk(uint64_t set_lo, uint64_t set_hi,
   meta.postings = nodes.size();
   meta.node_min = nodes.empty() ? 0 : UINT32_MAX;
   meta.node_max = 0;
-  meta.ids.assign(ids.begin(), ids.end());
   for (graph::NodeId v : nodes) {
     if (v < meta.node_min) meta.node_min = v;
     if (v > meta.node_max) meta.node_max = v;
@@ -266,7 +239,7 @@ void SpillFile::AppendChunk(uint64_t set_lo, uint64_t set_hi,
   }
   const uint64_t index_postings = span == 0 ? 0 : index.size() - span - 1;
 
-  // Region layout: [member offsets][nodes][index][ids][footer].
+  // Region layout: [member offsets][nodes][index][footer].
   uint64_t cursor = bytes_;
   const auto write = [&](const void* data, uint64_t len) {
     if (len == 0) return;
@@ -276,7 +249,6 @@ void SpillFile::AppendChunk(uint64_t set_lo, uint64_t set_hi,
   write(member_offsets.data(), member_offsets.size() * sizeof(uint32_t));
   write(nodes.data(), nodes.size_bytes());
   write(index.data(), index.size() * sizeof(uint32_t));
-  write(meta.ids.data(), meta.ids.size() * sizeof(uint32_t));
   const DiskFooter footer{meta.set_lo,
                           meta.set_hi,
                           meta.node_min,
@@ -284,14 +256,11 @@ void SpillFile::AppendChunk(uint64_t set_lo, uint64_t set_hi,
                           meta.file_offset,
                           meta.postings,
                           index_postings,
-                          static_cast<uint32_t>(meta.NumSets()),
                           kFooterVersion,
-                          kFooterMagic,
-                          0};
+                          kFooterMagic};
   write(&footer, sizeof(footer));
   bytes_ = cursor;
-  ids_bytes_ += meta.ids.capacity() * sizeof(uint32_t);
-  chunks_.push_back(std::move(meta));
+  chunks_.push_back(meta);
 }
 
 void SpillFile::ReadChunk(size_t chunk, std::vector<uint32_t>* sizes,

@@ -1,10 +1,9 @@
 // Append-only columnar chunk file — the cold tier of the out-of-core RR
 // store (see rr_store.h for the two-tier picture).
 //
-// A chunk holds an ascending list of RR set ids (a contiguous range
-// [set_lo, set_hi) for dense chunks; an explicit sparse id list for the
-// node-clustered chunks RrStore::SpillPrefix emits) as a member column
-// plus a chunk-local inverted index over it. On-disk chunk region (v4):
+// A chunk holds a contiguous RR set id range [set_lo, set_hi) as a member
+// column plus a chunk-local inverted index over it; chunks tile ascending
+// id ranges in file order. On-disk chunk region (v5):
 //
 //   [uint32 member_offsets[num_sets + 1]]  prefix sums of the set sizes:
 //                                          set k's members are
@@ -20,18 +19,17 @@
 //   [uint32 index_sets[index_postings]]    chunk-local set indices k,
 //                                          ascending per node, one per
 //                                          distinct (node, set) pair
-//   [uint32 ids[num_sets]]                 sparse chunks only: the set ids
-//   [footer v4]                            id range + count, node-id
-//                                          min/max, region offset, posting
-//                                          counts, version + magic
+//   [footer v5]                            id range, node-id min/max,
+//                                          region offset, posting counts,
+//                                          version + magic
 //
 // (The two index columns are absent from a chunk with no members.)
 // Regions are packed back to back; the footer ends each region, so the
 // file stays self-describing by a backward footer walk from EOF (each
 // footer names its region's file_offset; the previous footer ends where
-// that region starts). Footers are mirrored in memory — sparse id lists
-// included, nothing per posting — and every column's file offset follows
-// from the mirrored counts, so a lookup needs no resident index.
+// that region starts). Footers are mirrored in memory — nothing per set or
+// per posting — and every column's file offset follows from the mirrored
+// counts, so a lookup needs no resident index.
 //
 // A lookup for node v touches only what it needs: outside the envelope no
 // I/O at all; otherwise one read of v's two index offsets (equal offsets
@@ -97,10 +95,8 @@ class SpillFile {
  public:
   /// One chunk's in-memory footer.
   struct ChunkMeta {
-    /// Smallest id in the chunk and one past the largest. Dense chunks
-    /// cover exactly [set_lo, set_hi); sparse (node-clustered) chunks hold
-    /// the explicit ascending subset in `ids`. Chunks of one spill batch
-    /// partition the batch's ids; across batches the id ranges ascend.
+    /// The chunk's sets are exactly [set_lo, set_hi); chunk-local index k
+    /// is set set_lo + k. Chunks tile ascending ranges in file order.
     uint64_t set_lo = 0;
     uint64_t set_hi = 0;
     /// Envelope of the member node ids in this chunk — lookups for a node
@@ -111,18 +107,8 @@ class SpillFile {
     uint64_t file_offset = 0;
     /// Total members over the chunk's sets (the nodes column length).
     uint64_t postings = 0;
-    /// Sparse chunks: the ascending set ids, one per set (empty = dense,
-    /// ids are set_lo + k). Mirrored resident — lookups map chunk-local
-    /// indices to ids, and recovery needs the exact id list when the disk
-    /// copy is unreadable — and charged to MetadataBytes.
-    std::vector<uint32_t> ids;
 
-    uint64_t NumSets() const {
-      return ids.empty() ? set_hi - set_lo : ids.size();
-    }
-    uint64_t SetIdAt(uint64_t k) const {
-      return ids.empty() ? set_lo + k : ids[k];
-    }
+    uint64_t NumSets() const { return set_hi - set_lo; }
     /// Node ids the index columns span (0 for a chunk without members).
     uint64_t EnvelopeSpan() const {
       return postings == 0 ? 0 : uint64_t{node_max} - node_min + 1;
@@ -148,26 +134,17 @@ class SpillFile {
   SpillFile(const SpillFile&) = delete;
   SpillFile& operator=(const SpillFile&) = delete;
 
-  /// Declares that subsequent AppendChunk calls spill the id batch
-  /// [batch_lo, batch_hi) — required before appending sparse chunks,
-  /// whose id lists may interleave within the batch. batch_lo must be at
-  /// or past every previously appended id (batches never overlap).
-  void BeginBatch(uint64_t batch_lo, uint64_t batch_hi);
-
-  /// Appends the sets listed in `ids` (ascending; empty = the dense range
-  /// [set_lo, set_hi)): `sizes[k]` members of the k-th id taken in order
-  /// from the concatenated `nodes`. Builds the member-offset column and
-  /// the chunk-local postings index (a counting sort over the node-id
-  /// envelope — O(postings + span), no comparison sort) and writes the
-  /// region. Without a BeginBatch, set_lo must be at or past every
-  /// previously appended id — a lower id means a caller re-spilled a
-  /// range after a SpillIoError (the file is then inconsistent; fail
-  /// loudly). Throws SpillIoError on I/O failure (the chunk is then not
-  /// recorded).
+  /// Appends sets [set_lo, set_hi): `sizes[k]` members of set set_lo + k
+  /// taken in order from the concatenated `nodes`. Builds the member-offset
+  /// column and the chunk-local postings index (a counting sort over the
+  /// node-id envelope — O(postings + span), no comparison sort) and writes
+  /// the region. set_lo must be at or past every previously appended id —
+  /// a lower id means a caller re-spilled a range after a SpillIoError
+  /// (the file is then inconsistent; fail loudly). Throws SpillIoError on
+  /// I/O failure (the chunk is then not recorded).
   void AppendChunk(uint64_t set_lo, uint64_t set_hi,
                    std::span<const uint32_t> sizes,
-                   std::span<const graph::NodeId> nodes,
-                   std::span<const uint32_t> ids = {});
+                   std::span<const graph::NodeId> nodes);
 
   /// Reads chunk `chunk`'s sets back into `sizes`/`nodes` (resized to
   /// fit) — the exact columns AppendChunk was given. Thread-safe against
@@ -192,15 +169,14 @@ class SpillFile {
   std::span<const ChunkMeta> chunks() const { return chunks_; }
   size_t num_chunks() const { return chunks_.size(); }
 
-  /// Bytes written to disk (members, index columns, id lists, footers) —
+  /// Bytes written to disk (members, index columns, footers) —
   /// the non-resident tier's size for Table 3 accounting.
   uint64_t bytes_on_disk() const { return bytes_; }
 
-  /// Resident bytes this object itself holds (the footer mirror, sparse
-  /// id lists included) — charged into RrStore::MemoryBytes so the
-  /// accounting stays honest.
+  /// Resident bytes this object itself holds (the footer mirror) —
+  /// charged into RrStore::MemoryBytes so the accounting stays honest.
   uint64_t MetadataBytes() const {
-    return chunks_.capacity() * sizeof(ChunkMeta) + ids_bytes_;
+    return chunks_.capacity() * sizeof(ChunkMeta);
   }
 
   const std::string& path() const { return path_; }
@@ -227,11 +203,7 @@ class SpillFile {
   std::string path_;
   int fd_ = -1;
   uint64_t bytes_ = 0;
-  uint64_t ids_bytes_ = 0;    // resident bytes of the mirrored id lists
-  uint64_t max_set_hi_ = 0;   // highest id bound appended so far
-  bool batch_active_ = false;
-  uint64_t batch_lo_ = 0;
-  uint64_t batch_hi_ = 0;
+  uint64_t max_set_hi_ = 0;  // highest id bound appended so far
   std::vector<ChunkMeta> chunks_;
   mutable std::atomic<uint64_t> retries_{0};
   mutable std::atomic<uint64_t> retry_successes_{0};

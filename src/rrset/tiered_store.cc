@@ -28,13 +28,11 @@ void TieredRrStore::MaybeSpill(uint64_t max_evictable, ThreadPool* pool) {
     // covers the overshoot. Each evicted set frees its members (4 B per
     // posting), its inverted-index posting (~4 B each in the CSR base)
     // and its offset slot (8 B); the estimate counts 1 B less per
-    // posting, so the walk evicts a margin past the overshoot. The margin
-    // covers the clustered layout's sparse id mirror, which stays
-    // resident (~4 B per set, well under 1 B per posting at typical set
-    // sizes); the spill's postings index lives on disk only. Capacity
-    // slack freed by the exact-fit rebuild is not counted either, so the
-    // estimate errs low, which only means MaybeSpill occasionally evicts
-    // one chunk more than the budget needs.
+    // posting, so the walk evicts a margin past the overshoot (the spill's
+    // postings index lives on disk only; its footer mirror is a few dozen
+    // bytes per chunk). Capacity slack freed by the exact-fit rebuild is
+    // not counted either, so the estimate errs low, which only means
+    // MaybeSpill occasionally evicts one chunk more than the budget needs.
     const uint64_t need = resident - budget;
     uint64_t new_first = store_->first_resident_set();
     uint64_t freed = 0;

@@ -117,13 +117,19 @@ TEST(MiniSnapFixtureTest, GzipDetectedByMagicNotExtension) {
 
 TEST(DatasetCatalogTest, BuiltinNamesAndResolve) {
   const auto names = DatasetCatalog::Names();
-  ASSERT_EQ(names.size(), 3u);
+  ASSERT_EQ(names.size(), 4u);
   for (const std::string& name : names) {
     auto spec = DatasetCatalog::Resolve(name);
     ASSERT_TRUE(spec.ok()) << name;
     EXPECT_EQ(spec.value().name, name);
     EXPECT_GT(spec.value().paper_nodes, 0u) << name;
   }
+  // The FLIXSTER stand-in: R-MAT under topic-mix weights with L = 10.
+  auto flixster = DatasetCatalog::Resolve("flixster");
+  ASSERT_TRUE(flixster.ok());
+  EXPECT_EQ(flixster.value().fallback, DatasetSpec::Fallback::kRmat);
+  EXPECT_EQ(flixster.value().regime, WeightingRegime::kTopicMix);
+  EXPECT_EQ(flixster.value().topic_mix_topics, 10u);
   auto missing = DatasetCatalog::Resolve("soc-nonexistent");
   ASSERT_FALSE(missing.ok());
   // The error teaches the valid names.

@@ -8,13 +8,14 @@
 #include "core/ti_greedy.h"
 #include "eval/datasets.h"
 #include "eval/workload.h"
+#include "tests/test_util.h"
 
 namespace isa {
 namespace {
 
-eval::ExperimentSetup MakeSetup(eval::DatasetId id,
+eval::ExperimentSetup MakeSetup(std::string_view dataset,
                                 core::IncentiveModel model, double alpha) {
-  auto ds = eval::BuildDataset(id, /*scale=*/0.02, /*seed=*/5);
+  auto ds = test::LoadDataset(dataset, /*scale=*/0.02, /*seed=*/5);
   EXPECT_TRUE(ds.ok());
   eval::WorkloadOptions opt;
   opt.num_advertisers = 4;
@@ -38,7 +39,7 @@ core::TiOptions FastTi() {
 }
 
 TEST(IntegrationTest, AllFourAlgorithmsProduceFeasibleAllocations) {
-  auto setup = MakeSetup(eval::DatasetId::kEpinions,
+  auto setup = MakeSetup("soc-epinions1",
                          core::IncentiveModel::kLinear, 0.2);
   const core::RmInstance& inst = *setup.instance;
 
@@ -60,7 +61,7 @@ TEST(IntegrationTest, CsrmBeatsOrMatchesCarmOnLinearIncentives) {
   // The paper's headline quality finding (Fig. 2): under skewed (linear)
   // incentives the cost-sensitive algorithm achieves at least as much
   // revenue. We assert a softened version robust to estimation noise.
-  auto setup = MakeSetup(eval::DatasetId::kEpinions,
+  auto setup = MakeSetup("soc-epinions1",
                          core::IncentiveModel::kLinear, 0.5);
   auto carm = core::RunTiCarm(*setup.instance, FastTi());
   auto csrm = core::RunTiCsrm(*setup.instance, FastTi());
@@ -79,7 +80,7 @@ TEST(IntegrationTest, ConstantIncentivesEqualizeCarmAndCsrm) {
   // Paper: "for the constant incentive model, the advantage of being
   // cost-sensitive is nullified, hence TI-CARM and TI-CSRM end up
   // performing identically".
-  auto setup = MakeSetup(eval::DatasetId::kEpinions,
+  auto setup = MakeSetup("soc-epinions1",
                          core::IncentiveModel::kConstant, 0.2);
   auto carm = core::RunTiCarm(*setup.instance, FastTi());
   auto csrm = core::RunTiCsrm(*setup.instance, FastTi());
@@ -91,7 +92,7 @@ TEST(IntegrationTest, ConstantIncentivesEqualizeCarmAndCsrm) {
 TEST(IntegrationTest, HigherAlphaNeverHelpsRevenue) {
   // Raising every incentive (alpha) shrinks the budget left for
   // engagements; revenue should not increase materially.
-  auto setup = MakeSetup(eval::DatasetId::kEpinions,
+  auto setup = MakeSetup("soc-epinions1",
                          core::IncentiveModel::kLinear, 0.1);
   auto cheap = core::RunTiCsrm(*setup.instance, FastTi());
   ASSERT_TRUE(cheap.ok());
@@ -105,7 +106,7 @@ TEST(IntegrationTest, HigherAlphaNeverHelpsRevenue) {
 }
 
 TEST(IntegrationTest, TicMultiTopicPipeline) {
-  auto setup = MakeSetup(eval::DatasetId::kFlixster,
+  auto setup = MakeSetup("flixster",
                          core::IncentiveModel::kSublinear, 1.0);
   auto csrm = core::RunTiCsrm(*setup.instance, FastTi());
   ASSERT_TRUE(csrm.ok());
@@ -115,7 +116,7 @@ TEST(IntegrationTest, TicMultiTopicPipeline) {
 }
 
 TEST(IntegrationTest, MoreAdvertisersMoreTotalWork) {
-  auto ds2 = eval::BuildDataset(eval::DatasetId::kDblp, 0.02, 5);
+  auto ds2 = test::LoadDataset("com-dblp", 0.02, 5);
   ASSERT_TRUE(ds2.ok());
   eval::WorkloadOptions opt;
   opt.num_advertisers = 2;
@@ -124,7 +125,7 @@ TEST(IntegrationTest, MoreAdvertisersMoreTotalWork) {
   auto setup2 = eval::BuildExperiment(std::move(ds2).value(), opt);
   ASSERT_TRUE(setup2.ok());
 
-  auto ds6 = eval::BuildDataset(eval::DatasetId::kDblp, 0.02, 5);
+  auto ds6 = test::LoadDataset("com-dblp", 0.02, 5);
   ASSERT_TRUE(ds6.ok());
   opt.num_advertisers = 6;
   auto setup6 = eval::BuildExperiment(std::move(ds6).value(), opt);

@@ -19,6 +19,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <vector>
 
@@ -201,20 +202,13 @@ struct SampledSets {
     for (uint32_t size : sizes) offsets.push_back(offsets.back() + size);
   }
   uint32_t NumSets() const { return static_cast<uint32_t>(sizes.size()); }
-  // Appends the sets listed in `ids` (ascending) as one chunk; `sparse`
-  // records them as an explicit id list.
-  void Append(SpillFile& file, const std::vector<uint32_t>& ids,
-              bool sparse) const {
-    std::vector<uint32_t> chunk_sizes;
-    std::vector<graph::NodeId> chunk_nodes;
-    for (const uint32_t id : ids) {
-      chunk_sizes.push_back(sizes[id]);
-      chunk_nodes.insert(chunk_nodes.end(), nodes.begin() + offsets[id],
-                         nodes.begin() + offsets[id + 1]);
-    }
-    file.AppendChunk(ids.front(), ids.back() + 1, chunk_sizes, chunk_nodes,
-                     sparse ? std::span<const uint32_t>(ids)
-                            : std::span<const uint32_t>());
+  // Appends sets [lo, hi) as one chunk.
+  void Append(SpillFile& file, uint32_t lo, uint32_t hi) const {
+    file.AppendChunk(
+        lo, hi,
+        std::span<const uint32_t>(sizes.data() + lo, hi - lo),
+        std::span<const graph::NodeId>(nodes.data() + offsets[lo],
+                                       offsets[hi] - offsets[lo]));
   }
 };
 
@@ -229,24 +223,7 @@ TEST(SpillPostingsTest, LookupMatchesBruteForceForEveryNodeAndChunk) {
     SCOPED_TRACE("dense");
     SpillFile file(rrset::MakeSpillPath());
     for (uint32_t lo = 0; lo < n; lo += 64) {
-      std::vector<uint32_t> ids;
-      for (uint32_t id = lo; id < std::min(n, lo + 64); ++id) {
-        ids.push_back(id);
-      }
-      sets.Append(file, ids, /*sparse=*/false);
-    }
-    ExpectExactPostings(file, sets.num_nodes);
-  }
-  // Clustered layout: one batch carved into interleaved sparse chunks
-  // (chunk c holds the ids congruent to c mod 7).
-  {
-    SCOPED_TRACE("clustered");
-    SpillFile file(rrset::MakeSpillPath());
-    file.BeginBatch(0, n);
-    for (uint32_t c = 0; c < 7; ++c) {
-      std::vector<uint32_t> ids;
-      for (uint32_t id = c; id < n; id += 7) ids.push_back(id);
-      sets.Append(file, ids, /*sparse=*/true);
+      sets.Append(file, lo, std::min(n, lo + 64));
     }
     ExpectExactPostings(file, sets.num_nodes);
   }
@@ -255,7 +232,7 @@ TEST(SpillPostingsTest, LookupMatchesBruteForceForEveryNodeAndChunk) {
     SCOPED_TRACE("one set per chunk");
     SpillFile file(rrset::MakeSpillPath());
     for (uint32_t id = 0; id < 120; ++id) {
-      sets.Append(file, {id}, /*sparse=*/false);
+      sets.Append(file, id, id + 1);
     }
     ExpectExactPostings(file, sets.num_nodes);
   }
@@ -263,7 +240,7 @@ TEST(SpillPostingsTest, LookupMatchesBruteForceForEveryNodeAndChunk) {
 
 // ------------------------------------------------- scan counters + skips
 
-TEST(SpillPrefetchTest, ScanCountersPartitionConsideredChunks) {
+TEST(SpillLookupTest, ScanCountersPartitionConsideredChunks) {
   // A graph much larger than a chunk's distinct-member reach, so most
   // chunks genuinely lack most nodes and the lookups have real skips to
   // find.
@@ -292,9 +269,12 @@ TEST(SpillPrefetchTest, ScanCountersPartitionConsideredChunks) {
         [&](uint64_t r, std::span<const graph::NodeId>) {
           got.push_back(static_cast<uint32_t>(r));
         });
-    // Clustered chunks emit in chunk order, not globally ascending;
-    // the SET of emitted ids must still match exactly.
-    std::sort(got.begin(), got.end());
+    // Chunks tile ascending id ranges, so the hits arrive strictly
+    // ascending — the same sequence the hot index gave before the spill.
+    ASSERT_EQ(std::adjacent_find(got.begin(), got.end(),
+                                 std::greater_equal<uint32_t>()),
+              got.end())
+        << "node " << v;
     EXPECT_EQ(got, expected[v]) << "node " << v;
     ++scans;
     // Every spilled chunk overlaps [0, 3000): each scan considers all of
@@ -318,29 +298,29 @@ TEST(SpillPrefetchTest, ScanCountersPartitionConsideredChunks) {
 // over a store whose every spilled chunk is already in memory that way
 // must match removal over plain targeted reads, seed for seed — and must
 // not touch the disk again.
-TEST(SpillPrefetchTest, PrefetchedRemoveCoveredByMatchesPlain) {
+TEST(SpillLookupTest, CachedChunkRemoveCoveredByMatchesPlain) {
   IoStateGuard guard;
   const Graph g = MakeBaGraph(300, 3);
   const std::vector<double> probs(g.num_edges(), 0.1);
 
   RrCollection plain(g.num_nodes());
-  RrCollection prefetched(g.num_nodes());
+  RrCollection from_cache(g.num_nodes());
   {
     ParallelSampler s1 = MakeSampler(g, probs, 1);
     plain.AddSets(s1, 3000, {});
   }
   {
     ParallelSampler s2 = MakeSampler(g, probs, 1);
-    prefetched.AddSets(s2, 3000, {});
+    from_cache.AddSets(s2, 3000, {});
   }
   SpillOptions so;
   so.chunk_target_bytes = 1u << 13;
   plain.store()->SpillPrefix(1500, so);
-  prefetched.store()->SpillPrefix(1500, so);
+  from_cache.store()->SpillPrefix(1500, so);
 
   // With every disk read failing, a lookup re-samples each chunk it
   // consults into the resident cache; one lookup per node consults all.
-  RrStore& cached = *prefetched.store();
+  RrStore& cached = *from_cache.store();
   cached.SetResampler(test::IcResampler(g, probs));
   ASSERT_TRUE(FailPoints::Arm("spill.read.eio@every:1").ok());
   for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
@@ -356,13 +336,13 @@ TEST(SpillPrefetchTest, PrefetchedRemoveCoveredByMatchesPlain) {
     const uint32_t removed_a = plain.RemoveCoveredBy(seed, &touched_a);
     // Any disk read from the cached store would now fail and re-sample.
     ASSERT_TRUE(FailPoints::Arm("spill.read.eio@every:1").ok());
-    const uint32_t removed_b = prefetched.RemoveCoveredBy(seed, &touched_b);
+    const uint32_t removed_b = from_cache.RemoveCoveredBy(seed, &touched_b);
     FailPoints::Clear();
     ASSERT_EQ(removed_a, removed_b) << "seed " << seed;
     ASSERT_EQ(touched_a, touched_b) << "seed " << seed;
-    ASSERT_EQ(plain.covered_sets(), prefetched.covered_sets());
+    ASSERT_EQ(plain.covered_sets(), from_cache.covered_sets());
     for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
-      ASSERT_EQ(plain.CoverageOf(v), prefetched.CoverageOf(v))
+      ASSERT_EQ(plain.CoverageOf(v), from_cache.CoverageOf(v))
           << "seed " << seed << " node " << v;
     }
   }
@@ -373,7 +353,7 @@ TEST(SpillPrefetchTest, PrefetchedRemoveCoveredByMatchesPlain) {
 
 // --------------------------------------------------------- fault injection
 
-TEST(SpillFaultTest, TruncatedFileSurfacesEofAcrossBackends) {
+TEST(SpillFaultTest, TruncatedFileSurfacesEof) {
   IoStateGuard guard;
   SpillFile file(rrset::MakeSpillPath());
   const std::vector<uint32_t> sizes = {2, 1};
@@ -504,7 +484,7 @@ TEST(SpillFaultTest, EnospcOnSpillWriteDegradesToResidentCompletion) {
 
 // The acceptance gate: a budgeted run at 1/2/8 threads is bit-identical
 // to the unbudgeted single-thread reference.
-TEST(SpillPrefetchTest, TiResultBitIdenticalAcrossBackendsAndThreads) {
+TEST(SpillLookupTest, TiResultBitIdenticalAcrossThreads) {
   IoStateGuard guard;
   SpillFaultEndToEndFixture f;
   TiOptions options = f.BudgetedOptions();

@@ -204,12 +204,12 @@ TEST(SpillStoreTest, SpillPrefixPreservesQueriesAndShrinksMemory) {
 
 // A store filled by a pooled sampler and evicted with a pooled index
 // rebuild must serve the same cold lookups — ids, members and emission
-// order — and the same hot index as one built serially, in both the dense
-// and the node-clustered chunk layouts.
+// order — and the same hot index as one built serially, on a small and a
+// larger graph.
 TEST(SpillStoreTest, ParallelScanMatchesSerial) {
   ThreadPool pool(4);
   for (const graph::NodeId n : {300u, 5000u}) {
-    SCOPED_TRACE(n < 4096 ? "dense layout" : "clustered layout");
+    SCOPED_TRACE(testing::Message() << n << " nodes");
     const Graph g = MakeBaGraph(n, 2);
     const std::vector<double> probs(g.num_edges(), 0.1);
     RrStore serial(g.num_nodes());
@@ -256,6 +256,44 @@ TEST(SpillStoreTest, AliveFilterDropsBeforeEmit) {
       EXPECT_EQ(hits[i].first, expected[i]);
       EXPECT_EQ(hits[i].second, c.members[expected[i]]);
     }
+  }
+}
+
+// Eviction carves dense id ranges: on a graph large enough for any
+// node-ordered layout to reorder sets, the chunks of two eviction batches
+// tile [0, first_resident_set()) contiguously in file order, and a cold
+// lookup emits strictly ascending ids.
+TEST(SpillStoreTest, ChunksTileSpilledPrefixInIdOrder) {
+  const Graph g = MakeBaGraph(5000, 2);
+  SpilledStoreCase c(g, 4000);
+  SpillOptions so;
+  so.chunk_target_bytes = 1u << 12;  // many chunks per batch
+  c.store.SpillPrefix(1500, so);
+  c.store.SpillPrefix(3500, so);
+  const auto chunks = c.store.spill_file()->chunks();
+  ASSERT_GT(chunks.size(), 3u);
+  uint64_t next = 0;
+  for (size_t k = 0; k < chunks.size(); ++k) {
+    ASSERT_EQ(chunks[k].set_lo, next) << "chunk " << k;
+    ASSERT_LT(chunks[k].set_lo, chunks[k].set_hi) << "chunk " << k;
+    next = chunks[k].set_hi;
+  }
+  EXPECT_EQ(next, c.store.first_resident_set());
+
+  for (graph::NodeId v = 0; v < g.num_nodes(); v += 7) {
+    std::vector<uint32_t> got;
+    for (const auto& hit : SpilledHits(c.store, v, 4000)) {
+      got.push_back(static_cast<uint32_t>(hit.first));
+    }
+    ASSERT_EQ(std::adjacent_find(got.begin(), got.end(),
+                                 std::greater_equal<uint32_t>()),
+              got.end())
+        << "node " << v;
+    std::vector<uint32_t> expected_cold;
+    for (uint32_t r : c.sets_containing[v]) {
+      if (r < 3500) expected_cold.push_back(r);
+    }
+    ASSERT_EQ(got, expected_cold) << "node " << v;
   }
 }
 

@@ -6,11 +6,14 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <string_view>
 #include <vector>
 
 #include "common/logging.h"
 #include "common/rng.h"
 #include "core/problem.h"
+#include "eval/datasets.h"
+#include "graph/dataset_catalog.h"
 #include "graph/graph.h"
 #include "rrset/parallel_sampler.h"
 #include "rrset/rr_sampler.h"
@@ -26,6 +29,15 @@ inline graph::Graph MustGraph(graph::NodeId n,
   auto g = graph::Graph::FromEdges(n, std::move(edges));
   ISA_CHECK(g.ok());
   return std::move(g).value();
+}
+
+/// Catalog entry `name` at (scale, seed), wrapped for the eval layer.
+inline Result<std::unique_ptr<eval::Dataset>> LoadDataset(
+    std::string_view name, double scale, uint64_t seed) {
+  graph::DatasetCatalog::Options opt;
+  opt.scale = scale;
+  opt.seed = seed;
+  return eval::MakeDataset(graph::DatasetCatalog::Load(name, opt));
 }
 
 /// A one-worker IC ParallelSampler: the deterministic sampling path run

@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "eval/datasets.h"
 #include "eval/workload.h"
+#include "tests/test_util.h"
 
 namespace isa::eval {
 namespace {
+
+using test::LoadDataset;
 
 WorkloadOptions SmallOptions() {
   WorkloadOptions opt;
@@ -16,10 +21,10 @@ WorkloadOptions SmallOptions() {
 }
 
 TEST(DatasetTest, AllStandInsBuildAtTinyScale) {
-  for (auto id : {DatasetId::kFlixster, DatasetId::kEpinions,
-                  DatasetId::kDblp, DatasetId::kLiveJournal}) {
-    auto ds = BuildDataset(id, /*scale=*/0.02, /*seed=*/5);
-    ASSERT_TRUE(ds.ok()) << DatasetName(id) << ": " << ds.status().ToString();
+  for (const std::string& name : graph::DatasetCatalog::Names()) {
+    auto ds = LoadDataset(name, /*scale=*/0.02, /*seed=*/5);
+    ASSERT_TRUE(ds.ok()) << name << ": " << ds.status().ToString();
+    EXPECT_EQ(ds.value()->name, name);
     EXPECT_GT(ds.value()->graph.num_nodes(), 0u);
     EXPECT_GT(ds.value()->graph.num_edges(), 0u);
     EXPECT_EQ(ds.value()->topics.num_edges(),
@@ -29,25 +34,31 @@ TEST(DatasetTest, AllStandInsBuildAtTinyScale) {
 }
 
 TEST(DatasetTest, FlixsterHasTenTopics) {
-  auto ds = BuildDataset(DatasetId::kFlixster, 0.02, 5);
+  auto ds = LoadDataset("flixster", 0.02, 5);
   ASSERT_TRUE(ds.ok());
   EXPECT_EQ(ds.value()->num_topics, 10u);
 }
 
 TEST(DatasetTest, DeterministicInSeed) {
-  auto a = BuildDataset(DatasetId::kEpinions, 0.02, 9);
-  auto b = BuildDataset(DatasetId::kEpinions, 0.02, 9);
+  auto a = LoadDataset("soc-epinions1", 0.02, 9);
+  auto b = LoadDataset("soc-epinions1", 0.02, 9);
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_EQ(a.value()->graph.num_edges(), b.value()->graph.num_edges());
+  for (graph::NodeId v = 0; v < a.value()->graph.num_nodes(); ++v) {
+    const auto na = a.value()->graph.OutNeighbors(v);
+    const auto nb = b.value()->graph.OutNeighbors(v);
+    ASSERT_TRUE(std::equal(na.begin(), na.end(), nb.begin(), nb.end()))
+        << "node " << v;
+  }
 }
 
 TEST(DatasetTest, RejectsBadScale) {
-  EXPECT_FALSE(BuildDataset(DatasetId::kDblp, 0.0).ok());
-  EXPECT_FALSE(BuildDataset(DatasetId::kDblp, 1.5).ok());
+  EXPECT_FALSE(LoadDataset("com-dblp", 0.0, 2017).ok());
+  EXPECT_FALSE(LoadDataset("com-dblp", 1.5, 2017).ok());
 }
 
 TEST(MakeAdvertisersTest, BudgetsAndCpesInRange) {
-  auto ds = BuildDataset(DatasetId::kEpinions, 0.02, 5);
+  auto ds = LoadDataset("soc-epinions1", 0.02, 5);
   ASSERT_TRUE(ds.ok());
   auto opt = SmallOptions();
   auto ads = MakeAdvertisers(*ds.value(), opt);
@@ -63,7 +74,7 @@ TEST(MakeAdvertisersTest, BudgetsAndCpesInRange) {
 }
 
 TEST(MakeAdvertisersTest, MultiTopicMarketplacePairs) {
-  auto ds = BuildDataset(DatasetId::kFlixster, 0.02, 5);
+  auto ds = LoadDataset("flixster", 0.02, 5);
   ASSERT_TRUE(ds.ok());
   auto opt = SmallOptions();
   opt.num_advertisers = 6;
@@ -76,7 +87,7 @@ TEST(MakeAdvertisersTest, MultiTopicMarketplacePairs) {
 }
 
 TEST(MakeAdvertisersTest, RejectsBadRanges) {
-  auto ds = BuildDataset(DatasetId::kEpinions, 0.02, 5);
+  auto ds = LoadDataset("soc-epinions1", 0.02, 5);
   ASSERT_TRUE(ds.ok());
   WorkloadOptions opt = SmallOptions();
   opt.budget_min = -1;
@@ -90,7 +101,7 @@ TEST(MakeAdvertisersTest, RejectsBadRanges) {
 }
 
 TEST(SingletonSpreadsTest, ProxySharedAcrossAds) {
-  auto ds = BuildDataset(DatasetId::kEpinions, 0.02, 5);
+  auto ds = LoadDataset("soc-epinions1", 0.02, 5);
   ASSERT_TRUE(ds.ok());
   auto opt = SmallOptions();
   auto ads = MakeAdvertisers(*ds.value(), opt).value();
@@ -101,7 +112,7 @@ TEST(SingletonSpreadsTest, ProxySharedAcrossAds) {
 }
 
 TEST(SingletonSpreadsTest, RrEstimateProducesPerAdValues) {
-  auto ds = BuildDataset(DatasetId::kFlixster, 0.02, 5);
+  auto ds = LoadDataset("flixster", 0.02, 5);
   ASSERT_TRUE(ds.ok());
   auto opt = SmallOptions();
   opt.num_advertisers = 4;
@@ -117,7 +128,7 @@ TEST(SingletonSpreadsTest, RrEstimateProducesPerAdValues) {
 }
 
 TEST(BuildExperimentTest, EndToEndAssembly) {
-  auto ds = BuildDataset(DatasetId::kEpinions, 0.02, 5);
+  auto ds = LoadDataset("soc-epinions1", 0.02, 5);
   ASSERT_TRUE(ds.ok());
   auto setup = BuildExperiment(std::move(ds).value(), SmallOptions());
   ASSERT_TRUE(setup.ok());
@@ -127,7 +138,7 @@ TEST(BuildExperimentTest, EndToEndAssembly) {
 }
 
 TEST(BuildExperimentTest, RebuildSwapsIncentives) {
-  auto ds = BuildDataset(DatasetId::kEpinions, 0.02, 5);
+  auto ds = LoadDataset("soc-epinions1", 0.02, 5);
   ASSERT_TRUE(ds.ok());
   auto setup = BuildExperiment(std::move(ds).value(), SmallOptions());
   ASSERT_TRUE(setup.ok());
