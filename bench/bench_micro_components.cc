@@ -12,6 +12,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -331,17 +332,30 @@ bool RunWindowRetireSweep(std::vector<std::string>* rows) {
 // ---- Sampling kernel: coin column vs the per-arc walk. ----
 //
 // rrset::RrSampler flips a node's in-arcs with one integer coin when they
-// share a probability (rr_sampler.h). This sweep samples the same ids
+// share a probability, and past the cutover jumps from live arc to live
+// arc by a geometric skip (rr_sampler.h). This sweep samples the same ids
 // twice on one thread — with the real coin column and with an all-mixed
 // column, which sends every node down the per-arc NextBernoulli(probs[e])
-// loop the coin replaced — and gates on an FNV-1a hash of the sampled
-// sets agreeing. Instances are the perfbench stand-ins: a weighted-cascade
-// Barabási–Albert graph (wc-resident's) and a topic-mix power-law graph
-// (mix-selection's, uniform topic mix). The column's build is timed on
-// its own (`coin_column_build`). Returns false on a hash mismatch.
+// loop — on the perfbench stand-ins: a topic-mix power-law graph
+// (mix-selection's, uniform topic mix), which has no skip node, and a
+// weighted-cascade Barabási–Albert graph (wc-resident's). Gates:
+//   - topic-mix: the FNV-1a hashes of the two walks' sets agree — the
+//     threshold coin is bit-exact;
+//   - weighted cascade: the skip walk equals the per-arc walk in
+//     distribution only, so the two samples must agree within kGateZ
+//     standard errors on mean set size, and node by node on inclusion
+//     counts: |c_coin - c_arc| <= kGateZ * sqrt(c_coin + c_arc + 1), a
+//     normal bound on the difference of two binomial counts (the walks
+//     share each set's root draw, which only tightens the difference).
+// The column's build is timed on its own (`coin_column_build`), and the
+// cutover sweep (`skip_cutover`) prices the skip per in-degree bucket of
+// the weighted-cascade graph (p = 1/d). Returns false when a gate fails.
 constexpr uint64_t kKernelSets = 100'000;
+constexpr uint64_t kKernelSeed = 29;
 constexpr int kKernelReps = 5;
+constexpr int kCutoverReps = 15;  // a bucket moves a set by a few ns
 constexpr int kBuildReps = 21;
+constexpr double kGateZ = 6.0;
 
 uint64_t HashSets(const std::vector<uint32_t>& sizes,
                   const std::vector<isa::graph::NodeId>& nodes) {
@@ -352,28 +366,182 @@ uint64_t HashSets(const std::vector<uint32_t>& sizes,
   return h;
 }
 
+// Ids [0, kKernelSets) as sampled by one walk, with its median rate.
+struct Walk {
+  std::vector<uint32_t> sizes;
+  std::vector<isa::graph::NodeId> nodes;
+  double sets_per_s = 0.0;
+};
+
+// Samples the ids `reps` times with each sampler, alternating so both
+// share drift.
+void TimeWalks(isa::rrset::RrSampler& a, isa::rrset::RrSampler& b, int reps,
+               Walk* wa, Walk* wb) {
+  std::vector<double> sa, sb;
+  for (int r = 0; r < reps; ++r) {
+    isa::Stopwatch w;
+    a.SampleIds(kKernelSeed, 0, kKernelSets, &wa->sizes, &wa->nodes);
+    sa.push_back(w.ElapsedSeconds());
+    w.Reset();
+    b.SampleIds(kKernelSeed, 0, kKernelSets, &wb->sizes, &wb->nodes);
+    sb.push_back(w.ElapsedSeconds());
+  }
+  wa->sets_per_s = kKernelSets / isa::bench::Median(sa);
+  wb->sets_per_s = kKernelSets / isa::bench::Median(sb);
+}
+
+// Exact RNG draws per set over the ids: a set's count is the position of
+// its walk's next output in a fresh copy of its substream.
+double DrawsPerSet(isa::rrset::RrSampler& sampler) {
+  std::vector<isa::graph::NodeId> scratch;
+  uint64_t draws = 0;
+  for (uint64_t id = 0; id < kKernelSets; ++id) {
+    isa::Rng walk(isa::HashSeed(kKernelSeed, id));
+    sampler.SampleInto(walk, &scratch);
+    const uint64_t next = walk.Next();
+    isa::Rng replay(isa::HashSeed(kKernelSeed, id));
+    while (replay.Next() != next) ++draws;
+  }
+  return static_cast<double>(draws) / kKernelSets;
+}
+
+struct DistributionGate {
+  double mean_size_coin = 0.0;
+  double mean_size_per_arc = 0.0;
+  double size_z = 0.0;      // |mean difference| in standard errors
+  double max_node_z = 0.0;  // worst per-node inclusion-count z
+  bool ok = false;
+};
+
+DistributionGate CompareInDistribution(isa::graph::NodeId n, const Walk& coin,
+                                       const Walk& per_arc) {
+  DistributionGate gate;
+  auto mean_var = [](const std::vector<uint32_t>& sizes, double* mean) {
+    double sum = 0.0, sq = 0.0;
+    for (const uint32_t s : sizes) {
+      sum += s;
+      sq += static_cast<double>(s) * s;
+    }
+    *mean = sum / sizes.size();
+    return sq / sizes.size() - *mean * *mean;
+  };
+  const double var_coin = mean_var(coin.sizes, &gate.mean_size_coin);
+  const double var_arc = mean_var(per_arc.sizes, &gate.mean_size_per_arc);
+  gate.size_z = std::abs(gate.mean_size_coin - gate.mean_size_per_arc) /
+                std::sqrt((var_coin + var_arc) / kKernelSets);
+  std::vector<double> c_coin(n, 0.0), c_arc(n, 0.0);
+  for (const isa::graph::NodeId v : coin.nodes) ++c_coin[v];
+  for (const isa::graph::NodeId v : per_arc.nodes) ++c_arc[v];
+  for (isa::graph::NodeId v = 0; v < n; ++v) {
+    gate.max_node_z =
+        std::max(gate.max_node_z, std::abs(c_coin[v] - c_arc[v]) /
+                                      std::sqrt(c_coin[v] + c_arc[v] + 1));
+  }
+  gate.ok = gate.size_z <= kGateZ && gate.max_node_z <= kGateZ;
+  return gate;
+}
+
+// The cutover sweep: per in-degree bucket [lo, hi), a column that gives
+// only that bucket's threshold nodes their skip coin against the column
+// with no skip coin at all, on the same ids — sets/s, exact draws per set,
+// and the bucket's in-arcs per set. kSkipDrawCost is read off the bucket
+// where the skip starts to win (under weighted cascade UsesSkip reduces to
+// in-degree >= 2 * kSkipDrawCost).
+void RunSkipCutoverSweep(const Graph& g, std::span<const double> probs,
+                         std::vector<std::string>* rows) {
+  namespace rr = isa::rrset;
+  // The real column, with the bucket alone deciding which threshold nodes
+  // skip.
+  auto column = [&](uint64_t lo, uint64_t hi) {
+    auto coins =
+        std::make_shared<rr::CoinColumn>(*rr::BuildCoinColumn(g, probs));
+    for (isa::graph::NodeId v = 0; v < g.num_nodes(); ++v) {
+      uint64_t& state = (*coins)[v];
+      const bool threshold_node =
+          rr::IsSkipCoin(state) || (state > 0 && state < rr::kCoinAlways);
+      if (!threshold_node) continue;
+      const uint64_t t = rr::CoinState(probs[g.InEdgeIds(v)[0]]);
+      const uint64_t d = g.InDegree(v);
+      state = d >= lo && d < hi ? rr::SkipCoin(t) : t;
+    }
+    return std::shared_ptr<const rr::CoinColumn>(std::move(coins));
+  };
+  const auto ic = rr::DiffusionModel::kIndependentCascade;
+  rr::RrSampler per_arc(g, probs, ic, column(0, 0));
+  const uint64_t edges[] = {2, 3, 4, 6, 8, 12, 16, 32, UINT32_MAX};
+  std::printf("\nskip cutover (wc-ba, p = 1/d): skip on one in-degree bucket "
+              "vs none, %llu sets, 1 thread, median of %d\n",
+              static_cast<unsigned long long>(kKernelSets), kCutoverReps);
+  std::printf("%-9s %8s %10s %12s %11s %14s %13s %12s\n", "in-degree",
+              "nodes", "arcs/set", "draws/set", "skip_draws", "per_arc_sets/s",
+              "skip_sets/s", "ns_saved/set");
+  const double per_arc_draws = DrawsPerSet(per_arc);
+  for (size_t b = 0; b + 1 < std::size(edges); ++b) {
+    const uint64_t lo = edges[b], hi = edges[b + 1];
+    uint64_t nodes_in = 0;
+    for (isa::graph::NodeId v = 0; v < g.num_nodes(); ++v) {
+      nodes_in += g.InDegree(v) >= lo && g.InDegree(v) < hi;
+    }
+    rr::RrSampler skip(g, probs, ic, column(lo, hi));
+    Walk wa, ws;
+    TimeWalks(per_arc, skip, kCutoverReps, &wa, &ws);
+    uint64_t arcs = 0;
+    for (const isa::graph::NodeId v : wa.nodes) {
+      const uint64_t d = g.InDegree(v);
+      if (d >= lo && d < hi) arcs += d;
+    }
+    const double arcs_per_set = static_cast<double>(arcs) / kKernelSets;
+    const double skip_draws = DrawsPerSet(skip);
+    const double saved_ns = 1e9 / wa.sets_per_s - 1e9 / ws.sets_per_s;
+    char label[16];
+    std::snprintf(label, sizeof(label),
+                  hi == UINT32_MAX ? ">=%llu" : "[%llu,%llu)",
+                  static_cast<unsigned long long>(lo),
+                  static_cast<unsigned long long>(hi));
+    std::printf("%-9s %8llu %10.2f %12.2f %11.2f %14.0f %13.0f %12.1f\n",
+                label, static_cast<unsigned long long>(nodes_in),
+                arcs_per_set, per_arc_draws, skip_draws, wa.sets_per_s,
+                ws.sets_per_s, saved_ns);
+    rows->push_back(isa::bench::JsonObject()
+                        .Add("in_degree_lo", lo)
+                        .Add("in_degree_hi", hi)
+                        .Add("nodes", nodes_in)
+                        .Add("bucket_arcs_per_set", arcs_per_set)
+                        .Add("per_arc_draws_per_set", per_arc_draws)
+                        .Add("skip_draws_per_set", skip_draws)
+                        .Add("per_arc_sets_per_s", wa.sets_per_s)
+                        .Add("skip_sets_per_s", ws.sets_per_s)
+                        .Add("ns_saved_per_set", saved_ns)
+                        .Add("uses_skip",
+                             rr::UsesSkip(lo, rr::CoinState(1.0 / lo)))
+                        .str());
+  }
+}
+
 bool RunSamplingKernelSweep(std::vector<std::string>* kernel_rows,
-                            std::vector<std::string>* build_rows) {
+                            std::vector<std::string>* build_rows,
+                            std::vector<std::string>* cutover_rows) {
   struct Instance {
     const char* name;
     const char* dataset;
     isa::graph::WeightingRegime regime;
     double scale;
+    bool bit_exact;  // gate on the set hash, else in distribution
   };
   const Instance instances[] = {
       {"wc-ba", "com-dblp", isa::graph::WeightingRegime::kWeightedCascade,
-       0.16},
+       0.16, false},
       {"topic-mix", "soc-epinions1", isa::graph::WeightingRegime::kTopicMix,
-       0.5},
+       0.5, true},
   };
   std::printf("\nsampling kernel: coin column vs per-arc walk, %llu sets, "
               "1 thread, median of %d (column build: median of %d)\n",
               static_cast<unsigned long long>(kKernelSets), kKernelReps,
               kBuildReps);
-  std::printf("%-10s %8s %9s %9s %9s %14s %16s %9s\n", "instance", "nodes",
-              "arcs", "uniform", "build_ms", "coin_sets/s", "per_arc_sets/s",
-              "speedup");
-  bool hashes_match = true;
+  std::printf("%-10s %8s %9s %9s %9s %9s %14s %16s %9s  %s\n", "instance",
+              "nodes", "arcs", "uniform", "skip", "build_ms", "coin_sets/s",
+              "per_arc_sets/s", "speedup", "gate");
+  bool all_ok = true;
   for (const Instance& in : instances) {
     isa::graph::DatasetCatalog::Options copt;
     copt.scale = in.scale;
@@ -403,6 +571,8 @@ bool RunSamplingKernelSweep(std::vector<std::string>* kernel_rows,
     const auto uniform = static_cast<uint64_t>(std::count_if(
         coins->begin(), coins->end(),
         [](uint64_t c) { return c != isa::rrset::kCoinMixed; }));
+    const auto skip = static_cast<uint64_t>(std::count_if(
+        coins->begin(), coins->end(), isa::rrset::IsSkipCoin));
 
     const auto ic = isa::rrset::DiffusionModel::kIndependentCascade;
     isa::rrset::RrSampler coin(g, probs, ic, coins);
@@ -410,58 +580,69 @@ bool RunSamplingKernelSweep(std::vector<std::string>* kernel_rows,
         g, probs, ic,
         std::make_shared<const isa::rrset::CoinColumn>(
             g.num_nodes(), isa::rrset::kCoinMixed));
-    std::vector<double> coin_s, per_arc_s;
-    uint64_t coin_hash = 0, per_arc_hash = 0;
-    std::vector<uint32_t> sizes;
-    std::vector<isa::graph::NodeId> nodes;
-    for (int r = 0; r < kKernelReps; ++r) {  // alternate to share drift
-      isa::Stopwatch w;
-      coin.SampleIds(/*base_seed=*/29, 0, kKernelSets, &sizes, &nodes);
-      coin_s.push_back(w.ElapsedSeconds());
-      coin_hash = HashSets(sizes, nodes);
-      w.Reset();
-      per_arc.SampleIds(/*base_seed=*/29, 0, kKernelSets, &sizes, &nodes);
-      per_arc_s.push_back(w.ElapsedSeconds());
-      per_arc_hash = HashSets(sizes, nodes);
-    }
-    const bool match = coin_hash == per_arc_hash;
-    hashes_match = hashes_match && match;
+    Walk wc, wa;
+    TimeWalks(coin, per_arc, kKernelReps, &wc, &wa);
+    const uint64_t coin_hash = HashSets(wc.sizes, wc.nodes);
+    const bool hash_match = coin_hash == HashSets(wa.sizes, wa.nodes);
+    const DistributionGate dist =
+        CompareInDistribution(g.num_nodes(), wc, wa);
+    const bool ok = in.bit_exact ? hash_match : dist.ok;
+    all_ok = all_ok && ok;
     const double build_ms = 1e3 * isa::bench::Median(build_seconds);
-    const double coin_rate = kKernelSets / isa::bench::Median(coin_s);
-    const double per_arc_rate = kKernelSets / isa::bench::Median(per_arc_s);
-    std::printf("%-10s %8u %9llu %9llu %9.3f %14.0f %16.0f %8.2fx%s\n",
+    std::printf("%-10s %8u %9llu %9llu %9llu %9.3f %14.0f %16.0f %8.2fx  "
+                "%s%s\n",
                 in.name, g.num_nodes(),
                 static_cast<unsigned long long>(g.num_edges()),
-                static_cast<unsigned long long>(uniform), build_ms, coin_rate,
-                per_arc_rate, coin_rate / per_arc_rate,
-                match ? "" : "  SET HASH MISMATCH");
+                static_cast<unsigned long long>(uniform),
+                static_cast<unsigned long long>(skip), build_ms,
+                wc.sets_per_s, wa.sets_per_s, wc.sets_per_s / wa.sets_per_s,
+                in.bit_exact ? "set hash" : "distribution",
+                ok ? "" : "  MISMATCH");
+    if (!in.bit_exact) {
+      std::printf("  mean set size %.4f vs %.4f (z %.2f), worst node z %.2f, "
+                  "bound %.1f\n",
+                  dist.mean_size_coin, dist.mean_size_per_arc, dist.size_z,
+                  dist.max_node_z, kGateZ);
+    }
     char hash_str[24];
     std::snprintf(hash_str, sizeof(hash_str), "0x%016llx",
                   static_cast<unsigned long long>(coin_hash));
-    kernel_rows->push_back(isa::bench::JsonObject()
-                               .Add("instance", in.name)
-                               .Add("nodes", g.num_nodes())
-                               .Add("arcs", g.num_edges())
-                               .Add("uniform_nodes", uniform)
-                               .Add("sets", kKernelSets)
-                               .Add("coin_sets_per_s", coin_rate)
-                               .Add("per_arc_sets_per_s", per_arc_rate)
-                               .Add("speedup", coin_rate / per_arc_rate)
-                               .Add("sets_hash", hash_str)
-                               .Add("sets_match", match)
-                               .str());
+    isa::bench::JsonObject row;
+    row.Add("instance", in.name)
+        .Add("nodes", g.num_nodes())
+        .Add("arcs", g.num_edges())
+        .Add("uniform_nodes", uniform)
+        .Add("skip_nodes", skip)
+        .Add("sets", kKernelSets)
+        .Add("coin_sets_per_s", wc.sets_per_s)
+        .Add("per_arc_sets_per_s", wa.sets_per_s)
+        .Add("speedup", wc.sets_per_s / wa.sets_per_s)
+        .Add("sets_hash", hash_str)
+        .Add("gate", in.bit_exact ? "set_hash" : "distribution");
+    if (in.bit_exact) {
+      row.Add("sets_match", hash_match);
+    } else {
+      row.Add("mean_size_coin", dist.mean_size_coin)
+          .Add("mean_size_per_arc", dist.mean_size_per_arc)
+          .Add("size_z", dist.size_z)
+          .Add("max_node_z", dist.max_node_z)
+          .Add("z_bound", kGateZ)
+          .Add("distribution_match", dist.ok);
+    }
+    kernel_rows->push_back(row.str());
     build_rows->push_back(isa::bench::JsonObject()
                               .Add("instance", in.name)
                               .Add("nodes", g.num_nodes())
                               .Add("arcs", g.num_edges())
                               .Add("build_ms", build_ms)
                               .str());
+    if (!in.bit_exact) RunSkipCutoverSweep(g, probs, cutover_rows);
   }
-  if (!hashes_match) {
+  if (!all_ok) {
     std::fprintf(stderr,
                  "[bench] coin-column sets diverged from the per-arc walk\n");
   }
-  return hashes_match;
+  return all_ok;
 }
 
 }  // namespace
@@ -473,10 +654,12 @@ int main(int argc, char** argv) {
   benchmark::Shutdown();
   // The gated sweeps run after the registered benchmarks (filter them out
   // with --benchmark_filter=X to get just the sweeps + JSON).
-  std::vector<std::string> heap_rows, window_rows, kernel_rows, build_rows;
+  std::vector<std::string> heap_rows, window_rows, kernel_rows, build_rows,
+      cutover_rows;
   const bool heap_ok = RunHeapRepairSweep(&heap_rows);
   const bool window_ok = RunWindowRetireSweep(&window_rows);
-  const bool kernel_ok = RunSamplingKernelSweep(&kernel_rows, &build_rows);
+  const bool kernel_ok =
+      RunSamplingKernelSweep(&kernel_rows, &build_rows, &cutover_rows);
   isa::bench::JsonObject out;
   out.Add("bench", "micro_components")
       .Add("hardware_concurrency",
@@ -489,7 +672,8 @@ int main(int argc, char** argv) {
       .AddRaw("heap_repair", isa::bench::JsonArray(heap_rows))
       .AddRaw("window_retire", isa::bench::JsonArray(window_rows))
       .AddRaw("sampling_kernel", isa::bench::JsonArray(kernel_rows))
-      .AddRaw("coin_column_build", isa::bench::JsonArray(build_rows));
+      .AddRaw("coin_column_build", isa::bench::JsonArray(build_rows))
+      .AddRaw("skip_cutover", isa::bench::JsonArray(cutover_rows));
   isa::bench::WriteBenchJson("BENCH_micro.json", out.str());
   return heap_ok && window_ok && kernel_ok ? 0 : 2;
 }

@@ -124,7 +124,8 @@ AdvertiserEngine::AdvertiserEngine(uint32_t ad, const RmInstance& instance,
                       ? rrset::RrCollection(std::move(shared_store))
                       : rrset::RrCollection(instance.graph().num_nodes())),
       sampler_(instance.graph(), instance.ad_probs(ad), options.model,
-               options.sampler_seed, options.sampler),
+               options.sampler_seed, options.sampler,
+               options.sizer != nullptr ? options.sizer->coins() : nullptr),
       schedule_(options.sizer),
       eligible_(instance.graph().num_nodes(), 1) {
   // The sizer is the driver's responsibility (one per store, pilot already

@@ -217,7 +217,8 @@ struct AdvertiserEngineOptions {
   rrset::DiffusionModel model = rrset::DiffusionModel::kIndependentCascade;
   /// The store's sample sizer, with the KPT pilot already run — built once
   /// per RR store by the driver (ads sharing a store share one pilot) and
-  /// consumed here through a per-ad ThetaSchedule.
+  /// consumed here through a per-ad ThetaSchedule. The engine's sampler
+  /// shares its coin column.
   std::shared_ptr<const rrset::SampleSizer> sizer;
   rrset::ParallelSamplerOptions sampler;
   std::span<const graph::NodeId> excluded_nodes;

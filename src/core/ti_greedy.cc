@@ -114,10 +114,11 @@ Result<TiResult> RunTiGreedy(const RmInstance& instance,
     // in ad order, so each group is one task that handles its ads in
     // sequence). The pilot runs ONCE per store: ads in a group have
     // bitwise-identical Eq. 1 probabilities, so one SampleSizer — seeded by
-    // the group leader — serves every member's ThetaSchedule. Each group
-    // draws only from its own HashSeed(seed, leader) substreams, so results
-    // are bit-identical at any worker count. Tasks themselves reenter the
-    // pool for sampling (see common/thread_pool.h).
+    // the group leader — serves every member's ThetaSchedule, and its coin
+    // column every member's sampler. Each group draws only from its own
+    // HashSeed(seed, leader) substreams, so results are bit-identical at
+    // any worker count. Tasks themselves reenter the pool for sampling (see
+    // common/thread_pool.h).
     pool.Run(groups.size(), [&](uint64_t gi) {
       const uint32_t leader = groups[gi].front();
       rrset::SampleSizerOptions so;

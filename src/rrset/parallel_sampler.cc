@@ -12,7 +12,8 @@ namespace isa::rrset {
 ParallelSampler::ParallelSampler(const graph::Graph& g,
                                  std::span<const double> probs,
                                  DiffusionModel model, uint64_t base_seed,
-                                 ParallelSamplerOptions options)
+                                 ParallelSamplerOptions options,
+                                 std::shared_ptr<const CoinColumn> coins)
     : g_(g),
       probs_(probs),
       model_(model),
@@ -34,9 +35,9 @@ ParallelSampler::ParallelSampler(const graph::Graph& g,
               ? options.pool->concurrency()
               : 4 * std::max(1u, std::thread::hardware_concurrency()))),
       borrowed_pool_(options.pool),
-      coins_(model == DiffusionModel::kIndependentCascade
-                 ? BuildCoinColumn(g, probs)
-                 : nullptr) {}
+      coins_(model != DiffusionModel::kIndependentCascade ? nullptr
+             : coins != nullptr ? std::move(coins)
+                                : BuildCoinColumn(g, probs)) {}
 
 ParallelSampler::~ParallelSampler() = default;
 ParallelSampler::ParallelSampler(ParallelSampler&&) noexcept = default;

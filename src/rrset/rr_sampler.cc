@@ -20,7 +20,7 @@ std::shared_ptr<const CoinColumn> BuildCoinColumn(
         break;
       }
     }
-    (*coins)[v] = state;
+    (*coins)[v] = UsesSkip(eids.size(), state) ? SkipCoin(state) : state;
   }
   return coins;
 }
@@ -54,9 +54,21 @@ graph::NodeId RrSampler::SampleInto(Rng& rng,
     last_width_ += sources.size();
     if (model_ == DiffusionModel::kIndependentCascade) {
       // IC: flip each in-arc (u -> v) independently — with v's one coin
-      // when its in-arcs agree, else with each arc's own probability.
+      // when its in-arcs agree, else with each arc's own probability — or,
+      // on a skip node, jump from live arc to live arc.
       const uint64_t coin = coins[v];
-      if (coin == kCoinMixed) {
+      if (IsSkipCoin(coin)) {
+        // The position is a double: a gap past the last arc ends the walk
+        // however large it is, with no cast on the way.
+        const double degree = static_cast<double>(sources.size());
+        for (double k = SkipGap(coin, rng.Next()); k < degree;
+             k += 1.0 + SkipGap(coin, rng.Next())) {
+          const graph::NodeId u = sources[static_cast<size_t>(k)];
+          if (visited_epoch_[u] == epoch_) continue;
+          visited_epoch_[u] = epoch_;
+          out->push_back(u);
+        }
+      } else if (coin == kCoinMixed) {
         for (size_t k = 0; k < sources.size(); ++k) {
           const graph::NodeId u = sources[k];
           if (visited_epoch_[u] == epoch_) continue;

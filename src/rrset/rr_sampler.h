@@ -17,7 +17,9 @@
 // node, built once per (graph, probs) pair:
 //   - kCoinNever  (p <= 0): the arc is dead, no draw;
 //   - kCoinAlways (p >= 1): the arc is live, no draw;
-//   - a threshold t < 2^53: one draw x, live iff (x >> 11) < t;
+//   - a threshold t < 2^53: one draw x per arc, live iff (x >> 11) < t;
+//   - a skip coin (a high-in-degree threshold node, see UsesSkip): one
+//     draw per live arc, which jumps straight to the next live arc;
 //   - kCoinMixed: the in-arcs disagree; the walk falls back to the per-arc
 //     Rng::NextBernoulli(probs[eid]) loop.
 // The threshold walk is bit-exact, not approximately equal: NextDouble()
@@ -26,11 +28,37 @@
 // uniform when all its in-arcs give the same state — exactly the condition
 // under which they make identical decisions, so no float equality is
 // involved. NaN maps to t = 0: like NextBernoulli(NaN) it draws once and
-// never succeeds. Every sampled set, draw for draw, equals the per-arc walk.
+// never succeeds.
+//
+// Geometric skip (SUBSIM, Guo et al., SIGMOD 2020). The live arcs of a
+// node whose d in-arcs each live with p = t * 2^-53 form a Bernoulli
+// process, so the gap before the next live arc is Geometric(p):
+// P(gap >= j) = (1 - p)^j. A skip node draws it as
+// floor(log(u) * inv_log1m), with u = ((x >> 11) + 1) * 2^-53 in (0, 1]
+// and inv_log1m = 1 / log1p(-p), and checks `visited` only on the arc it
+// lands on: d * p + 1 draws in expectation instead of d. The column stores
+// inv_log1m itself, computed once per node by BuildCoinColumn; it is a
+// negative finite double, so its bit pattern lies in [2^63, kCoinMixed)
+// and never collides with a threshold or a sentinel.
+//
+// Scope of exactness. A skip node's live arcs follow the per-arc walk's
+// law but come from different draws, so the two walks agree in
+// distribution, not draw for draw. A sampled set equals the per-arc
+// walk's draw for draw exactly when it reaches no skip node: every LT
+// set, every set on a graph below the cutover, and every topic-mix set on
+// the catalog's graphs (their topic-mix nodes with two or more in-arcs
+// are mixed). Either way a set is
+// a pure function of (seed, set id). The gap calls std::log and
+// std::log1p, which are not correctly rounded everywhere: a libm whose
+// last bit differs moves a gap only when log(u) * inv_log1m lands within
+// an ulp of an integer, but that is enough to change a set, so the golden
+// results assume glibc's libm.
 
 #ifndef ISA_RRSET_RR_SAMPLER_H_
 #define ISA_RRSET_RR_SAMPLER_H_
 
+#include <bit>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -54,7 +82,7 @@ enum class DiffusionModel {
 };
 
 /// Per-node IC coin states (see the file comment): a threshold below 2^53,
-/// or one of the three sentinels.
+/// a skip coin, or one of the three sentinels.
 using CoinColumn = std::vector<uint64_t>;
 inline constexpr uint64_t kCoinAlways = uint64_t{1} << 53;
 inline constexpr uint64_t kCoinNever = kCoinAlways + 1;
@@ -83,8 +111,44 @@ inline bool FlipCoin(uint64_t state, Rng& rng) {
   return CoinAccepts(state, rng.Next());
 }
 
+/// The skip coin of threshold `t` (0 < t < kCoinAlways): the bits of
+/// inv_log1m = 1 / log1p(-t * 2^-53), a negative finite double.
+inline uint64_t SkipCoin(uint64_t threshold) {
+  return std::bit_cast<uint64_t>(
+      1.0 / std::log1p(-static_cast<double>(threshold) * 0x1p-53));
+}
+
+/// Whether `state` is a skip coin (sign bit set, not kCoinMixed).
+inline bool IsSkipCoin(uint64_t state) {
+  return (state >> 63) != 0 && state != kCoinMixed;
+}
+
+/// The in-arcs a skip node passes over before its next live one, drawn from
+/// the raw draw `x`: Geometric(p) on {0, 1, ...}. A double, so that the
+/// caller compares a huge gap (up to ~3.3e17 at t = 1) before any cast.
+inline double SkipGap(uint64_t skip_coin, uint64_t x) {
+  const double u = static_cast<double>((x >> 11) + 1) * 0x1p-53;
+  return std::floor(std::log(u) * std::bit_cast<double>(skip_coin));
+}
+
+/// One skip draw's cost in per-arc draws: a log against an xoshiro draw,
+/// a compare and a `visited` probe (bench_micro_components' cutover sweep).
+inline constexpr double kSkipDrawCost = 4.0;
+
+/// The cutover: a threshold node of in-degree d gets the skip coin when
+/// the per-arc walk's d draws cost more than the skip's expected d * p + 1
+/// draws, each kSkipDrawCost — under weighted cascade (p = 1/d) from
+/// in-degree 2 * kSkipDrawCost up; never for p >= 1 / kSkipDrawCost.
+inline bool UsesSkip(uint64_t in_degree, uint64_t threshold) {
+  const double d = static_cast<double>(in_degree);
+  const double p = static_cast<double>(threshold) * 0x1p-53;
+  return threshold > 0 && threshold < kCoinAlways &&
+         d >= kSkipDrawCost * (d * p + 1.0);
+}
+
 /// The coin column of `probs` (indexed by forward EdgeId) over g's nodes.
-/// A node with no in-arcs reads kCoinNever.
+/// A node with no in-arcs reads kCoinNever; a threshold node past the
+/// cutover reads its skip coin.
 std::shared_ptr<const CoinColumn> BuildCoinColumn(
     const graph::Graph& g, std::span<const double> probs);
 

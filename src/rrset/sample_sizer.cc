@@ -11,7 +11,12 @@ namespace isa::rrset {
 
 SampleSizer::SampleSizer(const graph::Graph& g, std::span<const double> probs,
                          const SampleSizerOptions& options)
-    : options_(options), n_(g.num_nodes()), m_(g.num_edges()) {
+    : options_(options),
+      n_(g.num_nodes()),
+      m_(g.num_edges()),
+      coins_(options.model == DiffusionModel::kIndependentCascade
+                 ? BuildCoinColumn(g, probs)
+                 : nullptr) {
   if (options_.run_kpt_pilot && n_ > 1 && m_ > 0) RunPilot(g, probs);
 }
 
@@ -36,16 +41,13 @@ void SampleSizer::RunPilot(const graph::Graph& g,
 
   // Task-indexed samplers (O(n) epoch arrays), created lazily and reused
   // across the doubling rounds; slot 0 doubles as the serial sampler. All
-  // share one coin column.
+  // share the store's coin column.
   std::vector<std::unique_ptr<RrSampler>> samplers(
       options_.pool == nullptr ? 1 : options_.pool->concurrency());
-  const auto coins = options_.model == DiffusionModel::kIndependentCascade
-                         ? BuildCoinColumn(g, probs)
-                         : nullptr;
   auto sampler_for = [&](uint64_t t) -> RrSampler& {
     if (samplers[t] == nullptr) {
       samplers[t] =
-          std::make_unique<RrSampler>(g, probs, options_.model, coins);
+          std::make_unique<RrSampler>(g, probs, options_.model, coins_);
     }
     return *samplers[t];
   };

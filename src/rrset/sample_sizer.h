@@ -16,6 +16,9 @@
 //                   KPT ≤ OPT_1 ≤ OPT_s for every s (monotonicity), so one
 //                   pilot serves the whole schedule. SampleSizer::ThetaFor
 //                   is the raw Eq. 8 evaluator over that fixed denominator.
+//                   Under IC it also holds the store's one coin column
+//                   (rr_sampler.h), which the pilot and the store's
+//                   samplers share.
 //   ThetaSchedule — the per-s sample-size table L(s, ε) consumed by the
 //                   selection engine: a lazily memoized, monotone
 //                   (running-max) view of ThetaFor. Adopted samples never
@@ -100,9 +103,10 @@ struct SampleSizerOptions {
 /// init task and then the single scheduler thread.
 class SampleSizer {
  public:
-  /// Runs the KPT pilot (unless disabled) using private samplers over
-  /// `probs`; retains only the pilot's scalar products (KPT estimate,
-  /// convergence flag, set count), not the widths.
+  /// Under IC builds the store's coin column, then runs the KPT pilot
+  /// (unless disabled) using private samplers over `probs` that share it;
+  /// retains only the pilot's scalar products (KPT estimate, convergence
+  /// flag, set count), not the widths.
   SampleSizer(const graph::Graph& g, std::span<const double> probs,
               const SampleSizerOptions& options);
 
@@ -142,12 +146,18 @@ class SampleSizer {
   uint64_t n() const { return n_; }
   const SampleSizerOptions& options() const { return options_; }
 
+  /// BuildCoinColumn(g, probs), null under LT. The pilot sampled with it;
+  /// the store's ParallelSamplers take it too, so one column is built per
+  /// store per solve.
+  const std::shared_ptr<const CoinColumn>& coins() const { return coins_; }
+
  private:
   void RunPilot(const graph::Graph& g, std::span<const double> probs);
 
   SampleSizerOptions options_;
   uint64_t n_ = 0;
   uint64_t m_ = 0;
+  std::shared_ptr<const CoinColumn> coins_;
   double kpt_ = 0.0;
   bool pilot_converged_ = false;
   uint64_t pilot_sets_ = 0;

@@ -4,6 +4,7 @@
 
 #include "rrset/parallel_sampler.h"
 
+#include <algorithm>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -180,6 +181,40 @@ TEST(ParallelSamplerTest, PilotWidthsIdenticalSerialAndParallel) {
       EXPECT_EQ(serial.ThetaFor(s), parallel.ThetaFor(s)) << "s=" << s;
     }
   }
+}
+
+TEST(ParallelSamplerTest, SharedCoinColumnFromSizerMatchesOwnColumn) {
+  // One column per store: the sizer builds it for its pilot and hands the
+  // same pointer to the store's samplers, whose 3 workers share it. The
+  // sets equal those of a sampler that builds its own column. Uniform
+  // p = 0.1 gives the graph's high-in-degree nodes skip coins.
+  const Graph g = MakeBaGraph(400);
+  const std::vector<double> probs(g.num_edges(), 0.1);
+  rrset::SampleSizerOptions so;
+  so.seed = 99;
+  const rrset::SampleSizer sizer(g, probs, so);
+  ASSERT_NE(sizer.coins(), nullptr);
+  ASSERT_GT(std::count_if(sizer.coins()->begin(), sizer.coins()->end(),
+                          rrset::IsSkipCoin),
+            0);
+
+  ParallelSamplerOptions opts;
+  opts.num_threads = 3;
+  opts.min_sets_per_thread = 1;
+  ParallelSampler shared(g, probs, rrset::DiffusionModel::kIndependentCascade,
+                         123, opts, sizer.coins());
+  EXPECT_EQ(shared.coins(), sizer.coins());
+  ParallelSampler own = MakeSampler(g, probs, 3);
+  EXPECT_NE(own.coins(), sizer.coins());
+  EXPECT_EQ(*own.coins(), *sizer.coins());
+  RrStore a(g.num_nodes()), b(g.num_nodes());
+  shared.SampleAppend(a, 3000);
+  own.SampleAppend(b, 3000);
+  ExpectStoresIdentical(a, b);
+
+  // LT has no column to share.
+  so.model = rrset::DiffusionModel::kLinearThreshold;
+  EXPECT_EQ(rrset::SampleSizer(g, probs, so).coins(), nullptr);
 }
 
 TEST(ParallelSamplerTest, TiCsrmAllocationInvariantAcrossThreadCounts) {

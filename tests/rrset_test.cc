@@ -163,8 +163,11 @@ TEST(CoinColumnTest, NodeIsUniformWhenItsArcsShareAThreshold) {
   EXPECT_EQ((*coins)[5], kCoinNever);
 }
 
-// The per-arc walk the coin column replaced, kept here as the reference:
-// every in-arc flips Rng::NextBernoulli(probs[eid]).
+// The documented walk, written out as the reference: a node whose in-arcs
+// all map to one threshold t in (0, 2^53) and that passes the cutover
+// (UsesSkip) jumps over floor(log(u) * (1 / log1p(-t * 2^-53))) arcs per
+// draw, u = ((x >> 11) + 1) * 2^-53; every other in-arc flips
+// Rng::NextBernoulli(probs[eid]).
 void ReferenceSampleIds(const graph::Graph& g, std::span<const double> probs,
                         uint64_t seed, uint64_t count,
                         std::vector<uint32_t>* sizes,
@@ -178,6 +181,27 @@ void ReferenceSampleIds(const graph::Graph& g, std::span<const double> probs,
     for (size_t head = 0; head < rr.size(); ++head) {
       auto sources = g.InNeighbors(rr[head]);
       auto eids = g.InEdgeIds(rr[head]);
+      const uint64_t t = eids.empty() ? 0 : CoinState(probs[eids[0]]);
+      bool skip = UsesSkip(eids.size(), t);
+      for (const graph::EdgeId e : eids) {
+        skip = skip && CoinState(probs[e]) == t;
+      }
+      if (skip) {
+        const double log1m = std::log1p(-static_cast<double>(t) * 0x1p-53);
+        auto gap = [&] {
+          const double u =
+              static_cast<double>((rng.Next() >> 11) + 1) * 0x1p-53;
+          return std::floor(std::log(u) * (1.0 / log1m));
+        };
+        for (double k = gap(); k < sources.size(); k += 1.0 + gap()) {
+          const graph::NodeId u = sources[static_cast<size_t>(k)];
+          if (!seen[u]) {
+            seen[u] = 1;
+            rr.push_back(u);
+          }
+        }
+        continue;
+      }
       for (size_t k = 0; k < sources.size(); ++k) {
         if (seen[sources[k]]) continue;
         if (rng.NextBernoulli(probs[eids[k]])) {
@@ -194,8 +218,8 @@ void ReferenceSampleIds(const graph::Graph& g, std::span<const double> probs,
 
 TEST(CoinColumnTest, SampleIdsMatchesPerArcReferenceSetForSet) {
   // Random digraph whose nodes mix every coin state: in-degree 0 and 1,
-  // uniform 1/indeg (weighted cascade), uniform 0 and 1, and mixed arcs
-  // drawn from {0, 1, random}.
+  // uniform 1/indeg (weighted cascade; a skip coin from in-degree 8),
+  // uniform 0 and 1, and mixed arcs drawn from {0, 1, random}.
   for (uint64_t trial = 0; trial < 8; ++trial) {
     Rng rng(HashSeed(46, trial));
     const graph::NodeId n = 400;
@@ -210,7 +234,7 @@ TEST(CoinColumnTest, SampleIdsMatchesPerArcReferenceSetForSet) {
     }
     auto g = test::MustGraph(n, std::move(edges));
     std::vector<double> probs(g.num_edges());
-    size_t regimes[4] = {0, 0, 0, 0};
+    size_t regimes[5] = {0, 0, 0, 0, 0};
     for (graph::NodeId v = 0; v < n; ++v) {
       auto eids = g.InEdgeIds(v);
       const uint64_t regime = rng.NextBounded(4);
@@ -233,7 +257,8 @@ TEST(CoinColumnTest, SampleIdsMatchesPerArcReferenceSetForSet) {
       ++regimes[state == kCoinMixed    ? 0
                 : state == kCoinNever  ? 1
                 : state == kCoinAlways ? 2
-                                       : 3];
+                : IsSkipCoin(state)    ? 3
+                                       : 4];
     }
     for (size_t r : regimes) ASSERT_GT(r, 0u) << "trial " << trial;
 
@@ -257,6 +282,187 @@ TEST(CoinColumnTest, SampleIdsMatchesPerArcReferenceSetForSet) {
     parallel.SampleToBuffer(0, 3000, &got_nodes, &got_sizes);
     ASSERT_EQ(got_sizes, want_sizes) << "trial " << trial;
     ASSERT_EQ(got_nodes, want_nodes) << "trial " << trial;
+  }
+}
+
+// ---------- Geometric skip ----------
+
+// Hub 0 with in-arcs from leaves 1..d at probability p, and an arc back
+// from the hub to every leaf at probability 1: every RR set reaches the
+// hub (as the root, or through the root leaf's one live in-arc), so each
+// leaf other than the root joins independently with probability p.
+graph::Graph HubGraph(graph::NodeId d) {
+  std::vector<graph::Edge> edges;
+  for (graph::NodeId leaf = 1; leaf <= d; ++leaf) {
+    edges.push_back({leaf, 0});
+    edges.push_back({0, leaf});
+  }
+  return test::MustGraph(d + 1, std::move(edges));
+}
+
+std::vector<double> HubProbs(const graph::Graph& g, double p) {
+  std::vector<double> probs(g.num_edges(), 1.0);
+  for (const graph::EdgeId e : g.InEdgeIds(0)) probs[e] = p;
+  return probs;
+}
+
+// The column with the hub on its skip coin, whatever the cutover says.
+std::shared_ptr<const CoinColumn> SkipHubColumn(const graph::Graph& g,
+                                                std::span<const double> probs) {
+  auto coins = std::make_shared<CoinColumn>(*BuildCoinColumn(g, probs));
+  (*coins)[0] = SkipCoin(CoinState(probs[g.InEdgeIds(0)[0]]));
+  return coins;
+}
+
+TEST(SkipWalkTest, InclusionMatchesPerArcWalk) {
+  // Per leaf i, both walks count the sets that include i without it being
+  // the root, out of the R_i sets whose root is not i. The walks draw each
+  // set's root from the same first draw, so R_i is shared and each count
+  // is Binomial(R_i, p); their difference must stay within kZ standard
+  // deviations, sqrt(2 R_i p (1 - p)), plus 1. The totals must each stay
+  // within kZ standard deviations of their exact mean sum_i R_i p.
+  constexpr uint64_t kSets = 20'000;
+  constexpr double kZ = 6.0;
+  const auto ic = DiffusionModel::kIndependentCascade;
+  for (const graph::NodeId d : {8u, 100u, 1000u}) {
+    const auto g = HubGraph(d);
+    for (const double p : {1.0 / d, 0.01, 0.3, 0.9}) {
+      SCOPED_TRACE(testing::Message() << "d=" << d << " p=" << p);
+      const auto probs = HubProbs(g, p);
+      // The cutover decides the real column; the test forces the skip.
+      const uint64_t t = CoinState(p);
+      EXPECT_EQ((*BuildCoinColumn(g, probs))[0],
+                UsesSkip(d, t) ? SkipCoin(t) : t);
+      if (p == 1.0 / d || p == 0.01) {
+        EXPECT_TRUE(UsesSkip(d, t));
+      }
+      RrSampler skip(g, probs, ic, SkipHubColumn(g, probs));
+      RrSampler per_arc(g, probs, ic,
+                        std::make_shared<const CoinColumn>(g.num_nodes(),
+                                                           kCoinMixed));
+      std::vector<double> c_skip(d + 1, 0.0), c_arc(d + 1, 0.0);
+      std::vector<double> not_root(d + 1, kSets);
+      std::vector<graph::NodeId> rr;
+      for (uint64_t id = 0; id < kSets; ++id) {
+        Rng a(HashSeed(48, id)), b(HashSeed(48, id));
+        const graph::NodeId root = skip.SampleInto(a, &rr);
+        --not_root[root];
+        for (const graph::NodeId v : rr) c_skip[v] += v != root;
+        ASSERT_EQ(per_arc.SampleInto(b, &rr), root);
+        for (const graph::NodeId v : rr) c_arc[v] += v != root;
+      }
+      double total_skip = 0.0, total_arc = 0.0, mean = 0.0, var = 0.0;
+      for (graph::NodeId leaf = 1; leaf <= d; ++leaf) {
+        const double leaf_var = not_root[leaf] * p * (1.0 - p);
+        ASSERT_LE(std::abs(c_skip[leaf] - c_arc[leaf]),
+                  kZ * std::sqrt(2.0 * leaf_var) + 1.0)
+            << "leaf " << leaf;
+        total_skip += c_skip[leaf];
+        total_arc += c_arc[leaf];
+        mean += not_root[leaf] * p;
+        var += leaf_var;
+      }
+      EXPECT_LE(std::abs(total_skip - mean), kZ * std::sqrt(var) + 1.0);
+      EXPECT_LE(std::abs(total_arc - mean), kZ * std::sqrt(var) + 1.0);
+    }
+  }
+}
+
+TEST(SkipWalkTest, GapAtTheEdges) {
+  const uint64_t thresholds[] = {1,
+                                 2,
+                                 3,
+                                 CoinState(0.01),
+                                 CoinState(0.5),
+                                 uint64_t{1} << 52,
+                                 kCoinAlways - 1};
+  Rng rng(49);
+  for (const uint64_t t : thresholds) {
+    const uint64_t coin = SkipCoin(t);
+    ASSERT_TRUE(IsSkipCoin(coin)) << t;
+    // x >> 11 = 2^53 - 1 gives u = 1 and log(u) = 0: the next arc is live.
+    EXPECT_EQ(SkipGap(coin, ~uint64_t{0}), 0.0) << t;
+    for (int i = 0; i < 1000; ++i) {
+      const double gap = SkipGap(coin, rng.Next());
+      ASSERT_GE(gap, 0.0) << t;
+      ASSERT_EQ(gap, std::floor(gap)) << t;
+    }
+  }
+  // t = 1 (p = 2^-53): the smallest u gives a gap near 2^53 * 36.7 —
+  // finite and far past any in-degree; the walk compares it as a double.
+  const double huge = SkipGap(SkipCoin(1), 0);
+  EXPECT_TRUE(std::isfinite(huge));
+  EXPECT_GT(huge, 3e17);
+  // p = 1 - 2^-53: every draw but x >> 11 = 0 lands on the next arc.
+  for (int i = 0; i < 1000; ++i) {
+    const uint64_t x = rng.Next() | (uint64_t{1} << 11);
+    ASSERT_EQ(SkipGap(SkipCoin(kCoinAlways - 1), x), 0.0) << x;
+  }
+  // Thresholds and sentinels are not skip coins.
+  for (const uint64_t state :
+       {uint64_t{0}, uint64_t{1}, kCoinAlways - 1, kCoinAlways, kCoinNever,
+        kCoinMixed}) {
+    EXPECT_FALSE(IsSkipCoin(state)) << state;
+  }
+}
+
+TEST(SkipWalkTest, WalkAtTheEdgeProbabilities) {
+  const graph::NodeId d = 1000;
+  const auto g = HubGraph(d);
+  const auto ic = DiffusionModel::kIndependentCascade;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  struct Case {
+    double p;
+    bool force_skip;
+    bool all_leaves;  // else no leaf joins but the root
+  };
+  // t = 1: a leaf joins with probability 2^-53. p = 1 - 2^-53: a leaf
+  // misses with probability 2^-53. NaN: threshold 0, which the column
+  // never turns into a skip coin; it draws and never succeeds.
+  for (const Case c : {Case{0x1p-53, true, false},
+                       Case{std::nextafter(1.0, 0.0), true, true},
+                       Case{nan, false, false}}) {
+    SCOPED_TRACE(testing::Message() << std::hexfloat << c.p);
+    const auto probs = HubProbs(g, c.p);
+    auto coins = BuildCoinColumn(g, probs);
+    if (c.force_skip) {
+      coins = SkipHubColumn(g, probs);
+    } else {
+      EXPECT_EQ((*coins)[0], 0u);
+    }
+    RrSampler sampler(g, probs, ic, coins);
+    Rng rng(50);
+    std::vector<graph::NodeId> rr;
+    for (int i = 0; i < 200; ++i) {
+      const graph::NodeId root = sampler.SampleInto(rng, &rr);
+      const size_t without_leaves = root == 0 ? 1 : 2;
+      ASSERT_EQ(rr.size(), c.all_leaves ? d + 1 : without_leaves);
+    }
+  }
+}
+
+TEST(SkipWalkTest, WidthStillCountsEveryInArc) {
+  // KPT reads last_width() as w(R), the in-arc count of the set's nodes:
+  // the skip must not shrink it to the arcs it landed on.
+  const auto g = HubGraph(100);
+  const auto probs = HubProbs(g, 0.01);
+  RrSampler sampler(g, probs);
+  ASSERT_TRUE(IsSkipCoin((*BuildCoinColumn(g, probs))[0]));
+  Rng rng(51);
+  std::vector<graph::NodeId> rr;
+  for (int i = 0; i < 500; ++i) {
+    sampler.SampleInto(rng, &rr);
+    uint64_t width = 0;
+    for (const graph::NodeId v : rr) width += g.InDegree(v);
+    ASSERT_EQ(sampler.last_width(), width);
+  }
+}
+
+TEST(SkipWalkTest, WeightedCascadeCutoverAtTwiceTheDrawCost) {
+  // Under weighted cascade (p = 1/d) the cost rule reduces to an in-degree
+  // cutover, as rr_sampler.h documents.
+  for (uint64_t d = 1; d <= 64; ++d) {
+    EXPECT_EQ(UsesSkip(d, CoinState(1.0 / d)), d >= 2 * kSkipDrawCost) << d;
   }
 }
 
