@@ -9,15 +9,14 @@
 // observability counters so the perf trajectory finally shows θ-growth:
 //
 //   weighted-cascade — the paper's default regime (THE GATE: growth events
-//                      must be > 0 here, sync and async, or the bench
-//                      exits non-zero);
+//                      must be > 0 here, or the bench exits non-zero);
 //   uniform p=0.02   — low influence (pilot typically non-converged, weak
 //                      KPT, large θ, cap saturation expected);
 //   uniform p=0.30   — high influence (pilot converges, small θ(1), cheap
 //                      repeated growth).
 //
-// Each regime runs TI-CSRM with synchronous and asynchronous growth; rows
-// land in BENCH_growth.json (see bench_util.h).
+// Each regime runs TI-CSRM once; rows land in BENCH_growth.json (see
+// bench_util.h).
 
 #include <cstdio>
 
@@ -54,14 +53,12 @@ isa::core::RmInstance MakeInstance(const isa::graph::Graph& g,
       "RmInstance");
 }
 
-// Runs one (regime, mode) cell; returns the run's total growth adoptions.
-uint64_t RunCell(const isa::core::RmInstance& inst, const char* regime,
-                 bool async) {
+// Runs one regime; returns the run's total growth adoptions.
+uint64_t RunCell(const isa::core::RmInstance& inst, const char* regime) {
   isa::core::TiOptions opt;
   opt.epsilon = 0.5;
   opt.theta_cap = 600'000;
   opt.seed = 42;
-  opt.async_growth = async;
   isa::Stopwatch watch;
   auto res = isa::core::RunTiCsrm(inst, opt);
   isa::bench::Check(res.status(), regime);
@@ -74,9 +71,9 @@ uint64_t RunCell(const isa::core::RmInstance& inst, const char* regime,
     cap_hits += st.theta_cap_hits;
     pilots_converged += st.pilot_converged ? 1 : 0;
   }
-  std::printf("%-18s  %-5s  %8.3f  %6llu  %9.1f  %9llu  %7llu  %7u  %5u  "
+  std::printf("%-18s  %8.3f  %6llu  %9.1f  %9llu  %7llu  %7u  %5u  "
               "%8llu  %8llu  %7llu\n",
-              regime, async ? "async" : "sync", seconds,
+              regime, seconds,
               (unsigned long long)r.total_seeds, r.total_revenue,
               (unsigned long long)r.total_theta,
               (unsigned long long)r.total_growth_events,
@@ -87,7 +84,6 @@ uint64_t RunCell(const isa::core::RmInstance& inst, const char* regime,
   std::fflush(stdout);
   g_rows.push_back(isa::bench::JsonObject()
                        .Add("regime", regime)
-                       .Add("mode", async ? "async" : "sync")
                        .Add("seconds", seconds)
                        .Add("seeds", r.total_seeds)
                        .Add("revenue", r.total_revenue)
@@ -114,9 +110,9 @@ int main() {
       "graph");
 
   std::printf("=== θ-growth regimes (TI-CSRM, BA n=%u, ε=0.5) ===\n\n", n);
-  std::printf("%-18s  %-5s  %8s  %6s  %9s  %9s  %7s  %7s  %5s  %8s  %8s  "
+  std::printf("%-18s  %8s  %6s  %9s  %9s  %7s  %7s  %5s  %8s  %8s  "
               "%7s\n",
-              "regime", "mode", "seconds", "seeds", "revenue", "theta",
+              "regime", "seconds", "seeds", "revenue", "theta",
               "growths", "engaged", "idle", "idle-rev", "cap-hits",
               "pilots");
 
@@ -135,12 +131,8 @@ int main() {
             : isa::bench::MustValue(
                   isa::topic::MakeUniform(g, 1, regime.uniform_p), "uniform");
     auto inst = MakeInstance(g, topics);
-    for (bool async : {false, true}) {
-      const uint64_t growths = RunCell(inst, regime.name, async);
-      if (regime.weighted_cascade && growths == 0) {
-        default_regime_grows = false;
-      }
-    }
+    const uint64_t growths = RunCell(inst, regime.name);
+    if (regime.weighted_cascade && growths == 0) default_regime_grows = false;
   }
 
   isa::bench::WriteBenchJson(

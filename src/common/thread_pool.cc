@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <new>
-#include <utility>
 
 #include "common/failpoint.h"
 
@@ -77,12 +76,12 @@ void ThreadPool::Participate(const std::shared_ptr<Batch>& batch) {
   }
 }
 
-void ThreadPool::Join(const std::shared_ptr<Batch>& batch, bool rethrow) {
+void ThreadPool::Join(const std::shared_ptr<Batch>& batch) {
   {
     std::unique_lock<std::mutex> lock(mu_);
     done_cv_.wait(lock, [&] { return batch->done >= batch->count; });
   }
-  if (rethrow && batch->error != nullptr) std::rethrow_exception(batch->error);
+  if (batch->error != nullptr) std::rethrow_exception(batch->error);
 }
 
 void ThreadPool::Run(uint64_t n, const std::function<void(uint64_t)>& fn) {
@@ -110,64 +109,7 @@ void ThreadPool::Run(uint64_t n, const std::function<void(uint64_t)>& fn) {
   Participate(batch);
   // Tasks claimed by workers may still be in flight; the batch's first
   // exception (if any) surfaces here, after the barrier.
-  Join(batch, /*rethrow=*/true);
-}
-
-ThreadPool::TaskGroup ThreadPool::Launch(uint64_t n,
-                                         std::function<void(uint64_t)> fn) {
-  if (n == 0) return TaskGroup();
-  if (FailPointHit("pool.alloc") != 0) throw std::bad_alloc();
-  auto batch = std::make_shared<Batch>();
-  batch->owned_fn = std::move(fn);
-  batch->fn = &batch->owned_fn;
-  batch->count = n;
-  // With no background workers the batch would sit in the queue forever;
-  // leave it unqueued and let Wait() run every task inline (deferred
-  // execution — identical results, no overlap).
-  if (!workers_.empty()) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      batches_.push_back(batch);
-    }
-    work_cv_.notify_all();
-  }
-  return TaskGroup(this, std::move(batch));
-}
-
-ThreadPool::TaskGroup::TaskGroup(TaskGroup&& other) noexcept
-    : pool_(std::exchange(other.pool_, nullptr)),
-      batch_(std::move(other.batch_)) {}
-
-ThreadPool::TaskGroup& ThreadPool::TaskGroup::operator=(
-    TaskGroup&& other) noexcept {
-  if (this != &other) {
-    if (pool_ != nullptr) {
-      // Join the batch being replaced; its exception (if any) is lost, as
-      // in the destructor.
-      pool_->Participate(batch_);
-      pool_->Join(batch_, /*rethrow=*/false);
-    }
-    pool_ = std::exchange(other.pool_, nullptr);
-    batch_ = std::move(other.batch_);
-  }
-  return *this;
-}
-
-ThreadPool::TaskGroup::~TaskGroup() {
-  if (pool_ == nullptr) return;
-  // The batch's closure may reference caller state that dies with this
-  // scope, so the destructor must join. A destructor cannot rethrow; the
-  // batch's exception, if nobody Wait()ed, is discarded.
-  pool_->Participate(batch_);
-  pool_->Join(batch_, /*rethrow=*/false);
-}
-
-void ThreadPool::TaskGroup::Wait() {
-  if (pool_ == nullptr) return;
-  ThreadPool* pool = std::exchange(pool_, nullptr);
-  std::shared_ptr<Batch> batch = std::move(batch_);
-  pool->Participate(batch);
-  pool->Join(batch, /*rethrow=*/true);
+  Join(batch);
 }
 
 void ThreadPool::WorkerLoop() {

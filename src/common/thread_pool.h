@@ -4,24 +4,15 @@
 // invocation) and borrowed by every component that can use parallelism:
 // RR-set sampling (rrset::ParallelSampler), the KPT pilot
 // (rrset::SampleSizer), the inverted-index build (rrset::RrStore), coverage
-// adoption (rrset::RrCollection) and the selection engine's async θ-growth
-// (core::SelectionScheduler). Replacing the previous thread-per-batch
-// spawning, the pool's threads are started once and reused, so even the
-// driver's many small sample-growth batches pay no thread construction cost.
+// adoption (rrset::RrCollection) and the cold tier's spills. The pool's
+// threads are started once and reused, so even RunTiGreedy's many small
+// sample-growth batches pay no thread construction cost.
 //
 // Execution model — fork-join with caller participation:
 //   - Run(n, fn) executes fn(0..n-1) and blocks until all calls returned.
 //     The calling thread claims tasks too, so a pool of concurrency c uses
 //     c - 1 background workers and never idles the caller.
-//   - Launch(n, fn) posts the same kind of batch WITHOUT blocking and
-//     returns a TaskGroup handle; background workers start on it
-//     immediately while the caller keeps going (the async sample-growth
-//     overlap). TaskGroup::Wait() joins the batch: the caller claims any
-//     still-unclaimed tasks, blocks until in-flight ones finish, and
-//     rethrows the batch's first exception. On a pool with no background
-//     workers (concurrency 1) Launch defers everything to Wait, which runs
-//     the tasks inline — results are identical, only overlap is lost.
-//   - Run/Wait are reentrant: a task may call Run on the same pool (the
+//   - Run is reentrant: a task may call Run on the same pool (the
 //     ad-init tasks in RunTiGreedy do exactly that when they sample). The
 //     nested caller claims its own batch's tasks itself; idle workers help.
 //     This cannot deadlock: a thread only blocks when every task of its
@@ -33,8 +24,7 @@
 // Exception marshaling: a task that throws does not terminate the process.
 // The first exception of a batch is captured, the batch's unclaimed tasks
 // are cancelled (already-running ones finish), and the exception is
-// rethrown on the thread that joins the batch — Run's caller after its
-// fork-join barrier, or TaskGroup::Wait's caller. Realistically this is
+// rethrown on Run's caller after its fork-join barrier. Realistically this is
 // std::bad_alloc during RR sampling; the TI driver converts it to a Status.
 //
 // Determinism: the pool never influences *what* is computed, only *where*.
@@ -58,8 +48,6 @@
 namespace isa {
 
 class ThreadPool {
-  struct Batch;  // one Run/Launch call's state; definition below (private)
-
  public:
   /// `concurrency` = total threads that execute tasks during Run, including
   /// the caller; the pool spawns `concurrency - 1` background workers.
@@ -80,40 +68,6 @@ class ThreadPool {
   /// file comment).
   void Run(uint64_t n, const std::function<void(uint64_t)>& fn);
 
-  /// Move-only handle to a batch posted with Launch.
-  class TaskGroup {
-   public:
-    TaskGroup() = default;
-    TaskGroup(TaskGroup&& other) noexcept;
-    TaskGroup& operator=(TaskGroup&& other) noexcept;
-    ~TaskGroup();  // joins the batch; a task exception is discarded —
-                   // call Wait() to observe it
-
-    /// Claims the batch's remaining tasks, blocks until every task has
-    /// finished, then rethrows the batch's first exception (if any).
-    /// Idempotent: after Wait returns (or throws) the handle is empty and
-    /// further Waits are no-ops.
-    void Wait();
-
-    /// True while the handle refers to an unjoined batch.
-    bool valid() const { return pool_ != nullptr; }
-
-   private:
-    friend class ThreadPool;
-    TaskGroup(ThreadPool* pool, std::shared_ptr<Batch> batch)
-        : pool_(pool), batch_(std::move(batch)) {}
-
-    ThreadPool* pool_ = nullptr;
-    std::shared_ptr<Batch> batch_;
-  };
-
-  /// Posts fn(0..n-1) without waiting. Background workers begin executing
-  /// immediately; the returned handle joins the batch. The closure is moved
-  /// into the batch and outlives the caller's scope, but anything it
-  /// captures by reference must stay alive until Wait (or the handle's
-  /// destructor) returns.
-  TaskGroup Launch(uint64_t n, std::function<void(uint64_t)> fn);
-
   /// Caps a worker-count request to this pool's concurrency, with at least
   /// `min_items_per_worker` items each (down to 1 worker for tiny inputs).
   uint32_t WorkersFor(uint64_t items, uint64_t min_items_per_worker) const;
@@ -122,7 +76,6 @@ class ThreadPool {
   // Guarded by mu_ (counters are small; tasks are coarse, so the lock is
   // uncontended in practice).
   struct Batch {
-    std::function<void(uint64_t)> owned_fn;  // Launch keeps the closure alive
     const std::function<void(uint64_t)>* fn = nullptr;
     uint64_t count = 0;
     uint64_t next = 0;   // first unclaimed index
@@ -135,7 +88,7 @@ class ThreadPool {
   // participation half of the fork-join).
   void Participate(const std::shared_ptr<Batch>& batch);
   // Blocks until every task of `batch` completed, then rethrows its error.
-  void Join(const std::shared_ptr<Batch>& batch, bool rethrow);
+  void Join(const std::shared_ptr<Batch>& batch);
   // Post-task bookkeeping under mu_: records `err` (first one wins,
   // cancelling unclaimed tasks), counts the task done, and wakes joiners.
   void FinishTask(const std::shared_ptr<Batch>& batch, std::exception_ptr err);

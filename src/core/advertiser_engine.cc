@@ -312,10 +312,7 @@ void AdvertiserEngine::CommitSeed(graph::NodeId v) {
 }
 
 uint64_t AdvertiserEngine::MaybeReviseLatentSize(double budget) {
-  // While an async growth is in flight the revision waits for its barrier
-  // (AdoptPendingGrowth's caller re-runs this), keeping the trigger rounds
-  // deterministic.
-  if (pending_.active || seeds_.size() < latent_s_) return 0;
+  if (seeds_.size() < latent_s_) return 0;
   const double f_max = collection_.MaxCoverageFraction();
   const double denom = instance_.max_incentive(ad_) +
                        instance_.cpe(ad_) * dn_ * f_max;
@@ -342,9 +339,14 @@ uint64_t AdvertiserEngine::MaybeReviseLatentSize(double budget) {
   return want;
 }
 
-void AdvertiserEngine::FinishGrowth() {
+void AdvertiserEngine::GrowNow(uint64_t want_theta) {
+  const bool need_deltas =
+      options_.candidate_rule != CandidateRule::kPageRank;
+  collection_.AddSets(sampler_, want_theta - theta_, seeds_,
+                      need_deltas ? &touched_scratch_ : nullptr);
+  theta_ = want_theta;
   ++growth_events_;
-  if (options_.candidate_rule != CandidateRule::kPageRank) {
+  if (need_deltas) {
     // Coverage went up for the touched nodes; repair instead of the old
     // full-scan rebuild. The window must re-settle entirely: nodes outside
     // it may now out-rank kept entries.
@@ -357,46 +359,6 @@ void AdvertiserEngine::FinishGrowth() {
   candidate_fresh_ = false;
 }
 
-void AdvertiserEngine::GrowNow(uint64_t want_theta) {
-  const bool need_deltas =
-      options_.candidate_rule != CandidateRule::kPageRank;
-  collection_.AddSets(sampler_, want_theta - theta_, seeds_,
-                      need_deltas ? &touched_scratch_ : nullptr);
-  theta_ = want_theta;
-  FinishGrowth();
-}
-
-void AdvertiserEngine::BeginAsyncGrowth(uint64_t want_theta,
-                                        uint64_t adopt_round,
-                                        ThreadPool& pool) {
-  pending_.active = true;
-  pending_.want_theta = want_theta;
-  pending_.adopt_round = adopt_round;
-  // Private store (async_capable): nothing else appends to it, so the id
-  // range decided here is stable until the barrier.
-  const uint64_t first_id = collection_.store()->num_sets();
-  const uint64_t count = want_theta - first_id;
-  pending_.task = pool.Launch(1, [this, first_id, count](uint64_t) {
-    sampler_.SampleToBuffer(first_id, count, &pending_.nodes,
-                            &pending_.sizes);
-  });
-}
-
-void AdvertiserEngine::AdoptPendingGrowth(ThreadPool& pool) {
-  pending_.task.Wait();  // rethrows a marshaled sampling exception
-  collection_.store()->AppendBatch(pending_.nodes, pending_.sizes, &pool,
-                                   sampler_.base_seed());
-  const bool need_deltas =
-      options_.candidate_rule != CandidateRule::kPageRank;
-  collection_.AdoptUpTo(pending_.want_theta, seeds_, &pool,
-                        need_deltas ? &touched_scratch_ : nullptr);
-  theta_ = pending_.want_theta;
-  pending_.active = false;
-  pending_.nodes = {};
-  pending_.sizes = {};
-  FinishGrowth();
-}
-
 uint64_t AdvertiserEngine::WorkingBufferBytes() const {
   return heap_.BufferBytes() + eligible_.capacity() +
          seeds_.capacity() * sizeof(graph::NodeId) +
@@ -404,9 +366,7 @@ uint64_t AdvertiserEngine::WorkingBufferBytes() const {
          window_.BufferBytes() +
          (window_slot_.capacity() + window_dirty_.capacity() +
           window_free_.capacity()) * sizeof(uint32_t) +
-         touched_scratch_.capacity() * sizeof(graph::NodeId) +
-         pending_.nodes.capacity() * sizeof(graph::NodeId) +
-         pending_.sizes.capacity() * sizeof(uint32_t);
+         touched_scratch_.capacity() * sizeof(graph::NodeId);
 }
 
 }  // namespace isa::core

@@ -43,7 +43,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "core/problem.h"
 #include "core/ti_greedy.h"
 #include "rrset/parallel_sampler.h"
@@ -210,9 +209,6 @@ struct AdvertiserEngineOptions {
   uint32_t window = 0;
   /// Full-window cost-sensitive rule: heap keyed by coverage/cost directly.
   bool ratio_keyed_heap = false;
-  /// This engine's store is private (not shared with another ad), so async
-  /// θ-growth may sample into side buffers while rounds proceed.
-  bool async_capable = false;
   uint64_t sampler_seed = 0;
   rrset::DiffusionModel model = rrset::DiffusionModel::kIndependentCascade;
   /// The store's sample sizer, with the KPT pilot already run — built once
@@ -270,30 +266,13 @@ class AdvertiserEngine {
   // ---- Growth stage (lines 17-21, Eq. 10, Algorithm 3). ----
 
   /// If the seed count has reached the latent size s̃_j, revises s̃_j by
-  /// Eq. 10 and returns the new required θ when the sample must grow, else
-  /// 0. While an async growth is pending the revision is deferred to the
-  /// adoption barrier.
+  /// Eq. 10 and returns the new required θ when the sample must grow, else 0.
   uint64_t MaybeReviseLatentSize(double budget);
 
-  /// Synchronous growth: samples, adopts, repairs the heap incrementally
-  /// from the adoption's coverage deltas, and refreshes the estimates.
+  /// Grows the sample to `want_theta`: samples, adopts, repairs the heap
+  /// incrementally from the adoption's coverage deltas, and refreshes the
+  /// estimates.
   void GrowNow(uint64_t want_theta);
-
-  /// Async growth: launches sampling of the batch on `pool` workers (side
-  /// buffers only — the store is untouched, so selection rounds can keep
-  /// reading it) and records the deterministic adoption barrier.
-  /// Requires options.async_capable and no growth already pending.
-  void BeginAsyncGrowth(uint64_t want_theta, uint64_t adopt_round,
-                        ThreadPool& pool);
-
-  bool growth_pending() const { return pending_.active; }
-  uint64_t pending_adopt_round() const { return pending_.adopt_round; }
-  bool async_capable() const { return options_.async_capable; }
-
-  /// The adoption barrier: joins the sampling tasks (rethrowing a
-  /// marshaled sampling exception), appends the batch to the store, adopts
-  /// it, repairs the heap from the deltas, and refreshes the estimates.
-  void AdoptPendingGrowth(ThreadPool& pool);
 
   // ---- Results / diagnostics. ----
 
@@ -303,7 +282,7 @@ class AdvertiserEngine {
   double revenue() const { return revenue_; }
   double seeding_cost() const { return seeding_cost_; }
   double payment() const { return payment_; }
-  /// Sample growths adopted (sync + async) — the "growth engaged" counter.
+  /// Sample growths adopted — the "growth engaged" counter.
   uint64_t growth_events() const { return growth_events_; }
   /// Eq. 10 revisions that raised s̃ but needed no extra samples (θ(s̃)
   /// already satisfied, typically because the schedule is cap-saturated) —
@@ -347,9 +326,6 @@ class AdvertiserEngine {
   void DumpWindowToHeap();
   // Line-7 candidate under the configured rule, plus its marginals.
   void ComputeCandidate();
-  // Shared tail of GrowNow/AdoptPendingGrowth: heap repair from the
-  // adoption deltas + Algorithm 3 estimate refresh.
-  void FinishGrowth();
 
   const RmInstance& instance_;
   const uint32_t ad_;
@@ -396,19 +372,6 @@ class AdvertiserEngine {
 
   // Scratch for coverage deltas (adoptions and removals).
   std::vector<graph::NodeId> touched_scratch_;
-
-  // Async growth in flight. Declared last so its TaskGroup (whose closure
-  // references the sampler and the buffers above) joins before anything it
-  // references is destroyed.
-  struct PendingGrowth {
-    bool active = false;
-    uint64_t want_theta = 0;
-    uint64_t adopt_round = 0;
-    std::vector<graph::NodeId> nodes;
-    std::vector<uint32_t> sizes;
-    ThreadPool::TaskGroup task;
-  };
-  PendingGrowth pending_;
 };
 
 }  // namespace isa::core

@@ -24,13 +24,6 @@ double SelectionScheduler::BudgetOf(uint32_t j) const {
                                           : options_.budget_override[j];
 }
 
-bool SelectionScheduler::AnyGrowthPending() const {
-  for (const auto& ad : ads_) {
-    if (ad->growth_pending()) return true;
-  }
-  return false;
-}
-
 uint32_t SelectionScheduler::SelectAd() const {
   const uint32_t h = num_ads();
   uint32_t chosen = h;
@@ -64,7 +57,7 @@ uint32_t SelectionScheduler::SelectAd() const {
   return chosen;
 }
 
-void SelectionScheduler::ScheduleGrowth(uint32_t j, uint64_t round) {
+void SelectionScheduler::ScheduleGrowth(uint32_t j) {
   const uint64_t want = ads_[j]->MaybeReviseLatentSize(BudgetOf(j));
   if (want == 0) return;
   // Admission policy (degraded mode only): once the cold tier can no
@@ -79,12 +72,7 @@ void SelectionScheduler::ScheduleGrowth(uint32_t j, uint64_t round) {
     ads_[j]->CountGrowthAdmissionCap();
     return;
   }
-  if (options_.async_growth && ads_[j]->async_capable()) {
-    const uint64_t delay = std::max<uint32_t>(1, options_.growth_delay_rounds);
-    ads_[j]->BeginAsyncGrowth(want, round + delay, pool_);
-  } else {
-    ads_[j]->GrowNow(want);
-  }
+  ads_[j]->GrowNow(want);
 }
 
 void SelectionScheduler::MaybeSpillStores() {
@@ -100,26 +88,11 @@ void SelectionScheduler::MaybeSpillStores() {
   }
 }
 
-void SelectionScheduler::AdoptDueGrowths(uint64_t round, bool adopt_all) {
-  for (uint32_t j = 0; j < num_ads(); ++j) {
-    AdvertiserEngine& ad = *ads_[j];
-    if (!ad.growth_pending()) continue;
-    if (!adopt_all && ad.pending_adopt_round() > round) continue;
-    ad.AdoptPendingGrowth(pool_);
-    // The gap may have pushed |S_j| past s̃_j; the deferred Eq. 10
-    // revision runs now (barrier round and ad order are fixed, so this
-    // stays deterministic) and may chain the next growth.
-    ScheduleGrowth(j, round);
-  }
-}
-
 void SelectionScheduler::Run(Allocation* allocation) {
   const uint32_t h = num_ads();
-  uint64_t round = 0;
   while (true) {
     if (options_.max_seeds != 0 && total_seeds_ >= options_.max_seeds) break;
 
-    AdoptDueGrowths(round, /*adopt_all=*/false);
     MaybeSpillStores();
 
     for (uint32_t j = 0; j < h; ++j) {
@@ -127,14 +100,7 @@ void SelectionScheduler::Run(Allocation* allocation) {
     }
 
     const uint32_t chosen_ad = SelectAd();
-    if (chosen_ad == h) {
-      // Line 16 — unless a pending sample could still land: adoption
-      // refreshes revenue estimates, which can reopen feasibility, so
-      // fast-forward every barrier and retry once more.
-      if (!AnyGrowthPending()) break;
-      AdoptDueGrowths(round, /*adopt_all=*/true);
-      continue;
-    }
+    if (chosen_ad == h) break;  // line 16
     if (options_.selection_rule == SelectionRule::kRoundRobin) {
       round_robin_next_ = (chosen_ad + 1) % h;
     }
@@ -147,18 +113,11 @@ void SelectionScheduler::Run(Allocation* allocation) {
     ++total_seeds_;
 
     // Lines 17-21: latent seed-set size revision + sample growth.
-    ScheduleGrowth(chosen_ad, round);
-    ++round;
+    ScheduleGrowth(chosen_ad);
   }
 
-  // Drain: land every in-flight growth so the final θ/revenue estimates
-  // match what the synchronous schedule would report as settled state.
-  // Adoption can chain one more revision per ad (never more without new
-  // seeds), so loop until quiescent.
-  while (AnyGrowthPending()) {
-    AdoptDueGrowths(round, /*adopt_all=*/true);
-  }
-  // Final barrier: the drain may have grown stores past the budget.
+  // Final barrier: a max_seeds exit skips the loop-top barrier, so the
+  // last growth may have left a store past its budget.
   MaybeSpillStores();
 }
 

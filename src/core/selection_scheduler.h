@@ -2,9 +2,7 @@
 // AdvertiserEngines on the shared thread pool.
 //
 // Each round runs four explicit stages:
-//   1. adopt    — async θ-growths whose barrier round arrived land: the
-//                 sampled batch is appended, adopted, and the owner's heap
-//                 repaired from the coverage deltas;
+//   1. spill    — the out-of-core barrier (see below);
 //   2. candidate— every advertiser settles a budget-feasible candidate
 //                 (line 7 + the Algorithm 1 line-12 retirement);
 //   3. commit   — the selection rule picks one (node, advertiser) pair
@@ -13,30 +11,22 @@
 //   4. growth   — if the winner's seed count reached its latent size s̃_j,
 //                 Eq. 10 revises s̃_j and the ad's monotone ThetaSchedule
 //                 (rrset/sample_sizer.h) decides whether θ_j must grow; a
-//                 required growth either runs synchronously or, in async
-//                 mode, starts sampling on pool workers while subsequent
-//                 rounds proceed (lines 17-21). Revisions the schedule
-//                 already satisfies are counted as idle (observability).
+//                 required growth samples, adopts and repairs the heap
+//                 before the next round (lines 17-21). Revisions the
+//                 schedule already satisfies are counted as idle
+//                 (observability).
 //
-// Determinism barrier protocol (async mode): a growth triggered in round r
-// adopts at the start of round r + growth_delay_rounds, and barriers that
-// land in the same round adopt in ascending advertiser order. Trigger
-// rounds depend only on selection state, never on timing, so a fixed seed
-// yields a bit-identical TiResult at any thread count; worker availability
-// only changes whether the sampling actually overlaps (a pool without
-// background workers defers it to the barrier). During the gap the owner
-// keeps selecting against its current sample — a deterministic schedule
-// change relative to synchronous growth, not a race. Only advertisers with
-// a private RR store overlap; ads sharing a store (share_samples) grow
-// synchronously so store appends stay ordered.
+// Every stage depends only on selection state, never on timing, and the
+// pool only changes where sampling runs, so a fixed seed yields a
+// bit-identical TiResult at any thread count.
 //
-// Spill barrier rule (TiOptions::rr_memory_budget_bytes): the stage-1
-// barrier is also where the out-of-core tier makes its eviction decisions
-// — after due growths have adopted, each store's TieredRrStore may spill
-// its oldest fully-adopted sets (ids below min θ_j over the store's
-// views). The decision inputs (resident bytes, view thetas) are
-// bit-identical at any thread count, and spilling never changes a
-// computed value, so the determinism invariant extends to any budget.
+// Spill barrier rule (TiOptions::rr_memory_budget_bytes): at the start of
+// each round the out-of-core tier makes its eviction decisions — each
+// store's TieredRrStore may spill its oldest fully-adopted sets (ids below
+// min θ_j over the store's views). The decision inputs (resident bytes,
+// view thetas) are bit-identical at any thread count, and spilling never
+// changes a computed value, so the determinism invariant extends to any
+// budget.
 
 #ifndef ISA_CORE_SELECTION_SCHEDULER_H_
 #define ISA_CORE_SELECTION_SCHEDULER_H_
@@ -87,12 +77,7 @@ class SelectionScheduler {
   /// Line 9: the committed advertiser under the selection rule, or
   /// num_ads() when every advertiser is exhausted this round.
   uint32_t SelectAd() const;
-  bool AnyGrowthPending() const;
-  /// Stage 1: adopt pending growths whose barrier arrived (all of them
-  /// when `adopt_all`), in ascending advertiser order, then run the
-  /// deferred Eq. 10 revision for each adopter.
-  void AdoptDueGrowths(uint64_t round, bool adopt_all);
-  /// Stage 1b (the spill barrier): let every budgeted store evict its
+  /// Stage 1 (the spill barrier): let every budgeted store evict its
   /// oldest fully-adopted sets. Runs in group order; decisions depend
   /// only on deterministic state (see file comment).
   void MaybeSpillStores();
@@ -100,7 +85,7 @@ class SelectionScheduler {
   /// permanent spill-write failure and its store already exceeds the
   /// budget) the growth is vetoed instead — the admission policy that
   /// replaces eviction once the cold tier is gone.
-  void ScheduleGrowth(uint32_t j, uint64_t round);
+  void ScheduleGrowth(uint32_t j);
 
   const RmInstance& instance_;
   const TiOptions& options_;

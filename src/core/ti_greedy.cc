@@ -142,7 +142,6 @@ Result<TiResult> RunTiGreedy(const RmInstance& instance,
         eo.ratio_keyed_heap =
             options.candidate_rule == CandidateRule::kCoverageCostRatio &&
             (options.window == 0 || options.window >= n);
-        eo.async_capable = options.async_growth && groups[gi].size() == 1;
         eo.sampler_seed = HashSeed(options.seed, j);
         eo.model = options.propagation;
         eo.sizer = sizer;
@@ -185,9 +184,9 @@ Result<TiResult> RunTiGreedy(const RmInstance& instance,
     SelectionScheduler scheduler(instance, options, pool, ads, spill_groups);
     scheduler.Run(&result.allocation);
   } catch (const std::bad_alloc&) {
-    // Marshaled through ThreadPool::Run / TaskGroup::Wait from a sampling
-    // or adoption task (or thrown inline): surface as a Status instead of
-    // terminating the process.
+    // Marshaled through ThreadPool::Run from a sampling or adoption task
+    // (or thrown inline): surface as a Status instead of terminating the
+    // process.
     return Status::ResourceExhausted(
         "RunTiGreedy: out of memory in a sampling/adoption stage");
   } catch (const rrset::SpillIoError& e) {

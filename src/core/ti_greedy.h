@@ -26,11 +26,7 @@
 //     core/advertiser_engine.h);
 //   - per-ad candidate caching: ad j's candidate can only change when j
 //     received a seed, j's sample grew, or the cached node was taken by
-//     another ad / found infeasible — so most rounds recompute one ad;
-//   - optional async θ-growth (TiOptions::async_growth): new sample
-//     batches are drawn on pool workers while other advertisers' rounds
-//     proceed, adopted at a deterministic barrier (see
-//     core/selection_scheduler.h).
+//     another ad / found infeasible — so most rounds recompute one ad.
 //
 // The implementation is layered: per-advertiser state lives in
 // core::AdvertiserEngine, the round loop in core::SelectionScheduler;
@@ -112,23 +108,6 @@ struct TiOptions {
   /// paper's open problem (i) on TI-CSRM memory). Off by default — the
   /// paper's Algorithm 2 keeps one sample per advertiser.
   bool share_samples = false;
-  /// Overlap θ-growth with selection rounds (the staged engine's async
-  /// mode): when the sample sizer decides θ_j must grow, the new batch is
-  /// sampled on pool workers into side buffers while other advertisers'
-  /// rounds proceed, and is appended + adopted at a deterministic barrier
-  /// `growth_delay_rounds` rounds after the trigger (fixed round index,
-  /// ascending ad order at the barrier). A fixed seed therefore still
-  /// yields a bit-identical TiResult at ANY thread count; worker
-  /// availability only decides whether sampling actually overlaps. During
-  /// the gap the advertiser keeps selecting against its current sample, so
-  /// allocations can differ from the synchronous schedule —
-  /// deterministically so. Ads sharing a store (share_samples) always grow
-  /// synchronously, keeping store appends ordered.
-  bool async_growth = false;
-  /// Rounds between an async growth trigger and its adoption barrier
-  /// (values < 1 behave as 1). Larger values overlap more sampling but let
-  /// selection run longer on the smaller (noisier) sample.
-  uint32_t growth_delay_rounds = 2;
   /// Resident-byte target per physical RR store (0 = unbudgeted, fully
   /// resident — the pre-spill behavior, byte for byte). When a store's
   /// resident footprint exceeds the budget at a barrier round, its oldest

@@ -95,10 +95,9 @@ class ParallelSampler {
   /// into caller buffers (cleared first) without touching any store:
   /// `sizes` holds one cardinality per set, `nodes` the concatenated
   /// members, both in id order — exactly what RrStore::AppendBatch takes.
-  /// This is the async θ-growth path: the selection scheduler launches this
-  /// on pool workers while selection rounds proceed against the unmodified
-  /// store, then appends + adopts at a deterministic barrier. Content
-  /// depends only on (base_seed, id), never on worker count or timing.
+  /// SampleAppend's sampling half, public for callers that append the
+  /// batch themselves. Content depends only on (base_seed, id), never on
+  /// worker count.
   void SampleToBuffer(uint64_t first_id, uint64_t count,
                       std::vector<graph::NodeId>* nodes,
                       std::vector<uint32_t>* sizes);

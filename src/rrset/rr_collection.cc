@@ -50,7 +50,7 @@ void RrCollection::AdoptUpTo(uint64_t new_theta,
                              std::vector<graph::NodeId>* touched) {
   // Adopted prefixes only grow (the θ schedule is monotone) and can never
   // run ahead of the physical store; a violation here means a scheduler
-  // bug (e.g. adopting before the async batch was appended), not bad user
+  // bug (e.g. adopting before the batch was appended), not bad user
   // input — catch it at the boundary instead of underflowing below.
   ISA_CHECK(new_theta >= theta_);
   ISA_CHECK(new_theta <= store_->num_sets());

@@ -89,11 +89,9 @@ class RrCollection {
 
   /// Adopts sets already present in the store up to prefix length
   /// `new_theta` (>= total_sets(); the store must hold that many, all of
-  /// them resident). This is the async θ-growth barrier path: the
-  /// scheduler samples into side buffers while selection proceeds, appends
-  /// them to the store at the barrier, and adopts here. Coverage
-  /// accumulation shards across `pool` when given and worthwhile;
-  /// `touched` as in AddSets.
+  /// them resident) — AddSets' adoption half, public for callers that
+  /// fill the store themselves. Coverage accumulation shards across `pool`
+  /// when given and worthwhile; `touched` as in AddSets.
   void AdoptUpTo(uint64_t new_theta,
                  std::span<const graph::NodeId> current_seeds,
                  ThreadPool* pool = nullptr,

@@ -1,9 +1,9 @@
 // The staged selection engine (core/advertiser_engine.h +
 // core/selection_scheduler.h): incremental lazy-heap repair must agree
 // with a from-scratch rebuild after arbitrary adopt/remove sequences, the
-// coverage-delta reporting must match brute-force diffs, and async
-// θ-growth must preserve the hard invariant — fixed seed ⇒ bit-identical
-// TiResult at any thread count.
+// coverage-delta reporting must match brute-force diffs, and θ-growth
+// must preserve the hard invariant — fixed seed ⇒ bit-identical TiResult
+// at any thread count.
 
 #include "core/advertiser_engine.h"
 
@@ -423,21 +423,20 @@ TEST_P(WindowCrossCheck, CandidateMatchesBruteForceWindowArgmax) {
 INSTANTIATE_TEST_SUITE_P(Windows, WindowCrossCheck,
                          ::testing::Values(1u, 5u, 32u));
 
-// ---- Async θ-growth determinism. ----
+// ---- θ-growth determinism. ----
 
 // High-influence fixture: at p = 0.8 the KPT pilot converges with a large
 // OPT lower bound, so θ(1) is small and θ(s̃) grows cheaply as Eq. 10
-// revises s̃ upward — several growth events per fast run (see
-// GrowthEventsActuallyHappen), which is what puts the async barrier and
-// the incremental heap repair on the hot path. Since the Eq. 8 schedule
+// revises s̃ upward — several growth events per fast run, which is what
+// puts the incremental heap repair on the hot path. Since the Eq. 8 schedule
 // fix, growth engages under default influence as well (the
 // DefaultInfluenceFixture below); this fixture stays as the cheap
 // determinism workhorse.
-struct AsyncFixture {
+struct GrowthFixture {
   Graph g = MakeBaGraph(150, 9);
   std::unique_ptr<RmInstance> instance;
 
-  AsyncFixture() {
+  GrowthFixture() {
     auto topics = topic::MakeUniform(g, 1, 0.8);
     ISA_CHECK(topics.ok());
     std::vector<AdvertiserSpec> ads(3);
@@ -489,12 +488,14 @@ void ExpectTiResultsIdentical(const TiResult& a, const TiResult& b) {
   }
 }
 
-// For every candidate rule (and both window shapes of Algorithm 5), async
-// growth ON and OFF must each yield a bit-identical TiResult at 1, 2 and 8
-// threads — the adoption barrier is keyed by round index and ad order,
-// never by timing.
+// For every candidate rule (and both window shapes of Algorithm 5), a run
+// with θ-growth must yield a bit-identical TiResult at 1, 2 and 8 threads.
+// Each config must actually grow, or the sweep is vacuous. (The suite name
+// dates from when growth could also run asynchronously; growth is now
+// synchronous only, and the name is kept so the test's history and CI
+// filters stay continuous.)
 TEST(AsyncGrowthTest, TiResultBitIdenticalAcrossThreadCountsAllRules) {
-  AsyncFixture f;
+  GrowthFixture f;
   struct Config {
     const char* name;
     CandidateRule rule;
@@ -515,74 +516,49 @@ TEST(AsyncGrowthTest, TiResultBitIdenticalAcrossThreadCountsAllRules) {
        SelectionRule::kMaxRate, 0, true},
   };
 
-  for (const bool async : {false, true}) {
-    for (const Config& cfg : configs) {
-      SCOPED_TRACE(testing::Message()
-                   << cfg.name << (async ? " async" : " sync"));
-      TiOptions options;
-      options.candidate_rule = cfg.rule;
-      options.selection_rule = cfg.sel;
-      options.window = cfg.window;
-      options.share_samples = cfg.share_samples;
-      options.async_growth = async;
-      options.growth_delay_rounds = 2;
-      options.epsilon = 0.3;
-      options.seed = 1234;
-      options.theta_cap = 200'000;
+  for (const Config& cfg : configs) {
+    SCOPED_TRACE(cfg.name);
+    TiOptions options;
+    options.candidate_rule = cfg.rule;
+    options.selection_rule = cfg.sel;
+    options.window = cfg.window;
+    options.share_samples = cfg.share_samples;
+    options.epsilon = 0.3;
+    options.seed = 1234;
+    options.theta_cap = 200'000;
 
-      TiResult reference;
-      for (uint32_t threads : {1u, 2u, 8u}) {
-        SCOPED_TRACE(testing::Message() << threads << " threads");
-        options.num_threads = threads;
-        auto result = RunTiGreedy(*f.instance, options);
-        ASSERT_TRUE(result.ok()) << result.status().message();
-        if (threads == 1u) {
-          reference = result.value();
-          EXPECT_GT(reference.total_seeds, 0u);
-          continue;
-        }
-        ExpectTiResultsIdentical(reference, result.value());
+    TiResult reference;
+    for (uint32_t threads : {1u, 2u, 8u}) {
+      SCOPED_TRACE(testing::Message() << threads << " threads");
+      options.num_threads = threads;
+      auto result = RunTiGreedy(*f.instance, options);
+      ASSERT_TRUE(result.ok()) << result.status().message();
+      if (threads == 1u) {
+        reference = result.value();
+        EXPECT_GT(reference.total_seeds, 0u);
+        EXPECT_GT(reference.total_growth_events, 0u);
+        continue;
       }
+      ExpectTiResultsIdentical(reference, result.value());
     }
   }
 }
 
-// The overlap must actually engage on this fixture (growth events > 0), or
-// the determinism sweep above is vacuous.
+// Growth must actually engage on this fixture (growth events > 0), or the
+// determinism sweep above is vacuous; the per-ad counters must add up to
+// the run total.
 TEST(AsyncGrowthTest, GrowthEventsActuallyHappen) {
-  AsyncFixture f;
+  GrowthFixture f;
   TiOptions options;
   options.epsilon = 0.3;
   options.seed = 1234;
   options.theta_cap = 200'000;
-  options.async_growth = true;
   auto res = RunTiCsrm(*f.instance, options);
   ASSERT_TRUE(res.ok());
   uint64_t events = 0;
   for (const auto& st : res.value().ad_stats) events += st.sample_growth_events;
   EXPECT_GT(events, 0u);
-}
-
-// Async growth is a schedule change, not an estimator change: the run must
-// stay feasible and produce a disjoint allocation under every delay.
-TEST(AsyncGrowthTest, FeasibleAndDisjointAcrossDelays) {
-  AsyncFixture f;
-  for (uint32_t delay : {1u, 2u, 5u, 64u}) {
-    SCOPED_TRACE(testing::Message() << "delay " << delay);
-    TiOptions options;
-    options.epsilon = 0.3;
-    options.seed = 77;
-    options.theta_cap = 200'000;
-    options.async_growth = true;
-    options.growth_delay_rounds = delay;
-    auto res = RunTiCsrm(*f.instance, options);
-    ASSERT_TRUE(res.ok());
-    EXPECT_TRUE(res.value().allocation.IsDisjoint(f.instance->num_nodes()));
-    for (uint32_t j = 0; j < f.instance->num_ads(); ++j) {
-      EXPECT_LE(res.value().ad_stats[j].payment,
-                f.instance->budget(j) + 1e-6);
-    }
-  }
+  EXPECT_EQ(events, res.value().total_growth_events);
 }
 
 // ---- θ-growth under DEFAULT influence (the Eq. 8 schedule fix). ----
@@ -614,83 +590,60 @@ struct DefaultInfluenceFixture {
     instance = std::make_unique<RmInstance>(std::move(inst).value());
   }
 
-  TiOptions Options(bool async) const {
+  TiOptions Options() const {
     TiOptions options;
     options.epsilon = 0.5;
     options.seed = 99;
     options.theta_cap = 150'000;
-    options.async_growth = async;
     return options;
   }
 };
 
-// The acceptance gate for the schedule fix: growth adoptions happen (sync
-// and async alike) in the default-influence regime, and the sample really
-// is larger than anything a non-growing schedule would have drawn.
+// The acceptance gate for the schedule fix: growth adoptions happen in
+// the default-influence regime, and the sample really is larger than
+// anything a non-growing schedule would have drawn.
 TEST(GrowthRegimeTest, ThetaGrowthEngagesUnderDefaultInfluence) {
   DefaultInfluenceFixture f;
-  for (const bool async : {false, true}) {
-    SCOPED_TRACE(async ? "async" : "sync");
-    auto res = RunTiCsrm(*f.instance, f.Options(async));
-    ASSERT_TRUE(res.ok()) << res.status().message();
-    const TiResult& r = res.value();
-    EXPECT_GT(r.total_growth_events, 0u);
-    EXPECT_GT(r.ads_growth_engaged, 0u);
-    // An engaged ad's final θ must exceed its start-of-run θ(1): the
-    // growth events actually enlarged the sample. θ(1) is reproduced from
-    // the instance with the run's own sizer parameters.
-    for (uint32_t j = 0; j < r.ad_stats.size(); ++j) {
-      const TiAdStats& st = r.ad_stats[j];
-      if (st.sample_growth_events == 0) continue;
-      rrset::SampleSizerOptions so;
-      so.epsilon = 0.5;
-      so.theta_cap = 150'000;
-      so.seed = HashSeed(99, 1000 + j);
-      rrset::SampleSizer sizer(f.instance->graph(), f.instance->ad_probs(j),
-                               so);
-      EXPECT_GT(st.theta, sizer.ThetaFor(1)) << "ad " << j;
-      EXPECT_GE(st.latent_seed_size, st.seeds);
-    }
+  auto res = RunTiCsrm(*f.instance, f.Options());
+  ASSERT_TRUE(res.ok()) << res.status().message();
+  const TiResult& r = res.value();
+  EXPECT_GT(r.total_growth_events, 0u);
+  EXPECT_GT(r.ads_growth_engaged, 0u);
+  // An engaged ad's final θ must exceed its start-of-run θ(1): the growth
+  // events actually enlarged the sample. θ(1) is reproduced from the
+  // instance with the run's own sizer parameters.
+  for (uint32_t j = 0; j < r.ad_stats.size(); ++j) {
+    const TiAdStats& st = r.ad_stats[j];
+    if (st.sample_growth_events == 0) continue;
+    rrset::SampleSizerOptions so;
+    so.epsilon = 0.5;
+    so.theta_cap = 150'000;
+    so.seed = HashSeed(99, 1000 + j);
+    rrset::SampleSizer sizer(f.instance->graph(), f.instance->ad_probs(j),
+                             so);
+    EXPECT_GT(st.theta, sizer.ThetaFor(1)) << "ad " << j;
+    EXPECT_GE(st.latent_seed_size, st.seeds);
   }
 }
 
 // Bit-identity on the default-influence fixture too: the growth path that
-// now actually runs must stay deterministic at any thread count, async on
-// and off.
+// now actually runs must stay deterministic at any thread count.
 TEST(GrowthRegimeTest, DefaultInfluenceBitIdenticalAcrossThreadCounts) {
   DefaultInfluenceFixture f;
-  for (const bool async : {false, true}) {
-    SCOPED_TRACE(async ? "async" : "sync");
-    TiOptions options = f.Options(async);
-    TiResult reference;
-    for (uint32_t threads : {1u, 2u, 8u}) {
-      SCOPED_TRACE(testing::Message() << threads << " threads");
-      options.num_threads = threads;
-      auto result = RunTiCsrm(*f.instance, options);
-      ASSERT_TRUE(result.ok()) << result.status().message();
-      if (threads == 1u) {
-        reference = result.value();
-        EXPECT_GT(reference.total_growth_events, 0u);
-        continue;
-      }
-      ExpectTiResultsIdentical(reference, result.value());
+  TiOptions options = f.Options();
+  TiResult reference;
+  for (uint32_t threads : {1u, 2u, 8u}) {
+    SCOPED_TRACE(testing::Message() << threads << " threads");
+    options.num_threads = threads;
+    auto result = RunTiCsrm(*f.instance, options);
+    ASSERT_TRUE(result.ok()) << result.status().message();
+    if (threads == 1u) {
+      reference = result.value();
+      EXPECT_GT(reference.total_growth_events, 0u);
+      continue;
     }
+    ExpectTiResultsIdentical(reference, result.value());
   }
-}
-
-// Deterministic in the seed with async on (run-to-run, same thread count).
-TEST(AsyncGrowthTest, DeterministicInSeed) {
-  AsyncFixture f;
-  TiOptions options;
-  options.epsilon = 0.3;
-  options.seed = 4321;
-  options.theta_cap = 200'000;
-  options.async_growth = true;
-  options.num_threads = 4;
-  auto a = RunTiCsrm(*f.instance, options);
-  auto b = RunTiCsrm(*f.instance, options);
-  ASSERT_TRUE(a.ok() && b.ok());
-  ExpectTiResultsIdentical(a.value(), b.value());
 }
 
 }  // namespace

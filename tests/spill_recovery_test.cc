@@ -375,21 +375,16 @@ TEST(SpillRecoveryEndToEndTest, PoolAllocFaultSurfacesAsResourceExhausted) {
 TEST(SpillRecoveryEndToEndTest, SamplerAllocFaultSurfacesAsResourceExhausted) {
   FaultGuard guard;
   RecoveryEndToEndFixture f;
-  // The sampler.alloc site guards the async-growth side buffers, so force
-  // the async path. If the run never grew (site never hit), completing
-  // cleanly is the correct outcome.
-  TiOptions options = f.BudgetedOptions();
-  options.async_growth = true;
+  // The sampler.alloc site sits in ParallelSampler::SampleToBuffer, which
+  // every engine's initial θ(1) sample reaches (Init -> AddSets ->
+  // SampleAppend), so the first hit always fires.
   ASSERT_TRUE(FailPoints::Arm("sampler.alloc.throw@1").ok());
-  auto run = RunTiGreedy(*f.instance, options);
+  auto run = RunTiGreedy(*f.instance, f.BudgetedOptions());
   const uint64_t fires = FailPoints::TotalFires();
   FailPoints::Clear();
-  if (fires > 0) {
-    ASSERT_FALSE(run.ok());
-    EXPECT_EQ(run.status().code(), StatusCode::kResourceExhausted);
-  } else {
-    EXPECT_TRUE(run.ok());
-  }
+  EXPECT_GT(fires, 0u);
+  ASSERT_FALSE(run.ok());
+  EXPECT_EQ(run.status().code(), StatusCode::kResourceExhausted);
 }
 
 }  // namespace

@@ -401,7 +401,7 @@ TEST(SpillTieredTest, TinyBudgetSpillsEverythingEvictable) {
 
 // High-influence fixture (as in advertiser_engine_test.cc): θ-growth
 // engages several times per run, which is what moves the spill barrier and
-// the async-adoption interplay onto the hot path.
+// the growth-adoption interplay onto the hot path.
 struct SpillEndToEndFixture {
   Graph g = MakeBaGraph(150, 9);
   std::unique_ptr<RmInstance> instance;
@@ -463,7 +463,7 @@ void ExpectComputedResultsIdentical(const TiResult& a, const TiResult& b) {
 }
 
 // Budget at ~50% of the largest store: spills genuinely happen, results
-// stay bit-identical at 1/2/8 threads, sync and async growth alike.
+// stay bit-identical at 1/2/8 threads.
 TEST(SpillEndToEndTest, TiResultBitIdenticalAtHalfBudgetAcrossThreads) {
   SpillEndToEndFixture f;
   struct Config {
@@ -481,47 +481,42 @@ TEST(SpillEndToEndTest, TiResultBitIdenticalAtHalfBudgetAcrossThreads) {
        SelectionRule::kMaxRate, 8},
   };
 
-  for (const bool async : {false, true}) {
-    for (const Config& cfg : configs) {
-      SCOPED_TRACE(testing::Message()
-                   << cfg.name << (async ? " async" : " sync"));
-      TiOptions options = f.BaseOptions();
-      options.candidate_rule = cfg.rule;
-      options.selection_rule = cfg.sel;
-      options.window = cfg.window;
-      options.async_growth = async;
-      options.num_threads = 1;
+  for (const Config& cfg : configs) {
+    SCOPED_TRACE(cfg.name);
+    TiOptions options = f.BaseOptions();
+    options.candidate_rule = cfg.rule;
+    options.selection_rule = cfg.sel;
+    options.window = cfg.window;
+    options.num_threads = 1;
 
-      auto unbudgeted = RunTiGreedy(*f.instance, options);
-      ASSERT_TRUE(unbudgeted.ok()) << unbudgeted.status().message();
-      const TiResult& reference = unbudgeted.value();
-      ASSERT_GT(reference.total_seeds, 0u);
-      if (async) {
-        // The fixture must actually exercise the async adoption barrier.
-        ASSERT_GT(reference.total_growth_events, 0u);
-      }
-      uint64_t max_store_bytes = 0;
-      for (const auto& st : reference.ad_stats) {
-        max_store_bytes = std::max(max_store_bytes, st.rr_memory_bytes);
-      }
+    auto unbudgeted = RunTiGreedy(*f.instance, options);
+    ASSERT_TRUE(unbudgeted.ok()) << unbudgeted.status().message();
+    const TiResult& reference = unbudgeted.value();
+    ASSERT_GT(reference.total_seeds, 0u);
+    // The fixture must actually exercise growth adoption into a spilled
+    // store.
+    ASSERT_GT(reference.total_growth_events, 0u);
+    uint64_t max_store_bytes = 0;
+    for (const auto& st : reference.ad_stats) {
+      max_store_bytes = std::max(max_store_bytes, st.rr_memory_bytes);
+    }
 
-      options.rr_memory_budget_bytes = max_store_bytes / 2;
-      for (uint32_t threads : {1u, 2u, 8u}) {
-        SCOPED_TRACE(testing::Message() << threads << " threads");
-        options.num_threads = threads;
-        auto budgeted = RunTiGreedy(*f.instance, options);
-        ASSERT_TRUE(budgeted.ok()) << budgeted.status().message();
-        ExpectComputedResultsIdentical(reference, budgeted.value());
-        // The budget must have bitten — otherwise this test proves nothing.
-        EXPECT_GT(budgeted.value().total_spilled_bytes, 0u);
-        EXPECT_GT(budgeted.value().total_spill_chunks, 0u);
-        // Barrier-observed resident peaks honor the budget: everything
-        // over it was fully adopted and therefore evictable here.
-        for (const auto& st : budgeted.value().ad_stats) {
-          if (st.rr_resident_peak_bytes > 0) {
-            EXPECT_LE(st.rr_resident_peak_bytes,
-                      options.rr_memory_budget_bytes);
-          }
+    options.rr_memory_budget_bytes = max_store_bytes / 2;
+    for (uint32_t threads : {1u, 2u, 8u}) {
+      SCOPED_TRACE(testing::Message() << threads << " threads");
+      options.num_threads = threads;
+      auto budgeted = RunTiGreedy(*f.instance, options);
+      ASSERT_TRUE(budgeted.ok()) << budgeted.status().message();
+      ExpectComputedResultsIdentical(reference, budgeted.value());
+      // The budget must have bitten — otherwise this test proves nothing.
+      EXPECT_GT(budgeted.value().total_spilled_bytes, 0u);
+      EXPECT_GT(budgeted.value().total_spill_chunks, 0u);
+      // Barrier-observed resident peaks honor the budget: everything over
+      // it was fully adopted and therefore evictable here.
+      for (const auto& st : budgeted.value().ad_stats) {
+        if (st.rr_resident_peak_bytes > 0) {
+          EXPECT_LE(st.rr_resident_peak_bytes,
+                    options.rr_memory_budget_bytes);
         }
       }
     }
@@ -530,27 +525,23 @@ TEST(SpillEndToEndTest, TiResultBitIdenticalAtHalfBudgetAcrossThreads) {
 
 // A 1-byte budget spills everything evictable at every barrier — the
 // maximally hostile schedule: constant evictions, every coverage removal
-// scanning cold chunks, async adoptions landing into a spilled store.
+// scanning cold chunks, growth adoptions landing into a spilled store.
 TEST(SpillEndToEndTest, PathologicalOneByteBudgetStillBitIdentical) {
   SpillEndToEndFixture f;
-  for (const bool async : {false, true}) {
-    SCOPED_TRACE(async ? "async" : "sync");
-    TiOptions options = f.BaseOptions();
-    options.async_growth = async;
-    options.num_threads = 1;
-    auto unbudgeted = RunTiGreedy(*f.instance, options);
-    ASSERT_TRUE(unbudgeted.ok());
+  TiOptions options = f.BaseOptions();
+  options.num_threads = 1;
+  auto unbudgeted = RunTiGreedy(*f.instance, options);
+  ASSERT_TRUE(unbudgeted.ok());
 
-    options.rr_memory_budget_bytes = 1;
-    for (uint32_t threads : {1u, 8u}) {
-      SCOPED_TRACE(testing::Message() << threads << " threads");
-      options.num_threads = threads;
-      auto budgeted = RunTiGreedy(*f.instance, options);
-      ASSERT_TRUE(budgeted.ok()) << budgeted.status().message();
-      ExpectComputedResultsIdentical(unbudgeted.value(), budgeted.value());
-      EXPECT_GT(budgeted.value().total_spilled_bytes, 0u);
-      EXPECT_GT(budgeted.value().total_scan_reloads, 0u);
-    }
+  options.rr_memory_budget_bytes = 1;
+  for (uint32_t threads : {1u, 8u}) {
+    SCOPED_TRACE(testing::Message() << threads << " threads");
+    options.num_threads = threads;
+    auto budgeted = RunTiGreedy(*f.instance, options);
+    ASSERT_TRUE(budgeted.ok()) << budgeted.status().message();
+    ExpectComputedResultsIdentical(unbudgeted.value(), budgeted.value());
+    EXPECT_GT(budgeted.value().total_spilled_bytes, 0u);
+    EXPECT_GT(budgeted.value().total_scan_reloads, 0u);
   }
 }
 

@@ -116,77 +116,6 @@ TEST(ThreadPoolTest, RunInlinePathAlsoPropagates) {
                std::bad_alloc);
 }
 
-// ---- Launch / TaskGroup (the async θ-growth primitive). ----
-
-TEST(ThreadPoolTest, LaunchRunsEveryIndexExactlyOnceAfterWait) {
-  ThreadPool pool(4);
-  constexpr uint64_t kTasks = 500;
-  std::vector<int> hits(kTasks, 0);
-  ThreadPool::TaskGroup group =
-      pool.Launch(kTasks, [&](uint64_t i) { ++hits[i]; });
-  EXPECT_TRUE(group.valid());
-  group.Wait();
-  EXPECT_FALSE(group.valid());
-  for (uint64_t i = 0; i < kTasks; ++i) {
-    ASSERT_EQ(hits[i], 1) << "task " << i;
-  }
-  group.Wait();  // idempotent
-}
-
-TEST(ThreadPoolTest, LaunchOnWorkerlessPoolDefersToWait) {
-  ThreadPool pool(1);
-  bool ran = false;
-  ThreadPool::TaskGroup group = pool.Launch(1, [&](uint64_t) { ran = true; });
-  // No background workers: nothing runs until the join point.
-  EXPECT_FALSE(ran);
-  group.Wait();
-  EXPECT_TRUE(ran);
-}
-
-TEST(ThreadPoolTest, WaitRethrowsLaunchTaskException) {
-  ThreadPool pool(4);
-  ThreadPool::TaskGroup group = pool.Launch(8, [](uint64_t i) {
-    if (i % 2 == 0) throw std::runtime_error("sampling failed");
-  });
-  EXPECT_THROW(group.Wait(), std::runtime_error);
-  // The pool survives a poisoned batch.
-  std::atomic<int> after{0};
-  pool.Run(8, [&](uint64_t) { after.fetch_add(1); });
-  EXPECT_EQ(after.load(), 8);
-}
-
-TEST(ThreadPoolTest, TaskGroupDestructorJoinsWithoutThrowing) {
-  ThreadPool pool(4);
-  std::atomic<int> ran{0};
-  {
-    ThreadPool::TaskGroup group = pool.Launch(32, [&](uint64_t i) {
-      if (i == 3) throw std::runtime_error("lost");
-      ran.fetch_add(1, std::memory_order_relaxed);
-    });
-    // Dropped without Wait: the destructor must join (the closure
-    // references `ran`, which dies right after) and swallow the error.
-  }
-  EXPECT_GT(ran.load(), 0);
-}
-
-TEST(ThreadPoolTest, LaunchOverlapsWithForegroundRuns) {
-  // The async-growth shape: a background batch in flight while the caller
-  // keeps issuing fork-join rounds on the same pool.
-  ThreadPool pool(4);
-  std::atomic<uint64_t> background{0};
-  ThreadPool::TaskGroup group = pool.Launch(
-      2000, [&](uint64_t) { background.fetch_add(1, std::memory_order_relaxed); });
-  uint64_t foreground = 0;
-  for (int round = 0; round < 50; ++round) {
-    std::vector<uint64_t> out(8, 0);
-    pool.Run(8, [&](uint64_t i) { out[i] = i + 1; });
-    for (uint64_t v : out) foreground += v;
-  }
-  group.Wait();
-  EXPECT_EQ(background.load(), 2000u);
-  EXPECT_EQ(foreground, 50u * 36u);
-}
-
 // Stress for TSan: thousands of tiny batches reusing the same workers, the
 // pattern RunTiGreedy's incremental sample growths produce.
 TEST(ThreadPoolTest, StressManySmallBatches) {

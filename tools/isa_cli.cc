@@ -51,11 +51,6 @@ constexpr const char* kUsage = R"(isa_cli — incentivized social advertising ca
   --theta-cap T         max RR sets per advertiser       [500000]
   --threads T           RR sampling workers (0 = hardware) [0]
   --share-samples       share RR stores across identical ads
-  --async-growth        overlap sample growth with selection rounds
-                        (deterministic barrier; see TiOptions)
-  --growth-delay R      rounds between an async growth trigger and
-                        its adoption barrier (requires
-                        --async-growth; must be >= 1)      [2]
   --rr-memory-budget B  resident bytes per RR store before the oldest
                         fully-adopted sets spill to disk (0 = keep
                         everything resident; spilling never changes
@@ -129,6 +124,18 @@ double PositiveDoubleFlag(const isa::Flags& flags, const std::string& name,
   return v;
 }
 
+// A boolean flag: bare, true/false or 1/0. Flags::GetBool reports any
+// other value as an error, kept in `*error` like IntFlag's.
+bool BoolFlag(const isa::Flags& flags, const std::string& name,
+              isa::Status* error) {
+  auto value = flags.GetBool(name, false);
+  if (!value.ok()) {
+    if (error->ok()) *error = value.status();
+    return false;
+  }
+  return value.value();
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -136,9 +143,9 @@ int main(int argc, char** argv) {
       argc, argv,
       {"graph", "synthetic", "nodes", "ads", "budget", "cpe", "incentives",
        "alpha", "algorithm", "model", "epsilon", "window", "theta-cap",
-       "threads", "share-samples", "async-growth", "growth-delay",
-       "rr-memory-budget", "spill-dir", "spill-chunk-bytes", "failpoints",
-       "seed", "seeds-csv", "validate", "help"});
+       "threads", "share-samples", "rr-memory-budget", "spill-dir",
+       "spill-chunk-bytes", "failpoints", "seed", "seeds-csv", "validate",
+       "help"});
   if (!flags_result.ok()) {
     std::fputs(kUsage, stderr);
     return Fail(flags_result.status());
@@ -149,7 +156,7 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  // ---- Numeric flags (before any expensive work). ----
+  // ---- Numeric and boolean flags (before any expensive work). ----
   constexpr double kUnbounded = std::numeric_limits<double>::infinity();
   isa::Status bad_flag;
   const auto nodes = static_cast<isa::graph::NodeId>(
@@ -164,10 +171,6 @@ int main(int argc, char** argv) {
       IntFlag(flags, "theta-cap", 500'000, 1, INT64_MAX, &bad_flag));
   const auto seed = static_cast<uint64_t>(
       IntFlag(flags, "seed", 42, 0, INT64_MAX, &bad_flag));
-  // A growth triggered in round r adopts at round r + delay; 0 would adopt
-  // before sampling finishes deterministically.
-  const auto growth_delay = static_cast<uint32_t>(
-      IntFlag(flags, "growth-delay", 2, 1, UINT32_MAX, &bad_flag));
   // 0 disables spilling; a negative budget is a typo.
   const int64_t rr_budget =
       IntFlag(flags, "rr-memory-budget", 0, 0, INT64_MAX, &bad_flag);
@@ -179,26 +182,9 @@ int main(int argc, char** argv) {
                                         &bad_flag);
   const double alpha =
       PositiveDoubleFlag(flags, "alpha", 0.2, kUnbounded, &bad_flag);
+  const bool share_samples = BoolFlag(flags, "share-samples", &bad_flag);
+  const bool validate = BoolFlag(flags, "validate", &bad_flag);
   if (!bad_flag.ok()) return Fail(bad_flag);
-
-  // ---- Growth-scheduling flag validation. The engine itself treats
-  // growth-delay < 1 as 1 and silently ignores a delay without async mode;
-  // at the CLI boundary both are user error — reject them loudly instead
-  // of running a schedule the user didn't ask for.
-  const bool async_growth =
-      flags.GetBool("async-growth", false).value_or(false);
-  if (flags.Has("growth-delay") && !async_growth) {
-    return Fail(isa::Status::InvalidArgument(
-        "--growth-delay only applies to async growth; add --async-growth "
-        "or drop --growth-delay"));
-  }
-  if (async_growth &&
-      flags.GetBool("share-samples", false).value_or(false)) {
-    std::fprintf(stderr,
-                 "note: --share-samples makes shared-store ads grow "
-                 "synchronously; --async-growth only overlaps ads with "
-                 "private stores\n");
-  }
 
   // Spill-tier flag validation: a spill directory without a budget would
   // silently do nothing.
@@ -318,11 +304,7 @@ int main(int argc, char** argv) {
   options.theta_cap = theta_cap;
   options.num_threads = threads;
   options.seed = seed;
-  options.share_samples =
-      flags.GetBool("share-samples", false).value_or(false);
-  options.async_growth =
-      flags.GetBool("async-growth", false).value_or(false);
-  options.growth_delay_rounds = growth_delay;
+  options.share_samples = share_samples;
   options.rr_memory_budget_bytes = static_cast<uint64_t>(rr_budget);
   options.spill_directory = spill_dir;
   options.spill_chunk_bytes = static_cast<uint64_t>(spill_chunk_bytes);
@@ -432,7 +414,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "wrote %s\n", csv.c_str());
   }
 
-  if (flags.GetBool("validate", false).value_or(false)) {
+  if (validate) {
     isa::diffusion::CascadeSimulator sim(graph);
     double mc_revenue = 0.0;
     for (uint32_t j = 0; j < h; ++j) {
