@@ -46,13 +46,20 @@ Result<std::string> Flags::GetString(const std::string& name,
   return it == values_.end() ? std::move(def) : it->second;
 }
 
-Result<int64_t> Flags::GetInt(const std::string& name, int64_t def) const {
+Result<int64_t> Flags::GetInt(const std::string& name, int64_t def,
+                              int64_t lo, int64_t hi) const {
   auto it = values_.find(name);
   if (it == values_.end()) return def;
   auto parsed = ParseInt(it->second);
   if (!parsed.ok()) {
     return Status::InvalidArgument("--" + name + ": " +
                                    parsed.status().message());
+  }
+  if (parsed.value() < lo || parsed.value() > hi) {
+    std::string msg = "--" + name + " must be >= " + std::to_string(lo);
+    if (hi != INT64_MAX) msg += " and <= " + std::to_string(hi);
+    return Status::InvalidArgument(msg + " (got " +
+                                   std::to_string(parsed.value()) + ")");
   }
   return parsed.value();
 }

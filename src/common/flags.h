@@ -29,7 +29,9 @@ class Flags {
   /// Typed getters with defaults; a present-but-malformed value is an error.
   Result<std::string> GetString(const std::string& name,
                                 std::string def) const;
-  Result<int64_t> GetInt(const std::string& name, int64_t def) const;
+  /// A present value outside [lo, hi] is an error too.
+  Result<int64_t> GetInt(const std::string& name, int64_t def,
+                         int64_t lo = INT64_MIN, int64_t hi = INT64_MAX) const;
   Result<double> GetDouble(const std::string& name, double def) const;
   Result<bool> GetBool(const std::string& name, bool def) const;
 

@@ -85,6 +85,9 @@ Result<TiResult> RunTiGreedy(const RmInstance& instance,
   if (options.epsilon <= 0.0 || options.epsilon >= 1.0) {
     return Status::InvalidArgument("RunTiGreedy: epsilon must be in (0,1)");
   }
+  if (options.theta_cap == 0) {
+    return Status::InvalidArgument("RunTiGreedy: theta_cap must be >= 1");
+  }
   if (!options.budget_override.empty() &&
       options.budget_override.size() != h) {
     return Status::InvalidArgument(
@@ -104,7 +107,7 @@ Result<TiResult> RunTiGreedy(const RmInstance& instance,
   TiResult result;
   result.allocation.seed_sets.assign(h, {});
   std::vector<std::unique_ptr<AdvertiserEngine>> ads(h);
-  // Declared before the try block so the tiers (and their barrier meters)
+  // Declared before the try block so the tiers (and their resident peaks)
   // survive into result assembly.
   std::vector<StoreSpillGroup> spill_groups;
   std::vector<Status> init_status(h);
@@ -129,9 +132,10 @@ Result<TiResult> RunTiGreedy(const RmInstance& instance,
       so.seed = HashSeed(options.seed, 1000 + leader);
       so.model = options.propagation;
       // When the group tasks alone saturate the pool, a nested parallel
-      // pilot buys no wall-clock but allocates O(concurrency) private
+      // pilot buys no wall-clock but allocates O(concurrency) worker
       // samplers (O(n) epoch arrays) per concurrent pilot; run those
-      // pilots serially instead — the widths are bit-identical either way.
+      // pilots single-threaded instead — the widths are bit-identical
+      // either way.
       so.pool = groups.size() >= pool.concurrency() ? nullptr : &pool;
       auto sizer = std::make_shared<const rrset::SampleSizer>(
           instance.graph(), instance.ad_probs(leader), so);
@@ -229,7 +233,7 @@ Result<TiResult> RunTiGreedy(const RmInstance& instance,
       st.recovered_sets = store->recovered_sets();
       for (const StoreSpillGroup& g : spill_groups) {
         if (g.tier->store().get() == store) {
-          st.rr_resident_peak_bytes = g.tier->meter().peak_bytes();
+          st.rr_resident_peak_bytes = g.tier->resident_peak_bytes();
           st.degradation_events += g.tier->degradation_events();
           break;
         }

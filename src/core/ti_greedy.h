@@ -89,6 +89,7 @@ struct TiOptions {
   /// demand tens of millions of RR sets (the paper's runs used a 264 GB
   /// server); this valve keeps laptop-scale runs bounded while preserving
   /// the estimator (a smaller sample only loosens the accuracy guarantee).
+  /// Must be >= 1.
   uint64_t theta_cap = 2'000'000;
   /// Run the KPT pilot for Eq. 8's OPT lower bound (recommended). One
   /// pilot runs per RR store — ads sharing a store (share_samples) share

@@ -1,5 +1,8 @@
-// Deterministic parallel RR-set sampling — the only way RR sets enter an
-// RrStore.
+// Deterministic parallel RR-set sampling — the one sampling API. RR sets
+// enter an RrStore only through SampleAppend, and the two samples that
+// never reach a store go through SampleToBuffer: the KPT pilot
+// (rrset::SampleSizer) and the singleton-spread estimator
+// (rrset::EstimateAllSingletonSpreads).
 //
 // Every RR set has an *absolute id* — its index in the destination
 // RrStore — and is drawn from its own Rng substream

@@ -179,27 +179,6 @@ graph::NodeId RrCollection::ArgmaxCoverage(
   return best_cov == 0 ? kInvalidNode : best;
 }
 
-std::vector<graph::NodeId> RrCollection::TopCoverage(
-    uint32_t w, std::span<const uint8_t> eligible) const {
-  const graph::NodeId n = store_->num_nodes();
-  std::vector<graph::NodeId> candidates;
-  candidates.reserve(n / 4);
-  for (graph::NodeId v = 0; v < n; ++v) {
-    if (eligible[v] && coverage_[v] > 0) candidates.push_back(v);
-  }
-  auto by_coverage = [&](graph::NodeId a, graph::NodeId b) {
-    return coverage_[a] != coverage_[b] ? coverage_[a] > coverage_[b]
-                                        : a < b;
-  };
-  if (candidates.size() > w) {
-    std::nth_element(candidates.begin(), candidates.begin() + w,
-                     candidates.end(), by_coverage);
-    candidates.resize(w);
-  }
-  std::sort(candidates.begin(), candidates.end(), by_coverage);
-  return candidates;
-}
-
 uint32_t RrCollection::RemoveCoveredBy(graph::NodeId v,
                                        std::vector<graph::NodeId>* touched,
                                        ThreadPool* /*pool*/) {

@@ -106,12 +106,6 @@ class RrCollection {
   /// or kInvalidNode if every eligible coverage is zero.
   graph::NodeId ArgmaxCoverage(std::span<const uint8_t> eligible) const;
 
-  /// Top-`w` eligible nodes by coverage (descending, ties by id). Used by
-  /// the TI-CSRM window-size restriction (paper §5, Fig. 4).
-  std::vector<graph::NodeId> TopCoverage(uint32_t w,
-                                         std::span<const uint8_t> eligible)
-      const;
-
   /// Marks all alive adopted sets containing `v` covered and updates the
   /// coverage counts of their members. Returns how many sets were newly
   /// covered. When the store has a spilled prefix, its cold sets are

@@ -39,7 +39,6 @@ graph::NodeId RrSampler::SampleInto(Rng& rng,
                                     std::vector<graph::NodeId>* out) {
   out->clear();
   ++epoch_;
-  last_width_ = 0;
   const graph::NodeId root =
       static_cast<graph::NodeId>(rng.NextBounded(g_.num_nodes()));
   visited_epoch_[root] = epoch_;
@@ -51,7 +50,6 @@ graph::NodeId RrSampler::SampleInto(Rng& rng,
     const graph::NodeId v = (*out)[head];
     auto sources = g_.InNeighbors(v);
     auto eids = g_.InEdgeIds(v);
-    last_width_ += sources.size();
     if (model_ == DiffusionModel::kIndependentCascade) {
       // IC: flip each in-arc (u -> v) independently — with v's one coin
       // when its in-arcs agree, else with each arc's own probability — or,

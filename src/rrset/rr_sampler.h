@@ -165,8 +165,6 @@ class RrSampler {
             std::shared_ptr<const CoinColumn> coins = nullptr);
 
   /// Samples one RR set into `out` (cleared first). Returns the root node.
-  /// Also accumulates `width` — the number of arcs examined — which the
-  /// KPT estimator consumes.
   graph::NodeId SampleInto(Rng& rng, std::vector<graph::NodeId>* out);
 
   /// Samples the RR sets with absolute ids [first_id, first_id + count),
@@ -180,11 +178,6 @@ class RrSampler {
                  std::vector<uint32_t>* sizes,
                  std::vector<graph::NodeId>* nodes);
 
-  /// Arcs examined by the last SampleInto call (the TIM "width" w(R) used
-  /// in KPT estimation is the in-arc count of the set's nodes; we report
-  /// exactly that).
-  uint64_t last_width() const { return last_width_; }
-
  private:
   const graph::Graph& g_;
   std::span<const double> probs_;
@@ -192,7 +185,6 @@ class RrSampler {
   std::shared_ptr<const CoinColumn> coins_;
   std::vector<uint32_t> visited_epoch_;
   uint32_t epoch_ = 0;
-  uint64_t last_width_ = 0;
 };
 
 }  // namespace isa::rrset

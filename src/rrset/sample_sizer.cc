@@ -5,7 +5,7 @@
 
 #include "common/logging.h"
 #include "common/math_util.h"
-#include "common/thread_pool.h"
+#include "rrset/parallel_sampler.h"
 
 namespace isa::rrset {
 
@@ -20,82 +20,55 @@ SampleSizer::SampleSizer(const graph::Graph& g, std::span<const double> probs,
   if (options_.run_kpt_pilot && n_ > 1 && m_ > 0) RunPilot(g, probs);
 }
 
+namespace {
+
+// Doubling-loop cap. TIM runs to log2(n)−1 rounds; under low-probability
+// models (weighted cascade) the mean κ rarely crosses its threshold and the
+// full loop costs ~2^(log2 n) pilot sets per advertiser. Capping at 8
+// bounds the pilot at a few tens of thousands of sets; the last round
+// still gives an unbiased (if less tightly concentrated) KPT estimate.
+constexpr uint32_t kMaxPilotRounds = 8;
+
+}  // namespace
+
 void SampleSizer::RunPilot(const graph::Graph& g,
                            std::span<const double> probs) {
   // TIM Algorithm 2 doubling loop for k = 1: round i draws
   // c_i = (6 ℓ ln n + 6 ln log2 n) · 2^i sets; if the mean of
   // κ(R) = w(R)/m crosses 1/2^i, KPT = n/2 · mean(κ) is retained.
   //
-  // Pilot set `id` (counting across rounds) draws from the substream
-  // HashSeed(stream, id); rounds are partitioned into contiguous id chunks
-  // across the pool, each task with a private sampler, and the widths land
-  // in id-indexed slots — so serial and parallel pilots are bit-identical.
-  const uint64_t stream = HashSeed(options_.seed, 0x4b7);
+  // Pilot set `id` counts across rounds, so each round continues the
+  // sampler's id sequence where the last one stopped.
+  ParallelSamplerOptions po;
+  po.num_threads = options_.pool == nullptr ? 1 : 0;
+  po.pool = options_.pool;
+  ParallelSampler sampler(g, probs, options_.model,
+                          HashSeed(options_.seed, 0x4b7), po, coins_);
   const double log_n = std::log(static_cast<double>(n_));
   const double log_log_n =
       std::log(std::max(2.0, std::log2(static_cast<double>(n_))));
   const uint32_t rounds = std::min<uint32_t>(
-      options_.max_pilot_rounds,
+      kMaxPilotRounds,
       n_ > 2 ? static_cast<uint32_t>(std::log2(static_cast<double>(n_)))
              : 1);
+  std::vector<graph::NodeId> nodes;
+  std::vector<uint32_t> sizes;
 
-  // Task-indexed samplers (O(n) epoch arrays), created lazily and reused
-  // across the doubling rounds; slot 0 doubles as the serial sampler. All
-  // share the store's coin column.
-  std::vector<std::unique_ptr<RrSampler>> samplers(
-      options_.pool == nullptr ? 1 : options_.pool->concurrency());
-  auto sampler_for = [&](uint64_t t) -> RrSampler& {
-    if (samplers[t] == nullptr) {
-      samplers[t] =
-          std::make_unique<RrSampler>(g, probs, options_.model, coins_);
-    }
-    return *samplers[t];
-  };
-  std::vector<graph::NodeId> scratch;
-  std::vector<uint64_t> widths;
-
-  uint64_t next_id = 0;
   for (uint32_t i = 1; i <= rounds; ++i) {
-    pilot_rounds_ = i;
     const uint64_t ci = static_cast<uint64_t>(
         std::ceil((6.0 * options_.ell * log_n + 6.0 * log_log_n) *
                   std::pow(2.0, i)));
-    const uint64_t first_id = next_id;
-    next_id += ci;
-
-    widths.assign(ci, 0);
-    const uint32_t tasks =
-        options_.pool == nullptr
-            ? 1
-            : options_.pool->WorkersFor(
-                  ci, std::max<uint64_t>(1, options_.min_pilot_sets_per_task));
-    if (tasks <= 1) {
-      RrSampler& sampler = sampler_for(0);
-      for (uint64_t k = 0; k < ci; ++k) {
-        Rng rng(HashSeed(stream, first_id + k));
-        sampler.SampleInto(rng, &scratch);
-        widths[k] = sampler.last_width();
-      }
-    } else {
-      options_.pool->Run(tasks, [&](uint64_t t) {
-        RrSampler& sampler = sampler_for(t);
-        std::vector<graph::NodeId> local_scratch;
-        const uint64_t lo = ci * t / tasks;
-        const uint64_t hi = ci * (t + 1) / tasks;
-        for (uint64_t k = lo; k < hi; ++k) {
-          Rng rng(HashSeed(stream, first_id + k));
-          sampler.SampleInto(rng, &local_scratch);
-          widths[k] = sampler.last_width();
-        }
-      });
-    }
+    sampler.SampleToBuffer(pilot_sets_, ci, &nodes, &sizes);
+    pilot_sets_ += ci;  // total drawn across rounds, not just this one
 
     // κ summed in id order — thread count never changes the value.
     double kappa_sum = 0.0;
-    for (uint64_t w : widths) {
-      kappa_sum += static_cast<double>(w) / static_cast<double>(m_);
+    const graph::NodeId* member = nodes.data();
+    for (const uint32_t size : sizes) {
+      uint64_t width = 0;
+      for (uint32_t k = 0; k < size; ++k) width += g.InDegree(*member++);
+      kappa_sum += static_cast<double>(width) / static_cast<double>(m_);
     }
-    pilot_sets_ = next_id;  // total drawn across rounds, not just this one
     kpt_ = static_cast<double>(n_) * kappa_sum /
            (2.0 * static_cast<double>(ci));
     if (kappa_sum / static_cast<double>(ci) > 1.0 / std::pow(2.0, i)) {
@@ -110,7 +83,7 @@ void SampleSizer::RunPilot(const graph::Graph& g,
   ISA_LOG("SampleSizer: KPT pilot did not converge after %u rounds "
           "(n=%llu, kpt=%.3g); θ schedule uses the weakly concentrated "
           "last-round estimate",
-          pilot_rounds_, (unsigned long long)n_, kpt_);
+          rounds, (unsigned long long)n_, kpt_);
 }
 
 double SampleSizer::OptLowerBound() const {
@@ -124,17 +97,7 @@ double SampleSizer::OptLowerBound() const {
 
 uint64_t SampleSizer::ThetaFor(uint64_t s) const {
   if (n_ == 0) return 1;
-  const uint64_t clamped = std::clamp<uint64_t>(s, 1, n_);
-  if (clamped != s) {
-    ++clamped_s_queries_;
-    if (!warned_clamp_) {
-      warned_clamp_ = true;
-      ISA_LOG("SampleSizer: ThetaFor(s=%llu) outside [1, %llu]; clamping "
-              "(further clamps counted silently)",
-              (unsigned long long)s, (unsigned long long)n_);
-    }
-  }
-  s = clamped;
+  s = std::clamp<uint64_t>(s, 1, n_);
   const double eps = options_.epsilon;
   const double numerator =
       (8.0 + 2.0 * eps) * static_cast<double>(n_) *
@@ -142,26 +105,11 @@ uint64_t SampleSizer::ThetaFor(uint64_t s) const {
        LogBinomial(n_, s) + std::log(2.0));
   const double theta = numerator / (OptLowerBound() * eps * eps);
   if (!(theta > 0.0)) return 1;
-  // Saturation is judged on the integer θ actually returned, so this
-  // counter agrees with ThetaSchedule's (which can only see the returned
-  // value): a θ that ceils exactly to the cap counts as a hit.
-  const uint64_t ceiled =
-      theta >= static_cast<double>(options_.theta_cap)
-          ? options_.theta_cap
-          : static_cast<uint64_t>(std::ceil(theta));
-  const uint64_t result =
-      std::min(options_.theta_cap, std::max<uint64_t>(1, ceiled));
-  if (result >= options_.theta_cap) {
-    ++theta_cap_hits_;
-    if (!warned_cap_) {
-      warned_cap_ = true;
-      ISA_LOG("SampleSizer: Eq. 8 wants θ=%.3g for s=%llu; saturating at "
-              "theta_cap=%llu (further cap hits counted silently)",
-              theta, (unsigned long long)s,
-              (unsigned long long)options_.theta_cap);
-    }
+  // Compared before the cast: a θ beyond uint64_t range saturates too.
+  if (theta >= static_cast<double>(options_.theta_cap)) {
+    return options_.theta_cap;
   }
-  return result;
+  return static_cast<uint64_t>(std::ceil(theta));
 }
 
 // ------------------------------------------------------------ ThetaSchedule

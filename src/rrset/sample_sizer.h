@@ -12,7 +12,9 @@
 //   SampleSizer   — the KPT pilot, run ONCE per RR store (TIM Algorithm 2
 //                   with k = 1). Its product is a single scalar lower bound
 //                   on OPT: max(1, KPT), where KPT = n/2 · mean(w(R)/m)
-//                   over the pilot widths of the converged doubling round.
+//                   over the pilot sets of the converged doubling round,
+//                   w(R) being the in-degree sum of R's nodes — the arcs
+//                   a reverse BFS over R examines.
 //                   KPT ≤ OPT_1 ≤ OPT_s for every s (monotonicity), so one
 //                   pilot serves the whole schedule. SampleSizer::ThetaFor
 //                   is the raw Eq. 8 evaluator over that fixed denominator.
@@ -36,11 +38,11 @@
 // fixed at the pilot estimate; a smaller lower bound only enlarges θ,
 // which is the safe direction for the oracle guarantee.
 //
-// Determinism contract (same as rrset::ParallelSampler): every pilot set
-// has an absolute id — its position in the doubling loop's concatenated
-// draw sequence — and is sampled from the Rng substream
-// HashSeed(pilot_stream, id). The serial path walks the same ids, so the
-// pilot widths, and hence θ, are bit-identical with or without a pool, at
+// Determinism contract: the pilot draws its sets through one
+// rrset::ParallelSampler over HashSeed(seed, 0x4b7), so pilot set `id` —
+// its position in the doubling loop's concatenated draw sequence — is the
+// same RR set RrSampler::SampleIds draws for that id anywhere else, and
+// the pilot widths, hence θ, are bit-identical with or without a pool, at
 // any worker count.
 
 #ifndef ISA_RRSET_SAMPLE_SIZER_H_
@@ -65,25 +67,15 @@ struct SampleSizerOptions {
   double epsilon = 0.1;   // ε of Eq. 8
   double ell = 1.0;       // ℓ (failure prob n^-ℓ)
   bool run_kpt_pilot = true;
-  /// Doubling-loop cap. TIM runs to log2(n)−1 rounds; under low-probability
-  /// models (weighted cascade) the mean κ rarely crosses its threshold and
-  /// the full loop costs ~2^(log2 n) pilot sets per advertiser. Capping at 8
-  /// bounds the pilot at a few tens of thousands of sets; the retained
-  /// widths still give an unbiased (if less tightly concentrated) KPT
-  /// estimate. Raise for guarantee-faithful runs.
-  uint32_t max_pilot_rounds = 8;
   uint64_t theta_cap = 20'000'000;  // safety valve on θ per advertiser
   uint64_t seed = 7;
   /// Propagation model the pilot samples under (must match the main
   /// sample's model).
   DiffusionModel model = DiffusionModel::kIndependentCascade;
-  /// Borrowed pool the pilot rounds run on (not owned; must outlive the
-  /// constructor call). Null = serial pilot; widths are bit-identical
-  /// either way (see determinism contract above).
+  /// Borrowed pool the pilot's sampler runs on (not owned; must outlive
+  /// the constructor call). Null = a single-threaded pilot; widths are
+  /// bit-identical either way (see determinism contract above).
   ThreadPool* pool = nullptr;
-  /// Below this many pilot sets per would-be task, fewer tasks are used
-  /// (down to the serial loop).
-  uint64_t min_pilot_sets_per_task = 256;
 };
 
 /// The once-per-store KPT pilot plus the raw Eq. 8 evaluator.
@@ -97,25 +89,21 @@ struct SampleSizerOptions {
 ///     clamped to [1, theta_cap]; it is bit-identical at any worker
 ///     count because the pilot draws from per-set-id substreams.
 ///
-/// Not thread-safe after construction: the diagnostic counters mutate on
-/// (const) ThetaFor calls, so concurrent readers must hold distinct sizers
-/// or serialize externally — the TI driver queries only from the group's
-/// init task and then the single scheduler thread.
+/// Immutable after construction, so the ads sharing a store may query one
+/// sizer concurrently.
 class SampleSizer {
  public:
   /// Under IC builds the store's coin column, then runs the KPT pilot
-  /// (unless disabled) using private samplers over `probs` that share it;
-  /// retains only the pilot's scalar products (KPT estimate, convergence
-  /// flag, set count), not the widths.
+  /// (unless disabled) through a ParallelSampler over `probs` that shares
+  /// it; retains only the pilot's scalar products (KPT estimate,
+  /// convergence flag, set count), not the sets.
   SampleSizer(const graph::Graph& g, std::span<const double> probs,
               const SampleSizerOptions& options);
 
   /// Raw Eq. 8 for seed-set size `s` over the fixed pilot denominator,
   /// clamped to [1, theta_cap]. Out-of-range `s` (0 or > n) is clamped to
-  /// [1, n]; both the clamp and a theta_cap saturation are counted (and
-  /// warned about once) rather than silent — see clamped_s_queries() /
-  /// theta_cap_hits(). Selection engines should consume the monotone
-  /// ThetaSchedule instead of calling this per round.
+  /// [1, n]. Selection engines consume the monotone ThetaSchedule, which
+  /// counts both clamps and cap hits, instead of calling this per round.
   uint64_t ThetaFor(uint64_t s) const;
 
   /// The fixed OPT lower bound ThetaFor divides by: max(1, KPT). Constant
@@ -133,15 +121,6 @@ class SampleSizer {
 
   /// Number of pilot RR sets drawn (0 if the pilot was disabled).
   uint64_t pilot_sets() const { return pilot_sets_; }
-
-  /// Doubling rounds actually run.
-  uint32_t pilot_rounds() const { return pilot_rounds_; }
-
-  /// Times ThetaFor saturated at options.theta_cap.
-  uint64_t theta_cap_hits() const { return theta_cap_hits_; }
-
-  /// Times ThetaFor was queried with s outside [1, n].
-  uint64_t clamped_s_queries() const { return clamped_s_queries_; }
 
   uint64_t n() const { return n_; }
   const SampleSizerOptions& options() const { return options_; }
@@ -161,14 +140,6 @@ class SampleSizer {
   double kpt_ = 0.0;
   bool pilot_converged_ = false;
   uint64_t pilot_sets_ = 0;
-  uint32_t pilot_rounds_ = 0;
-
-  // Diagnostics (see class comment for the thread-safety contract); the
-  // warn flags keep the log to one line per sizer per condition.
-  mutable uint64_t theta_cap_hits_ = 0;
-  mutable uint64_t clamped_s_queries_ = 0;
-  mutable bool warned_cap_ = false;
-  mutable bool warned_clamp_ = false;
 };
 
 /// The per-s sample-size table θ(s) = running max of SampleSizer::ThetaFor

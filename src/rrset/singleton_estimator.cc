@@ -2,8 +2,7 @@
 
 #include <algorithm>
 
-#include "common/rng.h"
-#include "rrset/rr_sampler.h"
+#include "rrset/parallel_sampler.h"
 
 namespace isa::rrset {
 
@@ -14,13 +13,18 @@ Result<std::vector<double>> EstimateAllSingletonSpreads(
     return Status::InvalidArgument("EstimateAllSingletonSpreads: theta == 0");
   }
   if (g.num_nodes() == 0) return std::vector<double>{};
-  RrSampler sampler(g, probs);
-  Rng rng(seed);
+  // Batches bound the member buffer; they never change which sets are
+  // drawn, since set `id` depends only on (seed, id).
+  constexpr uint64_t kBatch = uint64_t{1} << 16;
+  ParallelSampler sampler(g, probs, DiffusionModel::kIndependentCascade,
+                          seed);
   std::vector<uint64_t> count(g.num_nodes(), 0);
-  std::vector<graph::NodeId> scratch;
-  for (uint64_t r = 0; r < theta; ++r) {
-    sampler.SampleInto(rng, &scratch);
-    for (graph::NodeId v : scratch) ++count[v];
+  std::vector<graph::NodeId> nodes;
+  std::vector<uint32_t> sizes;
+  for (uint64_t first = 0; first < theta; first += kBatch) {
+    sampler.SampleToBuffer(first, std::min(kBatch, theta - first), &nodes,
+                           &sizes);
+    for (const graph::NodeId v : nodes) ++count[v];
   }
   std::vector<double> out(g.num_nodes());
   const double scale =

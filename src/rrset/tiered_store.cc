@@ -61,8 +61,8 @@ void TieredRrStore::MaybeSpill(uint64_t max_evictable, ThreadPool* pool) {
               e.what());
     }
   }
-  meter_.Set(store_->MemoryBytes());
-  meter_.SetSpilled(store_->SpilledBytes());
+  resident_peak_bytes_ =
+      std::max(resident_peak_bytes_, store_->MemoryBytes());
 }
 
 }  // namespace isa::rrset

@@ -29,7 +29,6 @@
 #include <memory>
 #include <string>
 
-#include "common/memory_meter.h"
 #include "rrset/rr_store.h"
 #include "rrset/spill_file.h"
 
@@ -60,8 +59,8 @@ class TieredRrStore {
   /// Barrier hook. `max_evictable` is the store's fully-adopted frontier —
   /// min θ_j over every view of this store; only ids below it may go cold.
   /// Evicts oldest-first until the estimated resident footprint fits the
-  /// budget, then records resident/spilled bytes in meter(). No-op when
-  /// the budget is 0 or already satisfied.
+  /// budget, then records the resident bytes in resident_peak_bytes().
+  /// No-op when the budget is 0 or already satisfied.
   void MaybeSpill(uint64_t max_evictable, ThreadPool* pool = nullptr);
 
   bool enabled() const { return options_.rr_memory_budget_bytes > 0; }
@@ -77,10 +76,11 @@ class TieredRrStore {
   /// Write-side degradations: transitions into eviction_disabled (0 or 1).
   uint64_t degradation_events() const { return degradation_events_; }
 
-  /// Resident (current/peak) and spilled bytes as observed at the barrier
-  /// checks — the honest Table 3 numbers: peak_bytes() is the RSS-like
-  /// resident peak, spilled_bytes() the cold tier on disk.
-  const MemoryMeter& meter() const { return meter_; }
+  /// Peak of the store's resident bytes (RrStore::MemoryBytes) as observed
+  /// after each barrier's eviction — the honest Table 3 number. Spilled
+  /// bytes (RrStore::SpilledBytes) never feed it: they are exactly what
+  /// the budget pushed out of the working set.
+  uint64_t resident_peak_bytes() const { return resident_peak_bytes_; }
 
   const std::shared_ptr<RrStore>& store() const { return store_; }
   const TieredStoreOptions& options() const { return options_; }
@@ -89,7 +89,7 @@ class TieredRrStore {
   std::shared_ptr<RrStore> store_;
   TieredStoreOptions options_;
   SpillOptions spill_options_;
-  MemoryMeter meter_;
+  uint64_t resident_peak_bytes_ = 0;
   uint64_t spill_events_ = 0;
   bool eviction_disabled_ = false;
   uint64_t degradation_events_ = 0;

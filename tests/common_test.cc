@@ -6,7 +6,6 @@
 #include <set>
 
 #include "common/math_util.h"
-#include "common/memory_meter.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/stopwatch.h"
@@ -245,52 +244,7 @@ TEST(MathTest, Clamp) {
   EXPECT_DOUBLE_EQ(Clamp(0.5, 0.0, 1.0), 0.5);
 }
 
-// ---------- memory meter / stopwatch ----------
-
-TEST(MemoryMeterTest, TracksCurrentAndPeak) {
-  MemoryMeter m;
-  m.Add(100);
-  m.Add(50);
-  EXPECT_EQ(m.current_bytes(), 150u);
-  EXPECT_EQ(m.peak_bytes(), 150u);
-  m.Sub(120);
-  EXPECT_EQ(m.current_bytes(), 30u);
-  EXPECT_EQ(m.peak_bytes(), 150u);
-  m.Sub(1000);  // clamps at 0
-  EXPECT_EQ(m.current_bytes(), 0u);
-}
-
-TEST(MemoryMeterTest, SetOverrides) {
-  MemoryMeter m;
-  m.Set(77);
-  EXPECT_EQ(m.current_bytes(), 77u);
-  EXPECT_EQ(m.peak_bytes(), 77u);
-}
-
-// Spilled (on-disk) bytes are tracked as a separate non-resident tier: a
-// spill that moves resident bytes to disk must LOWER the resident figure
-// without inflating its peak — that peak is the honest RSS-like number
-// Table 3 reports for budgeted runs.
-TEST(MemoryMeterTest, SpilledTierDoesNotFeedResidentPeak) {
-  MemoryMeter m;
-  m.Set(1000);
-  m.SetSpilled(0);
-  // Evict 600 bytes to disk: resident falls, spilled rises.
-  m.Set(400);
-  m.SetSpilled(600);
-  EXPECT_EQ(m.current_bytes(), 400u);
-  EXPECT_EQ(m.peak_bytes(), 1000u);
-  EXPECT_EQ(m.spilled_bytes(), 600u);
-  EXPECT_EQ(m.spilled_peak_bytes(), 600u);
-  m.SetSpilled(200);  // chunks reclaimed: spilled peak sticks
-  EXPECT_EQ(m.spilled_bytes(), 200u);
-  EXPECT_EQ(m.spilled_peak_bytes(), 600u);
-  EXPECT_NE(m.ToString().find("spilled"), std::string::npos);
-}
-
-TEST(MemoryMeterTest, ProcessResidentNonZeroOnLinux) {
-  EXPECT_GT(ProcessResidentBytes(), 0u);
-}
+// ---------- stopwatch ----------
 
 TEST(StopwatchTest, ElapsedNonNegativeAndMonotone) {
   Stopwatch w;

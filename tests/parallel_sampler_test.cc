@@ -170,7 +170,6 @@ TEST(ParallelSamplerTest, PilotWidthsIdenticalSerialAndParallel) {
     ThreadPool pool(threads);
     rrset::SampleSizerOptions opt = base;
     opt.pool = &pool;
-    opt.min_pilot_sets_per_task = 1;
     rrset::SampleSizer parallel(g, probs, opt);
     SCOPED_TRACE(testing::Message() << threads << " threads");
     EXPECT_EQ(serial.pilot_sets(), parallel.pilot_sets());

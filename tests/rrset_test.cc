@@ -5,8 +5,11 @@
 #include <limits>
 #include <span>
 
+#include "common/math_util.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "diffusion/exact.h"
+#include "graph/generators.h"
 #include "rrset/parallel_sampler.h"
 #include "rrset/rr_collection.h"
 #include "rrset/rr_sampler.h"
@@ -41,23 +44,6 @@ TEST(RrSamplerTest, ZeroProbabilityGivesSingletons) {
   for (int i = 0; i < 50; ++i) {
     sampler.SampleInto(rng, &rr);
     EXPECT_EQ(rr.size(), 1u);
-  }
-}
-
-TEST(RrSamplerTest, WidthCountsInArcs) {
-  auto g = test::MustGraph(3, {{0, 2}, {1, 2}});
-  std::vector<double> probs(g.num_edges(), 0.0);
-  RrSampler sampler(g, probs);
-  Rng rng(7);
-  std::vector<graph::NodeId> rr;
-  for (int i = 0; i < 50; ++i) {
-    sampler.SampleInto(rng, &rr);
-    // Root 2 examines its two in-arcs; roots 0/1 have none.
-    if (rr[0] == 2) {
-      EXPECT_EQ(sampler.last_width(), 2u);
-    } else {
-      EXPECT_EQ(sampler.last_width(), 0u);
-    }
   }
 }
 
@@ -441,23 +427,6 @@ TEST(SkipWalkTest, WalkAtTheEdgeProbabilities) {
   }
 }
 
-TEST(SkipWalkTest, WidthStillCountsEveryInArc) {
-  // KPT reads last_width() as w(R), the in-arc count of the set's nodes:
-  // the skip must not shrink it to the arcs it landed on.
-  const auto g = HubGraph(100);
-  const auto probs = HubProbs(g, 0.01);
-  RrSampler sampler(g, probs);
-  ASSERT_TRUE(IsSkipCoin((*BuildCoinColumn(g, probs))[0]));
-  Rng rng(51);
-  std::vector<graph::NodeId> rr;
-  for (int i = 0; i < 500; ++i) {
-    sampler.SampleInto(rng, &rr);
-    uint64_t width = 0;
-    for (const graph::NodeId v : rr) width += g.InDegree(v);
-    ASSERT_EQ(sampler.last_width(), width);
-  }
-}
-
 TEST(SkipWalkTest, WeightedCascadeCutoverAtTwiceTheDrawCost) {
   // Under weighted cascade (p = 1/d) the cost rule reduces to an in-degree
   // cutover, as rr_sampler.h documents.
@@ -569,21 +538,6 @@ TEST(RrCollectionTest, ArgmaxCoverageRespectsEligibility) {
   EXPECT_EQ(col.ArgmaxCoverage(eligible), 2u);
   eligible[2] = 0;
   EXPECT_EQ(col.ArgmaxCoverage(eligible), RrCollection::kInvalidNode);
-}
-
-TEST(RrCollectionTest, TopCoverageOrdering) {
-  auto g = test::MustGraph(3, {{0, 1}, {1, 2}});
-  std::vector<double> probs(g.num_edges(), 1.0);
-  auto sampler = test::InlineSampler(g, probs, 14);
-  RrCollection col(3);
-  col.AddSets(sampler, 500, {});
-  std::vector<uint8_t> eligible = {1, 1, 1};
-  auto top2 = col.TopCoverage(2, eligible);
-  ASSERT_EQ(top2.size(), 2u);
-  EXPECT_EQ(top2[0], 0u);
-  EXPECT_EQ(top2[1], 1u);
-  auto top10 = col.TopCoverage(10, eligible);
-  EXPECT_EQ(top10.size(), 3u);
 }
 
 TEST(RrCollectionTest, AddSetsWithSeedsMarksCovered) {
@@ -725,12 +679,9 @@ TEST(SampleSizerTest, ThetaCapRespectedAndCapHitsObservable) {
   opt.epsilon = 0.01;
   opt.theta_cap = 1000;
   SampleSizer sizer(g, probs, opt);
-  EXPECT_EQ(sizer.theta_cap_hits(), 0u);
-  EXPECT_LE(sizer.ThetaFor(2), 1000u);
   // ε = 0.01 on a 4-node graph wants far more than 1000 sets, so the cap
-  // must have saturated — and saturation is counted, not silent.
+  // must saturate (ThetaSchedule counts the hits; see its tests below).
   EXPECT_EQ(sizer.ThetaFor(2), 1000u);
-  EXPECT_EQ(sizer.theta_cap_hits(), 2u);
 }
 
 TEST(SampleSizerTest, OutOfRangeSClampedAndCounted) {
@@ -739,14 +690,9 @@ TEST(SampleSizerTest, OutOfRangeSClampedAndCounted) {
   SampleSizerOptions opt;
   SampleSizer sizer(g, probs, opt);
   const uint64_t n = g.num_nodes();
-  EXPECT_EQ(sizer.clamped_s_queries(), 0u);
-  // s = 0 clamps to 1, s > n clamps to n; both are counted.
+  // s = 0 clamps to 1, s > n clamps to n (ThetaSchedule counts both).
   EXPECT_EQ(sizer.ThetaFor(0), sizer.ThetaFor(1));
   EXPECT_EQ(sizer.ThetaFor(n + 7), sizer.ThetaFor(n));
-  EXPECT_EQ(sizer.clamped_s_queries(), 2u);
-  // In-range queries never bump the counter.
-  (void)sizer.ThetaFor(2);
-  EXPECT_EQ(sizer.clamped_s_queries(), 2u);
 }
 
 TEST(SampleSizerTest, EdgeCaseSingleNodeAndNoEdges) {
@@ -868,6 +814,107 @@ TEST(SampleSizerTest, PilotRunsWhenEnabled) {
   EXPECT_LE(a.ThetaFor(1), b.ThetaFor(1));
 }
 
+// TIM's KPT estimation (Tang et al., SIGMOD 2014, Algorithm 2) for k = 1,
+// written out literally over RrSampler::SampleIds: round i draws
+// c_i = (6 ℓ ln n + 6 ln log2 n) · 2^i sets continuing the id sequence,
+// and stops once mean κ(R) = w(R)/m, w(R) the in-degree sum of R, exceeds
+// 1/2^i; at most 8 rounds.
+struct LiteralPilot {
+  double kpt = 0.0;
+  uint64_t sets = 0;
+  bool converged = false;
+};
+
+LiteralPilot LiteralTimPilot(const graph::Graph& g,
+                             std::span<const double> probs,
+                             const SampleSizerOptions& opt) {
+  const double n = g.num_nodes();
+  const double m = g.num_edges();
+  const uint32_t rounds = std::min<uint32_t>(
+      8, static_cast<uint32_t>(std::log2(n)));
+  RrSampler sampler(g, probs, opt.model);
+  std::vector<uint32_t> sizes;
+  std::vector<graph::NodeId> nodes;
+  LiteralPilot pilot;
+  for (uint32_t i = 1; i <= rounds; ++i) {
+    const auto ci = static_cast<uint64_t>(std::ceil(
+        (6.0 * opt.ell * std::log(n) +
+         6.0 * std::log(std::max(2.0, std::log2(n)))) *
+        std::pow(2.0, i)));
+    sampler.SampleIds(HashSeed(opt.seed, 0x4b7), pilot.sets, ci, &sizes,
+                      &nodes);
+    pilot.sets += ci;
+    double kappa_sum = 0.0;
+    size_t at = 0;
+    for (const uint32_t size : sizes) {
+      uint64_t width = 0;
+      for (uint32_t k = 0; k < size; ++k) width += g.InDegree(nodes[at++]);
+      kappa_sum += static_cast<double>(width) / m;
+    }
+    pilot.kpt = n * kappa_sum / (2.0 * static_cast<double>(ci));
+    if (kappa_sum / static_cast<double>(ci) > 1.0 / std::pow(2.0, i)) {
+      pilot.converged = true;
+      break;
+    }
+  }
+  return pilot;
+}
+
+// Eq. 8 over the literal pilot's max(1, KPT), capped at theta_cap.
+uint64_t LiteralTheta(uint64_t n, uint64_t s, double kpt,
+                      const SampleSizerOptions& opt) {
+  const double eps = opt.epsilon;
+  const double theta = (8.0 + 2.0 * eps) * static_cast<double>(n) *
+                       (opt.ell * std::log(static_cast<double>(n)) +
+                        LogBinomial(n, s) + std::log(2.0)) /
+                       (std::max(1.0, kpt) * eps * eps);
+  if (theta >= static_cast<double>(opt.theta_cap)) return opt.theta_cap;
+  return static_cast<uint64_t>(std::ceil(theta));
+}
+
+TEST(SampleSizerTest, KptMatchesLiteralTimPilot) {
+  // The pilot is exactly TIM's loop over the per-id substreams — the width
+  // summed over every in-arc of every member, skip coins included —
+  // serially and on pools, so θ is too. The BA pilot runs all 8 rounds
+  // without converging; the hub's converges in round 1.
+  auto ba = graph::GenerateBarabasiAlbert(
+      {.num_nodes = 400, .edges_per_node = 3, .seed = 9});
+  ASSERT_TRUE(ba.ok());
+  const auto hub = HubGraph(100);
+  struct Case {
+    const graph::Graph* g;
+    std::vector<double> probs;
+  };
+  const Case cases[] = {
+      {&ba.value(), std::vector<double>(ba.value().num_edges(), 0.08)},
+      {&hub, HubProbs(hub, 0.01)}};
+  ASSERT_TRUE(IsSkipCoin((*BuildCoinColumn(hub, cases[1].probs))[0]));
+  ThreadPool two(2), eight(8);
+  for (const Case& c : cases) {
+    SampleSizerOptions opt;
+    opt.seed = 99;
+    opt.epsilon = 0.2;
+    const LiteralPilot want = LiteralTimPilot(*c.g, c.probs, opt);
+    ASSERT_GT(want.sets, 0u);
+    for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &two,
+                             &eight}) {
+      SCOPED_TRACE(testing::Message()
+                   << "n=" << c.g->num_nodes() << " pool "
+                   << (pool == nullptr ? 0 : pool->concurrency()));
+      opt.pool = pool;
+      const SampleSizer sizer(*c.g, c.probs, opt);
+      EXPECT_EQ(sizer.kpt(), want.kpt);
+      EXPECT_EQ(sizer.pilot_sets(), want.sets);
+      EXPECT_EQ(sizer.pilot_converged(), want.converged);
+      for (uint64_t s = 1; s <= 20; ++s) {
+        EXPECT_EQ(sizer.ThetaFor(s),
+                  LiteralTheta(c.g->num_nodes(), s, want.kpt, opt))
+            << "s=" << s;
+      }
+    }
+  }
+}
+
 TEST(SampleSizerTest, DeterministicInSeed) {
   auto g = test::MakeDiamond();
   std::vector<double> probs(g.num_edges(), 0.5);
@@ -897,6 +944,33 @@ TEST(SingletonEstimatorTest, FloorsAtOne) {
   auto est = EstimateAllSingletonSpreads(g, probs, 1000, 22);
   ASSERT_TRUE(est.ok());
   for (double v : est.value()) EXPECT_GE(v, 1.0);
+}
+
+TEST(SingletonEstimatorTest, CountsSampleIdsSets) {
+  // σ({u}) = n · |{R : u ∈ R}| / θ over the sets SampleIds draws for ids
+  // [0, θ) from `seed` — θ past one 2^16-id batch, so batching must not
+  // change which sets are drawn.
+  auto g = graph::GenerateBarabasiAlbert(
+      {.num_nodes = 300, .edges_per_node = 3, .seed = 4});
+  ASSERT_TRUE(g.ok());
+  const std::vector<double> probs(g.value().num_edges(), 0.1);
+  const uint64_t theta = 70'000;
+  RrSampler sampler(g.value(), probs);
+  std::vector<uint32_t> sizes;
+  std::vector<graph::NodeId> nodes;
+  sampler.SampleIds(23, 0, theta, &sizes, &nodes);
+  std::vector<uint64_t> count(g.value().num_nodes(), 0);
+  for (const graph::NodeId v : nodes) ++count[v];
+
+  auto est = EstimateAllSingletonSpreads(g.value(), probs, theta, 23);
+  ASSERT_TRUE(est.ok());
+  ASSERT_EQ(est.value().size(), count.size());
+  const double scale = 300.0 / static_cast<double>(theta);
+  for (graph::NodeId u = 0; u < count.size(); ++u) {
+    EXPECT_EQ(est.value()[u],
+              std::max(1.0, static_cast<double>(count[u]) * scale))
+        << "node " << u;
+  }
 }
 
 TEST(SingletonEstimatorTest, RejectsZeroTheta) {

@@ -376,8 +376,8 @@ TEST(SpillRecoveryEndToEndTest, SamplerAllocFaultSurfacesAsResourceExhausted) {
   FaultGuard guard;
   RecoveryEndToEndFixture f;
   // The sampler.alloc site sits in ParallelSampler::SampleToBuffer, which
-  // every engine's initial θ(1) sample reaches (Init -> AddSets ->
-  // SampleAppend), so the first hit always fires.
+  // every store's KPT pilot and every engine's initial θ(1) sample reach,
+  // so the first hit always fires.
   ASSERT_TRUE(FailPoints::Arm("sampler.alloc.throw@1").ok());
   auto run = RunTiGreedy(*f.instance, f.BudgetedOptions());
   const uint64_t fires = FailPoints::TotalFires();

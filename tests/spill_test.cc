@@ -369,8 +369,7 @@ TEST(SpillTieredTest, BudgetLargerThanEverythingIsNoOp) {
   EXPECT_EQ(store->SpilledBytes(), 0u);
   EXPECT_EQ(tier.spill_events(), 0u);
   EXPECT_EQ(store->MemoryBytes(), bytes);  // untouched, byte for byte
-  EXPECT_EQ(tier.meter().peak_bytes(), bytes);
-  EXPECT_EQ(tier.meter().spilled_bytes(), 0u);
+  EXPECT_EQ(tier.resident_peak_bytes(), bytes);
 }
 
 TEST(SpillTieredTest, TinyBudgetSpillsEverythingEvictable) {
@@ -387,11 +386,18 @@ TEST(SpillTieredTest, TinyBudgetSpillsEverythingEvictable) {
   // Only fully-adopted ids may go: cap at 600 first.
   tier.MaybeSpill(600);
   EXPECT_EQ(store->first_resident_set(), 600u);
+  const uint64_t first_peak = store->MemoryBytes();
+  EXPECT_EQ(tier.resident_peak_bytes(), first_peak);
   tier.MaybeSpill(1000);
   EXPECT_EQ(store->first_resident_set(), 1000u);
   EXPECT_EQ(tier.spill_events(), 2u);
   EXPECT_LT(store->MemoryBytes(), bytes_before);
-  EXPECT_GT(tier.meter().spilled_bytes(), 0u);
+  EXPECT_GT(store->SpilledBytes(), 0u);
+  // The peak counts resident bytes at barriers only: the second barrier's
+  // larger spilled total never raises it.
+  EXPECT_LE(store->MemoryBytes(), first_peak);
+  EXPECT_EQ(tier.resident_peak_bytes(), first_peak);
+  EXPECT_LT(tier.resident_peak_bytes(), bytes_before);
   // Budget already satisfied or nothing evictable: further calls no-op.
   tier.MaybeSpill(1000);
   EXPECT_EQ(tier.spill_events(), 2u);

@@ -222,6 +222,18 @@ TEST(TiGreedyTest, RejectsBadEpsilon) {
   EXPECT_FALSE(RunTiGreedy(*f.instance, opt).ok());
 }
 
+TEST(TiGreedyTest, RejectsZeroThetaCap) {
+  // θ capped at 0 would sample nothing and select nothing, yet "succeed".
+  auto f = MakeMedium(1, 10.0);
+  TiOptions opt = FastOptions();
+  opt.theta_cap = 0;
+  auto res = RunTiGreedy(*f.instance, opt);
+  ASSERT_FALSE(res.ok());
+  EXPECT_EQ(res.status().code(), StatusCode::kInvalidArgument);
+  opt.theta_cap = 1;
+  EXPECT_TRUE(RunTiGreedy(*f.instance, opt).ok());
+}
+
 TEST(TiGreedyTest, TinyBudgetGetsFewSeedsButStaysFeasible) {
   auto f = MakeMedium(2, 3.0);
   auto res = RunTiCsrm(*f.instance, FastOptions());

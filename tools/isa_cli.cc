@@ -86,18 +86,9 @@ int Fail(const isa::Status& status) {
 // fails once, before any graph work.
 int64_t IntFlag(const isa::Flags& flags, const std::string& name,
                 int64_t def, int64_t lo, int64_t hi, isa::Status* error) {
-  auto value = flags.GetInt(name, def);
+  auto value = flags.GetInt(name, def, lo, hi);
   if (!value.ok()) {
     if (error->ok()) *error = value.status();
-    return def;
-  }
-  if (value.value() < lo || value.value() > hi) {
-    std::string msg = "--" + name + " must be >= " + std::to_string(lo);
-    if (hi != INT64_MAX) msg += " and <= " + std::to_string(hi);
-    if (error->ok()) {
-      *error = isa::Status::InvalidArgument(
-          msg + " (got " + std::to_string(value.value()) + ")");
-    }
     return def;
   }
   return value.value();
