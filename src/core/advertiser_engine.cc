@@ -276,19 +276,57 @@ void AdvertiserEngine::ComputeCandidate() {
   }
   if (chosen == kNoNode) return;
   candidate_ = chosen;
-  const double frac = static_cast<double>(collection_.CoverageOf(chosen)) /
-                      static_cast<double>(collection_.total_sets());
-  cand_marg_rev_ = instance_.cpe(ad_) * dn_ * frac;  // line 8
+  cand_marg_rev_ = MarginalRevenue(collection_.CoverageOf(chosen));
   cand_marg_pay_ = cand_marg_rev_ + instance_.incentive(ad_, chosen);
 }
 
+double AdvertiserEngine::MarginalRevenue(uint32_t cov) const {
+  const double frac = static_cast<double>(cov) /
+                      static_cast<double>(collection_.total_sets());
+  return instance_.cpe(ad_) * dn_ * frac;  // line 8
+}
+
+bool AdvertiserEngine::RetireAllIfNoneAffordable(double budget) {
+  const graph::NodeId n = static_cast<graph::NodeId>(eligible_.size());
+  auto live = [this](graph::NodeId v) {
+    return eligible_[v] && collection_.CoverageOf(v) > 0;
+  };
+  for (graph::NodeId v = 0; v < n; ++v) {
+    if (!live(v)) continue;
+    const double marg_pay = MarginalRevenue(collection_.CoverageOf(v)) +
+                            instance_.incentive(ad_, v);
+    if (payment_ + marg_pay <= budget + kBudgetSlack) return false;
+  }
+  // Coverage, θ and payment stay frozen until this ad commits again, so
+  // popping on would retire exactly the live nodes and leave the heap and
+  // the window empty, and an ad without a candidate never commits again.
+  for (graph::NodeId v = 0; v < n; ++v) {
+    if (live(v)) eligible_[v] = 0;
+  }
+  if (windowed()) DumpWindowToHeap();
+  heap_.Clear();
+  candidate_ = kNoNode;
+  candidate_fresh_ = true;
+  return true;
+}
+
 void AdvertiserEngine::EnsureFeasibleCandidate(double budget) {
+  // By n / bit_width(n) retirements the O(log n) pops have cost about one
+  // pass over the nodes; then one scan checks whether any live node is
+  // affordable at all (nothing changes within the call, so once suffices).
+  const size_t n = eligible_.size();
+  const size_t scan_at =
+      options_.candidate_rule == CandidateRule::kPageRank || n == 0
+          ? 0
+          : n / static_cast<size_t>(std::bit_width(n));
+  size_t retired = 0;
   while (true) {
     if (!candidate_fresh_) ComputeCandidate();
     if (candidate_ == kNoNode) return;
     if (payment_ + cand_marg_pay_ <= budget + kBudgetSlack) return;
     RetireNode(candidate_);  // Algorithm 1 line 12: leaves E permanently
     candidate_fresh_ = false;
+    if (++retired == scan_at && RetireAllIfNoneAffordable(budget)) return;
   }
 }
 

@@ -140,6 +140,7 @@ class CoverageHeap {
   const CoverageHeapEntry& Top() const { return heap_.front(); }
   void PopTop();
   void Push(CoverageHeapEntry e);
+  void Clear() { heap_.clear(); }
 
   bool empty() const { return heap_.empty(); }
   size_t size() const { return heap_.size(); }
@@ -240,7 +241,11 @@ class AdvertiserEngine {
 
   /// Ensures the cached candidate is budget-feasible, permanently retiring
   /// infeasible nodes from this ad's ground set until a feasible candidate
-  /// is found or the ad runs out of candidates.
+  /// is found or the ad runs out of candidates. Once a call has retired
+  /// n / bit_width(n) nodes, one O(n) scan checks whether any live node is
+  /// still affordable; if none is, all of them retire in that pass, with
+  /// the same end state as popping them one by one (heap rules and the
+  /// window; the PageRank cursor is already O(1) amortized).
   void EnsureFeasibleCandidate(double budget);
   bool has_candidate() const { return candidate_ != kNoNode; }
   graph::NodeId candidate() const { return candidate_; }
@@ -326,6 +331,11 @@ class AdvertiserEngine {
   void DumpWindowToHeap();
   // Line-7 candidate under the configured rule, plus its marginals.
   void ComputeCandidate();
+  // Line 8's marginal revenue of a node covering `cov` live sets.
+  double MarginalRevenue(uint32_t cov) const;
+  // If no live node (eligible, coverage > 0) is affordable under `budget`,
+  // retires them all, empties the heap and the window, and returns true.
+  bool RetireAllIfNoneAffordable(double budget);
 
   const RmInstance& instance_;
   const uint32_t ad_;

@@ -20,13 +20,13 @@ Result<RmInstance> RmInstance::Create(
                   incentives.size(), ads.size()));
   }
   for (size_t i = 0; i < ads.size(); ++i) {
-    if (ads[i].cpe <= 0.0) {
+    if (!(ads[i].cpe > 0.0)) {  // NaN too
       return Status::InvalidArgument(
-          StrFormat("RmInstance: ad %zu has cpe <= 0", i));
+          StrFormat("RmInstance: ad %zu has cpe <= 0 or NaN", i));
     }
-    if (ads[i].budget <= 0.0) {
+    if (!(ads[i].budget > 0.0)) {
       return Status::InvalidArgument(
-          StrFormat("RmInstance: ad %zu has budget <= 0", i));
+          StrFormat("RmInstance: ad %zu has budget <= 0 or NaN", i));
     }
     if (incentives[i].size() != g.num_nodes()) {
       return Status::InvalidArgument(
@@ -34,9 +34,9 @@ Result<RmInstance> RmInstance::Create(
                     incentives[i].size(), g.num_nodes()));
     }
     for (double c : incentives[i]) {
-      if (c < 0.0) {
+      if (!(c >= 0.0)) {
         return Status::InvalidArgument(
-            StrFormat("RmInstance: ad %zu has a negative incentive", i));
+            StrFormat("RmInstance: ad %zu has a negative or NaN incentive", i));
       }
     }
   }

@@ -82,7 +82,7 @@ Result<TiResult> RunTiGreedy(const RmInstance& instance,
   if (instance.graph().num_edges() == 0) {
     return Status::InvalidArgument("RunTiGreedy: graph has no edges");
   }
-  if (options.epsilon <= 0.0 || options.epsilon >= 1.0) {
+  if (!(options.epsilon > 0.0 && options.epsilon < 1.0)) {  // NaN too
     return Status::InvalidArgument("RunTiGreedy: epsilon must be in (0,1)");
   }
   if (options.theta_cap == 0) {
@@ -92,6 +92,13 @@ Result<TiResult> RunTiGreedy(const RmInstance& instance,
       options.budget_override.size() != h) {
     return Status::InvalidArgument(
         "RunTiGreedy: budget_override must have one entry per advertiser");
+  }
+  for (double b : options.budget_override) {
+    // 0 is a spent budget (adaptive campaigns pass what is left).
+    if (!(b >= 0.0)) {
+      return Status::InvalidArgument(
+          "RunTiGreedy: budget_override entries must be >= 0");
+    }
   }
   Stopwatch watch;
 

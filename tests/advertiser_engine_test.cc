@@ -8,9 +8,12 @@
 #include "core/advertiser_engine.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <ostream>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -368,8 +371,10 @@ TEST_P(WindowCrossCheck, CandidateMatchesBruteForceWindowArgmax) {
   // is recomputed only once invalidated), so only recomputations are
   // checked against the reference.
   bool cached = false;
+  bool exhausted = false;
   graph::NodeId cand = AdvertiserEngine::kNoNode;
-  for (int op = 0; op < 150; ++op) {
+  constexpr int kOps = 150;
+  for (int op = 0; op < kOps; ++op) {
     engine.EnsureFeasibleCandidate(kNoLimit);
     if (cached) {
       ASSERT_EQ(engine.candidate(), cand) << "op " << op;
@@ -388,7 +393,8 @@ TEST_P(WindowCrossCheck, CandidateMatchesBruteForceWindowArgmax) {
         break;
       }
     }
-    switch (rng.NextBounded(6)) {
+    // The last op leaves the ad without any affordable node.
+    switch (op + 1 == kOps ? 6 : rng.NextBounded(6)) {
       case 0:  // the candidate is over budget: Algorithm 1 line 12
         engine.EnsureFeasibleCandidate(engine.payment() +
                                        engine.cand_marg_pay() - 1e-6);
@@ -407,12 +413,18 @@ TEST_P(WindowCrossCheck, CandidateMatchesBruteForceWindowArgmax) {
       case 3:  // sample growth: the window re-settles from the heap
         engine.GrowNow(engine.theta() + 200 + rng.NextBounded(800));
         break;
+      case 6:  // every live node is over budget: the ad leaves selection
+        engine.EnsureFeasibleCandidate(engine.payment());
+        ASSERT_EQ(engine.candidate(), reference()) << "op " << op;
+        exhausted = !engine.has_candidate();
+        break;
       default:  // commit the candidate
         engine.CommitSeed(cand);
         engine.MarkNodeTaken(cand);
         break;
     }
   }
+  EXPECT_TRUE(exhausted);
   EXPECT_GT(checks, 50);
   EXPECT_GT(engine.growth_events(), 3u);
   if (w > 1) {
@@ -422,6 +434,216 @@ TEST_P(WindowCrossCheck, CandidateMatchesBruteForceWindowArgmax) {
 
 INSTANTIATE_TEST_SUITE_P(Windows, WindowCrossCheck,
                          ::testing::Values(1u, 5u, 32u));
+
+// ---- The exhausted-ad exit (Algorithm 1 line 12 at the end of a budget). ----
+
+constexpr double kUnlimited = std::numeric_limits<double>::infinity();
+
+struct ExitRule {
+  const char* name;
+  CandidateRule rule;
+  bool ratio_keyed_heap;
+  uint32_t window;
+};
+
+void PrintTo(const ExitRule& rule, std::ostream* os) { *os << rule.name; }
+
+// Every heap rule and window shape must leave EnsureFeasibleCandidate
+// exactly where Algorithm 1 line 12 applied one node at a time leaves it,
+// whether or not a call gets past the point where the engine scans all
+// nodes for an affordable one (n / bit_width(n) retirements).
+class ExhaustedAdExit : public ::testing::TestWithParam<ExitRule> {
+ protected:
+  ExhaustedAdExit() {
+    auto topics = topic::MakeUniform(g_, 1, 0.1);
+    ISA_CHECK(topics.ok());
+    std::vector<AdvertiserSpec> ads(1);
+    ads[0].cpe = 0.2;
+    ads[0].budget = 1e9;
+    ads[0].gamma = topic::TopicDistribution::Uniform(1);
+    // Distinct positive incentives within 1.25x of each other: payments do
+    // not tie, no node with coverage 0 is free, and every key ranks the
+    // nodes of coverage 1 last.
+    std::vector<double> costs(g_.num_nodes());
+    for (graph::NodeId v = 0; v < g_.num_nodes(); ++v) {
+      costs[v] = 1.0 + 0.01 * std::sqrt(static_cast<double>(v) + 0.5);
+    }
+    auto inst = RmInstance::Create(g_, topics.value(), std::move(ads),
+                                   {std::move(costs)});
+    ISA_CHECK(inst.ok());
+    instance_ = std::make_unique<RmInstance>(std::move(inst).value());
+    // A small θ leaves many eligible nodes at coverage 0.
+    rrset::SampleSizerOptions so;
+    so.epsilon = 0.5;
+    so.theta_cap = 400;
+    so.seed = 17;
+    sizer_ = std::make_shared<const rrset::SampleSizer>(
+        g_, instance_->ad_probs(0), so);
+  }
+
+  // A fresh engine after three commits under no limit, so payment > 0.
+  std::unique_ptr<AdvertiserEngine> MakeEngine() const {
+    AdvertiserEngineOptions eo;
+    eo.candidate_rule = GetParam().rule;
+    eo.ratio_keyed_heap = GetParam().ratio_keyed_heap;
+    eo.window = GetParam().window;
+    eo.sampler_seed = 23;
+    eo.sizer = sizer_;
+    eo.sampler.num_threads = 1;
+    auto engine = std::make_unique<AdvertiserEngine>(0, *instance_, nullptr,
+                                                     eo);
+    ISA_CHECK(engine->Init().ok());
+    for (int i = 0; i < 3; ++i) {
+      engine->EnsureFeasibleCandidate(kUnlimited);
+      const graph::NodeId v = engine->candidate();
+      engine->CommitSeed(v);
+      engine->MarkNodeTaken(v);
+    }
+    return engine;
+  }
+
+  size_t ScanAt() const {
+    const size_t n = g_.num_nodes();
+    return n / static_cast<size_t>(std::bit_width(n));
+  }
+
+  const Graph g_ = MakeBaGraph(500, 21);
+  std::unique_ptr<RmInstance> instance_;
+  std::shared_ptr<const rrset::SampleSizer> sizer_;
+};
+
+// The literal line 12: settle the candidate under no limit (which retires
+// nothing), and retire it by hand while `budget` cannot afford it. Returns
+// the number of retirements.
+size_t DrainOneByOne(AdvertiserEngine& engine, double budget) {
+  size_t retired = 0;
+  while (true) {
+    engine.EnsureFeasibleCandidate(kUnlimited);
+    if (!engine.has_candidate() ||
+        engine.payment() + engine.cand_marg_pay() <= budget + kBudgetSlack) {
+      return retired;
+    }
+    engine.MarkNodeTaken(engine.candidate());
+    ++retired;
+  }
+}
+
+// Every live node as (node, payment if chosen), in line-12 order.
+std::vector<std::pair<graph::NodeId, double>> LiveNodesInOrder(
+    AdvertiserEngine& engine) {
+  std::vector<std::pair<graph::NodeId, double>> order;
+  while (true) {
+    engine.EnsureFeasibleCandidate(kUnlimited);
+    if (!engine.has_candidate()) return order;
+    order.emplace_back(engine.candidate(),
+                       engine.payment() + engine.cand_marg_pay());
+    engine.MarkNodeTaken(engine.candidate());
+  }
+}
+
+void ExpectSameSelectionState(AdvertiserEngine& engine,
+                              AdvertiserEngine& reference) {
+  EXPECT_EQ(engine.has_candidate(), reference.has_candidate());
+  EXPECT_EQ(engine.candidate(), reference.candidate());
+  EXPECT_TRUE(std::ranges::equal(engine.eligible_for_test(),
+                                 reference.eligible_for_test()));
+  EXPECT_EQ(engine.heap_for_test().size(), reference.heap_for_test().size());
+}
+
+TEST_P(ExhaustedAdExit, NothingAffordableMatchesOneByOneDrain) {
+  auto engine = MakeEngine();
+  auto reference = MakeEngine();
+  // Every marginal payment exceeds kBudgetSlack: the budget admits nothing.
+  const double budget = engine->payment();
+  const size_t retired = DrainOneByOne(*reference, budget);
+  ASSERT_GT(retired, ScanAt());  // the scan, not the pops, ends the call
+  engine->EnsureFeasibleCandidate(budget);
+  ExpectSameSelectionState(*engine, *reference);
+  EXPECT_FALSE(engine->has_candidate());
+  EXPECT_EQ(engine->heap_for_test().size(), 0u);
+
+  // Live nodes are retired, eligible nodes at coverage 0 are not.
+  size_t zero_coverage_eligible = 0;
+  for (graph::NodeId v = 0; v < g_.num_nodes(); ++v) {
+    if (!engine->eligible_for_test()[v]) continue;
+    EXPECT_EQ(engine->collection().CoverageOf(v), 0u) << "node " << v;
+    ++zero_coverage_eligible;
+  }
+  EXPECT_GT(zero_coverage_eligible, 0u);
+
+  // The heap and the window are left as the drain leaves them: a growth
+  // (which the scheduler never runs on an exhausted ad) re-settles both
+  // engines to the same candidate.
+  for (AdvertiserEngine* e : {engine.get(), reference.get()}) {
+    e->GrowNow(e->theta() + 2000);
+    e->EnsureFeasibleCandidate(kUnlimited);
+  }
+  ASSERT_TRUE(reference->has_candidate());
+  ExpectSameSelectionState(*engine, *reference);
+}
+
+TEST_P(ExhaustedAdExit, AffordableNodePastTheScanIsTheReferenceCandidate) {
+  auto probe = MakeEngine();
+  const auto order = LiveNodesInOrder(*probe);
+  ASSERT_GT(order.size(), ScanAt() + 10);
+  // Just below every payment in the first scan_at + 1 positions, so the
+  // call retires past the scan and then stops at a later, cheaper node.
+  double budget = kUnlimited;
+  for (size_t i = 0; i <= ScanAt(); ++i) {
+    budget = std::min(budget, order[i].second);
+  }
+  budget -= 1e-6;
+
+  auto engine = MakeEngine();
+  auto reference = MakeEngine();
+  const size_t retired = DrainOneByOne(*reference, budget);
+  ASSERT_TRUE(reference->has_candidate());
+  ASSERT_GT(retired, ScanAt());
+  engine->EnsureFeasibleCandidate(budget);
+  ExpectSameSelectionState(*engine, *reference);
+}
+
+TEST_P(ExhaustedAdExit, OneNodeAffordableOnlyWithTheSlack) {
+  auto probe = MakeEngine();
+  auto order = LiveNodesInOrder(*probe);
+  ASSERT_GT(order.size(), ScanAt() + 1);
+  const auto cheapest = std::min_element(
+      order.begin(), order.end(),
+      [](const auto& a, const auto& b) { return a.second < b.second; });
+  ASSERT_GT(static_cast<size_t>(cheapest - order.begin()), ScanAt());
+  const graph::NodeId target = cheapest->first;
+  const double pay = cheapest->second;
+  for (const auto& [v, p] : order) {
+    if (v != target) {
+      ASSERT_GT(p, pay + 1e-6) << "payment tie at " << v;
+    }
+  }
+  // budget + kBudgetSlack == pay exactly, and budget < pay.
+  double budget = pay - kBudgetSlack;
+  while (budget + kBudgetSlack > pay) budget = std::nextafter(budget, 0.0);
+  while (budget + kBudgetSlack < pay) budget = std::nextafter(budget, pay);
+  ASSERT_EQ(budget + kBudgetSlack, pay);
+  ASSERT_LT(budget, pay);
+
+  auto engine = MakeEngine();
+  auto reference = MakeEngine();
+  DrainOneByOne(*reference, budget);
+  ASSERT_EQ(reference->candidate(), target);
+  engine->EnsureFeasibleCandidate(budget);
+  ExpectSameSelectionState(*engine, *reference);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Rules, ExhaustedAdExit,
+    ::testing::Values(
+        ExitRule{"coverage", CandidateRule::kCoverage, false, 0},
+        ExitRule{"ratio_heap", CandidateRule::kCoverageCostRatio, true, 0},
+        ExitRule{"window1", CandidateRule::kCoverageCostRatio, false, 1},
+        ExitRule{"window8", CandidateRule::kCoverageCostRatio, false, 8},
+        ExitRule{"window64", CandidateRule::kCoverageCostRatio, false, 64}),
+    [](const ::testing::TestParamInfo<ExitRule>& info) {
+      return std::string(info.param.name);
+    });
 
 // ---- θ-growth determinism. ----
 

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/problem.h"
 #include "core/spread_oracle.h"
 #include "tests/test_util.h"
@@ -44,6 +46,10 @@ TEST(RmInstanceTest, ValidationErrors) {
   EXPECT_FALSE(mk(1.0, 0.0, {{1, 1}}).ok());        // budget <= 0
   EXPECT_FALSE(mk(1.0, 5.0, {{1}}).ok());           // wrong incentive size
   EXPECT_FALSE(mk(1.0, 5.0, {{1, -2}}).ok());       // negative incentive
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_FALSE(mk(nan, 5.0, {{1, 1}}).ok());        // NaN cpe
+  EXPECT_FALSE(mk(1.0, nan, {{1, 1}}).ok());        // NaN budget
+  EXPECT_FALSE(mk(1.0, 5.0, {{1, nan}}).ok());      // NaN incentive
   EXPECT_FALSE(mk(1.0, 5.0, {}).ok());              // missing schedule
   EXPECT_FALSE(RmInstance::Create(g, topics, {}, {}).ok());  // no ads
 }

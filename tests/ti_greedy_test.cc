@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 
 #include "core/spread_oracle.h"
@@ -220,6 +221,25 @@ TEST(TiGreedyTest, RejectsBadEpsilon) {
   EXPECT_FALSE(RunTiGreedy(*f.instance, opt).ok());
   opt.epsilon = 1.5;
   EXPECT_FALSE(RunTiGreedy(*f.instance, opt).ok());
+  // NaN fails every comparison; it used to pass and size θ at 1.
+  opt.epsilon = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_FALSE(RunTiGreedy(*f.instance, opt).ok());
+}
+
+TEST(TiGreedyTest, RejectsBadBudgetOverride) {
+  auto f = MakeMedium(2, 10.0);
+  TiOptions opt = FastOptions();
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(), -5.0}) {
+    opt.budget_override = {10.0, bad};
+    auto res = RunTiGreedy(*f.instance, opt);
+    ASSERT_FALSE(res.ok()) << bad;
+    EXPECT_EQ(res.status().code(), StatusCode::kInvalidArgument);
+  }
+  // A spent budget (what an adaptive stage passes) is valid: no seeds.
+  opt.budget_override = {10.0, 0.0};
+  auto res = RunTiGreedy(*f.instance, opt);
+  ASSERT_TRUE(res.ok());
+  EXPECT_TRUE(res.value().allocation.seed_sets[1].empty());
 }
 
 TEST(TiGreedyTest, RejectsZeroThetaCap) {

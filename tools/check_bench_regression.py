@@ -15,6 +15,9 @@ bench/results/ and separates three field classes:
               (goldens may come from a different host class than the run
               being checked).
 
+BENCH_growth.json rows are matched by regime: their seed, revenue, theta
+and growth counters are bit-exact, their seconds ratio-gated as above.
+
 Independent of any golden, every fresh file's determinism gate booleans
 (top-level keys ending in "determinism_ok") must be true.
 
@@ -62,6 +65,18 @@ MATRIX_COMPAT = (
     "theta_cap",
     "csrm_window",
 )
+# Row-level bit-exact fields for BENCH_growth.json, rows keyed by regime.
+GROWTH_BIT_EXACT = (
+    "seeds",
+    "revenue",
+    "total_theta",
+    "growth_events",
+    "ads_growth_engaged",
+    "ads_growth_idle",
+    "idle_revisions",
+    "theta_cap_hits",
+    "pilots_converged",
+)
 TIME_NOISE_FLOOR_SECONDS = 0.05
 
 
@@ -91,14 +106,58 @@ def check_gate_booleans(name, fresh, report):
                         "expected true")
 
 
-def check_matrix(name, golden, fresh, report, time_ratio, allow_missing):
-    for key in MATRIX_COMPAT:
+def check_compat(name, golden, fresh, keys, report):
+    """False (and a failure) when the captures ran under different knobs."""
+    for key in keys:
         if golden.get(key) != fresh.get(key):
             report.fail(
                 f"{name}: incomparable captures: '{key}' differs "
                 f"(golden {golden.get(key)!r}, fresh {fresh.get(key)!r}); "
                 "re-capture the golden at the same settings")
-            return
+            return False
+    return True
+
+
+def check_rows(name, kind, golden_rows, fresh_rows, bit_exact, report,
+               time_ratio, allow_missing):
+    """Coverage, bit-exact fields and the seconds ratio gate of rows keyed
+    by id; returns (id, golden row, fresh row) for every id in both."""
+    for rid in golden_rows:
+        if rid not in fresh_rows:
+            msg = f"{name}: {kind} '{rid}' present in golden, missing fresh"
+            if allow_missing:
+                report.note(msg + " (allowed by --allow-missing)")
+            else:
+                report.fail(msg + " (coverage regression)")
+    for rid in fresh_rows:
+        if rid not in golden_rows:
+            report.note(f"{name}: new {kind} '{rid}' not in golden "
+                        "(refresh the golden to start gating it)")
+    matched = []
+    for rid, fresh_row in sorted(fresh_rows.items()):
+        golden_row = golden_rows.get(rid)
+        if golden_row is None:
+            continue
+        matched.append((rid, golden_row, fresh_row))
+        for field in bit_exact:
+            gv, fv = golden_row.get(field), fresh_row.get(field)
+            if gv != fv:
+                report.fail(f"{name}: {kind} '{rid}': bit-exact field "
+                            f"'{field}' drifted: golden {gv!r} -> fresh "
+                            f"{fv!r}")
+        gs = golden_row.get("seconds") or 0.0
+        fs = fresh_row.get("seconds") or 0.0
+        if (gs > TIME_NOISE_FLOOR_SECONDS
+                and fs > TIME_NOISE_FLOOR_SECONDS and fs > gs * time_ratio):
+            report.fail(f"{name}: {kind} '{rid}': wall-clock regression: "
+                        f"{gs:.3f}s -> {fs:.3f}s exceeds the {time_ratio}x "
+                        "ratio gate")
+    return matched
+
+
+def check_matrix(name, golden, fresh, report, time_ratio, allow_missing):
+    if not check_compat(name, golden, fresh, MATRIX_COMPAT, report):
+        return
     if golden.get("hardware_concurrency") != fresh.get(
             "hardware_concurrency"):
         report.note(
@@ -109,51 +168,41 @@ def check_matrix(name, golden, fresh, report, time_ratio, allow_missing):
 
     golden_cells = {c["id"]: c for c in golden.get("cells", [])}
     fresh_cells = {c["id"]: c for c in fresh.get("cells", [])}
-
-    for cid in golden_cells:
-        if cid not in fresh_cells:
-            msg = f"{name}: cell '{cid}' present in golden, missing fresh"
-            if allow_missing:
-                report.note(msg + " (allowed by --allow-missing)")
-            else:
-                report.fail(msg + " (coverage regression)")
-    for cid in fresh_cells:
-        if cid not in golden_cells:
-            report.note(f"{name}: new cell '{cid}' not in golden "
-                        "(refresh the golden to start gating it)")
-
     for cid, fresh_cell in sorted(fresh_cells.items()):
         if fresh_cell.get("determinism_ok") is not True:
             report.fail(f"{name}: cell '{cid}': determinism_ok is "
                         f"{fresh_cell.get('determinism_ok')!r}")
-        golden_cell = golden_cells.get(cid)
-        if golden_cell is None:
-            continue
-        for field in MATRIX_BIT_EXACT:
-            gv, fv = golden_cell.get(field), fresh_cell.get(field)
-            if gv != fv:
-                report.fail(f"{name}: cell '{cid}': bit-exact field "
-                            f"'{field}' drifted: golden {gv!r} -> fresh "
-                            f"{fv!r}")
+    matched = check_rows(name, "cell", golden_cells, fresh_cells,
+                         MATRIX_BIT_EXACT, report, time_ratio, allow_missing)
+    for cid, golden_cell, fresh_cell in matched:
         for field in MATRIX_ANNOTATE:
             gv, fv = golden_cell.get(field), fresh_cell.get(field)
             if gv != fv:
                 report.note(f"{name}: cell '{cid}': {field}: golden {gv!r} "
                             f"-> fresh {fv!r}")
-        gs = golden_cell.get("seconds") or 0.0
-        fs = fresh_cell.get("seconds") or 0.0
-        if (gs > TIME_NOISE_FLOOR_SECONDS
-                and fs > TIME_NOISE_FLOOR_SECONDS and fs > gs * time_ratio):
-            report.fail(f"{name}: cell '{cid}': wall-clock regression: "
-                        f"{gs:.3f}s -> {fs:.3f}s exceeds the {time_ratio}x "
-                        "ratio gate")
+
+
+def check_growth(name, golden, fresh, report, time_ratio, allow_missing):
+    if not check_compat(name, golden, fresh, ("scale",), report):
+        return
+    if golden.get("default_regime_grows") != fresh.get(
+            "default_regime_grows"):
+        report.fail(f"{name}: 'default_regime_grows' drifted: golden "
+                    f"{golden.get('default_regime_grows')!r} -> fresh "
+                    f"{fresh.get('default_regime_grows')!r}")
+    check_rows(name, "regime",
+               {r["regime"]: r for r in golden.get("rows", [])},
+               {r["regime"]: r for r in fresh.get("rows", [])},
+               GROWTH_BIT_EXACT, report, time_ratio, allow_missing)
 
 
 def check_file(name, golden, fresh, report, time_ratio, allow_missing):
     check_gate_booleans(name, fresh, report)
-    if golden.get("bench") == "sweep_matrix" and fresh.get(
-            "bench") == "sweep_matrix":
+    kinds = (golden.get("bench"), fresh.get("bench"))
+    if kinds == ("sweep_matrix", "sweep_matrix"):
         check_matrix(name, golden, fresh, report, time_ratio, allow_missing)
+    elif kinds == ("growth_regimes", "growth_regimes"):
+        check_growth(name, golden, fresh, report, time_ratio, allow_missing)
     elif golden.get("hardware_concurrency") is not None and golden.get(
             "hardware_concurrency") != fresh.get("hardware_concurrency"):
         report.note(f"{name}: hardware_concurrency differs (golden "
@@ -252,6 +301,24 @@ def _matrix_doc(**overrides):
     return doc
 
 
+def _growth_doc(**overrides):
+    rows = [
+        {"regime": "weighted-cascade", "seconds": 0.04, "seeds": 18,
+         "revenue": 22.94933333, "total_theta": 1200000, "growth_events": 3,
+         "ads_growth_engaged": 2, "ads_growth_idle": 0, "idle_revisions": 3,
+         "theta_cap_hits": 5, "pilots_converged": 0},
+        {"regime": "uniform-p0.30", "seconds": 0.06, "seeds": 22,
+         "revenue": 19.7751233, "total_theta": 1137125, "growth_events": 5,
+         "ads_growth_engaged": 2, "ads_growth_idle": 0, "idle_revisions": 1,
+         "theta_cap_hits": 2, "pilots_converged": 2},
+    ]
+    rows[-1].update(overrides.pop("row", {}))
+    doc = {"bench": "growth_regimes", "scale": 1,
+           "default_regime_grows": True, "rows": rows}
+    doc.update(overrides)
+    return doc
+
+
 def self_test():
     def verdict(golden, fresh, time_ratio=8.0, allow_missing=False):
         report = Report()
@@ -309,6 +376,38 @@ def self_test():
     r = verdict(_matrix_doc(), extra)
     assert r.ok and any("new cell" in n for n in r.notes), (r.failures,
                                                            r.notes)
+
+    # Growth rows: an identical capture passes with no notes, and so does
+    # a slower one within the ratio gate.
+    r = verdict(_growth_doc(), _growth_doc())
+    assert r.ok and not r.notes, (r.failures, r.notes)
+    r = verdict(_growth_doc(), _growth_doc(row={"seconds": 0.3}))
+    assert r.ok and not r.notes, (r.failures, r.notes)
+
+    # Any drift in a bit-exact growth field fails, naming the field.
+    for field, value in (("revenue", 22.94933334), ("growth_events", 4),
+                         ("pilots_converged", 1)):
+        r = verdict(_growth_doc(), _growth_doc(row={field: value}))
+        assert (len(r.failures) == 1 and "uniform-p0.30" in r.failures[0]
+                and field in r.failures[0]), r.failures
+    r = verdict(_growth_doc(), _growth_doc(default_regime_grows=False))
+    assert not r.ok and "default_regime_grows" in r.failures[0], r.failures
+
+    # A growth row past the wall-clock ratio fails.
+    r = verdict(_growth_doc(), _growth_doc(row={"seconds": 9.0}))
+    assert not r.ok and "wall-clock" in r.failures[0], r.failures
+
+    # A missing regime is a coverage regression, unless --allow-missing.
+    gone = _growth_doc()
+    gone["rows"].pop()
+    r = verdict(_growth_doc(), gone)
+    assert not r.ok and "coverage regression" in r.failures[0], r.failures
+    r = verdict(_growth_doc(), gone, allow_missing=True)
+    assert r.ok, r.failures
+
+    # Growth captures at another scale are incomparable.
+    r = verdict(_growth_doc(), _growth_doc(scale=0.5))
+    assert not r.ok and "incomparable" in r.failures[0], r.failures
 
     # Non-matrix bench file: only the gate booleans are checked.
     r = verdict({"bench": "fig5_scalability", "determinism_ok": True},

@@ -187,8 +187,13 @@ int main(int argc, char** argv) {
   opt.csrm_window = static_cast<uint32_t>(
       Must(flags.GetInt("csrm-window", 2'000, 0, UINT32_MAX)));
   opt.verbose = !flags.Has("quiet");
-  if (opt.scale <= 0.0 || opt.scale > 1.0) {
+  // Written so that NaN fails too.
+  if (!(opt.scale > 0.0 && opt.scale <= 1.0)) {
     Fail(isa::Status::InvalidArgument("--scale must be in (0, 1]"));
+  }
+  if (!(opt.epsilon > 0.0 && opt.epsilon < 1.0)) {
+    Fail(isa::Status::InvalidArgument(
+        isa::StrFormat("--epsilon must be in (0, 1) (got %g)", opt.epsilon)));
   }
 
   std::fprintf(stderr,
