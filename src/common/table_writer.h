@@ -35,7 +35,6 @@ class TableWriter {
   Status EndRow();
 
   size_t row_count() const { return rows_.size(); }
-  size_t column_count() const { return headers_.size(); }
 
   /// Space-padded, pipe-separated console rendering.
   std::string ToText() const;

@@ -114,15 +114,16 @@ void SelectionWindow::Replay(uint32_t slot) {
 // -------------------------------------------------------- AdvertiserEngine
 
 AdvertiserEngine::AdvertiserEngine(uint32_t ad, const RmInstance& instance,
-                                   std::shared_ptr<rrset::RrStore> shared_store,
+                                   std::shared_ptr<rrset::RrStore> store,
                                    const AdvertiserEngineOptions& options)
     : instance_(instance),
       ad_(ad),
       dn_(static_cast<double>(instance.graph().num_nodes())),
       options_(options),
-      collection_(shared_store != nullptr
-                      ? rrset::RrCollection(std::move(shared_store))
-                      : rrset::RrCollection(instance.graph().num_nodes())),
+      ratio_keyed_heap_(
+          options.candidate_rule == CandidateRule::kCoverageCostRatio &&
+          (options.window == 0 || options.window >= instance.num_nodes())),
+      collection_(std::move(store)),
       sampler_(instance.graph(), instance.ad_probs(ad), options.model,
                options.sampler_seed, options.sampler,
                options.sizer != nullptr ? options.sizer->coins() : nullptr),
@@ -132,10 +133,8 @@ AdvertiserEngine::AdvertiserEngine(uint32_t ad, const RmInstance& instance,
   // run); a missing one would otherwise surface as a null deref deep in
   // Init's first schedule query.
   ISA_CHECK(options_.sizer != nullptr);
-  for (graph::NodeId v : options_.excluded_nodes) {
-    if (v < eligible_.size()) eligible_[v] = 0;
-  }
-  heap_.Configure(options_.ratio_keyed_heap, instance.incentives(ad));
+  for (graph::NodeId v : options_.excluded_nodes) eligible_[v] = 0;
+  heap_.Configure(ratio_keyed_heap_, instance.incentives(ad));
   if (windowed()) {
     ISA_CHECK(options_.window < kDirtyBit);
     window_slot_.assign(eligible_.size(), kNotInWindow);
@@ -146,24 +145,6 @@ AdvertiserEngine::AdvertiserEngine(uint32_t ad, const RmInstance& instance,
 AdvertiserEngine::~AdvertiserEngine() = default;
 
 Status AdvertiserEngine::Init() {
-  // Self-healing hook: if one of the store's cold chunks ever becomes
-  // unreadable, its sets are regenerated from the recorded per-batch
-  // provenance seed through RrSampler::SampleIds, the same per-id loop
-  // that sampled them — bit-identical by construction — sharing the
-  // engine sampler's coin column rather than rebuilding it per chunk. Ads
-  // sharing a store have bitwise-identical Eq. 1 probabilities, so
-  // whichever engine registers last serves every range; the per-range
-  // seed carries the per-ad substream. This engine must outlive the
-  // store's cold lookups (true in RunTiGreedy: lookups end with the
-  // scheduler, before teardown).
-  collection_.store()->SetResampler(
-      [this](uint64_t seed, uint64_t lo, uint64_t hi,
-             std::vector<uint32_t>* sizes,
-             std::vector<graph::NodeId>* nodes) {
-        rrset::RrSampler sampler(instance_.graph(), instance_.ad_probs(ad_),
-                                 options_.model, sampler_.coins());
-        sampler.SampleIds(seed, lo, hi - lo, sizes, nodes);
-      });
   theta_ = schedule_.ThetaFor(1);
   collection_.AddSets(sampler_, theta_, {});
   if (options_.candidate_rule == CandidateRule::kPageRank) {
@@ -247,7 +228,7 @@ void AdvertiserEngine::ComputeCandidate() {
       break;
     }
     case CandidateRule::kCoverageCostRatio: {
-      if (options_.ratio_keyed_heap) {
+      if (ratio_keyed_heap_) {
         // Full window: the heap is keyed by coverage/cost directly, so the
         // settled top IS the Algorithm 5 candidate (footnote 10 justifies
         // the ratio form).

@@ -2,12 +2,13 @@
 // RunTiGreedy monolith into a reusable engine class.
 //
 // One AdvertiserEngine owns everything advertiser j needs across rounds:
-// its RR collection (coverage view over a private or shared store), its
-// parallel sampler and sample sizer, the eligibility bitmap over nodes, the
-// chosen seeds, the lazy candidate heap, and the top-w window buffer of the
-// cost-sensitive rule. The round loop itself lives in SelectionScheduler;
-// the engine exposes the per-round stages (candidate computation, commit,
-// θ-growth) as methods.
+// its RR collection (coverage view over the store the driver hands it,
+// private or shared), its parallel sampler and sample sizer, the
+// eligibility bitmap over nodes, the chosen seeds, the lazy candidate
+// heap, and the top-w window buffer of the cost-sensitive rule. The round
+// loop itself lives in RunTiGreedy (core/ti_greedy.cc); the engine exposes
+// the per-round stages (candidate computation, commit, θ-growth) as
+// methods.
 //
 // Incremental heap repair (replacing the old full-scan RebuildHeap):
 // between sample growths, coverage only decreases, so the heap is a
@@ -206,10 +207,9 @@ class SelectionWindow {
 /// Construction parameters beyond the (instance, ad) pair.
 struct AdvertiserEngineOptions {
   CandidateRule candidate_rule = CandidateRule::kCoverageCostRatio;
-  /// Effective window size (already resolved: n for "full").
+  /// Window size w; 0 or >= n is the full window, whose cost-sensitive
+  /// heap is keyed by coverage/cost directly.
   uint32_t window = 0;
-  /// Full-window cost-sensitive rule: heap keyed by coverage/cost directly.
-  bool ratio_keyed_heap = false;
   uint64_t sampler_seed = 0;
   rrset::DiffusionModel model = rrset::DiffusionModel::kIndependentCascade;
   /// The store's sample sizer, with the KPT pilot already run — built once
@@ -227,9 +227,11 @@ class AdvertiserEngine {
 
   /// Typically invoked from a parallel init task; each engine draws only
   /// from its own seed substreams, so construction order does not matter.
-  /// options.sizer must carry the store's already-piloted SampleSizer.
+  /// `store` is the RR store this ad views (shared by a share_samples
+  /// group); options.sizer must carry the store's already-piloted
+  /// SampleSizer, and every excluded node must be < n.
   AdvertiserEngine(uint32_t ad, const RmInstance& instance,
-                   std::shared_ptr<rrset::RrStore> shared_store,
+                   std::shared_ptr<rrset::RrStore> store,
                    const AdvertiserEngineOptions& options);
   ~AdvertiserEngine();
 
@@ -293,7 +295,7 @@ class AdvertiserEngine {
   /// already satisfied, typically because the schedule is cap-saturated) —
   /// the "growth idle" counter.
   uint64_t idle_revisions() const { return idle_revisions_; }
-  /// Called by the scheduler when it vetoes a wanted θ-growth because this
+  /// Called by the round loop when it vetoes a wanted θ-growth because this
   /// ad's store is in degraded (eviction-disabled) mode and over budget —
   /// the ROADMAP admission policy. Selection continues on the current
   /// sample; the next revision re-asks and is capped again while degraded.
@@ -316,7 +318,7 @@ class AdvertiserEngine {
  private:
   bool windowed() const {
     return options_.candidate_rule == CandidateRule::kCoverageCostRatio &&
-           !options_.ratio_keyed_heap;
+           !ratio_keyed_heap_;
   }
   // Node left the ground set or changed coverage: a window entry holding it
   // must be re-settled next maintenance (its slot joins the dirty list).
@@ -341,6 +343,8 @@ class AdvertiserEngine {
   const uint32_t ad_;
   const double dn_;  // n as double, for the revenue estimates
   const AdvertiserEngineOptions options_;
+  // Full-window cost-sensitive rule: the heap is keyed by coverage/cost.
+  const bool ratio_keyed_heap_;
 
   rrset::RrCollection collection_;
   rrset::ParallelSampler sampler_;

@@ -10,9 +10,10 @@
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
 #include "core/advertiser_engine.h"
-#include "core/selection_scheduler.h"
 #include "rrset/rr_collection.h"
+#include "rrset/rr_sampler.h"
 #include "rrset/spill_file.h"
+#include "rrset/tiered_store.h"
 
 namespace isa::core {
 
@@ -31,45 +32,141 @@ uint64_t HashProbVector(std::span<const double> probs) {
   return h;
 }
 
+// One physical RR store, its out-of-core tier and the advertisers that
+// view it, in ad order. ads.front() is the leader: its probabilities and
+// seed drive the store's KPT pilot and resampler, and the result charges
+// the store to it. Without a memory budget the tier is a no-op.
+struct StoreGroup {
+  std::shared_ptr<rrset::RrStore> store;
+  rrset::TieredRrStore tier;
+  std::vector<uint32_t> ads;
+};
+
 // With share_samples, advertisers whose Eq. 1 probabilities are bitwise
 // identical (pure-competition ads) are grouped onto one RR store. A single
 // hash-of-contents pass replaces an O(h²·n) pairwise sweep; equality is
 // re-verified within a hash bucket, so a hash collision can only cost a
 // comparison, never a wrong grouping. Without sharing every ad is its own
-// group with a null entry (the engine then creates a private store).
-std::vector<std::vector<uint32_t>> GroupAdsByStore(
-    const RmInstance& instance, bool share_samples,
-    std::vector<std::shared_ptr<rrset::RrStore>>* store_of_ad) {
+// group.
+std::vector<StoreGroup> GroupAdsByStore(const RmInstance& instance,
+                                        const TiOptions& options) {
   const uint32_t h = instance.num_ads();
-  std::vector<std::vector<uint32_t>> groups;
-  groups.reserve(h);
-  if (!share_samples) {
-    for (uint32_t j = 0; j < h; ++j) groups.push_back({j});
-    return groups;
-  }
   const graph::NodeId n = instance.num_nodes();
+  rrset::TieredStoreOptions to;
+  to.rr_memory_budget_bytes = options.rr_memory_budget_bytes;
+  to.spill_directory = options.spill_directory;
+  to.chunk_target_bytes = options.spill_chunk_bytes;
+  std::vector<StoreGroup> groups;
+  groups.reserve(h);
   std::unordered_map<uint64_t, std::vector<size_t>> groups_by_hash;
   for (uint32_t j = 0; j < h; ++j) {
-    const auto probs_j = instance.ad_probs(j);
-    auto& bucket = groups_by_hash[HashProbVector(probs_j)];
-    bool found = false;
-    for (size_t gi : bucket) {
-      const auto probs_l = instance.ad_probs(groups[gi].front());
-      if (std::equal(probs_j.begin(), probs_j.end(), probs_l.begin(),
-                     probs_l.end())) {
-        (*store_of_ad)[j] = (*store_of_ad)[groups[gi].front()];
-        groups[gi].push_back(j);
-        found = true;
-        break;
+    if (options.share_samples) {
+      const auto probs_j = instance.ad_probs(j);
+      auto& bucket = groups_by_hash[HashProbVector(probs_j)];
+      auto same = std::find_if(bucket.begin(), bucket.end(), [&](size_t gi) {
+        const auto probs_l = instance.ad_probs(groups[gi].ads.front());
+        return std::equal(probs_j.begin(), probs_j.end(), probs_l.begin(),
+                          probs_l.end());
+      });
+      if (same != bucket.end()) {
+        groups[*same].ads.push_back(j);
+        continue;
       }
-    }
-    if (!found) {
-      (*store_of_ad)[j] = std::make_shared<rrset::RrStore>(n);
       bucket.push_back(groups.size());
-      groups.push_back({j});
     }
+    auto store = std::make_shared<rrset::RrStore>(n);
+    groups.push_back({store, rrset::TieredRrStore(store, to), {j}});
   }
   return groups;
+}
+
+// Line 9: the committed advertiser under the selection rule, or h when
+// every advertiser is exhausted this round.
+uint32_t SelectAd(SelectionRule rule,
+                  std::span<const std::unique_ptr<AdvertiserEngine>> ads,
+                  std::span<const double> budget, uint32_t round_robin_next) {
+  const uint32_t h = static_cast<uint32_t>(ads.size());
+  const bool round_robin = rule == SelectionRule::kRoundRobin;
+  uint32_t chosen = h;
+  double best_key_num = -1.0, best_key_den = 1.0;
+  for (uint32_t step = 0; step < h; ++step) {
+    const uint32_t j = round_robin ? (round_robin_next + step) % h : step;
+    const AdvertiserEngine& ad = *ads[j];
+    if (!ad.CandidateFeasible(budget[j])) {
+      continue;  // infeasible this round; revisited if state changes
+    }
+    if (round_robin) return j;
+    const double num = ad.cand_marg_rev();
+    const double den =
+        rule == SelectionRule::kMaxRate ? ad.cand_marg_pay() : 1.0;
+    if (chosen == h || RatioGreater(num, den, best_key_num, best_key_den)) {
+      chosen = j;
+      best_key_num = num;
+      best_key_den = den;
+    }
+  }
+  return chosen;
+}
+
+// The round loop of Algorithm 2 (lines 5-22). Each round:
+//   1. spill     — each store's tier may evict its oldest fully-adopted
+//                  sets (ids below min θ_j over the store's views);
+//   2. candidate — every advertiser settles a budget-feasible candidate
+//                  (line 7 + the Algorithm 1 line-12 retirement);
+//   3. commit    — the selection rule picks one (node, advertiser) pair
+//                  (line 9); the node leaves every ground set and the
+//                  winner's covered RR sets are removed (lines 10-15);
+//   4. growth    — if the winner's seed count reached s̃_j, Eq. 10 revises
+//                  it and the ad's ThetaSchedule decides whether θ_j grows
+//                  (lines 17-21).
+// Every stage depends only on selection state, never on timing, and
+// spilling never changes a computed value, so a fixed seed yields a
+// bit-identical TiResult at any thread count and any budget. Exceptions
+// from pool stages (realistically std::bad_alloc) propagate.
+void RunRounds(const TiOptions& options, ThreadPool& pool,
+               std::span<StoreGroup> groups,
+               std::span<const std::unique_ptr<AdvertiserEngine>> ads,
+               std::span<const double> budget, Allocation* allocation) {
+  const uint32_t h = static_cast<uint32_t>(ads.size());
+  std::vector<StoreGroup*> group_of_ad(h);
+  for (StoreGroup& g : groups) {
+    for (uint32_t j : g.ads) group_of_ad[j] = &g;
+  }
+  uint32_t round_robin_next = 0;
+  while (true) {
+    for (StoreGroup& g : groups) {
+      // Only ids every view of the store has adopted may go cold.
+      uint64_t min_theta = UINT64_MAX;
+      for (uint32_t j : g.ads) min_theta = std::min(min_theta, ads[j]->theta());
+      g.tier.MaybeSpill(min_theta, &pool);
+    }
+
+    for (uint32_t j = 0; j < h; ++j) ads[j]->EnsureFeasibleCandidate(budget[j]);
+
+    const uint32_t chosen =
+        SelectAd(options.selection_rule, ads, budget, round_robin_next);
+    if (chosen == h) return;  // line 16
+    round_robin_next = (chosen + 1) % h;
+
+    const graph::NodeId v = ads[chosen]->candidate();
+    for (uint32_t k = 0; k < h; ++k) ads[k]->MarkNodeTaken(v);
+    ads[chosen]->CommitSeed(v);
+    allocation->seed_sets[chosen].push_back(v);
+
+    const uint64_t want = ads[chosen]->MaybeReviseLatentSize(budget[chosen]);
+    if (want == 0) continue;
+    // Admission policy: once a permanent spill-write failure disabled
+    // eviction and the store already exceeds its budget, cap θ-growth
+    // instead of growing a footprint nothing can reclaim. Never engages on
+    // a healthy tier, so it cannot break the budget bit-identity above.
+    const rrset::TieredRrStore& tier = group_of_ad[chosen]->tier;
+    if (tier.eviction_disabled() &&
+        tier.store()->MemoryBytes() > tier.options().rr_memory_budget_bytes) {
+      ads[chosen]->CountGrowthAdmissionCap();
+    } else {
+      ads[chosen]->GrowNow(want);
+    }
+  }
 }
 
 }  // namespace
@@ -100,23 +197,27 @@ Result<TiResult> RunTiGreedy(const RmInstance& instance,
           "RunTiGreedy: budget_override entries must be >= 0");
     }
   }
+  for (graph::NodeId v : options.excluded_nodes) {
+    if (v >= n) {
+      return Status::InvalidArgument(
+          "RunTiGreedy: excluded_nodes entries must be < num_nodes");
+    }
+  }
   Stopwatch watch;
+  std::vector<double> budget = options.budget_override;
+  if (budget.empty()) {
+    for (uint32_t j = 0; j < h; ++j) budget.push_back(instance.budget(j));
+  }
 
   // One worker pool per invocation, shared by every parallel stage below
   // (declared before `ads` so the engines that borrow it die first).
   ThreadPool pool(options.num_threads);
 
-  // ---- Stage 0: store grouping + parallel per-advertiser init. ----
-  std::vector<std::shared_ptr<rrset::RrStore>> store_of_ad(h);
-  const std::vector<std::vector<uint32_t>> groups =
-      GroupAdsByStore(instance, options.share_samples, &store_of_ad);
-
+  // ---- Stage 0: store grouping + parallel per-store init. ----
+  std::vector<StoreGroup> groups = GroupAdsByStore(instance, options);
   TiResult result;
   result.allocation.seed_sets.assign(h, {});
   std::vector<std::unique_ptr<AdvertiserEngine>> ads(h);
-  // Declared before the try block so the tiers (and their resident peaks)
-  // survive into result assembly.
-  std::vector<StoreSpillGroup> spill_groups;
   std::vector<Status> init_status(h);
   try {
     // KPT pilot + initial θ_j sample + PageRank/heap build per advertiser,
@@ -125,16 +226,15 @@ Result<TiResult> RunTiGreedy(const RmInstance& instance,
     // sequence). The pilot runs ONCE per store: ads in a group have
     // bitwise-identical Eq. 1 probabilities, so one SampleSizer — seeded by
     // the group leader — serves every member's ThetaSchedule, and its coin
-    // column every member's sampler. Each group draws only from its own
-    // HashSeed(seed, leader) substreams, so results are bit-identical at
-    // any worker count. Tasks themselves reenter the pool for sampling (see
-    // common/thread_pool.h).
+    // column every member's sampler and the store's resampler. Each group
+    // draws only from its own HashSeed(seed, leader) substreams, so results
+    // are bit-identical at any worker count. Tasks themselves reenter the
+    // pool for sampling (see common/thread_pool.h).
     pool.Run(groups.size(), [&](uint64_t gi) {
-      const uint32_t leader = groups[gi].front();
+      StoreGroup& group = groups[gi];
+      const uint32_t leader = group.ads.front();
       rrset::SampleSizerOptions so;
       so.epsilon = options.epsilon;
-      so.ell = options.ell;
-      so.run_kpt_pilot = options.kpt_pilot;
       so.theta_cap = options.theta_cap;
       so.seed = HashSeed(options.seed, 1000 + leader);
       so.model = options.propagation;
@@ -146,21 +246,32 @@ Result<TiResult> RunTiGreedy(const RmInstance& instance,
       so.pool = groups.size() >= pool.concurrency() ? nullptr : &pool;
       auto sizer = std::make_shared<const rrset::SampleSizer>(
           instance.graph(), instance.ad_probs(leader), so);
-      for (uint32_t j : groups[gi]) {
+      // Self-healing hook: an unreadable cold chunk is regenerated from its
+      // recorded per-batch seed through RrSampler::SampleIds, the per-id
+      // loop that sampled it, so the rebuilt sets are bit-identical. The
+      // per-range seed carries each ad's substream; the probabilities are
+      // the whole group's.
+      group.store->SetResampler(
+          [&graph = instance.graph(), probs = instance.ad_probs(leader),
+           model = options.propagation, coins = sizer->coins()](
+              uint64_t seed, uint64_t lo, uint64_t hi,
+              std::vector<uint32_t>* sizes,
+              std::vector<graph::NodeId>* nodes) {
+            rrset::RrSampler sampler(graph, probs, model, coins);
+            sampler.SampleIds(seed, lo, hi - lo, sizes, nodes);
+          });
+      for (uint32_t j : group.ads) {
         AdvertiserEngineOptions eo;
         eo.candidate_rule = options.candidate_rule;
-        eo.window = options.window == 0 ? n : options.window;
-        eo.ratio_keyed_heap =
-            options.candidate_rule == CandidateRule::kCoverageCostRatio &&
-            (options.window == 0 || options.window >= n);
+        eo.window = options.window;
         eo.sampler_seed = HashSeed(options.seed, j);
         eo.model = options.propagation;
         eo.sizer = sizer;
         eo.sampler.num_threads = options.num_threads;
         eo.sampler.pool = &pool;
         eo.excluded_nodes = options.excluded_nodes;
-        ads[j] = std::make_unique<AdvertiserEngine>(j, instance,
-                                                    store_of_ad[j], eo);
+        ads[j] = std::make_unique<AdvertiserEngine>(j, instance, group.store,
+                                                    eo);
         init_status[j] = ads[j]->Init();
         if (!init_status[j].ok()) return;
       }
@@ -169,31 +280,8 @@ Result<TiResult> RunTiGreedy(const RmInstance& instance,
       if (!init_status[j].ok()) return init_status[j];
     }
 
-    // ---- Out-of-core tier: one TieredRrStore per physical store. ----
-    // Built after init (private stores are created inside the engines) and
-    // given a first barrier right away: the initial θ(1) samples can
-    // already exceed the budget, and everything adopted so far is
-    // evictable.
-    if (options.rr_memory_budget_bytes > 0) {
-      for (const std::vector<uint32_t>& group : groups) {
-        rrset::TieredStoreOptions to;
-        to.rr_memory_budget_bytes = options.rr_memory_budget_bytes;
-        to.spill_directory = options.spill_directory;
-        to.chunk_target_bytes = options.spill_chunk_bytes;
-        StoreSpillGroup g;
-        g.tier = std::make_unique<rrset::TieredRrStore>(
-            ads[group.front()]->collection().store(), to);
-        g.ads = group;
-        uint64_t min_theta = UINT64_MAX;
-        for (uint32_t j : group) min_theta = std::min(min_theta, ads[j]->theta());
-        g.tier->MaybeSpill(min_theta, &pool);
-        spill_groups.push_back(std::move(g));
-      }
-    }
-
-    // ---- Stages 1-4 per round: the selection scheduler (Alg. 2 l. 5-22).
-    SelectionScheduler scheduler(instance, options, pool, ads, spill_groups);
-    scheduler.Run(&result.allocation);
+    // ---- Stages 1-4 per round (Alg. 2 l. 5-22). ----
+    RunRounds(options, pool, groups, ads, budget, &result.allocation);
   } catch (const std::bad_alloc&) {
     // Marshaled through ThreadPool::Run from a sampling or adoption task
     // (or thrown inline): surface as a Status instead of terminating the
@@ -208,10 +296,26 @@ Result<TiResult> RunTiGreedy(const RmInstance& instance,
   }
 
   // ---- Assemble result. ----
-  // Each physical store is charged to the first advertiser using it, so
-  // shared-sample runs report the true (deduplicated) footprint.
+  // Each physical store is charged to its group's leader, so shared-sample
+  // runs report the true (deduplicated) footprint.
   result.ad_stats.resize(h);
-  std::vector<const rrset::RrStore*> counted_stores;
+  for (const StoreGroup& g : groups) {
+    TiAdStats& st = result.ad_stats[g.ads.front()];
+    const rrset::RrStore& store = *g.store;
+    st.rr_memory_bytes = store.MemoryBytes();
+    st.rr_index_bytes = store.IndexBytes();
+    st.spilled_bytes = store.SpilledBytes();
+    st.spill_chunks = store.SpillChunks();
+    st.scan_reloads = store.scan_reloads();
+    st.chunks_read = store.chunks_read();
+    st.chunks_skipped = store.chunks_skipped();
+    st.spill_retries = store.spill_retries();
+    st.spill_retry_successes = store.spill_retry_successes();
+    st.degradation_events =
+        store.degradation_events() + g.tier.degradation_events();
+    st.recovered_sets = store.recovered_sets();
+    st.rr_resident_peak_bytes = g.tier.resident_peak_bytes();
+  }
   for (uint32_t j = 0; j < h; ++j) {
     const AdvertiserEngine& ad = *ads[j];
     TiAdStats& st = result.ad_stats[j];
@@ -221,31 +325,8 @@ Result<TiResult> RunTiGreedy(const RmInstance& instance,
     st.revenue = ad.revenue();
     st.seeding_cost = ad.seeding_cost();
     st.payment = ad.payment();
-    st.rr_memory_bytes = ad.collection().MemoryBytes(/*include_store=*/false) +
-                         ad.WorkingBufferBytes();
-    const rrset::RrStore* store = ad.collection().store().get();
-    if (std::find(counted_stores.begin(), counted_stores.end(), store) ==
-        counted_stores.end()) {
-      counted_stores.push_back(store);
-      st.rr_memory_bytes += store->MemoryBytes();
-      st.rr_index_bytes = store->IndexBytes();
-      st.spilled_bytes = store->SpilledBytes();
-      st.spill_chunks = store->SpillChunks();
-      st.scan_reloads = store->scan_reloads();
-      st.chunks_read = store->chunks_read();
-      st.chunks_skipped = store->chunks_skipped();
-      st.spill_retries = store->spill_retries();
-      st.spill_retry_successes = store->spill_retry_successes();
-      st.degradation_events = store->degradation_events();
-      st.recovered_sets = store->recovered_sets();
-      for (const StoreSpillGroup& g : spill_groups) {
-        if (g.tier->store().get() == store) {
-          st.rr_resident_peak_bytes = g.tier->resident_peak_bytes();
-          st.degradation_events += g.tier->degradation_events();
-          break;
-        }
-      }
-    }
+    st.rr_memory_bytes += ad.collection().MemoryBytes(/*include_store=*/false) +
+                          ad.WorkingBufferBytes();
     st.growth_admission_caps = ad.growth_admission_caps();
     st.sample_growth_events = ad.growth_events();
     st.idle_growth_revisions = ad.idle_revisions();

@@ -28,10 +28,10 @@
 //     received a seed, j's sample grew, or the cached node was taken by
 //     another ad / found infeasible — so most rounds recompute one ad.
 //
-// The implementation is layered: per-advertiser state lives in
-// core::AdvertiserEngine, the round loop in core::SelectionScheduler;
-// RunTiGreedy only validates options, groups shared stores, runs the
-// parallel init stage, and assembles the TiResult.
+// Per-advertiser state lives in core::AdvertiserEngine. RunTiGreedy
+// validates options, builds one group per physical RR store (its store,
+// its out-of-core tier and the ads viewing it), runs the parallel per-store
+// init, runs the round loop, and assembles the TiResult.
 
 #ifndef ISA_CORE_TI_GREEDY_H_
 #define ISA_CORE_TI_GREEDY_H_
@@ -64,9 +64,9 @@ struct TiOptions {
   CandidateRule candidate_rule = CandidateRule::kCoverageCostRatio;
   SelectionRule selection_rule = SelectionRule::kMaxRate;
   /// ε of Eq. 8 (0.1 in the paper's quality runs, 0.3 in scalability runs).
+  /// ℓ is 1, and one KPT pilot per RR store fixes the OPT lower bound (see
+  /// rrset/sample_sizer.h).
   double epsilon = 0.1;
-  /// ℓ of Eq. 8 (failure probability n^-ℓ).
-  double ell = 1.0;
   /// TI-CSRM window size w (paper Fig. 4): the cost-sensitive candidate is
   /// chosen among the w nodes of highest marginal coverage. 0 means full
   /// window (w = n). With w = 1 the candidate rule degenerates to TI-CARM's.
@@ -91,11 +91,6 @@ struct TiOptions {
   /// the estimator (a smaller sample only loosens the accuracy guarantee).
   /// Must be >= 1.
   uint64_t theta_cap = 2'000'000;
-  /// Run the KPT pilot for Eq. 8's OPT lower bound (recommended). One
-  /// pilot runs per RR store — ads sharing a store (share_samples) share
-  /// its pilot. When off, the lower bound degenerates to 1 and θ is much
-  /// larger. See rrset/sample_sizer.h for the pilot/schedule split.
-  bool kpt_pilot = true;
   /// Propagation model the RR sets are drawn under. The paper uses TIC
   /// (topic-aware IC); Linear Threshold is supported because RR-set theory
   /// covers all triggering models — under LT the arc values are interpreted
@@ -115,11 +110,11 @@ struct TiOptions {
   /// fully-adopted sets are evicted to an on-disk columnar chunk file and
   /// later coverage removals over them read back only the spilled sets
   /// that contain the committed seed (see rrset/tiered_store.h). Spill
-  /// decisions happen only at the round loop's deterministic barriers
-  /// and never change any computed value, so a fixed seed still yields a
-  /// bit-identical TiResult (allocations, revenue, θ, growth counters) at
-  /// ANY thread count and ANY budget —
-  /// only the memory/spill statistics differ. The budget is a target:
+  /// decisions happen only at the round loop's deterministic barrier (the
+  /// top of every round) and never change any computed value, so a fixed
+  /// seed still yields a bit-identical TiResult (allocations, revenue, θ,
+  /// growth counters) at ANY thread count and ANY budget — only the
+  /// memory/spill statistics differ. The budget is a target:
   /// a hot (not yet fully adopted) tail larger than the budget stays
   /// resident.
   uint64_t rr_memory_budget_bytes = 0;
@@ -131,10 +126,9 @@ struct TiOptions {
   /// pays one postings index over its envelope on disk. Never affects
   /// computed results, only the on-disk layout and the chunk counters.
   uint64_t spill_chunk_bytes = 4ull << 20;
-  /// Safety cap on total selected seeds (0 = unlimited).
-  uint64_t max_seeds = 0;
   /// Nodes that may not be selected as seeds for any ad (e.g. users who
-  /// already engaged in an earlier stage of an adaptive campaign).
+  /// already engaged in an earlier stage of an adaptive campaign). Each
+  /// must be < n.
   std::vector<graph::NodeId> excluded_nodes;
   /// When non-empty (one entry per advertiser), replaces the instance's
   /// budgets for this run — adaptive campaigns pass the remaining budget
@@ -151,13 +145,14 @@ struct TiAdStats {
   double seeding_cost = 0.0;   // c_j(S_j)
   double payment = 0.0;        // ρ_j(S_j)
   /// Honest working-set bytes for this ad: the RR store (charged to the
-  /// first ad using it), the coverage view, and the driver's per-ad buffers
-  /// (candidate heap, eligibility bitmap, PageRank order).
+  /// store's leader, the first ad viewing it), the coverage view, and the
+  /// driver's per-ad buffers (candidate heap, eligibility bitmap, PageRank
+  /// order).
   uint64_t rr_memory_bytes = 0;
   /// Inverted-index share of the store bytes (charged like the store).
   uint64_t rr_index_bytes = 0;
-  /// Out-of-core tier (rr_memory_budget_bytes > 0; charged to the first
-  /// ad using the store, like rr_memory_bytes): bytes of the store
+  /// Out-of-core tier (rr_memory_budget_bytes > 0; charged to the store's
+  /// leader, like the store bytes; 0 on every other ad): bytes of the store
   /// evicted to disk, chunks in its spill file, cold-tier lookups
   /// (commits that had to consult the cold tier), chunks that yielded
   /// covered sets vs chunks skipped (node envelope, postings miss, or no
@@ -170,8 +165,8 @@ struct TiAdStats {
   uint64_t chunks_read = 0;
   uint64_t chunks_skipped = 0;
   uint64_t rr_resident_peak_bytes = 0;
-  /// Failure handling (store counters charged to the first ad using the
-  /// store, like rr_memory_bytes; growth_admission_caps is per-ad).
+  /// Failure handling (store counters charged to the store's leader, like
+  /// the store bytes; growth_admission_caps is per-ad).
   /// spill_retries counts transient cold-tier I/O attempts that were
   /// retried; spill_retry_successes the retries that then succeeded.
   /// degradation_events counts permanent-fault degradations survived:
@@ -179,7 +174,7 @@ struct TiAdStats {
   /// shutdowns after a spill-write failure (write side, via the tier).
   /// recovered_sets is the number of RR sets re-sampled from recorded
   /// substream seeds. growth_admission_caps counts θ-growth requests the
-  /// scheduler vetoed while the ad's store ran degraded over budget. All
+  /// round loop vetoed while the ad's store ran degraded over budget. All
   /// 0 on a fault-free run.
   uint64_t spill_retries = 0;
   uint64_t spill_retry_successes = 0;

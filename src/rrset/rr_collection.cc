@@ -49,14 +49,14 @@ void RrCollection::AdoptUpTo(uint64_t new_theta,
                              ThreadPool* pool,
                              std::vector<graph::NodeId>* touched) {
   // Adopted prefixes only grow (the θ schedule is monotone) and can never
-  // run ahead of the physical store; a violation here means a scheduler
+  // run ahead of the physical store; a violation here means a driver
   // bug (e.g. adopting before the batch was appended), not bad user
   // input — catch it at the boundary instead of underflowing below.
   ISA_CHECK(new_theta >= theta_);
   ISA_CHECK(new_theta <= store_->num_sets());
   // Adoption reads members, so the range must still be resident. The spill
   // policy only evicts ids below every view's θ, which makes this a
-  // scheduler-bug detector, not a reachable state.
+  // driver-bug detector, not a reachable state.
   ISA_CHECK(theta_ >= store_->first_resident_set());
   if (touched != nullptr) touched->clear();
   const uint64_t first_new = theta_;

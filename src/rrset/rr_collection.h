@@ -147,12 +147,11 @@ class RrCollection {
 
   const std::shared_ptr<RrStore>& store() const { return store_; }
 
-  /// Members of adopted set `r` and its alive flag (tests/diagnostics;
-  /// `r` must be resident).
+  /// Members of adopted set `r` (tests/diagnostics; `r` must be
+  /// resident).
   std::span<const graph::NodeId> SetMembers(uint64_t r) const {
     return store_->SetMembers(r);
   }
-  bool IsAlive(uint64_t r) const { return alive_[r] != 0; }
 
  private:
   std::shared_ptr<RrStore> store_;

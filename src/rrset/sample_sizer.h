@@ -169,9 +169,6 @@ class ThetaSchedule {
   /// Queries with s outside [1, n].
   uint64_t clamped_queries() const { return clamped_queries_; }
 
-  /// Largest s the memo table has been extended to.
-  uint64_t max_s_evaluated() const { return memo_.size(); }
-
   const SampleSizer& sizer() const { return *sizer_; }
 
  private:

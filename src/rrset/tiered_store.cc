@@ -52,7 +52,7 @@ void TieredRrStore::MaybeSpill(uint64_t max_evictable, ThreadPool* pool) {
       // landed on disk — so the store is still fully consistent; any
       // orphan chunks already written are never scanned (scans cap at
       // first_resident_set). Degrade: stop evicting, finish resident, and
-      // let the scheduler's admission policy cap θ-growth instead of
+      // let the round loop's admission policy cap θ-growth instead of
       // aborting the run.
       eviction_disabled_ = true;
       ++degradation_events_;

@@ -1,8 +1,9 @@
 // TieredRrStore — the memory-budget POLICY over RrStore's spill MECHANISM.
 //
 // One TieredRrStore watches one physical RrStore (private or shared among
-// a share_samples group). At every deterministic barrier the selection
-// scheduler calls MaybeSpill: if the store's resident bytes exceed the
+// a share_samples group); RunTiGreedy builds one per store, budgeted or
+// not. At the top of every round, its deterministic barrier, the round
+// loop calls MaybeSpill: if the store's resident bytes exceed the
 // budget, the oldest fully-adopted sets are evicted to the store's spill
 // file until the estimated resident footprint fits (or nothing evictable
 // remains — a hot tail larger than the budget stays resident; the budget
@@ -51,7 +52,7 @@ struct TieredStoreOptions {
 };
 
 /// Budget policy over one RrStore (see file comment). Not thread-safe;
-/// called from the single scheduler thread at barrier rounds.
+/// called from the single round-loop thread at barrier rounds.
 class TieredRrStore {
  public:
   TieredRrStore(std::shared_ptr<RrStore> store, TieredStoreOptions options);
@@ -69,8 +70,8 @@ class TieredRrStore {
 
   /// True after a permanent spill-write failure (ENOSPC after retries):
   /// the cold tier can no longer absorb evictions, so MaybeSpill becomes
-  /// a no-op and the run finishes resident. The selection scheduler
-  /// additionally engages the admission policy — θ-growth is capped while
+  /// a no-op and the run finishes resident. The round loop additionally
+  /// engages the admission policy — θ-growth is capped while
   /// the resident footprint exceeds the budget — instead of aborting.
   bool eviction_disabled() const { return eviction_disabled_; }
   /// Write-side degradations: transitions into eviction_disabled (0 or 1).

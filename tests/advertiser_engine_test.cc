@@ -1,5 +1,5 @@
-// The staged selection engine (core/advertiser_engine.h +
-// core/selection_scheduler.h): incremental lazy-heap repair must agree
+// The staged selection engine (core/advertiser_engine.h and the round
+// loop in core/ti_greedy.cc): incremental lazy-heap repair must agree
 // with a from-scratch rebuild after arbitrary adopt/remove sequences, the
 // coverage-delta reporting must match brute-force diffs, and θ-growth
 // must preserve the hard invariant — fixed seed ⇒ bit-identical TiResult
@@ -18,7 +18,6 @@
 
 #include "common/rng.h"
 #include "common/thread_pool.h"
-#include "core/selection_scheduler.h"
 #include "core/ti_greedy.h"
 #include "graph/generators.h"
 #include "gtest/gtest.h"
@@ -338,7 +337,8 @@ TEST_P(WindowCrossCheck, CandidateMatchesBruteForceWindowArgmax) {
   eo.sizer = std::make_shared<const rrset::SampleSizer>(
       g, instance.ad_probs(0), so);
   eo.sampler.num_threads = 1;
-  AdvertiserEngine engine(0, instance, nullptr, eo);
+  AdvertiserEngine engine(0, instance,
+                          std::make_shared<rrset::RrStore>(g.num_nodes()), eo);
   ASSERT_TRUE(engine.Init().ok());
 
   auto reference = [&]() {
@@ -442,7 +442,6 @@ constexpr double kUnlimited = std::numeric_limits<double>::infinity();
 struct ExitRule {
   const char* name;
   CandidateRule rule;
-  bool ratio_keyed_heap;
   uint32_t window;
 };
 
@@ -485,13 +484,12 @@ class ExhaustedAdExit : public ::testing::TestWithParam<ExitRule> {
   std::unique_ptr<AdvertiserEngine> MakeEngine() const {
     AdvertiserEngineOptions eo;
     eo.candidate_rule = GetParam().rule;
-    eo.ratio_keyed_heap = GetParam().ratio_keyed_heap;
     eo.window = GetParam().window;
     eo.sampler_seed = 23;
     eo.sizer = sizer_;
     eo.sampler.num_threads = 1;
-    auto engine = std::make_unique<AdvertiserEngine>(0, *instance_, nullptr,
-                                                     eo);
+    auto engine = std::make_unique<AdvertiserEngine>(
+        0, *instance_, std::make_shared<rrset::RrStore>(g_.num_nodes()), eo);
     ISA_CHECK(engine->Init().ok());
     for (int i = 0; i < 3; ++i) {
       engine->EnsureFeasibleCandidate(kUnlimited);
@@ -636,11 +634,11 @@ TEST_P(ExhaustedAdExit, OneNodeAffordableOnlyWithTheSlack) {
 INSTANTIATE_TEST_SUITE_P(
     Rules, ExhaustedAdExit,
     ::testing::Values(
-        ExitRule{"coverage", CandidateRule::kCoverage, false, 0},
-        ExitRule{"ratio_heap", CandidateRule::kCoverageCostRatio, true, 0},
-        ExitRule{"window1", CandidateRule::kCoverageCostRatio, false, 1},
-        ExitRule{"window8", CandidateRule::kCoverageCostRatio, false, 8},
-        ExitRule{"window64", CandidateRule::kCoverageCostRatio, false, 64}),
+        ExitRule{"coverage", CandidateRule::kCoverage, 0},
+        ExitRule{"ratio_heap", CandidateRule::kCoverageCostRatio, 0},
+        ExitRule{"window1", CandidateRule::kCoverageCostRatio, 1},
+        ExitRule{"window8", CandidateRule::kCoverageCostRatio, 8},
+        ExitRule{"window64", CandidateRule::kCoverageCostRatio, 64}),
     [](const ::testing::TestParamInfo<ExitRule>& info) {
       return std::string(info.param.name);
     });

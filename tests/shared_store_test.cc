@@ -159,6 +159,47 @@ TEST(SharedStoreTest, SharingDeterministic) {
   EXPECT_EQ(a.value().allocation.seed_sets, b.value().allocation.seed_sets);
 }
 
+// One shared store is charged once, to the first ad viewing it: ad 0
+// carries every store counter at the run total, the other ads carry 0.
+TEST(SharedStoreTest, SharedStoreChargedOnceToFirstAd) {
+  auto f = MakePureCompetition(3);
+  core::TiOptions opt;
+  opt.epsilon = 0.3;
+  opt.theta_cap = 20'000;
+  opt.seed = 11;
+  opt.share_samples = true;
+  opt.rr_memory_budget_bytes = 64 << 10;
+  opt.spill_chunk_bytes = 16 << 10;
+  auto budgeted = core::RunTiCsrm(*f.instance, opt);
+  ASSERT_TRUE(budgeted.ok());
+  const core::TiResult& r = budgeted.value();
+  ASSERT_GT(r.total_rr_index_bytes, 0u);
+  ASSERT_GT(r.total_spilled_bytes, 0u);
+  ASSERT_GT(r.total_chunks_read, 0u);
+  const core::TiAdStats& leader = r.ad_stats[0];
+  EXPECT_EQ(leader.rr_index_bytes, r.total_rr_index_bytes);
+  EXPECT_EQ(leader.spilled_bytes, r.total_spilled_bytes);
+  EXPECT_EQ(leader.spill_chunks, r.total_spill_chunks);
+  EXPECT_EQ(leader.chunks_read, r.total_chunks_read);
+  EXPECT_GT(leader.rr_resident_peak_bytes, 0u);
+  for (uint32_t j = 1; j < 3; ++j) {
+    const core::TiAdStats& st = r.ad_stats[j];
+    EXPECT_EQ(st.rr_index_bytes, 0u) << j;
+    EXPECT_EQ(st.spilled_bytes, 0u) << j;
+    EXPECT_EQ(st.spill_chunks, 0u) << j;
+    EXPECT_EQ(st.chunks_read, 0u) << j;
+    EXPECT_EQ(st.rr_resident_peak_bytes, 0u) << j;
+  }
+
+  opt.rr_memory_budget_bytes = 0;
+  auto unbudgeted = core::RunTiCsrm(*f.instance, opt);
+  ASSERT_TRUE(unbudgeted.ok());
+  EXPECT_EQ(unbudgeted.value().total_spilled_bytes, 0u);
+  for (const core::TiAdStats& st : unbudgeted.value().ad_stats) {
+    EXPECT_EQ(st.rr_resident_peak_bytes, 0u);
+  }
+}
+
 TEST(SharedStoreTest, DistinctProbabilitiesGetDistinctStores) {
   // Two ads with different topic mixes must NOT share a store; verify via
   // memory: sharing enabled but nothing shareable -> same footprint class

@@ -205,15 +205,6 @@ TEST(TiGreedyTest, LatentSeedSizeGrows) {
   EXPECT_GT(st.theta, 0u);
 }
 
-TEST(TiGreedyTest, MaxSeedsCap) {
-  auto f = MakeMedium(2, 100.0);
-  TiOptions opt = FastOptions();
-  opt.max_seeds = 3;
-  auto res = RunTiCarm(*f.instance, opt);
-  ASSERT_TRUE(res.ok());
-  EXPECT_LE(res.value().total_seeds, 3u);
-}
-
 TEST(TiGreedyTest, RejectsBadEpsilon) {
   auto f = MakeMedium(1, 10.0);
   TiOptions opt = FastOptions();
@@ -240,6 +231,19 @@ TEST(TiGreedyTest, RejectsBadBudgetOverride) {
   auto res = RunTiGreedy(*f.instance, opt);
   ASSERT_TRUE(res.ok());
   EXPECT_TRUE(res.value().allocation.seed_sets[1].empty());
+}
+
+TEST(TiGreedyTest, RejectsOutOfRangeExcludedNode) {
+  // An id past the graph is an input error, not a no-op.
+  auto f = MakeMedium(1, 10.0);
+  TiOptions opt = FastOptions();
+  const graph::NodeId n = f.instance->num_nodes();
+  opt.excluded_nodes = {3, n};
+  auto res = RunTiGreedy(*f.instance, opt);
+  ASSERT_FALSE(res.ok());
+  EXPECT_EQ(res.status().code(), StatusCode::kInvalidArgument);
+  opt.excluded_nodes = {3, n - 1};
+  EXPECT_TRUE(RunTiGreedy(*f.instance, opt).ok());
 }
 
 TEST(TiGreedyTest, RejectsZeroThetaCap) {

@@ -25,6 +25,7 @@
 #include "core/incentives.h"
 #include "core/ti_greedy.h"
 #include "diffusion/cascade.h"
+#include "diffusion/linear_threshold.h"
 #include "eval/workload.h"
 #include "graph/generators.h"
 #include "graph/graph_io.h"
@@ -406,18 +407,22 @@ int main(int argc, char** argv) {
   }
 
   if (validate) {
-    isa::diffusion::CascadeSimulator sim(graph);
+    // Cascades under the model the RR sets were drawn under.
+    isa::diffusion::CascadeSimulator ic_sim(graph);
+    isa::diffusion::LtCascadeSimulator lt_sim(graph);
     double mc_revenue = 0.0;
     for (uint32_t j = 0; j < h; ++j) {
       const auto& seeds = result.allocation.seed_sets[j];
       if (seeds.empty()) continue;
-      mc_revenue += instance.cpe(j) *
-                    sim.EstimateSpread(instance.ad_probs(j), seeds, 2000,
-                                       seed + 7);
+      const auto probs = instance.ad_probs(j);
+      const double spread =
+          prop == "lt" ? lt_sim.EstimateSpread(probs, seeds, 2000, seed + 7)
+                       : ic_sim.EstimateSpread(probs, seeds, 2000, seed + 7);
+      mc_revenue += instance.cpe(j) * spread;
     }
-    std::printf("Monte-Carlo validation: revenue %.2f (RR estimate "
+    std::printf("Monte-Carlo validation (%s): revenue %.2f (RR estimate "
                 "%.2f)\n",
-                mc_revenue, result.total_revenue);
+                prop.c_str(), mc_revenue, result.total_revenue);
   }
   return 0;
 }
