@@ -1,6 +1,7 @@
 #include "rrset/rr_store.h"
 
 #include <algorithm>
+#include <ranges>
 
 #include "common/failpoint.h"
 #include "common/logging.h"
@@ -219,64 +220,121 @@ void RrStore::SpillPrefix(uint64_t new_first, const SpillOptions& options,
     spill_ = std::make_unique<SpillFile>(
         options.path.empty() ? MakeSpillPath() : options.path);
   }
-  const uint64_t target = std::max<uint64_t>(1, options.chunk_target_bytes);
-  // Carve [first_resident_, new_first) into chunks in id order, each
-  // chunk's nodes column a zero-copy span of rr_nodes_.
-  std::vector<uint32_t> sizes;
-  uint64_t lo = first_resident_;
-  while (lo < new_first) {
-    uint64_t hi = lo;
-    uint64_t bytes = 0;
-    sizes.clear();
-    while (hi < new_first && bytes < target) {
-      const uint64_t members = PostingsInRange(hi, hi + 1);
-      sizes.push_back(static_cast<uint32_t>(members));
-      bytes += members * sizeof(graph::NodeId) + sizeof(uint32_t);
-      ++hi;
+  // The slicing below reads a pure CSR: fold any chains into it first.
+  if (chained_postings_ > 0) RebuildIndex(pool);
+  const uint32_t workers =
+      pool == nullptr ? 1
+                      : pool->WorkersFor(csr_sets_.size() + num_nodes_,
+                                         kMinPostingsPerIndexWorker);
+  // Runs fn(v_lo, v_hi) over one node range per worker; workers write
+  // disjoint slots.
+  const auto for_node_ranges = [&](const auto& fn) {
+    if (workers == 1) return fn(graph::NodeId{0}, num_nodes_);
+    pool->Run(workers, [&](uint64_t w) {
+      fn(static_cast<graph::NodeId>(num_nodes_ * w / workers),
+         static_cast<graph::NodeId>(num_nodes_ * (w + 1) / workers));
+    });
+  };
+  // Node v's postings in the chunk being built start at cursor[v]: chunks
+  // ascend in id, so each chunk's are the next run of v's ascending CSR
+  // slice, and the evicted ids end up a prefix of it.
+  std::vector<uint64_t> cursor(csr_offsets_.begin(), csr_offsets_.end() - 1);
+  {
+    std::vector<uint32_t> counts(num_nodes_);
+    std::vector<uint32_t> sizes;
+    std::vector<uint32_t> index;
+    // Calls emit(k) for v's postings k below `hi`, skipping a repeat (a
+    // set that lists v twice is indexed once); returns where they end.
+    const auto scan = [&](graph::NodeId v, uint64_t hi, const auto& emit) {
+      uint64_t k = cursor[v];
+      for (; k < csr_offsets_[v + 1] && csr_sets_[k] < hi; ++k) {
+        if (k == cursor[v] || csr_sets_[k] != csr_sets_[k - 1]) emit(k);
+      }
+      return k;
+    };
+    for (uint64_t lo = first_resident_; lo < new_first;) {
+      // The first set boundary where the chunk's bytes (4 per member and
+      // per set) reach the target; an iota's end reads as its bound.
+      const uint64_t hi = *std::ranges::partition_point(
+          std::views::iota(lo + 1, new_first), [&](uint64_t h) {
+            return PostingsInRange(lo, h) * sizeof(graph::NodeId) +
+                       (h - lo) * sizeof(uint32_t) <
+                   options.chunk_target_bytes;
+          });
+      sizes.clear();
+      for (uint64_t r = lo; r < hi; ++r) {
+        sizes.push_back(static_cast<uint32_t>(PostingsInRange(r, r + 1)));
+      }
+      for_node_ranges([&](graph::NodeId a, graph::NodeId b) {
+        for (graph::NodeId v = a; v < b; ++v) {
+          counts[v] = 0;
+          scan(v, hi, [&](uint64_t) { ++counts[v]; });
+        }
+      });
+      index.clear();
+      if (PostingsInRange(lo, hi) > 0) {
+        graph::NodeId node_min = 0;
+        graph::NodeId node_max = num_nodes_ - 1;
+        while (counts[node_min] == 0) ++node_min;
+        while (counts[node_max] == 0) --node_max;
+        const uint64_t span = uint64_t{node_max} - node_min + 1;
+        index.resize(span + 1);
+        for (uint64_t s = 0; s < span; ++s) {
+          index[s + 1] = index[s] + counts[node_min + s];
+        }
+        index.resize(span + 1 + index[span]);
+        for_node_ranges([&](graph::NodeId a, graph::NodeId b) {
+          for (graph::NodeId v = a; v < b; ++v) {
+            if (counts[v] == 0) continue;
+            uint32_t* out = index.data() + span + 1 + index[v - node_min];
+            cursor[v] = scan(v, hi, [&](uint64_t k) {
+              *out++ = static_cast<uint32_t>(csr_sets_[k] - lo);
+            });
+          }
+        });
+      }
+      const uint64_t node_lo = rr_offsets_[lo - first_resident_];
+      spill_->AppendChunk(lo, hi, sizes,
+                          std::span<const graph::NodeId>(
+                              rr_nodes_.data() + node_lo,
+                              rr_offsets_[hi - first_resident_] - node_lo),
+                          index);
+      lo = hi;
     }
-    const uint64_t node_lo = rr_offsets_[lo - first_resident_];
-    const uint64_t node_hi = rr_offsets_[hi - first_resident_];
-    spill_->AppendChunk(lo, hi, sizes,
-                        std::span<const graph::NodeId>(
-                            rr_nodes_.data() + node_lo, node_hi - node_lo));
-    lo = hi;
   }
-  DropPrefix(new_first, pool);
-}
+  // Every chunk is on disk. The nodes' suffixes past their evicted ids are
+  // the exact-fit CSR of the hot remainder; trimming to them before the
+  // column copy below keeps the transient peak down.
+  std::vector<uint64_t> offsets(static_cast<size_t>(num_nodes_) + 1, 0);
+  for (graph::NodeId v = 0; v < num_nodes_; ++v) {
+    offsets[v + 1] = offsets[v] + (csr_offsets_[v + 1] - cursor[v]);
+  }
+  std::vector<uint32_t> flat(offsets[num_nodes_]);
+  for_node_ranges([&](graph::NodeId a, graph::NodeId b) {
+    for (graph::NodeId v = a; v < b; ++v) {
+      std::copy(csr_sets_.begin() + cursor[v],
+                csr_sets_.begin() + csr_offsets_[v + 1],
+                flat.begin() + offsets[v]);
+    }
+  });
+  csr_offsets_ = std::move(offsets);
+  csr_sets_ = std::move(flat);
 
-void RrStore::DropPrefix(uint64_t new_first, ThreadPool* pool) {
-  const uint64_t drop = new_first - first_resident_;
-  const uint64_t dropped_postings = rr_offsets_[drop];
-  // The inverted index is rebuilt from scratch below either way; freeing
-  // it BEFORE the column rebuild roughly halves this function's transient
-  // peak (old index ≈ old nodes column in size). The store is
-  // query-invalid between here and RebuildIndex — fine, DropPrefix is
-  // atomic from the caller's view.
-  csr_offsets_ = {};
-  csr_sets_ = {};
-  blocks_ = {};
-  chain_head_ = {};
-  chain_tail_ = {};
-  chained_postings_ = 0;
   // Exact-fit rebuild of both resident columns: an erase would keep the
   // old capacity alive and the freed bytes would never leave MemoryBytes,
   // defeating the budget the spill exists to honor. This transiently
   // holds old + retained copies of the nodes column (the unavoidable cost
   // of an exact-fit shrink); the barrier meter samples after the spill,
   // so size budgets with that headroom in mind.
+  const uint64_t drop = new_first - first_resident_;
+  const uint64_t dropped_postings = rr_offsets_[drop];
   std::vector<graph::NodeId> nodes(rr_nodes_.begin() + dropped_postings,
                                    rr_nodes_.end());
-  std::vector<uint64_t> offsets;
-  offsets.reserve(rr_offsets_.size() - drop);
-  for (size_t i = drop; i < rr_offsets_.size(); ++i) {
-    offsets.push_back(rr_offsets_[i] - dropped_postings);
-  }
+  std::vector<uint64_t> kept(rr_offsets_.begin() + drop, rr_offsets_.end());
+  for (uint64_t& offset : kept) offset -= dropped_postings;
   rr_nodes_.swap(nodes);
-  nodes = {};  // release the old column before the index rebuild allocates
-  rr_offsets_.swap(offsets);
+  rr_offsets_.swap(kept);
   first_resident_ = new_first;
-  // Re-index the hot remainder (drops every spilled id from the index).
-  RebuildIndex(pool);
 }
 
 const RrStore::RecoveredChunk& RrStore::RecoverChunk(uint32_t chunk) const {

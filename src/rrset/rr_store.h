@@ -32,8 +32,9 @@
 // amortized and the bulk of every node's postings stays cache-linear for
 // RemoveCoveredBy scans. Per-posting overhead is ~4 bytes in the base
 // (exact-fit) versus the old vector<vector> layout's geometric capacity
-// slack. A spill rebuilds the index the same way, so the index never
-// holds a spilled id.
+// slack. A spill folds any chains into the CSR, slices each cold chunk's
+// postings out of it (evicted ids are a prefix of every node's ascending
+// slice) and keeps the suffixes, so the index never holds a spilled id.
 //
 // Chunk layout: an eviction batch is carved in id order into contiguous
 // [set_lo, set_hi) chunks of ~chunk_target_bytes, each chunk's member
@@ -161,10 +162,11 @@ class RrStore {
   // ---- Spill tier (mechanism; policy in tiered_store.h). ----
 
   /// Evicts resident sets [first_resident_set(), new_first) to the spill
-  /// file in columnar chunks of ~options.chunk_target_bytes, drops their
-  /// members and offsets from memory (exact-fit shrink, so MemoryBytes
-  /// genuinely falls), and rebuilds the inverted index over the remaining
-  /// hot sets (sharded across `pool` when given). The caller must
+  /// file in columnar chunks of ~options.chunk_target_bytes with postings
+  /// sliced out of the CSR, trims the evicted ids off the index (both over
+  /// node ranges across `pool` when given; the writes stay serial), and
+  /// drops their members and offsets from memory (exact-fit shrink, so
+  /// MemoryBytes genuinely falls). The caller must
   /// guarantee every evicted id is fully adopted by every view of this
   /// store — views never re-read adopted members except through
   /// ForEachSpilledSetContaining. No-op when new_first <=
@@ -273,9 +275,6 @@ class RrStore {
   // across `pool` when given and worthwhile) and drops the chains.
   void IndexTail(ThreadPool* pool);
   void RebuildIndex(ThreadPool* pool);
-  // Drops sets [first_resident_, new_first) from the resident columns
-  // (exact-fit rebuild of both arrays) and re-indexes the hot remainder.
-  void DropPrefix(uint64_t new_first, ThreadPool* pool);
 
   graph::NodeId num_nodes_;
   uint64_t first_resident_ = 0;

@@ -175,7 +175,8 @@ SpillFile::~SpillFile() {
 
 void SpillFile::AppendChunk(uint64_t set_lo, uint64_t set_hi,
                             std::span<const uint32_t> sizes,
-                            std::span<const graph::NodeId> nodes) {
+                            std::span<const graph::NodeId> nodes,
+                            std::span<const uint32_t> index) {
   ISA_CHECK(set_hi - set_lo == sizes.size());
   // Member and index offsets are uint32 columns.
   ISA_CHECK(nodes.size() < UINT32_MAX);
@@ -202,42 +203,11 @@ void SpillFile::AppendChunk(uint64_t set_lo, uint64_t set_hi,
   }
   ISA_CHECK(member_offsets.back() == nodes.size());
 
-  // Postings index: a counting sort of (node, set) pairs over the
-  // envelope, sets visited in ascending k so every node's slice comes out
-  // ascending. A member repeated within one set is indexed once (`last`
-  // in the count pass, the slice's previous entry in the fill pass). The
-  // offsets column and the set-index column are built in one buffer and
-  // written in one piece.
   const uint64_t span = meta.EnvelopeSpan();
-  std::vector<uint32_t> index;
-  if (span > 0) {
-    std::vector<uint32_t> fill(span + 1, 0);
-    {
-      std::vector<uint32_t> last(span, UINT32_MAX);
-      for (uint32_t k = 0; k < sizes.size(); ++k) {
-        for (uint32_t i = member_offsets[k]; i < member_offsets[k + 1];
-             ++i) {
-          const uint64_t slot = nodes[i] - meta.node_min;
-          if (last[slot] == k) continue;
-          last[slot] = k;
-          ++fill[slot + 1];
-        }
-      }
-    }
-    for (uint64_t slot = 0; slot < span; ++slot) fill[slot + 1] += fill[slot];
-    index.resize(span + 1 + fill[span]);
-    std::copy(fill.begin(), fill.end(), index.begin());
-    uint32_t* const sets = index.data() + span + 1;
-    for (uint32_t k = 0; k < sizes.size(); ++k) {
-      for (uint32_t i = member_offsets[k]; i < member_offsets[k + 1]; ++i) {
-        const uint64_t slot = nodes[i] - meta.node_min;
-        uint32_t& at = fill[slot];
-        if (at > index[slot] && sets[at - 1] == k) continue;
-        sets[at++] = k;
-      }
-    }
-  }
-  const uint64_t index_postings = span == 0 ? 0 : index.size() - span - 1;
+  ISA_CHECK(span == 0 ? index.empty()
+                      : index.size() > span &&
+                            index.size() == span + 1 + index[span]);
+  const uint64_t index_postings = span == 0 ? 0 : index[span];
 
   // Region layout: [member offsets][nodes][index][footer].
   uint64_t cursor = bytes_;
@@ -248,7 +218,7 @@ void SpillFile::AppendChunk(uint64_t set_lo, uint64_t set_hi,
   };
   write(member_offsets.data(), member_offsets.size() * sizeof(uint32_t));
   write(nodes.data(), nodes.size_bytes());
-  write(index.data(), index.size() * sizeof(uint32_t));
+  write(index.data(), index.size_bytes());
   const DiskFooter footer{meta.set_lo,
                           meta.set_hi,
                           meta.node_min,

@@ -135,16 +135,17 @@ class SpillFile {
   SpillFile& operator=(const SpillFile&) = delete;
 
   /// Appends sets [set_lo, set_hi): `sizes[k]` members of set set_lo + k
-  /// taken in order from the concatenated `nodes`. Builds the member-offset
-  /// column and the chunk-local postings index (a counting sort over the
-  /// node-id envelope — O(postings + span), no comparison sort) and writes
-  /// the region. set_lo must be at or past every previously appended id —
-  /// a lower id means a caller re-spilled a range after a SpillIoError
-  /// (the file is then inconsistent; fail loudly). Throws SpillIoError on
-  /// I/O failure (the chunk is then not recorded).
+  /// taken in order from the concatenated `nodes`, and `index`, the
+  /// caller's index_offsets + index_sets columns over the envelope of
+  /// `nodes` (see the file comment). Builds the member-offset column and
+  /// writes the region. set_lo must be at or past every previously
+  /// appended id — a lower id means a caller re-spilled a range after a
+  /// SpillIoError (the file is then inconsistent; fail loudly). Throws
+  /// SpillIoError on I/O failure (the chunk is then not recorded).
   void AppendChunk(uint64_t set_lo, uint64_t set_hi,
                    std::span<const uint32_t> sizes,
-                   std::span<const graph::NodeId> nodes);
+                   std::span<const graph::NodeId> nodes,
+                   std::span<const uint32_t> index);
 
   /// Reads chunk `chunk`'s sets back into `sizes`/`nodes` (resized to
   /// fit) — the exact columns AppendChunk was given. Thread-safe against

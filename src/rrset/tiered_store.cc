@@ -1,6 +1,7 @@
 #include "rrset/tiered_store.h"
 
 #include <algorithm>
+#include <ranges>
 
 #include "common/logging.h"
 #include "common/thread_pool.h"
@@ -33,15 +34,16 @@ void TieredRrStore::MaybeSpill(uint64_t max_evictable, ThreadPool* pool) {
     // bytes per chunk). Capacity slack freed by the exact-fit rebuild is
     // not counted either, so the estimate errs low, which only means
     // MaybeSpill occasionally evicts one chunk more than the budget needs.
+    // The estimate grows with the frontier, so binary-search it.
     const uint64_t need = resident - budget;
-    uint64_t new_first = store_->first_resident_set();
-    uint64_t freed = 0;
-    while (new_first < max_evictable && freed < need) {
-      freed += store_->PostingsInRange(new_first, new_first + 1) *
-                   (2 * sizeof(graph::NodeId) - 1) +
-               sizeof(uint64_t);
-      ++new_first;
-    }
+    const uint64_t first = store_->first_resident_set();
+    const uint64_t new_first = *std::ranges::partition_point(
+        std::views::iota(first + 1, max_evictable), [&](uint64_t x) {
+          return store_->PostingsInRange(first, x) *
+                         (2 * sizeof(graph::NodeId) - 1) +
+                     (x - first) * sizeof(uint64_t) <
+                 need;
+        });
     try {
       store_->SpillPrefix(new_first, spill_options_, pool);
       ++spill_events_;

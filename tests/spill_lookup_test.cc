@@ -104,7 +104,8 @@ TEST(SpillHardeningTest, ExclusiveCreateNeverTruncatesExistingFile) {
     EXPECT_TRUE(FileExists(actual_path));
     const std::vector<uint32_t> sizes = {2};
     const std::vector<graph::NodeId> nodes = {4, 5};
-    file.AppendChunk(0, 1, sizes, nodes);
+    file.AppendChunk(0, 1, sizes, nodes,
+                     test::BruteForceChunkIndex(sizes, nodes));
     std::vector<uint32_t> rs;
     std::vector<graph::NodeId> rn;
     file.ReadChunk(0, &rs, &rn);
@@ -130,7 +131,8 @@ TEST(SpillHardeningTest, SymlinkAtSpillPathIsNotFollowed) {
     EXPECT_NE(file.path(), target);
     const std::vector<uint32_t> sizes = {1};
     const std::vector<graph::NodeId> nodes = {7};
-    file.AppendChunk(0, 1, sizes, nodes);
+    file.AppendChunk(0, 1, sizes, nodes,
+                     test::BruteForceChunkIndex(sizes, nodes));
   }
   // Neither the symlink nor its target was written through or removed.
   EXPECT_TRUE(FileExists(link));
@@ -204,11 +206,11 @@ struct SampledSets {
   uint32_t NumSets() const { return static_cast<uint32_t>(sizes.size()); }
   // Appends sets [lo, hi) as one chunk.
   void Append(SpillFile& file, uint32_t lo, uint32_t hi) const {
-    file.AppendChunk(
-        lo, hi,
-        std::span<const uint32_t>(sizes.data() + lo, hi - lo),
-        std::span<const graph::NodeId>(nodes.data() + offsets[lo],
-                                       offsets[hi] - offsets[lo]));
+    const std::span<const uint32_t> chunk_sizes(sizes.data() + lo, hi - lo);
+    const std::span<const graph::NodeId> chunk_nodes(
+        nodes.data() + offsets[lo], offsets[hi] - offsets[lo]);
+    file.AppendChunk(lo, hi, chunk_sizes, chunk_nodes,
+                     test::BruteForceChunkIndex(chunk_sizes, chunk_nodes));
   }
 };
 
@@ -358,8 +360,10 @@ TEST(SpillFaultTest, TruncatedFileSurfacesEof) {
   SpillFile file(rrset::MakeSpillPath());
   const std::vector<uint32_t> sizes = {2, 1};
   const std::vector<graph::NodeId> nodes = {1, 2, 3};
-  file.AppendChunk(0, 2, sizes, nodes);
-  file.AppendChunk(2, 4, sizes, nodes);
+  file.AppendChunk(0, 2, sizes, nodes,
+                   test::BruteForceChunkIndex(sizes, nodes));
+  file.AppendChunk(2, 4, sizes, nodes,
+                   test::BruteForceChunkIndex(sizes, nodes));
   // Cut into the SECOND chunk's columns: chunk 0 still reads fine, every
   // read of chunk 1 comes up short and must surface as SpillIoError
   // (unexpected EOF), not as silent truncation.
@@ -384,7 +388,8 @@ TEST(SpillFaultTest, InjectedReadErrorSurfacesAsSpillIoError) {
   SpillFile file(rrset::MakeSpillPath());
   const std::vector<uint32_t> sizes = {1};
   const std::vector<graph::NodeId> nodes = {9};
-  file.AppendChunk(0, 1, sizes, nodes);
+  file.AppendChunk(0, 1, sizes, nodes,
+                   test::BruteForceChunkIndex(sizes, nodes));
   // Raw SpillFile reads have no re-sampling fallback: a permanent EIO
   // (injected on every read so the retry path cannot sidestep it) must
   // surface as SpillIoError from every read path.

@@ -7,9 +7,14 @@
 #include <sys/stat.h>
 
 #include <algorithm>
+#include <fstream>
 #include <functional>
+#include <iterator>
+#include <string>
 #include <vector>
 
+#include "common/failpoint.h"
+#include "common/rng.h"
 #include "common/thread_pool.h"
 #include "core/ti_greedy.h"
 #include "graph/generators.h"
@@ -73,11 +78,13 @@ TEST(SpillFileTest, RoundTripChunksAndFooters) {
     // Chunk 0: sets [0, 3) with members {5}, {7, 2}, {9, 9, 4}.
     const std::vector<uint32_t> sizes0 = {1, 2, 3};
     const std::vector<graph::NodeId> nodes0 = {5, 7, 2, 9, 9, 4};
-    file.AppendChunk(0, 3, sizes0, nodes0);
+    file.AppendChunk(0, 3, sizes0, nodes0,
+                     test::BruteForceChunkIndex(sizes0, nodes0));
     // Chunk 1: sets [3, 5) with members {1}, {8, 3}.
     const std::vector<uint32_t> sizes1 = {1, 2};
     const std::vector<graph::NodeId> nodes1 = {1, 8, 3};
-    file.AppendChunk(3, 5, sizes1, nodes1);
+    file.AppendChunk(3, 5, sizes1, nodes1,
+                     test::BruteForceChunkIndex(sizes1, nodes1));
 
     ASSERT_EQ(file.num_chunks(), 2u);
     const auto chunks = file.chunks();
@@ -597,6 +604,189 @@ TEST(SpillEndToEndTest, SharedStoreBudgetedMatchesUnbudgeted) {
     ExpectComputedResultsIdentical(unbudgeted.value(), budgeted.value());
     EXPECT_GT(budgeted.value().total_spilled_bytes, 0u);
   }
+}
+
+// ------------------------------------------------------- eviction
+
+// Appends `count` random sets over `num_nodes` nodes (0-6 members, drawn
+// with replacement, so some repeat a member; every 5th set lists its first
+// member again) to `store` and their members to `members`.
+void AppendRandomSets(RrStore& store,
+                      std::vector<std::vector<graph::NodeId>>& members,
+                      Rng& rng, uint64_t count, ThreadPool* pool) {
+  std::vector<graph::NodeId> nodes;
+  std::vector<uint32_t> sizes;
+  for (uint64_t i = 0; i < count; ++i) {
+    std::vector<graph::NodeId> set(rng.NextBounded(7));
+    for (graph::NodeId& v : set) {
+      v = static_cast<graph::NodeId>(rng.NextBounded(store.num_nodes()));
+    }
+    if (i % 5 == 0 && !set.empty()) set.push_back(set.front());
+    sizes.push_back(static_cast<uint32_t>(set.size()));
+    nodes.insert(nodes.end(), set.begin(), set.end());
+    members.push_back(std::move(set));
+  }
+  store.AppendBatch(nodes, sizes, pool, /*provenance_seed=*/rng.Next());
+}
+
+// After an eviction, every node's cold hits must be the spilled sets that
+// list it (once each, with their members, ascending) and its hot postings
+// the resident sets that list it (once per listing, as the index holds
+// them), both by a member scan; and the store must hold exactly the
+// exact-fit columns and CSR of its hot remainder.
+void ExpectEvictedStoreMatchesMemberScan(
+    const RrStore& store,
+    const std::vector<std::vector<graph::NodeId>>& members) {
+  const uint64_t first = store.first_resident_set();
+  std::vector<std::vector<uint32_t>> cold(store.num_nodes());
+  std::vector<std::vector<uint32_t>> hot(store.num_nodes());
+  uint64_t hot_postings = 0;
+  for (uint32_t r = 0; r < members.size(); ++r) {
+    for (const graph::NodeId v : members[r]) {
+      if (r >= first) {
+        hot[v].push_back(r);
+        ++hot_postings;
+      } else if (cold[v].empty() || cold[v].back() != r) {
+        cold[v].push_back(r);
+      }
+    }
+  }
+  for (graph::NodeId v = 0; v < store.num_nodes(); ++v) {
+    const auto hits = SpilledHits(store, v, members.size());
+    ASSERT_EQ(hits.size(), cold[v].size()) << "node " << v;
+    for (size_t i = 0; i < hits.size(); ++i) {
+      ASSERT_EQ(hits[i].first, cold[v][i]) << "node " << v;
+      ASSERT_EQ(hits[i].second, members[cold[v][i]]) << "node " << v;
+    }
+    ASSERT_EQ(store.SetsContaining(v), hot[v]) << "node " << v;
+  }
+  const uint64_t index_bytes =
+      (uint64_t{store.num_nodes()} + 1) * sizeof(uint64_t) +
+      hot_postings * sizeof(uint32_t);
+  EXPECT_EQ(store.IndexBytes(), index_bytes);
+  EXPECT_EQ(store.MemoryBytes(),
+            (members.size() - first + 1) * sizeof(uint64_t) +
+                hot_postings * sizeof(graph::NodeId) + index_bytes +
+                store.spill_file()->MetadataBytes());
+}
+
+// Cold-chunk postings are sliced out of the hot CSR and the evicted prefix
+// trimmed off it: on random stores with repeated members, chained postings
+// after a compaction, evictions reaching into the chains and repeated
+// evictions, at chunk targets of 1 B (one set per chunk) and 4 MiB (one
+// chunk per eviction), serially and on a pool.
+TEST(SpillEvictionOracleTest, SlicedChunksAndTrimmedIndexMatchMemberScan) {
+  ThreadPool pool(4);
+  struct Config {
+    uint64_t target;
+    graph::NodeId nodes;
+    uint64_t sets;  // the compacted first batch; later batches chain
+    ThreadPool* pool;
+  };
+  const Config configs[] = {{1, 100, 800, nullptr},
+                            {1, 100, 800, &pool},
+                            {4u << 20, 300, 12000, nullptr},
+                            {4u << 20, 300, 12000, &pool}};
+  for (const Config& cfg : configs) {
+    SCOPED_TRACE(testing::Message() << "target " << cfg.target << ", "
+                                    << (cfg.pool ? "pool" : "no pool"));
+    Rng rng(cfg.sets + (cfg.pool ? 1 : 0));
+    RrStore store(cfg.nodes);
+    std::vector<std::vector<graph::NodeId>> members;
+    AppendRandomSets(store, members, rng, cfg.sets, cfg.pool);
+    AppendRandomSets(store, members, rng, cfg.sets / 10, cfg.pool);
+    ASSERT_GT(store.IndexBytes(),
+              (uint64_t{cfg.nodes} + 1) * sizeof(uint64_t) +
+                  store.PostingsInRange(0, store.num_sets()) *
+                      sizeof(uint32_t))
+        << "the second batch must sit in chains";
+    SpillOptions so;
+    so.chunk_target_bytes = cfg.target;
+    const uint64_t evictions[] = {cfg.sets / 3, cfg.sets + cfg.sets / 20};
+    for (const uint64_t new_first : evictions) {
+      SCOPED_TRACE(testing::Message() << "evict to " << new_first);
+      store.SpillPrefix(new_first, so, cfg.pool);
+      ASSERT_NO_FATAL_FAILURE(
+          ExpectEvictedStoreMatchesMemberScan(store, members));
+    }
+    // Chains again after a trim, then evict through them to the end.
+    AppendRandomSets(store, members, rng, cfg.sets / 20, cfg.pool);
+    for (const uint64_t new_first :
+         {store.num_sets() - cfg.sets / 40, store.num_sets()}) {
+      SCOPED_TRACE(testing::Message() << "evict to " << new_first);
+      store.SpillPrefix(new_first, so, cfg.pool);
+      ASSERT_NO_FATAL_FAILURE(
+          ExpectEvictedStoreMatchesMemberScan(store, members));
+    }
+  }
+}
+
+std::string ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+// The slicing and the trim run over node ranges on the pool; whatever the
+// pool, the chunk file must come out byte for byte the same and the hot
+// index equal.
+TEST(SpillEvictionDeterminismTest, ChunkFilesAndHotIndexIdenticalAcrossPools) {
+  constexpr graph::NodeId kNodes = 2000;
+  struct Outcome {
+    std::string file;
+    std::vector<std::vector<uint32_t>> hot;
+    uint64_t memory_bytes = 0;
+  };
+  const auto spill = [&](uint32_t threads) {
+    std::unique_ptr<ThreadPool> pool;
+    if (threads > 0) pool = std::make_unique<ThreadPool>(threads);
+    Rng rng(77);
+    RrStore store(kNodes);
+    std::vector<std::vector<graph::NodeId>> members;
+    AppendRandomSets(store, members, rng, 30000, pool.get());
+    AppendRandomSets(store, members, rng, 2000, pool.get());  // chained
+    SpillOptions so;
+    so.chunk_target_bytes = 16u << 10;
+    store.SpillPrefix(10000, so, pool.get());
+    store.SpillPrefix(31000, so, pool.get());  // into the chains
+    Outcome out;
+    out.file = ReadFileBytes(store.spill_file()->path());
+    for (graph::NodeId v = 0; v < kNodes; ++v) {
+      out.hot.push_back(store.SetsContaining(v));
+    }
+    out.memory_bytes = store.MemoryBytes();
+    return out;
+  };
+  const Outcome reference = spill(0);
+  ASSERT_GT(reference.file.size(), 0u);
+  for (const uint32_t threads : {1u, 2u, 4u}) {
+    SCOPED_TRACE(testing::Message() << threads << " threads");
+    const Outcome got = spill(threads);
+    EXPECT_TRUE(got.file == reference.file) << "chunk files differ";
+    EXPECT_EQ(got.hot, reference.hot);
+    EXPECT_EQ(got.memory_bytes, reference.memory_bytes);
+  }
+}
+
+// A failing chunk write lands on the same chunk in every run: two 4-thread
+// runs under the same write fault degrade the same store.
+TEST(SpillEvictionDeterminismTest, WriteFaultDegradesTheSameStore) {
+  SpillEndToEndFixture f;
+  TiOptions options = f.BaseOptions();
+  options.num_threads = 4;
+  options.rr_memory_budget_bytes = 1;
+
+  std::vector<uint64_t> events[2];
+  for (std::vector<uint64_t>& run_events : events) {
+    ASSERT_TRUE(FailPoints::Arm("spill.write.enospc@2").ok());
+    auto run = RunTiGreedy(*f.instance, options);
+    FailPoints::Clear();
+    ASSERT_TRUE(run.ok()) << run.status().message();
+    EXPECT_GT(run.value().total_degradation_events, 0u);
+    for (const auto& st : run.value().ad_stats) {
+      run_events.push_back(st.degradation_events);
+    }
+  }
+  EXPECT_EQ(events[0], events[1]);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #ifndef ISA_TESTS_TEST_UTIL_H_
 #define ISA_TESTS_TEST_UTIL_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -49,6 +50,33 @@ inline rrset::ParallelSampler InlineSampler(const graph::Graph& g,
   opts.num_threads = 1;
   return rrset::ParallelSampler(
       g, probs, rrset::DiffusionModel::kIndependentCascade, seed, opts);
+}
+
+/// The index column SpillFile::AppendChunk takes for a chunk's members,
+/// built by a per-set member scan: offsets over the node-id envelope, then
+/// for each node the chunk-local indices of the sets that list it,
+/// ascending, once each (empty when `nodes` is).
+inline std::vector<uint32_t> BruteForceChunkIndex(
+    std::span<const uint32_t> sizes, std::span<const graph::NodeId> nodes) {
+  if (nodes.empty()) return {};
+  const auto [lo, hi] = std::minmax_element(nodes.begin(), nodes.end());
+  std::vector<std::vector<uint32_t>> lists(*hi - *lo + 1);
+  uint64_t off = 0;
+  for (uint32_t k = 0; k < sizes.size(); ++k) {
+    for (uint64_t i = off; i < off + sizes[k]; ++i) {
+      std::vector<uint32_t>& list = lists[nodes[i] - *lo];
+      if (list.empty() || list.back() != k) list.push_back(k);
+    }
+    off += sizes[k];
+  }
+  std::vector<uint32_t> index{0};
+  for (const auto& list : lists) {
+    index.push_back(index.back() + static_cast<uint32_t>(list.size()));
+  }
+  for (const auto& list : lists) {
+    index.insert(index.end(), list.begin(), list.end());
+  }
+  return index;
 }
 
 /// The honest re-sampler for an IC store filled by a ParallelSampler:
