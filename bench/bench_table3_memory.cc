@@ -16,10 +16,14 @@
 // the bench EXITS NON-ZERO on any mismatch (CI runs it as a gate, like the
 // fig5 determinism gate) or when the tight 25% row skipped no chunks
 // (chunks_skipped == 0 would mean the per-chunk envelope/postings lookup
-// stopped skipping). The resident-vs-spill rows land in BENCH_table3.json
-// under "budget_rows" with the chunks_read / chunks_skipped split, the
-// run's wall-clock and its ratio to the unbudgeted run's (the cost of the
-// budget; annotate-only, never gated).
+// stopped skipping). Every sweep row, the unbudgeted reference included,
+// runs kRepeats times: the row records the median wall-clock, the ratio of
+// its median to the unbudgeted median (the cost of the budget;
+// annotate-only, never gated), and fields every repeat must agree on —
+// the bench exits non-zero when two repeats differ in anything but time
+// (repeat_determinism_ok). The resident-vs-spill rows land in
+// BENCH_table3.json under "budget_rows" with the chunks_read /
+// chunks_skipped split.
 
 #include <cstdio>
 #include <iostream>
@@ -29,6 +33,9 @@
 #include "common/table_writer.h"
 
 namespace {
+
+// Every budget-sweep row runs this often; it records the median wall-clock.
+constexpr int kRepeats = 5;
 
 // The computed outcome only — memory/spill stats legitimately differ
 // across budgets.
@@ -124,11 +131,13 @@ int main() {
   table.Print(std::cout);
 
   // ---- Budget sweep: the out-of-core spill tier at paper-scale θ. ----
-  std::printf("\n=== Budget sweep: TI-CSRM resident vs spill (DBLP*, h=5) "
-              "===\n\n");
+  std::printf("\n=== Budget sweep: TI-CSRM resident vs spill (DBLP*, h=5, "
+              "median of %d runs) ===\n\n",
+              kRepeats);
   bool budget_mismatch = false;
   bool filters_dead = false;  // 25% row skipped nothing — see gate below
   bool recovery_ok = false;   // faulted-run row — see gate below
+  bool repeats_agree = true;  // every repeat of every row — see gate below
   std::vector<std::string> budget_rows;
   {
     auto ds = isa::bench::LoadDataset("com-dblp", scale);
@@ -149,33 +158,82 @@ int main() {
     // bench scale (the 4 MiB default would put the whole cold
     // tier in one or two chunks); results are chunk-size independent.
     ti.spill_chunk_bytes = 128ull << 10;
-    auto reference = isa::core::RunTiCsrm(*setup.instance, ti);
-    isa::bench::Check(reference.status(), "TI-CSRM unbudgeted");
+
+    // Runs TI-CSRM kRepeats times under `options`, arming `failpoints`
+    // (when non-empty) for each run. `fields(result)` is the run's JSON
+    // row without its times; a repeat whose computed result or row differs
+    // from the first run's clears repeats_agree. Returns the first run's
+    // result with elapsed_seconds replaced by the median over the repeats.
+    const auto run_repeated = [&](const isa::core::TiOptions& options,
+                                  const char* failpoints,
+                                  const auto& fields) {
+      isa::core::TiResult first;
+      std::vector<double> seconds;
+      for (int i = 0; i < kRepeats; ++i) {
+        if (*failpoints != '\0') {
+          isa::bench::Check(isa::FailPoints::Arm(failpoints),
+                            "arm failpoints");
+        }
+        auto run = isa::core::RunTiCsrm(*setup.instance, options);
+        isa::FailPoints::Clear();
+        isa::bench::Check(run.status(), "TI-CSRM");
+        const isa::core::TiResult& r = run.value();
+        seconds.push_back(r.elapsed_seconds);
+        if (i == 0) {
+          first = r;
+        } else if (!SameComputedResult(first, r) ||
+                   fields(first).str() != fields(r).str()) {
+          repeats_agree = false;
+        }
+      }
+      first.elapsed_seconds = isa::bench::Median(seconds);
+      return first;
+    };
+
+    // A budget row's JSON fields but its times and its match flag.
+    const auto row_fields = [](uint64_t budget, uint32_t threads) {
+      return [budget, threads](const isa::core::TiResult& r) {
+        isa::bench::JsonObject row;
+        row.Add("budget_bytes", budget)
+            .Add("threads", uint64_t{threads})
+            .Add("resident_final_bytes", r.total_rr_memory_bytes)
+            .Add("resident_peak_bytes", SumResidentPeak(r))
+            .Add("spilled_bytes", r.total_spilled_bytes)
+            .Add("spill_chunks", r.total_spill_chunks)
+            .Add("scan_reloads", r.total_scan_reloads)
+            .Add("chunks_read", r.total_chunks_read)
+            .Add("chunks_skipped", r.total_chunks_skipped)
+            .Add("seeds", r.total_seeds);
+        return row;
+      };
+    };
+    const isa::core::TiResult reference =
+        run_repeated(ti, "", row_fields(0, ti.num_threads));
     // Per-store budget base: the largest charged per-ad footprint (the
     // store is charged to the first ad using it, so this is ~the biggest
     // store plus one view).
     uint64_t store_bytes = 0;
-    for (const auto& st : reference.value().ad_stats) {
+    for (const auto& st : reference.ad_stats) {
       store_bytes = std::max(store_bytes, st.rr_memory_bytes);
     }
 
-    // Wall-clock relative to the unbudgeted run: what the budget costs.
+    // Median wall-clock relative to the unbudgeted run's median: what the
+    // budget costs.
     const auto vs_unbudgeted = [&](const isa::core::TiResult& r) {
-      return r.elapsed_seconds /
-             std::max(reference.value().elapsed_seconds, 1e-9);
+      return r.elapsed_seconds / std::max(reference.elapsed_seconds, 1e-9);
     };
     isa::TableWriter sweep({"budget/store", "threads", "resident final",
                             "resident peak", "spilled", "chunks", "lookups",
                             "read", "skipped", "seconds", "vs unbudgeted",
                             "match"});
-    auto add_row = [&](uint64_t budget, uint32_t threads,
-                       const isa::core::TiResult& r, bool match) {
-      sweep.AddCell(budget == 0 ? std::string("unbudgeted")
-                                : isa::HumanBytes(budget));
+    const auto add_cells = [&](const std::string& budget, uint32_t threads,
+                               const isa::core::TiResult& r,
+                               const std::string& resident_peak,
+                               bool match) {
+      sweep.AddCell(budget);
       sweep.AddCell(uint64_t{threads});
       sweep.AddCell(isa::HumanBytes(r.total_rr_memory_bytes));
-      sweep.AddCell(budget == 0 ? std::string("-")
-                                : isa::HumanBytes(SumResidentPeak(r)));
+      sweep.AddCell(resident_peak);
       sweep.AddCell(isa::HumanBytes(r.total_spilled_bytes));
       sweep.AddCell(r.total_spill_chunks);
       sweep.AddCell(r.total_scan_reloads);
@@ -185,24 +243,24 @@ int main() {
       sweep.AddCell(vs_unbudgeted(r), 2);
       sweep.AddCell(std::string(match ? "yes" : "MISMATCH"));
       isa::bench::Check(sweep.EndRow(), "sweep row");
-      budget_rows.push_back(
-          isa::bench::JsonObject()
-              .Add("budget_bytes", budget)
-              .Add("threads", uint64_t{threads})
-              .Add("resident_final_bytes", r.total_rr_memory_bytes)
-              .Add("resident_peak_bytes", SumResidentPeak(r))
-              .Add("spilled_bytes", r.total_spilled_bytes)
-              .Add("spill_chunks", r.total_spill_chunks)
-              .Add("scan_reloads", r.total_scan_reloads)
-              .Add("chunks_read", r.total_chunks_read)
-              .Add("chunks_skipped", r.total_chunks_skipped)
-              .Add("elapsed_seconds", r.elapsed_seconds)
-              .Add("solve_ratio_vs_unbudgeted", vs_unbudgeted(r))
-              .Add("seeds", r.total_seeds)
-              .Add("matches_unbudgeted", match)
-              .str());
     };
-    add_row(0, ti.num_threads, reference.value(), true);
+    const auto add_row = [&](uint64_t budget, uint32_t threads,
+                             const isa::core::TiResult& r) {
+      const bool match = SameComputedResult(reference, r);
+      add_cells(budget == 0 ? std::string("unbudgeted")
+                            : isa::HumanBytes(budget),
+                threads, r,
+                budget == 0 ? std::string("-")
+                            : isa::HumanBytes(SumResidentPeak(r)),
+                match);
+      budget_rows.push_back(row_fields(budget, threads)(r)
+                                .Add("matches_unbudgeted", match)
+                                .Add("elapsed_seconds", r.elapsed_seconds)
+                                .Add("solve_ratio_vs_unbudgeted",
+                                     vs_unbudgeted(r))
+                                .str());
+    };
+    add_row(0, ti.num_threads, reference);
 
     struct Run {
       double fraction;
@@ -215,19 +273,16 @@ int main() {
       budgeted_ti.rr_memory_budget_bytes =
           static_cast<uint64_t>(store_bytes * run.fraction);
       budgeted_ti.num_threads = run.threads;
-      auto budgeted = isa::core::RunTiCsrm(*setup.instance, budgeted_ti);
-      isa::bench::Check(budgeted.status(), "TI-CSRM budgeted");
-      const bool match =
-          SameComputedResult(reference.value(), budgeted.value());
-      if (!match) budget_mismatch = true;
+      const isa::core::TiResult budgeted = run_repeated(
+          budgeted_ti, "",
+          row_fields(budgeted_ti.rr_memory_budget_bytes, run.threads));
+      if (!SameComputedResult(reference, budgeted)) budget_mismatch = true;
       // The tight-budget row must show the chunk lookups skipping: plenty
       // spilled, and at least one chunk skipped.
-      if (run.fraction == 0.25 &&
-          budgeted.value().total_chunks_skipped == 0) {
+      if (run.fraction == 0.25 && budgeted.total_chunks_skipped == 0) {
         filters_dead = true;
       }
-      add_row(budgeted_ti.rr_memory_budget_bytes, run.threads,
-              budgeted.value(), match);
+      add_row(budgeted_ti.rr_memory_budget_bytes, run.threads, budgeted);
       std::fprintf(stderr, "  [budget %.0f%% threads=%u] done\n",
                    run.fraction * 100, run.threads);
     }
@@ -241,41 +296,31 @@ int main() {
       auto faulted_ti = ti;
       faulted_ti.rr_memory_budget_bytes =
           static_cast<uint64_t>(store_bytes * 0.25);
-      isa::bench::Check(isa::FailPoints::Arm("spill.read.eio@every:1"),
-                        "arm failpoints");
-      auto faulted = isa::core::RunTiCsrm(*setup.instance, faulted_ti);
-      isa::FailPoints::Clear();
-      isa::bench::Check(faulted.status(), "TI-CSRM faulted");
-      const isa::core::TiResult& r = faulted.value();
-      recovery_ok = SameComputedResult(reference.value(), r) &&
+      const char* const failpoints = "spill.read.eio@every:1";
+      const auto faulted_fields = [&](const isa::core::TiResult& r) {
+        isa::bench::JsonObject row;
+        row.Add("budget_bytes", faulted_ti.rr_memory_budget_bytes)
+            .Add("threads", uint64_t{faulted_ti.num_threads})
+            .Add("failpoints", failpoints)
+            .Add("degradation_events", r.total_degradation_events)
+            .Add("recovered_sets", r.total_recovered_sets)
+            .Add("spill_retries", r.total_spill_retries);
+        return row;
+      };
+      const isa::core::TiResult r =
+          run_repeated(faulted_ti, failpoints, faulted_fields);
+      recovery_ok = SameComputedResult(reference, r) &&
                     r.total_degradation_events > 0 &&
                     r.total_recovered_sets > 0;
-      sweep.AddCell(isa::HumanBytes(faulted_ti.rr_memory_budget_bytes) +
-                    " +EIO");
-      sweep.AddCell(uint64_t{faulted_ti.num_threads});
-      sweep.AddCell(isa::HumanBytes(r.total_rr_memory_bytes));
-      sweep.AddCell(isa::HumanBytes(SumResidentPeak(r)));
-      sweep.AddCell(isa::HumanBytes(r.total_spilled_bytes));
-      sweep.AddCell(r.total_spill_chunks);
-      sweep.AddCell(r.total_scan_reloads);
-      sweep.AddCell(r.total_chunks_read);
-      sweep.AddCell(r.total_chunks_skipped);
-      sweep.AddCell(r.elapsed_seconds, 2);
-      sweep.AddCell(vs_unbudgeted(r), 2);
-      sweep.AddCell(std::string(recovery_ok ? "yes" : "MISMATCH"));
-      isa::bench::Check(sweep.EndRow(), "sweep row");
-      budget_rows.push_back(
-          isa::bench::JsonObject()
-              .Add("budget_bytes", faulted_ti.rr_memory_budget_bytes)
-              .Add("threads", uint64_t{faulted_ti.num_threads})
-              .Add("failpoints", std::string("spill.read.eio@every:1"))
-              .Add("degradation_events", r.total_degradation_events)
-              .Add("recovered_sets", r.total_recovered_sets)
-              .Add("spill_retries", r.total_spill_retries)
-              .Add("elapsed_seconds", r.elapsed_seconds)
-              .Add("solve_ratio_vs_unbudgeted", vs_unbudgeted(r))
-              .Add("recovery_ok", recovery_ok)
-              .str());
+      add_cells(isa::HumanBytes(faulted_ti.rr_memory_budget_bytes) + " +EIO",
+                faulted_ti.num_threads, r,
+                isa::HumanBytes(SumResidentPeak(r)), recovery_ok);
+      budget_rows.push_back(faulted_fields(r)
+                                .Add("recovery_ok", recovery_ok)
+                                .Add("elapsed_seconds", r.elapsed_seconds)
+                                .Add("solve_ratio_vs_unbudgeted",
+                                     vs_unbudgeted(r))
+                                .str());
       std::fprintf(stderr, "  [budget 25%% + injected EIO] done\n");
     }
     sweep.Print(std::cout);
@@ -289,6 +334,8 @@ int main() {
           .Add("budget_determinism_ok", !budget_mismatch)
           .Add("chunk_filters_ok", !filters_dead)
           .Add("recovery_ok", recovery_ok)
+          .Add("repeats", kRepeats)
+          .Add("repeat_determinism_ok", repeats_agree)
           .AddRaw("rows", isa::bench::JsonArray(json_rows))
           .AddRaw("budget_rows", isa::bench::JsonArray(budget_rows))
           .str());
@@ -303,6 +350,13 @@ int main() {
                  "[bench] FAIL: the 25%%-budget run skipped no cold "
                  "chunks — the envelope/postings chunk skips are not "
                  "engaging\n");
+    return 2;
+  }
+  if (!repeats_agree) {
+    std::fprintf(stderr,
+                 "[bench] FAIL: repeats of one budget-sweep row disagreed "
+                 "on a field other than the time — runs must be "
+                 "deterministic\n");
     return 2;
   }
   if (!recovery_ok) {

@@ -182,8 +182,10 @@ Result<TiResult> RunTiGreedy(const RmInstance& instance,
   if (!(options.epsilon > 0.0 && options.epsilon < 1.0)) {  // NaN too
     return Status::InvalidArgument("RunTiGreedy: epsilon must be in (0,1)");
   }
-  if (options.theta_cap == 0) {
-    return Status::InvalidArgument("RunTiGreedy: theta_cap must be >= 1");
+  // Above 2^32 - 1 the hot index's uint32_t set ids would wrap.
+  if (options.theta_cap == 0 || options.theta_cap > UINT32_MAX) {
+    return Status::InvalidArgument(
+        "RunTiGreedy: theta_cap must be in [1, 2^32 - 1]");
   }
   if (!options.budget_override.empty() &&
       options.budget_override.size() != h) {

@@ -89,7 +89,7 @@ struct TiOptions {
   /// demand tens of millions of RR sets (the paper's runs used a 264 GB
   /// server); this valve keeps laptop-scale runs bounded while preserving
   /// the estimator (a smaller sample only loosens the accuracy guarantee).
-  /// Must be >= 1.
+  /// Must be in [1, 2^32 - 1]: the RR store indexes set ids as uint32_t.
   uint64_t theta_cap = 2'000'000;
   /// Propagation model the RR sets are drawn under. The paper uses TIC
   /// (topic-aware IC); Linear Threshold is supported because RR-set theory

@@ -130,9 +130,9 @@ void ParallelSampler::SampleAppend(RrStore& store, uint64_t count) {
   // The whole batch is appended (and indexed) as a unit, so the resulting
   // store, including vector capacities, is identical to a 1-worker run.
   // For the inline path an already-live pool is forwarded for the index
-  // build, but none is created just for it: a small batch can still trip a
-  // full-index compaction (the threshold is over TOTAL unindexed
-  // postings), which then runs serially for a standalone sampler whose
+  // build, but none is created just for it: every batch, however small,
+  // rebuilds the hot index (an O(hot postings) copy plus the batch's
+  // sort), which then runs on one worker for a standalone sampler whose
   // pool was never needed for sampling — an accepted trade-off; the driver
   // always passes a borrowed pool.
   ThreadPool* p = workers == 1

@@ -10,12 +10,11 @@ namespace isa::rrset {
 
 namespace {
 
-// Below this posting count the sharded adoption costs more in transient
-// per-worker arrays and task hand-off than it saves; the serial path is
-// used (the results are bit-identical either way). Each extra worker also
-// zero-fills and merges an O(num_nodes) count array, so the effective
-// per-worker floor is max(threshold, num_nodes) — on sparse adoptions over
-// huge node sets the serial pass wins and is kept.
+// Below this posting count an extra adoption worker costs more in
+// transient per-worker arrays and task hand-off than it saves; one worker
+// adopts inline (the results are bit-identical at any worker count). Each
+// extra worker also zero-fills and merges an O(num_nodes) count array, so
+// the effective per-worker floor is max(threshold, num_nodes).
 constexpr uint64_t kMinPostingsPerAdoptWorker = 1u << 12;
 
 }  // namespace
@@ -88,42 +87,21 @@ void RrCollection::AdoptUpTo(uint64_t new_theta,
                 store_->PostingsInRange(first_new, new_theta),
                 std::max<uint64_t>(kMinPostingsPerAdoptWorker,
                                    store_->num_nodes()));
-  if (workers <= 1) {
-    if (touched != nullptr && touch_mark_.empty()) {
-      touch_mark_.assign(store_->num_nodes(), 0);
-    }
-    for (uint64_t r = first_new; r < new_theta; ++r) {
-      const auto members = store_->SetMembers(r);
-      if (covered_by_seed(members)) {
-        alive_[r] = 0;
-        ++covered_count_;
-      } else {
-        for (graph::NodeId v : members) {
-          ++coverage_[v];
-          if (touched != nullptr && !touch_mark_[v]) {
-            touch_mark_[v] = 1;
-            touched->push_back(v);
-          }
-        }
-      }
-    }
-    if (touched != nullptr) {
-      for (graph::NodeId v : *touched) touch_mark_[v] = 0;
-      std::sort(touched->begin(), touched->end());
-    }
-    return;
-  }
+  // Runs fn(w) for every worker w; one worker runs inline.
+  const auto for_workers = [&](const auto& fn) {
+    if (workers == 1) return fn(uint64_t{0});
+    pool->Run(workers, fn);
+  };
 
-  // Sharded adoption: workers take contiguous set ranges into per-worker
-  // count arrays, then the arrays are merged in node order. Both passes
-  // write disjoint slots and sum integers, so the result is bit-identical
-  // to the serial pass at any worker count.
+  // Workers take contiguous set ranges into per-worker count arrays, then
+  // the arrays are merged in node order. Both passes write disjoint slots
+  // and sum integers, so the result is bit-identical at any worker count.
   const graph::NodeId n = store_->num_nodes();
   const std::vector<uint64_t> bounds =
       store_->PostingBalancedRanges(first_new, new_theta, workers);
   std::vector<std::vector<uint32_t>> counts(workers);
   std::vector<uint64_t> covered(workers, 0);
-  pool->Run(workers, [&](uint64_t w) {
+  for_workers([&](uint64_t w) {
     auto& local = counts[w];
     local.assign(n, 0);
     const uint64_t lo = bounds[w];
@@ -140,11 +118,10 @@ void RrCollection::AdoptUpTo(uint64_t new_theta,
   });
   for (uint64_t c : covered) covered_count_ += c;
   // Merge workers cover contiguous ascending node ranges, so per-worker
-  // delta lists concatenated in worker order are globally ascending — the
-  // same `touched` contract as the serial pass, at any worker count.
+  // delta lists concatenated in worker order are globally ascending.
   std::vector<std::vector<graph::NodeId>> touched_shards(
       touched != nullptr ? workers : 0);
-  pool->Run(workers, [&](uint64_t w) {
+  for_workers([&](uint64_t w) {
     const graph::NodeId lo =
         static_cast<graph::NodeId>(uint64_t{n} * w / workers);
     const graph::NodeId hi =

@@ -12,11 +12,11 @@ namespace isa::rrset {
 
 namespace {
 
-// Below this posting count the sharded index build costs more in transient
-// per-worker arrays and task hand-off than it saves; the serial build is
-// used (the results are bit-identical either way). Each extra worker also
-// zero-fills and merges an O(num_nodes) count array, so the effective
-// per-worker floor is max(threshold, num_nodes).
+// Below this posting count an extra index-build worker costs more in
+// transient per-worker arrays and task hand-off than it saves; one worker
+// builds inline (the results are bit-identical at any worker count). Each
+// extra worker also zero-fills and merges an O(num_nodes) count array, so
+// the effective per-worker floor is max(threshold, num_nodes).
 constexpr uint64_t kMinPostingsPerIndexWorker = 1u << 14;
 
 }  // namespace
@@ -30,33 +30,14 @@ RrStore::~RrStore() = default;
 RrStore::RrStore(RrStore&&) noexcept = default;
 RrStore& RrStore::operator=(RrStore&&) noexcept = default;
 
-void RrStore::ChainAppend(graph::NodeId v, uint32_t id) {
-  if (chain_head_.empty()) {
-    chain_head_.assign(num_nodes_, kNoBlock);
-    chain_tail_.assign(num_nodes_, kNoBlock);
-  }
-  uint32_t b = chain_tail_[v];
-  if (b == kNoBlock || blocks_[b].count == kPostingBlockCap) {
-    const uint32_t nb = static_cast<uint32_t>(blocks_.size());
-    blocks_.emplace_back();
-    if (b == kNoBlock) {
-      chain_head_[v] = nb;
-    } else {
-      blocks_[b].next = nb;
-    }
-    chain_tail_[v] = nb;
-    b = nb;
-  }
-  PostingBlock& blk = blocks_[b];
-  blk.ids[blk.count++] = id;
-}
-
 void RrStore::AppendBatch(std::span<const graph::NodeId> nodes,
                           std::span<const uint32_t> sizes, ThreadPool* pool,
                           uint64_t provenance_seed) {
   if (sizes.empty()) return;
   const uint64_t lo = num_sets();
   const uint64_t hi = lo + sizes.size();
+  // The index holds set ids as uint32_t.
+  ISA_CHECK(hi <= uint64_t{1} << 32);
   if (!provenance_.empty() && provenance_.back().seed == provenance_seed) {
     provenance_.back().hi = hi;  // coalesce consecutive same-seed appends
   } else {
@@ -72,105 +53,71 @@ void RrStore::AppendBatch(std::span<const graph::NodeId> nodes,
     pos += size;
     rr_offsets_.push_back(pos);
   }
-  IndexTail(pool);
+  RebuildIndex(lo, pool);
 }
 
-void RrStore::IndexTail(ThreadPool* pool) {
-  const uint64_t tail_postings =
-      rr_nodes_.size() - rr_offsets_[indexed_sets_ - first_resident_];
-  if (tail_postings == 0) {
-    indexed_sets_ = num_sets();
-    return;
-  }
-  // Geometric compaction policy: once the postings outside the CSR base
-  // reach the base's size, transpose everything into a fresh base — O(P)
-  // per compaction at ~doubled P, so O(hot postings) amortized. Small
-  // growth batches land in the O(1)-append chains in between.
-  if (chained_postings_ + tail_postings >= csr_sets_.size()) {
-    RebuildIndex(pool);
-    return;
-  }
-  for (uint64_t r = indexed_sets_; r < num_sets(); ++r) {
-    for (graph::NodeId v : SetMembers(r)) {
-      ChainAppend(v, static_cast<uint32_t>(r));
-    }
-  }
-  chained_postings_ += tail_postings;
-  indexed_sets_ = num_sets();
-}
-
-void RrStore::RebuildIndex(ThreadPool* pool) {
-  const uint64_t postings = rr_nodes_.size();  // hot postings only
+void RrStore::RebuildIndex(uint64_t lo, ThreadPool* pool) {
   const uint64_t sets = num_sets();
   const uint64_t first = first_resident_;
-  const uint64_t hot_sets = sets - first;
   uint32_t workers = 1;
-  if (pool != nullptr && hot_sets > 1) {
+  if (pool != nullptr && sets - lo > 1) {
     workers = pool->WorkersFor(
-        postings,
+        rr_nodes_.size(),
         std::max<uint64_t>(kMinPostingsPerIndexWorker, num_nodes_));
-    workers = static_cast<uint32_t>(std::min<uint64_t>(workers, hot_sets));
+    workers = static_cast<uint32_t>(std::min<uint64_t>(workers, sets - lo));
   }
+  // Runs fn(w) for every worker w; one worker runs inline.
+  const auto for_workers = [&](const auto& fn) {
+    if (workers == 1) return fn(uint64_t{0});
+    pool->Run(workers, fn);
+  };
 
+  // The old CSR's slices stay sorted; only the batch [lo, sets) is
+  // counting-sorted in behind them, sharded by contiguous set ranges:
+  // per-worker histograms over the nodes, then a serial prefix pass that
+  // places each node's batch postings after its old slice as disjoint
+  // per-worker write cursors, then the fill, in which worker w also copies
+  // the old slices of its node range. Batch ids exceed every old id, the
+  // worker ranges ascend and each worker scans its range in order, so
+  // every node's postings come out ascending at any worker count.
+  const std::vector<uint64_t> bounds = PostingBalancedRanges(lo, sets, workers);
+  std::vector<std::vector<uint64_t>> hist(workers);
+  for_workers([&](uint64_t w) {
+    auto& h = hist[w];
+    h.assign(num_nodes_, 0);
+    const uint64_t begin = rr_offsets_[bounds[w] - first];
+    const uint64_t end = rr_offsets_[bounds[w + 1] - first];
+    for (uint64_t k = begin; k < end; ++k) ++h[rr_nodes_[k]];
+  });
   std::vector<uint64_t> offsets(static_cast<size_t>(num_nodes_) + 1, 0);
-  std::vector<uint32_t> flat(postings);
-  if (workers <= 1) {
-    for (graph::NodeId v : rr_nodes_) ++offsets[v + 1];
-    for (graph::NodeId v = 0; v < num_nodes_; ++v) {
-      offsets[v + 1] += offsets[v];
+  for (graph::NodeId v = 0; v < num_nodes_; ++v) {
+    uint64_t base = offsets[v] + (csr_offsets_[v + 1] - csr_offsets_[v]);
+    for (uint32_t w = 0; w < workers; ++w) {
+      const uint64_t c = hist[w][v];
+      hist[w][v] = base;  // becomes worker w's write cursor for v
+      base += c;
     }
-    std::vector<uint64_t> cursor(offsets.begin(), offsets.end() - 1);
-    for (uint64_t r = first; r < sets; ++r) {
+    offsets[v + 1] = base;
+  }
+  std::vector<uint32_t> flat(rr_nodes_.size());
+  for_workers([&](uint64_t w) {
+    const auto v_lo = static_cast<graph::NodeId>(num_nodes_ * w / workers);
+    const auto v_hi =
+        static_cast<graph::NodeId>(num_nodes_ * (w + 1) / workers);
+    for (graph::NodeId v = v_lo; v < v_hi; ++v) {
+      std::copy(csr_sets_.begin() + csr_offsets_[v],
+                csr_sets_.begin() + csr_offsets_[v + 1],
+                flat.begin() + offsets[v]);
+    }
+    auto& cursor = hist[w];
+    for (uint64_t r = bounds[w]; r < bounds[w + 1]; ++r) {
       for (graph::NodeId v : SetMembers(r)) {
         flat[cursor[v]++] = static_cast<uint32_t>(r);
       }
     }
-  } else {
-    // Two-pass parallel counting sort, sharded by contiguous set ranges:
-    // per-worker histograms over the nodes, then a serial prefix pass that
-    // turns them into disjoint write cursors, then a parallel fill. Worker
-    // ranges ascend in set id and each worker scans its range in order, so
-    // every node's postings come out ascending — identical to the serial
-    // build.
-    const std::vector<uint64_t> bounds =
-        PostingBalancedRanges(first, sets, workers);
-    std::vector<std::vector<uint64_t>> hist(workers);
-    pool->Run(workers, [&](uint64_t w) {
-      auto& h = hist[w];
-      h.assign(num_nodes_, 0);
-      const uint64_t lo = rr_offsets_[bounds[w] - first];
-      const uint64_t hi = rr_offsets_[bounds[w + 1] - first];
-      for (uint64_t k = lo; k < hi; ++k) ++h[rr_nodes_[k]];
-    });
-    for (graph::NodeId v = 0; v < num_nodes_; ++v) {
-      uint64_t base = offsets[v];
-      for (uint32_t w = 0; w < workers; ++w) {
-        const uint64_t c = hist[w][v];
-        hist[w][v] = base;  // becomes worker w's write cursor for v
-        base += c;
-      }
-      offsets[v + 1] = base;
-    }
-    pool->Run(workers, [&](uint64_t w) {
-      auto& cursor = hist[w];
-      for (uint64_t r = bounds[w]; r < bounds[w + 1]; ++r) {
-        for (graph::NodeId v : SetMembers(r)) {
-          flat[cursor[v]++] = static_cast<uint32_t>(r);
-        }
-      }
-    });
-  }
-
+  });
   csr_offsets_ = std::move(offsets);
   csr_sets_ = std::move(flat);
-  blocks_.clear();
-  blocks_.shrink_to_fit();
-  chain_head_.clear();
-  chain_head_.shrink_to_fit();
-  chain_tail_.clear();
-  chain_tail_.shrink_to_fit();
-  chained_postings_ = 0;
-  indexed_sets_ = sets;
 }
 
 std::vector<uint64_t> RrStore::PostingBalancedRanges(uint64_t lo, uint64_t hi,
@@ -220,8 +167,6 @@ void RrStore::SpillPrefix(uint64_t new_first, const SpillOptions& options,
     spill_ = std::make_unique<SpillFile>(
         options.path.empty() ? MakeSpillPath() : options.path);
   }
-  // The slicing below reads a pure CSR: fold any chains into it first.
-  if (chained_postings_ > 0) RebuildIndex(pool);
   const uint32_t workers =
       pool == nullptr ? 1
                       : pool->WorkersFor(csr_sets_.size() + num_nodes_,
@@ -501,9 +446,7 @@ uint64_t RrStore::MemoryBytes() const {
 
 uint64_t RrStore::IndexBytes() const {
   return csr_offsets_.capacity() * sizeof(uint64_t) +
-         csr_sets_.capacity() * sizeof(uint32_t) +
-         blocks_.capacity() * sizeof(PostingBlock) +
-         (chain_head_.capacity() + chain_tail_.capacity()) * sizeof(uint32_t);
+         csr_sets_.capacity() * sizeof(uint32_t);
 }
 
 }  // namespace isa::rrset

@@ -6,8 +6,8 @@
 //
 //   hot  (resident)  — flat columnar set storage (offsets + concatenated
 //                      members) for sets [first_resident_set, num_sets),
-//                      plus the CSR + chained-postings inverted index over
-//                      exactly those sets;
+//                      plus the CSR inverted index over exactly those
+//                      sets;
 //   cold (spilled)   — sets [0, first_resident_set) evicted to an
 //                      append-only columnar chunk file (spill_file.h) in
 //                      dense id-range chunks, each with its own node ->
@@ -21,20 +21,17 @@
 // policy (when and how much to evict) lives in tiered_store.h; this class
 // only provides the mechanism.
 //
-// Inverted-index layout (unchanged from the resident-only design): a
-// compacted CSR base — one flat ascending set-id array plus per-node
-// offsets — covering everything indexed at the last compaction, plus
-// per-node chains of fixed-size posting blocks for sets appended since.
-// Appends go to the chains in O(1); once the chained postings reach the
-// CSR's size, the whole index is rebuilt as one CSR (a transpose of the
-// resident flat storage — optionally sharded across a ThreadPool and
-// merged in node order), so compaction work is O(resident postings)
-// amortized and the bulk of every node's postings stays cache-linear for
-// RemoveCoveredBy scans. Per-posting overhead is ~4 bytes in the base
-// (exact-fit) versus the old vector<vector> layout's geometric capacity
-// slack. A spill folds any chains into the CSR, slices each cold chunk's
-// postings out of it (evicted ids are a prefix of every node's ascending
-// slice) and keeps the suffixes, so the index never holds a spilled id.
+// Inverted-index layout: one exact-fit CSR — a flat ascending set-id
+// array plus per-node offsets — over exactly the hot sets, rebuilt on
+// every AppendBatch: each node's old slice is copied and the batch's
+// postings counting-sorted in behind it (sharded across a ThreadPool when
+// given and worthwhile). Algorithm 2 appends only when Eq. 10 raises θ, a
+// handful of times per run, so the rebuild's O(hot postings + nodes) copy
+// is cheap, and every node's postings stay cache-linear for
+// RemoveCoveredBy scans at 4 bytes each.
+// A spill slices each cold chunk's postings out of the CSR (evicted ids
+// are a prefix of every node's ascending slice) and keeps the suffixes, so
+// the index never holds a spilled id.
 //
 // Chunk layout: an eviction batch is carved in id order into contiguous
 // [set_lo, set_hi) chunks of ~chunk_target_bytes, each chunk's member
@@ -93,9 +90,10 @@ class RrStore {
 
   /// Appends pre-sampled sets: `sizes[k]` members of set k taken in order
   /// from the concatenated `nodes` — ParallelSampler's batch merge, the
-  /// only producer of RR sets. When `pool` is given, a compaction triggered
-  /// by the batch builds the index sharded across the pool (bit-identical
-  /// to the serial build). `provenance_seed` records that every appended
+  /// only producer of RR sets — then rebuilds the hot index, sharded
+  /// across `pool` when given (bit-identical at any worker count). At most
+  /// 2^32 sets in total: the index holds ids as uint32_t (checked).
+  /// `provenance_seed` records that every appended
   /// id is reproducible as Rng(HashSeed(provenance_seed, id)) — the
   /// substream contract of ParallelSampler — which makes the ids
   /// recoverable by re-sampling if their spill chunk later becomes
@@ -131,23 +129,14 @@ class RrStore {
                                               uint32_t workers) const;
 
   /// Calls fn(set_id) for every HOT set containing `v`, in ascending id
-  /// order (CSR base first, then the append chains — both append in id
-  /// order, so views can stop scanning at their adopted prefix). fn
-  /// returns false to stop early; ForEachSetContaining returns false iff
-  /// stopped. Spilled sets are reachable only through
+  /// order (v's CSR slice, so views can stop scanning at their adopted
+  /// prefix). fn returns false to stop early; ForEachSetContaining returns
+  /// false iff stopped. Spilled sets are reachable only through
   /// ForEachSpilledSetContaining.
   template <typename Fn>
   bool ForEachSetContaining(graph::NodeId v, Fn&& fn) const {
     for (uint64_t k = csr_offsets_[v]; k < csr_offsets_[v + 1]; ++k) {
       if (!fn(csr_sets_[k])) return false;
-    }
-    if (!chain_head_.empty()) {
-      for (uint32_t b = chain_head_[v]; b != kNoBlock; b = blocks_[b].next) {
-        const PostingBlock& blk = blocks_[b];
-        for (uint32_t k = 0; k < blk.count; ++k) {
-          if (!fn(blk.ids[k])) return false;
-        }
-      }
     }
     return true;
   }
@@ -254,27 +243,16 @@ class RrStore {
   /// buffers, and the spill file's in-memory footer mirror. Spilled set
   /// bytes live on disk and are excluded — see SpilledBytes().
   uint64_t MemoryBytes() const;
-  /// Inverted-index share of MemoryBytes (CSR + chains; hot sets only).
+  /// Inverted-index share of MemoryBytes: the exact-fit CSR over the hot
+  /// sets, (num_nodes + 1) * 8 + hot postings * 4 bytes.
   uint64_t IndexBytes() const;
 
  private:
-  static constexpr uint32_t kNoBlock = UINT32_MAX;
-  static constexpr uint32_t kPostingBlockCap = 14;
-  // 64 bytes — one cache line per chain hop.
-  struct PostingBlock {
-    uint32_t next = kNoBlock;
-    uint32_t count = 0;
-    uint32_t ids[kPostingBlockCap];
-  };
-
-  // Appends posting (v -> id) to v's chain.
-  void ChainAppend(graph::NodeId v, uint32_t id);
-  // Indexes the sets appended since the last IndexTail call: chains them,
-  // or — once the postings outside the CSR base reach the base's size —
-  // rebuilds the base as the transpose of the hot flat storage (sharded
-  // across `pool` when given and worthwhile) and drops the chains.
-  void IndexTail(ThreadPool* pool);
-  void RebuildIndex(ThreadPool* pool);
+  // Rebuilds the exact-fit CSR over the hot sets, of which the old CSR
+  // covers those below `lo`: copies its slices and counting-sorts the sets
+  // from `lo` on in behind them, sharded across `pool` when given and
+  // worthwhile.
+  void RebuildIndex(uint64_t lo, ThreadPool* pool);
 
   graph::NodeId num_nodes_;
   uint64_t first_resident_ = 0;
@@ -285,15 +263,9 @@ class RrStore {
   std::vector<uint64_t> rr_offsets_;
   std::vector<graph::NodeId> rr_nodes_;
 
-  // Inverted index over hot sets: CSR base + per-node overflow chains
-  // (see file comment).
+  // Inverted index over hot sets (see file comment).
   std::vector<uint64_t> csr_offsets_;     // num_nodes + 1
   std::vector<uint32_t> csr_sets_;
-  std::vector<PostingBlock> blocks_;
-  std::vector<uint32_t> chain_head_;      // per node, kNoBlock-terminated;
-  std::vector<uint32_t> chain_tail_;      //   allocated on first chain use
-  uint64_t chained_postings_ = 0;
-  uint64_t indexed_sets_ = 0;             // prefix covered by CSR + chains
 
   // Cold tier (created on first SpillPrefix). The lookup counters mutate
   // on const lookups, which run on a single thread at a time.

@@ -22,6 +22,9 @@ SampleSizer::SampleSizer(const graph::Graph& g, std::span<const double> probs,
 
 namespace {
 
+// ℓ of Eq. 8 and of the pilot: the failure probability is n^-ℓ.
+constexpr double kEll = 1.0;
+
 // Doubling-loop cap. TIM runs to log2(n)−1 rounds; under low-probability
 // models (weighted cascade) the mean κ rarely crosses its threshold and the
 // full loop costs ~2^(log2 n) pilot sets per advertiser. Capping at 8
@@ -56,7 +59,7 @@ void SampleSizer::RunPilot(const graph::Graph& g,
 
   for (uint32_t i = 1; i <= rounds; ++i) {
     const uint64_t ci = static_cast<uint64_t>(
-        std::ceil((6.0 * options_.ell * log_n + 6.0 * log_log_n) *
+        std::ceil((6.0 * kEll * log_n + 6.0 * log_log_n) *
                   std::pow(2.0, i)));
     sampler.SampleToBuffer(pilot_sets_, ci, &nodes, &sizes);
     pilot_sets_ += ci;  // total drawn across rounds, not just this one
@@ -101,7 +104,7 @@ uint64_t SampleSizer::ThetaFor(uint64_t s) const {
   const double eps = options_.epsilon;
   const double numerator =
       (8.0 + 2.0 * eps) * static_cast<double>(n_) *
-      (options_.ell * std::log(static_cast<double>(n_)) +
+      (kEll * std::log(static_cast<double>(n_)) +
        LogBinomial(n_, s) + std::log(2.0));
   const double theta = numerator / (OptLowerBound() * eps * eps);
   if (!(theta > 0.0)) return 1;

@@ -65,7 +65,6 @@ namespace isa::rrset {
 
 struct SampleSizerOptions {
   double epsilon = 0.1;   // ε of Eq. 8
-  double ell = 1.0;       // ℓ (failure prob n^-ℓ)
   bool run_kpt_pilot = true;
   uint64_t theta_cap = 20'000'000;  // safety valve on θ per advertiser
   uint64_t seed = 7;

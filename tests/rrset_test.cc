@@ -569,7 +569,7 @@ TEST(RrCollectionTest, MaxCoverageFractionAndMeanSize) {
   EXPECT_GT(col.MemoryBytes(), 0u);
 }
 
-// ---------- RrStore inverted index (CSR base + chained postings) ----------
+// ---------- RrStore inverted index (one exact-fit CSR) ----------
 
 // Brute-force reference: sets containing v, by scanning every set.
 std::vector<uint32_t> BruteForceSetsContaining(const RrStore& store,
@@ -593,23 +593,69 @@ void ExpectIndexMatchesBruteForce(const RrStore& store) {
   }
 }
 
-TEST(RrStoreIndexTest, IndexSurvivesChainGrowthAndCompactions) {
+// The exact-fit CSR's bytes: node offsets plus one id per posting.
+uint64_t ExactFitIndexBytes(const RrStore& store) {
+  return (uint64_t{store.num_nodes()} + 1) * sizeof(uint64_t) +
+         store.PostingsInRange(0, store.num_sets()) * sizeof(uint32_t);
+}
+
+TEST(RrStoreIndexTest, IndexStaysOneExactFitCsrAcrossGrowth) {
   auto g = test::MustGraph(6, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}});
   std::vector<double> probs(g.num_edges(), 0.7);
   auto sampler = test::InlineSampler(g, probs, 31);
   RrStore store(6);
-  // A big batch (compacts into the CSR base), then a trickle of tiny
-  // batches (chained postings), then another big batch (compacts again):
-  // the growth pattern RunTiGreedy's θ revisions produce.
+  // A big batch, then a trickle of tiny batches, then another big batch:
+  // the growth pattern RunTiGreedy's θ revisions produce. Every append
+  // leaves one exact-fit CSR.
   sampler.SampleAppend(store, 300);
   ExpectIndexMatchesBruteForce(store);
+  EXPECT_EQ(store.IndexBytes(), ExactFitIndexBytes(store));
   for (int i = 0; i < 40; ++i) {
     sampler.SampleAppend(store, 1 + (i % 3));
+    ASSERT_EQ(store.IndexBytes(), ExactFitIndexBytes(store)) << "append " << i;
   }
   ExpectIndexMatchesBruteForce(store);
   sampler.SampleAppend(store, 2000);
   ExpectIndexMatchesBruteForce(store);
+  EXPECT_EQ(store.IndexBytes(), ExactFitIndexBytes(store));
   EXPECT_EQ(store.num_sets(), 300u + 79u + 2000u);
+}
+
+// The index build shards across a pool; after every big or trickle append
+// the pooled store's index must equal the one built without a pool.
+TEST(RrStoreIndexPoolTest, PooledBuildMatchesUnpooledAcrossGrowth) {
+  constexpr graph::NodeId kNodes = 200;
+  std::vector<graph::Edge> edges;
+  for (graph::NodeId u = 0; u + 1 < kNodes; ++u) edges.push_back({u, u + 1});
+  auto g = test::MustGraph(kNodes, edges);
+  std::vector<double> probs(g.num_edges(), 0.7);
+  auto sampler = test::InlineSampler(g, probs, 34);
+  ThreadPool pool(4);
+  RrStore unpooled(kNodes);
+  RrStore pooled(kNodes);
+  std::vector<graph::NodeId> nodes;
+  std::vector<uint32_t> sizes;
+  const auto append = [&](uint64_t count) {
+    sampler.SampleToBuffer(unpooled.num_sets(), count, &nodes, &sizes);
+    unpooled.AppendBatch(nodes, sizes, nullptr, /*provenance_seed=*/34);
+    pooled.AppendBatch(nodes, sizes, &pool, /*provenance_seed=*/34);
+    ASSERT_EQ(pooled.IndexBytes(), unpooled.IndexBytes());
+    ASSERT_EQ(pooled.MemoryBytes(), unpooled.MemoryBytes());
+    for (graph::NodeId v = 0; v < kNodes; ++v) {
+      ASSERT_EQ(pooled.SetsContaining(v), unpooled.SetsContaining(v))
+          << "node " << v;
+    }
+  };
+  // Big batches hold enough postings (~3 per set) to shard the build:
+  // 16384 is rr_store.cc's per-worker floor.
+  ASSERT_NO_FATAL_FAILURE(append(20000));
+  ASSERT_GE(pool.WorkersFor(pooled.PostingsInRange(0, pooled.num_sets()),
+                            16384),
+            2u);
+  for (int i = 0; i < 10; ++i) ASSERT_NO_FATAL_FAILURE(append(1 + i % 3));
+  ASSERT_NO_FATAL_FAILURE(append(20000));
+  ExpectIndexMatchesBruteForce(pooled);
+  EXPECT_EQ(pooled.IndexBytes(), ExactFitIndexBytes(pooled));
 }
 
 TEST(RrStoreIndexTest, EarlyExitStopsAscendingScan) {
@@ -838,7 +884,7 @@ LiteralPilot LiteralTimPilot(const graph::Graph& g,
   LiteralPilot pilot;
   for (uint32_t i = 1; i <= rounds; ++i) {
     const auto ci = static_cast<uint64_t>(std::ceil(
-        (6.0 * opt.ell * std::log(n) +
+        (6.0 * /*ell=*/1.0 * std::log(n) +
          6.0 * std::log(std::max(2.0, std::log2(n)))) *
         std::pow(2.0, i)));
     sampler.SampleIds(HashSeed(opt.seed, 0x4b7), pilot.sets, ci, &sizes,
@@ -865,7 +911,7 @@ uint64_t LiteralTheta(uint64_t n, uint64_t s, double kpt,
                       const SampleSizerOptions& opt) {
   const double eps = opt.epsilon;
   const double theta = (8.0 + 2.0 * eps) * static_cast<double>(n) *
-                       (opt.ell * std::log(static_cast<double>(n)) +
+                       (/*ell=*/1.0 * std::log(static_cast<double>(n)) +
                         LogBinomial(n, s) + std::log(2.0)) /
                        (std::max(1.0, kpt) * eps * eps);
   if (theta >= static_cast<double>(opt.theta_cap)) return opt.theta_cap;

@@ -671,16 +671,16 @@ void ExpectEvictedStoreMatchesMemberScan(
 }
 
 // Cold-chunk postings are sliced out of the hot CSR and the evicted prefix
-// trimmed off it: on random stores with repeated members, chained postings
-// after a compaction, evictions reaching into the chains and repeated
-// evictions, at chunk targets of 1 B (one set per chunk) and 4 MiB (one
-// chunk per eviction), serially and on a pool.
+// trimmed off it: on random stores with repeated members, a growth batch
+// after the first, evictions reaching into the growth batch, growth again
+// after a trim and repeated evictions, at chunk targets of 1 B (one set
+// per chunk) and 4 MiB (one chunk per eviction), serially and on a pool.
 TEST(SpillEvictionOracleTest, SlicedChunksAndTrimmedIndexMatchMemberScan) {
   ThreadPool pool(4);
   struct Config {
     uint64_t target;
     graph::NodeId nodes;
-    uint64_t sets;  // the compacted first batch; later batches chain
+    uint64_t sets;  // the first batch; growth batches follow
     ThreadPool* pool;
   };
   const Config configs[] = {{1, 100, 800, nullptr},
@@ -695,11 +695,11 @@ TEST(SpillEvictionOracleTest, SlicedChunksAndTrimmedIndexMatchMemberScan) {
     std::vector<std::vector<graph::NodeId>> members;
     AppendRandomSets(store, members, rng, cfg.sets, cfg.pool);
     AppendRandomSets(store, members, rng, cfg.sets / 10, cfg.pool);
-    ASSERT_GT(store.IndexBytes(),
+    ASSERT_EQ(store.IndexBytes(),
               (uint64_t{cfg.nodes} + 1) * sizeof(uint64_t) +
                   store.PostingsInRange(0, store.num_sets()) *
                       sizeof(uint32_t))
-        << "the second batch must sit in chains";
+        << "the growth batch must leave one exact-fit CSR";
     SpillOptions so;
     so.chunk_target_bytes = cfg.target;
     const uint64_t evictions[] = {cfg.sets / 3, cfg.sets + cfg.sets / 20};
@@ -709,7 +709,7 @@ TEST(SpillEvictionOracleTest, SlicedChunksAndTrimmedIndexMatchMemberScan) {
       ASSERT_NO_FATAL_FAILURE(
           ExpectEvictedStoreMatchesMemberScan(store, members));
     }
-    // Chains again after a trim, then evict through them to the end.
+    // Growth again after a trim, then evict through it to the end.
     AppendRandomSets(store, members, rng, cfg.sets / 20, cfg.pool);
     for (const uint64_t new_first :
          {store.num_sets() - cfg.sets / 40, store.num_sets()}) {
@@ -743,11 +743,11 @@ TEST(SpillEvictionDeterminismTest, ChunkFilesAndHotIndexIdenticalAcrossPools) {
     RrStore store(kNodes);
     std::vector<std::vector<graph::NodeId>> members;
     AppendRandomSets(store, members, rng, 30000, pool.get());
-    AppendRandomSets(store, members, rng, 2000, pool.get());  // chained
+    AppendRandomSets(store, members, rng, 2000, pool.get());  // growth
     SpillOptions so;
     so.chunk_target_bytes = 16u << 10;
     store.SpillPrefix(10000, so, pool.get());
-    store.SpillPrefix(31000, so, pool.get());  // into the chains
+    store.SpillPrefix(31000, so, pool.get());  // into the growth batch
     Outcome out;
     out.file = ReadFileBytes(store.spill_file()->path());
     for (graph::NodeId v = 0; v < kNodes; ++v) {

@@ -247,13 +247,16 @@ TEST(TiGreedyTest, RejectsOutOfRangeExcludedNode) {
 }
 
 TEST(TiGreedyTest, RejectsZeroThetaCap) {
-  // θ capped at 0 would sample nothing and select nothing, yet "succeed".
+  // θ capped at 0 would sample nothing and select nothing, yet "succeed";
+  // a cap past 2^32 - 1 would let set ids wrap in the uint32_t index.
   auto f = MakeMedium(1, 10.0);
   TiOptions opt = FastOptions();
-  opt.theta_cap = 0;
-  auto res = RunTiGreedy(*f.instance, opt);
-  ASSERT_FALSE(res.ok());
-  EXPECT_EQ(res.status().code(), StatusCode::kInvalidArgument);
+  for (const uint64_t cap : {uint64_t{0}, uint64_t{1} << 32}) {
+    opt.theta_cap = cap;
+    auto res = RunTiGreedy(*f.instance, opt);
+    ASSERT_FALSE(res.ok()) << cap;
+    EXPECT_EQ(res.status().code(), StatusCode::kInvalidArgument) << cap;
+  }
   opt.theta_cap = 1;
   EXPECT_TRUE(RunTiGreedy(*f.instance, opt).ok());
 }

@@ -160,7 +160,7 @@ int main(int argc, char** argv) {
   const auto window = static_cast<uint32_t>(
       IntFlag(flags, "window", 0, 0, UINT32_MAX, &bad_flag));
   const auto theta_cap = static_cast<uint64_t>(
-      IntFlag(flags, "theta-cap", 500'000, 1, INT64_MAX, &bad_flag));
+      IntFlag(flags, "theta-cap", 500'000, 1, UINT32_MAX, &bad_flag));
   const auto seed = static_cast<uint64_t>(
       IntFlag(flags, "seed", 42, 0, INT64_MAX, &bad_flag));
   // 0 disables spilling; a negative budget is a typo.

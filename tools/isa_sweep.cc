@@ -183,7 +183,7 @@ int main(int argc, char** argv) {
       static_cast<uint32_t>(Must(flags.GetInt("ads", 4, 1, UINT32_MAX)));
   opt.epsilon = Must(flags.GetDouble("epsilon", 0.3));
   opt.theta_cap = static_cast<uint64_t>(
-      Must(flags.GetInt("theta-cap", 30'000, 1, INT64_MAX)));
+      Must(flags.GetInt("theta-cap", 30'000, 1, UINT32_MAX)));
   opt.csrm_window = static_cast<uint32_t>(
       Must(flags.GetInt("csrm-window", 2'000, 0, UINT32_MAX)));
   opt.verbose = !flags.Has("quiet");
