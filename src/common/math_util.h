@@ -1,11 +1,11 @@
-// Numeric helpers for sample-size determination and statistics.
+// Numeric helpers for sample-size determination.
 
 #ifndef ISA_COMMON_MATH_UTIL_H_
 #define ISA_COMMON_MATH_UTIL_H_
 
 #include <cmath>
 #include <cstdint>
-#include <vector>
+#include <limits>
 
 namespace isa {
 
@@ -33,23 +33,6 @@ inline double LogBinomial(uint64_t n, uint64_t k) {
   return LogGamma(static_cast<double>(n) + 1.0) -
          LogGamma(static_cast<double>(k) + 1.0) -
          LogGamma(static_cast<double>(n - k) + 1.0);
-}
-
-/// Sample mean.
-inline double Mean(const std::vector<double>& xs) {
-  if (xs.empty()) return 0.0;
-  double s = 0.0;
-  for (double x : xs) s += x;
-  return s / static_cast<double>(xs.size());
-}
-
-/// Unbiased sample variance (n-1 denominator); 0 for fewer than 2 points.
-inline double Variance(const std::vector<double>& xs) {
-  if (xs.size() < 2) return 0.0;
-  double m = Mean(xs);
-  double s = 0.0;
-  for (double x : xs) s += (x - m) * (x - m);
-  return s / static_cast<double>(xs.size() - 1);
 }
 
 /// Clamps x into [lo, hi].

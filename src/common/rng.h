@@ -98,12 +98,6 @@ class Rng {
     return NextDouble() < p;
   }
 
-  /// Standard exponential variate with the given rate (> 0).
-  double NextExponential(double rate);
-
-  /// Gaussian variate via Marsaglia polar method.
-  double NextGaussian(double mean = 0.0, double stddev = 1.0);
-
  private:
   static uint64_t Rotl(uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));

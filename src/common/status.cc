@@ -20,8 +20,6 @@ const char* StatusCodeName(StatusCode code) {
       return "Internal";
     case StatusCode::kIOError:
       return "IOError";
-    case StatusCode::kUnimplemented:
-      return "Unimplemented";
   }
   return "Unknown";
 }

@@ -22,7 +22,6 @@ enum class StatusCode {
   kResourceExhausted,
   kInternal,
   kIOError,
-  kUnimplemented,
 };
 
 /// Returns a stable human-readable name for a StatusCode ("OK",
@@ -57,9 +56,6 @@ class Status {
   }
   static Status IOError(std::string msg) {
     return Status(StatusCode::kIOError, std::move(msg));
-  }
-  static Status Unimplemented(std::string msg) {
-    return Status(StatusCode::kUnimplemented, std::move(msg));
   }
 
   bool ok() const { return code_ == StatusCode::kOk; }

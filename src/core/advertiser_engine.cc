@@ -133,7 +133,6 @@ AdvertiserEngine::AdvertiserEngine(uint32_t ad, const RmInstance& instance,
   // run); a missing one would otherwise surface as a null deref deep in
   // Init's first schedule query.
   ISA_CHECK(options_.sizer != nullptr);
-  for (graph::NodeId v : options_.excluded_nodes) eligible_[v] = 0;
   heap_.Configure(ratio_keyed_heap_, instance.incentives(ad));
   if (windowed()) {
     ISA_CHECK(options_.window < kDirtyBit);

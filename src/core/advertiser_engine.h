@@ -218,7 +218,6 @@ struct AdvertiserEngineOptions {
   /// shares its coin column.
   std::shared_ptr<const rrset::SampleSizer> sizer;
   rrset::ParallelSamplerOptions sampler;
-  std::span<const graph::NodeId> excluded_nodes;
 };
 
 class AdvertiserEngine {
@@ -229,7 +228,7 @@ class AdvertiserEngine {
   /// from its own seed substreams, so construction order does not matter.
   /// `store` is the RR store this ad views (shared by a share_samples
   /// group); options.sizer must carry the store's already-piloted
-  /// SampleSizer, and every excluded node must be < n.
+  /// SampleSizer.
   AdvertiserEngine(uint32_t ad, const RmInstance& instance,
                    std::shared_ptr<rrset::RrStore> store,
                    const AdvertiserEngineOptions& options);

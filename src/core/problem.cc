@@ -59,12 +59,6 @@ Result<RmInstance> RmInstance::Create(
   return inst;
 }
 
-uint64_t RmInstance::ProbabilityMemoryBytes() const {
-  uint64_t bytes = 0;
-  for (const auto& p : ad_probs_) bytes += p.MemoryBytes();
-  return bytes;
-}
-
 uint64_t Allocation::TotalSeeds() const {
   uint64_t total = 0;
   for (const auto& s : seed_sets) total += s.size();

@@ -66,9 +66,6 @@ class RmInstance {
   /// c^max_i = max_v c_i(v), used by the latent seed-size rule (Eq. 10).
   double max_incentive(uint32_t i) const { return max_incentive_[i]; }
 
-  /// Total bytes of the materialized per-ad probability views.
-  uint64_t ProbabilityMemoryBytes() const;
-
  private:
   RmInstance() = default;
 

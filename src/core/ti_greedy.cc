@@ -187,29 +187,9 @@ Result<TiResult> RunTiGreedy(const RmInstance& instance,
     return Status::InvalidArgument(
         "RunTiGreedy: theta_cap must be in [1, 2^32 - 1]");
   }
-  if (!options.budget_override.empty() &&
-      options.budget_override.size() != h) {
-    return Status::InvalidArgument(
-        "RunTiGreedy: budget_override must have one entry per advertiser");
-  }
-  for (double b : options.budget_override) {
-    // 0 is a spent budget (adaptive campaigns pass what is left).
-    if (!(b >= 0.0)) {
-      return Status::InvalidArgument(
-          "RunTiGreedy: budget_override entries must be >= 0");
-    }
-  }
-  for (graph::NodeId v : options.excluded_nodes) {
-    if (v >= n) {
-      return Status::InvalidArgument(
-          "RunTiGreedy: excluded_nodes entries must be < num_nodes");
-    }
-  }
   Stopwatch watch;
-  std::vector<double> budget = options.budget_override;
-  if (budget.empty()) {
-    for (uint32_t j = 0; j < h; ++j) budget.push_back(instance.budget(j));
-  }
+  std::vector<double> budget(h);
+  for (uint32_t j = 0; j < h; ++j) budget[j] = instance.budget(j);
 
   // One worker pool per invocation, shared by every parallel stage below
   // (declared before `ads` so the engines that borrow it die first).
@@ -271,7 +251,6 @@ Result<TiResult> RunTiGreedy(const RmInstance& instance,
         eo.sizer = sizer;
         eo.sampler.num_threads = options.num_threads;
         eo.sampler.pool = &pool;
-        eo.excluded_nodes = options.excluded_nodes;
         ads[j] = std::make_unique<AdvertiserEngine>(j, instance, group.store,
                                                     eo);
         init_status[j] = ads[j]->Init();

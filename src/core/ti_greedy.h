@@ -126,14 +126,6 @@ struct TiOptions {
   /// pays one postings index over its envelope on disk. Never affects
   /// computed results, only the on-disk layout and the chunk counters.
   uint64_t spill_chunk_bytes = 4ull << 20;
-  /// Nodes that may not be selected as seeds for any ad (e.g. users who
-  /// already engaged in an earlier stage of an adaptive campaign). Each
-  /// must be < n.
-  std::vector<graph::NodeId> excluded_nodes;
-  /// When non-empty (one entry per advertiser), replaces the instance's
-  /// budgets for this run — adaptive campaigns pass the remaining budget
-  /// per stage without rebuilding the instance.
-  std::vector<double> budget_override;
 };
 
 /// Per-advertiser diagnostics of a TI run.

@@ -7,14 +7,6 @@ CascadeSimulator::CascadeSimulator(const graph::Graph& g)
   frontier_.reserve(1024);
 }
 
-uint32_t CascadeSimulator::RunOnceInto(
-    std::span<const double> probs, std::span<const graph::NodeId> seeds,
-    Rng& rng, std::vector<graph::NodeId>* activated) {
-  const uint32_t count = RunOnce(probs, seeds, rng);
-  activated->assign(frontier_.begin(), frontier_.end());
-  return count;
-}
-
 uint32_t CascadeSimulator::RunOnce(std::span<const double> probs,
                                    std::span<const graph::NodeId> seeds,
                                    Rng& rng) {
@@ -54,24 +46,6 @@ double CascadeSimulator::EstimateSpread(std::span<const double> probs,
   Rng rng(seed);
   uint64_t total = 0;
   for (uint32_t r = 0; r < runs; ++r) total += RunOnce(probs, seeds, rng);
-  return static_cast<double>(total) / runs;
-}
-
-double CascadeSimulator::EstimateMarginalSpread(
-    std::span<const double> probs, std::span<const graph::NodeId> base_seeds,
-    graph::NodeId extra, uint32_t runs, uint64_t seed) {
-  if (runs == 0) return 0.0;
-  std::vector<graph::NodeId> with(base_seeds.begin(), base_seeds.end());
-  with.push_back(extra);
-  int64_t total = 0;
-  for (uint32_t r = 0; r < runs; ++r) {
-    // Same per-run seed for both runs => common random numbers.
-    const uint64_t run_seed = HashSeed(seed, r);
-    Rng rng_with(run_seed);
-    Rng rng_without(run_seed);
-    total += static_cast<int64_t>(RunOnce(probs, with, rng_with)) -
-             static_cast<int64_t>(RunOnce(probs, base_seeds, rng_without));
-  }
   return static_cast<double>(total) / runs;
 }
 

@@ -31,23 +31,10 @@ class CascadeSimulator {
   uint32_t RunOnce(std::span<const double> probs,
                    std::span<const graph::NodeId> seeds, Rng& rng);
 
-  /// Like RunOnce but also reports the activated nodes (seeds included),
-  /// appended to `*activated` after clearing it.
-  uint32_t RunOnceInto(std::span<const double> probs,
-                       std::span<const graph::NodeId> seeds, Rng& rng,
-                       std::vector<graph::NodeId>* activated);
-
   /// Mean activated count over `runs` cascades with a fresh Rng(seed).
   double EstimateSpread(std::span<const double> probs,
                         std::span<const graph::NodeId> seeds, uint32_t runs,
                         uint64_t seed);
-
-  /// Marginal-spread estimate σ(S ∪ {v}) − σ(S) via common random numbers:
-  /// the same Rng stream drives paired runs for variance reduction.
-  double EstimateMarginalSpread(std::span<const double> probs,
-                                std::span<const graph::NodeId> base_seeds,
-                                graph::NodeId extra, uint32_t runs,
-                                uint64_t seed);
 
  private:
   const graph::Graph& g_;

@@ -23,22 +23,6 @@ const char* WeightingRegimeName(WeightingRegime regime) {
   return "unknown";
 }
 
-Result<WeightingRegime> ParseWeightingRegime(std::string_view name) {
-  if (name == "wc" || name == "weighted-cascade") {
-    return WeightingRegime::kWeightedCascade;
-  }
-  if (name == "uniform" || name == "uniform-ic") {
-    return WeightingRegime::kUniformIc;
-  }
-  if (name == "mix" || name == "topic-mix") {
-    return WeightingRegime::kTopicMix;
-  }
-  return Status::InvalidArgument(
-      StrFormat("unknown weighting regime: %.*s (expected wc | uniform | "
-                "mix)",
-                static_cast<int>(name.size()), name.data()));
-}
-
 namespace {
 
 uint64_t FnvHash(std::string_view s) {

@@ -48,10 +48,6 @@ enum class WeightingRegime {
 };
 
 const char* WeightingRegimeName(WeightingRegime regime);
-/// Accepts the canonical names "wc", "uniform", "mix" (and the long forms
-/// "weighted-cascade", "uniform-ic", "topic-mix").
-Result<WeightingRegime> ParseWeightingRegime(std::string_view name);
-
 /// One catalog entry: where the real file lives, how to stand it in
 /// synthetically, and how to weight its arcs.
 struct DatasetSpec {

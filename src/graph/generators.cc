@@ -125,47 +125,6 @@ Result<Graph> GenerateRmat(const RmatOptions& options) {
   return Graph::FromEdges(n, std::move(edges));
 }
 
-Result<Graph> GenerateWattsStrogatz(const WattsStrogatzOptions& options) {
-  const NodeId n = options.num_nodes;
-  const uint32_t k = options.k;
-  if (k == 0 || k % 2 != 0) {
-    return Status::InvalidArgument("WattsStrogatz: k must be even and > 0");
-  }
-  if (n <= k) return Status::InvalidArgument("WattsStrogatz: need n > k");
-  if (options.beta < 0.0 || options.beta > 1.0) {
-    return Status::InvalidArgument("WattsStrogatz: beta must be in [0,1]");
-  }
-  Rng rng(options.seed);
-  std::unordered_set<uint64_t> seen;
-  std::vector<Edge> edges;
-  edges.reserve(static_cast<size_t>(n) * k);
-  auto add_undirected = [&](NodeId a, NodeId b) {
-    if (a == b) return;
-    if (seen.insert(ArcKey(std::min(a, b), std::max(a, b))).second) {
-      edges.push_back(Edge{a, b});
-      edges.push_back(Edge{b, a});
-    }
-  };
-  for (NodeId u = 0; u < n; ++u) {
-    for (uint32_t j = 1; j <= k / 2; ++j) {
-      NodeId v = static_cast<NodeId>((u + j) % n);
-      if (rng.NextBernoulli(options.beta)) {
-        // Rewire: replace v with a uniform non-neighbor target.
-        for (int tries = 0; tries < 32; ++tries) {
-          NodeId w = static_cast<NodeId>(rng.NextBounded(n));
-          if (w != u &&
-              !seen.count(ArcKey(std::min(u, w), std::max(u, w)))) {
-            v = w;
-            break;
-          }
-        }
-      }
-      add_undirected(u, v);
-    }
-  }
-  return Graph::FromEdges(n, std::move(edges));
-}
-
 Result<Graph> GeneratePowerLaw(const PowerLawOptions& options) {
   const NodeId n = options.num_nodes;
   if (n < 2) return Status::InvalidArgument("PowerLaw: need >= 2 nodes");

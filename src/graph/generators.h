@@ -52,17 +52,6 @@ struct RmatOptions {
 };
 Result<Graph> GenerateRmat(const RmatOptions& options);
 
-/// Watts–Strogatz small world: ring of n nodes each linked to k nearest
-/// neighbors (k even), each arc rewired with probability beta. Arcs are
-/// emitted in both directions (the classic model is undirected).
-struct WattsStrogatzOptions {
-  NodeId num_nodes = 0;
-  uint32_t k = 4;
-  double beta = 0.1;
-  uint64_t seed = 1;
-};
-Result<Graph> GenerateWattsStrogatz(const WattsStrogatzOptions& options);
-
 /// Directed configuration model with Pareto(alpha) in/out degree targets,
 /// scaled to hit ~num_edges arcs, endpoints matched uniformly at random.
 struct PowerLawOptions {

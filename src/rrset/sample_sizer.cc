@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/logging.h"
 #include "common/math_util.h"
 #include "rrset/parallel_sampler.h"
 
@@ -81,12 +80,8 @@ void SampleSizer::RunPilot(const graph::Graph& g,
   }
   // No round crossed its threshold: the last (largest) round's estimate is
   // retained anyway — a valid lower bound in expectation, but without the
-  // doubling-loop concentration argument. Surfaced so callers can tell a
-  // guaranteed bound from a best-effort one.
-  ISA_LOG("SampleSizer: KPT pilot did not converge after %u rounds "
-          "(n=%llu, kpt=%.3g); θ schedule uses the weakly concentrated "
-          "last-round estimate",
-          rounds, (unsigned long long)n_, kpt_);
+  // doubling-loop concentration argument. pilot_converged() stays false so
+  // callers can tell a guaranteed bound from a best-effort one.
 }
 
 double SampleSizer::OptLowerBound() const {

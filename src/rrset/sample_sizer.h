@@ -115,7 +115,8 @@ class SampleSizer {
   /// False when the doubling loop fell off its last round without the mean
   /// κ crossing the 1/2^i threshold (the estimate is then taken from the
   /// final round anyway — a valid but weakly concentrated lower bound) or
-  /// when the pilot never ran. Logged once at pilot time.
+  /// when the pilot never ran. isa_cli shows it as the per-ad `weak`
+  /// column.
   bool pilot_converged() const { return pilot_converged_; }
 
   /// Number of pilot RR sets drawn (0 if the pilot was disabled).

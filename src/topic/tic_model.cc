@@ -48,25 +48,6 @@ Result<TopicEdgeProbabilities> MakeWeightedCascade(const graph::Graph& g,
   return TopicEdgeProbabilities::Create(g, std::move(per_topic));
 }
 
-Result<TopicEdgeProbabilities> MakeTrivalency(const graph::Graph& g,
-                                              uint32_t num_topics,
-                                              uint64_t seed) {
-  if (num_topics == 0) {
-    return Status::InvalidArgument("MakeTrivalency: num_topics == 0");
-  }
-  static constexpr double kLevels[3] = {0.1, 0.01, 0.001};
-  std::vector<std::vector<double>> per_topic(num_topics);
-  for (uint32_t z = 0; z < num_topics; ++z) {
-    Rng rng(HashSeed(seed, z));
-    auto& arr = per_topic[z];
-    arr.resize(g.num_edges());
-    for (graph::EdgeId e = 0; e < g.num_edges(); ++e) {
-      arr[e] = kLevels[rng.NextBounded(3)];
-    }
-  }
-  return TopicEdgeProbabilities::Create(g, std::move(per_topic));
-}
-
 Result<TopicEdgeProbabilities> MakeUniform(const graph::Graph& g,
                                            uint32_t num_topics, double p) {
   if (num_topics == 0) {

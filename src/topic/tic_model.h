@@ -48,12 +48,6 @@ class TopicEdgeProbabilities {
 Result<TopicEdgeProbabilities> MakeWeightedCascade(const graph::Graph& g,
                                                    uint32_t num_topics = 1);
 
-/// Trivalency probabilities: each (arc, topic) draws uniformly from
-/// {0.1, 0.01, 0.001}. Deterministic in `seed`.
-Result<TopicEdgeProbabilities> MakeTrivalency(const graph::Graph& g,
-                                              uint32_t num_topics,
-                                              uint64_t seed);
-
 /// Constant probability p on every (arc, topic).
 Result<TopicEdgeProbabilities> MakeUniform(const graph::Graph& g,
                                            uint32_t num_topics, double p);
@@ -78,7 +72,6 @@ class AdProbabilities {
   double prob(graph::EdgeId e) const { return p_[e]; }
   std::span<const double> probs() const { return p_; }
   uint32_t num_edges() const { return static_cast<uint32_t>(p_.size()); }
-  uint64_t MemoryBytes() const { return p_.capacity() * sizeof(double); }
 
  private:
   std::vector<double> p_;

@@ -37,7 +37,7 @@ TEST(StatusTest, AllCodesHaveNames) {
                     StatusCode::kNotFound, StatusCode::kOutOfRange,
                     StatusCode::kFailedPrecondition,
                     StatusCode::kResourceExhausted, StatusCode::kInternal,
-                    StatusCode::kIOError, StatusCode::kUnimplemented}) {
+                    StatusCode::kIOError}) {
     EXPECT_STRNE(StatusCodeName(code), "Unknown");
   }
 }
@@ -195,21 +195,6 @@ TEST(RngTest, NextInRangeInclusive) {
   EXPECT_EQ(seen.size(), 5u);
 }
 
-TEST(RngTest, GaussianMoments) {
-  Rng rng(23);
-  std::vector<double> xs(50000);
-  for (auto& x : xs) x = rng.NextGaussian(2.0, 3.0);
-  EXPECT_NEAR(Mean(xs), 2.0, 0.1);
-  EXPECT_NEAR(std::sqrt(Variance(xs)), 3.0, 0.1);
-}
-
-TEST(RngTest, ExponentialMean) {
-  Rng rng(29);
-  std::vector<double> xs(50000);
-  for (auto& x : xs) x = rng.NextExponential(4.0);
-  EXPECT_NEAR(Mean(xs), 0.25, 0.01);
-}
-
 TEST(RngTest, HashSeedSpreadsStreams) {
   EXPECT_NE(HashSeed(1, 0), HashSeed(1, 1));
   EXPECT_NE(HashSeed(1, 0), HashSeed(2, 0));
@@ -228,14 +213,6 @@ TEST(MathTest, LogBinomialMatchesSmallCases) {
 TEST(MathTest, LogBinomialOutOfRange) {
   EXPECT_TRUE(std::isinf(LogBinomial(3, 5)));
   EXPECT_LT(LogBinomial(3, 5), 0.0);
-}
-
-TEST(MathTest, MeanVariance) {
-  std::vector<double> xs = {1, 2, 3, 4};
-  EXPECT_DOUBLE_EQ(Mean(xs), 2.5);
-  EXPECT_NEAR(Variance(xs), 5.0 / 3.0, 1e-12);
-  EXPECT_DOUBLE_EQ(Mean({}), 0.0);
-  EXPECT_DOUBLE_EQ(Variance({{1.0}}), 0.0);
 }
 
 TEST(MathTest, Clamp) {

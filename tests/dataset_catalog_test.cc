@@ -279,19 +279,5 @@ TEST(WeightingRegimeTest, TopicMixIsBoundedDeterministicAndPerTopic) {
       MakeRegimeWeights(g, WeightingRegime::kTopicMix, 0, 0.0, 1).ok());
 }
 
-TEST(WeightingRegimeTest, ParseNamesRoundTrip) {
-  for (WeightingRegime r :
-       {WeightingRegime::kWeightedCascade, WeightingRegime::kUniformIc,
-        WeightingRegime::kTopicMix}) {
-    auto parsed = ParseWeightingRegime(WeightingRegimeName(r));
-    ASSERT_TRUE(parsed.ok());
-    EXPECT_EQ(parsed.value(), r);
-  }
-  EXPECT_TRUE(ParseWeightingRegime("weighted-cascade").ok());
-  EXPECT_TRUE(ParseWeightingRegime("uniform-ic").ok());
-  EXPECT_TRUE(ParseWeightingRegime("topic-mix").ok());
-  EXPECT_FALSE(ParseWeightingRegime("trivalency").ok());
-}
-
 }  // namespace
 }  // namespace isa::graph

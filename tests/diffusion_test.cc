@@ -127,19 +127,6 @@ TEST(McVsExactTest, MultiSeed) {
   EXPECT_NEAR(mc, exact, 0.01);
 }
 
-TEST(MarginalSpreadTest, MatchesDifferenceOfExacts) {
-  auto g = test::MakeDiamond();
-  std::vector<double> probs = {0.5, 0.5, 0.5, 0.5};
-  const graph::NodeId base[1] = {1};
-  const double exact_base = ExactSpread(g, probs, base).value();
-  const graph::NodeId both[2] = {1, 2};
-  const double exact_both = ExactSpread(g, probs, both).value();
-  CascadeSimulator sim(g);
-  const double marginal =
-      sim.EstimateMarginalSpread(probs, base, 2, 200'000, 17);
-  EXPECT_NEAR(marginal, exact_both - exact_base, 0.01);
-}
-
 TEST(SingletonSpreadsTest, MonotoneInReachability) {
   // Chain: earlier nodes reach more, so singleton spread decreases.
   auto g = test::MustGraph(4, {{0, 1}, {1, 2}, {2, 3}});

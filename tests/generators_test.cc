@@ -128,44 +128,6 @@ TEST(RmatTest, RejectsBadScale) {
   EXPECT_FALSE(GenerateRmat(opt).ok());
 }
 
-TEST(WattsStrogatzTest, RingStructureAtBetaZero) {
-  WattsStrogatzOptions opt{.num_nodes = 20, .k = 4, .beta = 0.0, .seed = 1};
-  auto g = GenerateWattsStrogatz(opt);
-  ASSERT_TRUE(g.ok());
-  // Every node links to k neighbors (k/2 each side, both arc directions).
-  for (NodeId u = 0; u < 20; ++u) {
-    EXPECT_EQ(g.value().OutDegree(u), 4u) << "node " << u;
-  }
-  EXPECT_TRUE(ComputeStats(g.value()).looks_bidirectional);
-}
-
-TEST(WattsStrogatzTest, RewiringChangesStructure) {
-  WattsStrogatzOptions ring{.num_nodes = 200, .k = 4, .beta = 0.0,
-                            .seed = 2};
-  WattsStrogatzOptions rewired{.num_nodes = 200, .k = 4, .beta = 0.5,
-                               .seed = 2};
-  auto g1 = GenerateWattsStrogatz(ring);
-  auto g2 = GenerateWattsStrogatz(rewired);
-  ASSERT_TRUE(g1.ok() && g2.ok());
-  bool differ = false;
-  for (NodeId u = 0; u < 200 && !differ; ++u) {
-    auto a = g1.value().OutNeighbors(u);
-    auto b = g2.value().OutNeighbors(u);
-    differ = !std::equal(a.begin(), a.end(), b.begin(), b.end());
-  }
-  EXPECT_TRUE(differ);
-}
-
-TEST(WattsStrogatzTest, RejectsOddK) {
-  WattsStrogatzOptions opt{.num_nodes = 10, .k = 3};
-  EXPECT_FALSE(GenerateWattsStrogatz(opt).ok());
-}
-
-TEST(WattsStrogatzTest, RejectsBadBeta) {
-  WattsStrogatzOptions opt{.num_nodes = 10, .k = 2, .beta = 1.5};
-  EXPECT_FALSE(GenerateWattsStrogatz(opt).ok());
-}
-
 TEST(PowerLawTest, ApproximateEdgeCount) {
   PowerLawOptions opt{.num_nodes = 5000, .num_edges = 25'000,
                       .exponent = 2.1, .seed = 11};

@@ -31,7 +31,6 @@ TEST(RmInstanceTest, CreateAndAccessors) {
   EXPECT_DOUBLE_EQ(inst.max_incentive(1), 0.5);
   EXPECT_EQ(inst.ad_probs(0).size(), 2u);
   EXPECT_DOUBLE_EQ(inst.ad_probs(0)[0], 0.5);
-  EXPECT_GT(inst.ProbabilityMemoryBytes(), 0u);
 }
 
 TEST(RmInstanceTest, ValidationErrors) {

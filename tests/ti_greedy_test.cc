@@ -217,35 +217,6 @@ TEST(TiGreedyTest, RejectsBadEpsilon) {
   EXPECT_FALSE(RunTiGreedy(*f.instance, opt).ok());
 }
 
-TEST(TiGreedyTest, RejectsBadBudgetOverride) {
-  auto f = MakeMedium(2, 10.0);
-  TiOptions opt = FastOptions();
-  for (double bad : {std::numeric_limits<double>::quiet_NaN(), -5.0}) {
-    opt.budget_override = {10.0, bad};
-    auto res = RunTiGreedy(*f.instance, opt);
-    ASSERT_FALSE(res.ok()) << bad;
-    EXPECT_EQ(res.status().code(), StatusCode::kInvalidArgument);
-  }
-  // A spent budget (what an adaptive stage passes) is valid: no seeds.
-  opt.budget_override = {10.0, 0.0};
-  auto res = RunTiGreedy(*f.instance, opt);
-  ASSERT_TRUE(res.ok());
-  EXPECT_TRUE(res.value().allocation.seed_sets[1].empty());
-}
-
-TEST(TiGreedyTest, RejectsOutOfRangeExcludedNode) {
-  // An id past the graph is an input error, not a no-op.
-  auto f = MakeMedium(1, 10.0);
-  TiOptions opt = FastOptions();
-  const graph::NodeId n = f.instance->num_nodes();
-  opt.excluded_nodes = {3, n};
-  auto res = RunTiGreedy(*f.instance, opt);
-  ASSERT_FALSE(res.ok());
-  EXPECT_EQ(res.status().code(), StatusCode::kInvalidArgument);
-  opt.excluded_nodes = {3, n - 1};
-  EXPECT_TRUE(RunTiGreedy(*f.instance, opt).ok());
-}
-
 TEST(TiGreedyTest, RejectsZeroThetaCap) {
   // θ capped at 0 would sample nothing and select nothing, yet "succeed";
   // a cap past 2^32 - 1 would let set ids wrap in the uint32_t index.

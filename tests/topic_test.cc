@@ -90,22 +90,6 @@ TEST(WeightedCascadeTest, ProbabilityIsInverseInDegree) {
   }
 }
 
-TEST(TrivalencyTest, ValuesFromLevelSet) {
-  auto g = test::MustGraph(50, [] {
-    std::vector<graph::Edge> es;
-    for (graph::NodeId u = 0; u < 49; ++u) es.push_back({u, u + 1});
-    return es;
-  }());
-  auto tv = MakeTrivalency(g, 2, 77);
-  ASSERT_TRUE(tv.ok());
-  for (uint32_t z = 0; z < 2; ++z) {
-    for (graph::EdgeId e = 0; e < g.num_edges(); ++e) {
-      const double p = tv.value().prob(z, e);
-      EXPECT_TRUE(p == 0.1 || p == 0.01 || p == 0.001) << p;
-    }
-  }
-}
-
 TEST(UniformTest, ConstantEverywhere) {
   auto g = test::MustGraph(3, {{0, 1}, {1, 2}});
   auto u = MakeUniform(g, 3, 0.42);
