@@ -152,9 +152,10 @@ bool RunParallelSamplerSweep(double scale) {
   const auto g = isa::bench::MustValue(isa::graph::GenerateBarabasiAlbert(gopt),
                                        "GenerateBarabasiAlbert");
   const std::vector<double> probs(g.num_edges(), 0.05);
-  // 40 sets per node: a batch large enough that pool dispatch does not
-  // swamp the per-worker work.
-  const uint64_t sets = static_cast<uint64_t>(4'000'000 * scale);
+  // 400 sets per node: at scale 0.06 a 1-thread batch takes over 50 ms,
+  // so pool dispatch and the per-batch worker samplers do not swamp the
+  // per-worker work.
+  const uint64_t sets = static_cast<uint64_t>(40'000'000 * scale);
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
 
   std::printf("\n=== Parallel RR sampling: threads vs wall-clock "

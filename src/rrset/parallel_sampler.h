@@ -11,9 +11,12 @@
 //
 //   - set `i`'s content depends only on (base_seed, i): sampling with 1, 2
 //     or 64 workers yields bit-identical stores;
-//   - workers take contiguous id ranges, sample into private shard buffers,
-//     and the shards are merged into the store in ascending id order — the
-//     merge order is keyed by (shard, index), never by completion time;
+//   - workers take contiguous id ranges and sample into private shards;
+//     each shard is then copied once, in parallel, to its prefix-sum
+//     offset in the destination — the store's columns, or SampleToBuffer's
+//     caller buffers — so ids land in ascending order, placed by shard
+//     sizes, never by completion time. A store frees the shards before it
+//     builds its index, so no third copy of the batch is ever alive;
 //   - repeated SampleAppend calls continue the id sequence exactly where
 //     the store left off, so incremental sample growth (Algorithm 2 line
 //     19) is as deterministic as one big batch;
@@ -91,16 +94,20 @@ class ParallelSampler {
   ParallelSampler(ParallelSampler&&) noexcept;
 
   /// Samples `count` RR sets with absolute ids [store.num_sets(),
-  /// store.num_sets() + count) and appends them to `store` in id order.
+  /// store.num_sets() + count) and appends them to `store` in id order:
+  /// the workers' shards go straight into the store's columns
+  /// (RrStore::AppendParts), each copied once, in parallel.
   void SampleAppend(RrStore& store, uint64_t count);
 
   /// Samples `count` RR sets with absolute ids [first_id, first_id + count)
   /// into caller buffers (cleared first) without touching any store:
   /// `sizes` holds one cardinality per set, `nodes` the concatenated
   /// members, both in id order — exactly what RrStore::AppendBatch takes.
-  /// SampleAppend's sampling half, public for callers that append the
-  /// batch themselves. Content depends only on (base_seed, id), never on
-  /// worker count.
+  /// The same shards as SampleAppend, copied once, in parallel, into the
+  /// buffers (ConcatSetColumns; a single shard is moved). For the samples
+  /// that never enter a store, and for callers that append the batch
+  /// themselves. Content depends only on (base_seed, id), never on worker
+  /// count.
   void SampleToBuffer(uint64_t first_id, uint64_t count,
                       std::vector<graph::NodeId>* nodes,
                       std::vector<uint32_t>* sizes);
@@ -120,17 +127,17 @@ class ParallelSampler {
   const std::shared_ptr<const CoinColumn>& coins() const { return coins_; }
 
  private:
-  // One worker's output: sets [first_id, first_id + sizes.size()) as
-  // concatenated members plus per-set sizes.
-  struct Shard {
-    std::vector<uint32_t> sizes;
-    std::vector<graph::NodeId> nodes;
-  };
+  // Samples ids [first_id, first_id + count) (count > 0) into one shard per
+  // worker, the workers taking contiguous id ranges in shard order, on the
+  // pool when more than one. One "sampler.alloc" failpoint hit per call.
+  std::vector<RrSetColumns> SampleShards(uint64_t first_id, uint64_t count);
 
-  // Samples ids [first_id, first_id + count) into `shard` using the
-  // worker-private sampler `w`.
-  void SampleRange(uint32_t w, uint64_t first_id, uint64_t count,
-                   Shard* shard);
+  // Samples ids [first_id, first_id + count) into a new shard using the
+  // worker-private sampler `w`. The shard grows in the worker's own frame
+  // and is moved into place once full: the kernel pushes every member
+  // onto it, and the shards' vector headers share cache lines, so growing
+  // them in place would bounce those lines between workers on each push.
+  RrSetColumns SampleRange(uint32_t w, uint64_t first_id, uint64_t count);
 
   const graph::Graph& g_;
   std::span<const double> probs_;

@@ -38,15 +38,22 @@ RrSampler::RrSampler(const graph::Graph& g, std::span<const double> probs,
 graph::NodeId RrSampler::SampleInto(Rng& rng,
                                     std::vector<graph::NodeId>* out) {
   out->clear();
+  return AppendSet(rng, out);
+}
+
+graph::NodeId RrSampler::AppendSet(Rng& rng,
+                                   std::vector<graph::NodeId>* out) {
   ++epoch_;
   const graph::NodeId root =
       static_cast<graph::NodeId>(rng.NextBounded(g_.num_nodes()));
   visited_epoch_[root] = epoch_;
+  const size_t first = out->size();
   out->push_back(root);
   const uint64_t* coins = coins_ != nullptr ? coins_->data() : nullptr;
-  // Reverse BFS over live in-arcs; the two models differ only in how a
-  // reached node's in-arcs are declared live.
-  for (size_t head = 0; head < out->size(); ++head) {
+  // Reverse BFS over live in-arcs, its queue the set's own members at the
+  // tail of `out`; the two models differ only in how a reached node's
+  // in-arcs are declared live.
+  for (size_t head = first; head < out->size(); ++head) {
     const graph::NodeId v = (*out)[head];
     auto sources = g_.InNeighbors(v);
     auto eids = g_.InEdgeIds(v);
@@ -112,12 +119,11 @@ void RrSampler::SampleIds(uint64_t base_seed, uint64_t first_id,
   sizes->clear();
   nodes->clear();
   sizes->reserve(count);
-  std::vector<graph::NodeId> scratch;
   for (uint64_t i = 0; i < count; ++i) {
     Rng rng(HashSeed(base_seed, first_id + i));
-    SampleInto(rng, &scratch);
-    sizes->push_back(static_cast<uint32_t>(scratch.size()));
-    nodes->insert(nodes->end(), scratch.begin(), scratch.end());
+    const size_t before = nodes->size();
+    AppendSet(rng, nodes);
+    sizes->push_back(static_cast<uint32_t>(nodes->size() - before));
   }
 }
 

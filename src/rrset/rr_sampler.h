@@ -171,6 +171,8 @@ class RrSampler {
   /// set `id` from its own substream Rng(HashSeed(base_seed, id)), into
   /// `sizes` (one cardinality per set) and `nodes` (the concatenated
   /// members), both cleared first — the shape RrStore::AppendBatch takes.
+  /// Each set is walked in place at the tail of `nodes`, so every member
+  /// is written once.
   /// Each set depends only on (base_seed, id); this is the one loop that
   /// turns a (seed, set id) pair into an RR set, shared by
   /// ParallelSampler's workers and the cold-chunk re-sampler.
@@ -179,6 +181,11 @@ class RrSampler {
                  std::vector<graph::NodeId>* nodes);
 
  private:
+  // SampleInto without the clear: appends the set's members to `out`, the
+  // root first, and runs the reverse BFS over them in place. Same draws
+  // and member order as SampleInto.
+  graph::NodeId AppendSet(Rng& rng, std::vector<graph::NodeId>* out);
+
   const graph::Graph& g_;
   std::span<const double> probs_;
   DiffusionModel model_;

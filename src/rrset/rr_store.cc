@@ -19,7 +19,57 @@ namespace {
 // the effective per-worker floor is max(threshold, num_nodes).
 constexpr uint64_t kMinPostingsPerIndexWorker = 1u << 14;
 
+// Where each part lands in the concatenation of `parts`: sets[k] and
+// nodes[k] are the earlier parts' summed set and member counts, and
+// sets.back() / nodes.back() the totals. A function of the part sizes
+// alone, so the concatenation is the same at any worker count.
+struct PartOffsets {
+  std::vector<uint64_t> sets;
+  std::vector<uint64_t> nodes;
+};
+
+template <typename Part>
+PartOffsets OffsetsOf(std::span<const Part> parts) {
+  PartOffsets at{std::vector<uint64_t>(parts.size() + 1, 0),
+                 std::vector<uint64_t>(parts.size() + 1, 0)};
+  for (size_t k = 0; k < parts.size(); ++k) {
+    at.sets[k + 1] = at.sets[k] + parts[k].sizes.size();
+    at.nodes[k + 1] = at.nodes[k] + parts[k].nodes.size();
+  }
+  return at;
+}
+
+// Runs fn(k) for every part k: one task per part on `pool`, inline without
+// a pool or for a single part.
+template <typename Fn>
+void ForEachPart(size_t parts, ThreadPool* pool, const Fn& fn) {
+  if (pool == nullptr || parts <= 1) {
+    for (size_t k = 0; k < parts; ++k) fn(k);
+    return;
+  }
+  pool->Run(parts, fn);
+}
+
 }  // namespace
+
+void ConcatSetColumns(std::vector<RrSetColumns> parts, ThreadPool* pool,
+                      std::vector<graph::NodeId>* nodes,
+                      std::vector<uint32_t>* sizes) {
+  if (parts.size() == 1) {
+    *nodes = std::move(parts[0].nodes);
+    *sizes = std::move(parts[0].sizes);
+    return;
+  }
+  const PartOffsets at = OffsetsOf<RrSetColumns>(parts);
+  nodes->clear();
+  sizes->clear();
+  nodes->resize(at.nodes.back());
+  sizes->resize(at.sets.back());
+  ForEachPart(parts.size(), pool, [&](uint64_t k) {
+    std::ranges::copy(parts[k].nodes, nodes->begin() + at.nodes[k]);
+    std::ranges::copy(parts[k].sizes, sizes->begin() + at.sets[k]);
+  });
+}
 
 RrStore::RrStore(graph::NodeId num_nodes)
     : num_nodes_(num_nodes),
@@ -30,12 +80,34 @@ RrStore::~RrStore() = default;
 RrStore::RrStore(RrStore&&) noexcept = default;
 RrStore& RrStore::operator=(RrStore&&) noexcept = default;
 
+void RrStore::AppendParts(std::vector<RrSetColumns> parts, ThreadPool* pool,
+                          uint64_t provenance_seed) {
+  std::vector<PartView> views;
+  views.reserve(parts.size());
+  for (const RrSetColumns& part : parts) {
+    views.push_back(PartView{part.nodes, part.sizes});
+  }
+  const uint64_t lo = AppendColumns(views, pool, provenance_seed);
+  // Every member is in the store: free the shards before the index build
+  // allocates its CSR.
+  parts.clear();
+  if (lo < num_sets()) RebuildIndex(lo, pool);
+}
+
 void RrStore::AppendBatch(std::span<const graph::NodeId> nodes,
                           std::span<const uint32_t> sizes, ThreadPool* pool,
                           uint64_t provenance_seed) {
-  if (sizes.empty()) return;
+  const PartView part{nodes, sizes};
+  const uint64_t lo = AppendColumns({&part, 1}, pool, provenance_seed);
+  if (lo < num_sets()) RebuildIndex(lo, pool);
+}
+
+uint64_t RrStore::AppendColumns(std::span<const PartView> parts,
+                                ThreadPool* pool, uint64_t provenance_seed) {
+  const PartOffsets at = OffsetsOf(parts);
   const uint64_t lo = num_sets();
-  const uint64_t hi = lo + sizes.size();
+  if (at.sets.back() == 0) return lo;
+  const uint64_t hi = lo + at.sets.back();
   // The index holds set ids as uint32_t.
   ISA_CHECK(hi <= uint64_t{1} << 32);
   if (!provenance_.empty() && provenance_.back().seed == provenance_seed) {
@@ -43,17 +115,28 @@ void RrStore::AppendBatch(std::span<const graph::NodeId> nodes,
   } else {
     provenance_.push_back(ProvenanceRange{lo, hi, provenance_seed});
   }
-  // No exact-size reserve here: it would pin capacity == size and force a
-  // full reallocation on every incremental growth batch; push_back's
-  // geometric growth amortizes across batches instead.
-  rr_nodes_.insert(rr_nodes_.end(), nodes.begin(), nodes.end());
-  total_postings_ += nodes.size();
-  uint64_t pos = rr_offsets_.back();
-  for (uint32_t size : sizes) {
-    pos += size;
-    rr_offsets_.push_back(pos);
-  }
-  RebuildIndex(lo, pool);
+  // One resize per column: the first batch fits exactly, and a later one
+  // grows the capacity geometrically (to at least twice the size), so
+  // incremental growth batches still amortize.
+  const uint64_t node_base = rr_nodes_.size();
+  const uint64_t set_base = rr_offsets_.size();
+  rr_nodes_.resize(node_base + at.nodes.back());
+  rr_offsets_.resize(set_base + at.sets.back());
+  total_postings_ += at.nodes.back();
+  // Set lo + i ends at rr_offsets_[set_base + i]; the last resident set
+  // ends at node_base.
+  ForEachPart(parts.size(), pool, [&](uint64_t k) {
+    const PartView& part = parts[k];
+    uint64_t pos = node_base + at.nodes[k];
+    std::ranges::copy(part.nodes, rr_nodes_.begin() + pos);
+    uint64_t* end = rr_offsets_.data() + set_base + at.sets[k];
+    for (const uint32_t size : part.sizes) {
+      pos += size;
+      *end++ = pos;
+    }
+    ISA_CHECK(pos == node_base + at.nodes[k + 1]);  // sizes sum to members
+  });
+  return lo;
 }
 
 void RrStore::RebuildIndex(uint64_t lo, ThreadPool* pool) {
@@ -282,7 +365,7 @@ void RrStore::SpillPrefix(uint64_t new_first, const SpillOptions& options,
   first_resident_ = new_first;
 }
 
-const RrStore::RecoveredChunk& RrStore::RecoverChunk(uint32_t chunk) const {
+const RrSetColumns& RrStore::RecoverChunk(uint32_t chunk) const {
   const auto it = recovered_.find(chunk);
   if (it != recovered_.end()) return it->second;
   const SpillFile::ChunkMeta& m = spill_->chunks()[chunk];
@@ -295,7 +378,7 @@ const RrStore::RecoveredChunk& RrStore::RecoverChunk(uint32_t chunk) const {
     throw SpillIoError(
         "RrStore: unreadable spill chunk and no re-sampler installed");
   }
-  RecoveredChunk rec;
+  RrSetColumns rec;
   rec.sizes.reserve(m.NumSets());
   rec.nodes.reserve(m.postings);
   std::vector<uint32_t> part_sizes;
@@ -358,7 +441,7 @@ void RrStore::ForEachSpilledSetContaining(
   };
   // Member scan over a recovered chunk's cached columns — the rare path.
   const auto scan_recovered = [&](const SpillFile::ChunkMeta& m,
-                                  const RecoveredChunk& rec) {
+                                  const RrSetColumns& rec) {
     uint64_t off = 0;
     for (uint64_t s = 0; s < rec.sizes.size(); ++s) {
       const uint64_t id = m.set_lo + s;

@@ -23,7 +23,7 @@
 //
 // Inverted-index layout: one exact-fit CSR — a flat ascending set-id
 // array plus per-node offsets — over exactly the hot sets, rebuilt on
-// every AppendBatch: each node's old slice is copied and the batch's
+// every append: each node's old slice is copied and the batch's
 // postings counting-sorted in behind it (sharded across a ThreadPool when
 // given and worthwhile). Algorithm 2 appends only when Eq. 10 raises θ, a
 // handful of times per run, so the rebuild's O(hot postings + nodes) copy
@@ -67,6 +67,23 @@ namespace isa::rrset {
 class SpillFile;
 struct SpillOptions;
 
+/// RR sets as two columns: `sizes[k]` members of set k, taken in order
+/// from the concatenated `nodes` — a sampler worker's shard, or a cold
+/// chunk regenerated by re-sampling.
+struct RrSetColumns {
+  std::vector<uint32_t> sizes;
+  std::vector<graph::NodeId> nodes;
+};
+
+/// Concatenates `parts` in order into `nodes` and `sizes` (their old
+/// contents dropped) by the copy RrStore::AppendParts runs into a store:
+/// both columns grow once, then each part is copied to its prefix-sum
+/// offset, one task per part on `pool` when given. A single part is moved,
+/// not copied.
+void ConcatSetColumns(std::vector<RrSetColumns> parts, ThreadPool* pool,
+                      std::vector<graph::NodeId>* nodes,
+                      std::vector<uint32_t>* sizes);
+
 /// Append-only flat storage of RR sets with an inverted index and an
 /// optional spilled (on-disk) prefix.
 ///
@@ -88,16 +105,25 @@ class RrStore {
   RrStore(RrStore&&) noexcept;
   RrStore& operator=(RrStore&&) noexcept;
 
-  /// Appends pre-sampled sets: `sizes[k]` members of set k taken in order
-  /// from the concatenated `nodes` — ParallelSampler's batch merge, the
-  /// only producer of RR sets — then rebuilds the hot index, sharded
-  /// across `pool` when given (bit-identical at any worker count). At most
-  /// 2^32 sets in total: the index holds ids as uint32_t (checked).
-  /// `provenance_seed` records that every appended
-  /// id is reproducible as Rng(HashSeed(provenance_seed, id)) — the
-  /// substream contract of ParallelSampler — which makes the ids
+  /// Appends the sets of `parts`, in part order, as one batch — the
+  /// per-worker shards of ParallelSampler, the only producer of RR sets.
+  /// Both resident columns grow once by the parts' summed sizes, then each
+  /// part is copied to its prefix-sum offset and writes its sets' offsets,
+  /// one task per part on `pool` when given. The parts are freed before the
+  /// hot index is rebuilt, sharded across `pool`. Offsets depend only on
+  /// the part sizes, so the store is bit-identical however the batch is
+  /// split and at any worker count. At most 2^32 sets in total: the index
+  /// holds ids as uint32_t (checked). `provenance_seed` records that every
+  /// appended id is reproducible as Rng(HashSeed(provenance_seed, id)) —
+  /// the substream contract of ParallelSampler — which makes the ids
   /// recoverable by re-sampling if their spill chunk later becomes
   /// unreadable.
+  void AppendParts(std::vector<RrSetColumns> parts, ThreadPool* pool,
+                   uint64_t provenance_seed);
+
+  /// The one-part case of AppendParts over caller-owned columns (the shape
+  /// ParallelSampler::SampleToBuffer fills): `sizes[k]` members of set k
+  /// taken in order from the concatenated `nodes`.
   void AppendBatch(std::span<const graph::NodeId> nodes,
                    std::span<const uint32_t> sizes, ThreadPool* pool,
                    uint64_t provenance_seed);
@@ -248,6 +274,18 @@ class RrStore {
   uint64_t IndexBytes() const;
 
  private:
+  // A part's columns, borrowed.
+  struct PartView {
+    std::span<const graph::NodeId> nodes;
+    std::span<const uint32_t> sizes;
+  };
+
+  // The columns half of AppendParts: records the provenance, grows both
+  // resident columns once and copies each part to its prefix-sum offset.
+  // Returns the first appended id.
+  uint64_t AppendColumns(std::span<const PartView> parts, ThreadPool* pool,
+                         uint64_t provenance_seed);
+
   // Rebuilds the exact-fit CSR over the hot sets, of which the old CSR
   // covers those below `lo`: copies its slices and counting-sorts the sets
   // from `lo` on in behind them, sharded across `pool` when given and
@@ -287,15 +325,11 @@ class RrStore {
   std::vector<ProvenanceRange> provenance_;
   ResampleFn resampler_;
 
-  // A chunk healed by re-sampling: its columns, resident for the rest of
+  // Chunks healed by re-sampling: their columns, resident for the rest of
   // the run (the disk copy is presumed bad forever). Keyed by chunk index.
   // Like the lookup counters, this state mutates on const lookups.
-  struct RecoveredChunk {
-    std::vector<uint32_t> sizes;
-    std::vector<graph::NodeId> nodes;
-  };
-  const RecoveredChunk& RecoverChunk(uint32_t chunk) const;
-  mutable std::map<uint32_t, RecoveredChunk> recovered_;
+  const RrSetColumns& RecoverChunk(uint32_t chunk) const;
+  mutable std::map<uint32_t, RrSetColumns> recovered_;
   mutable uint64_t recovered_bytes_ = 0;  // cache footprint, in MemoryBytes
   mutable uint64_t degradation_events_ = 0;
   mutable uint64_t recovered_sets_ = 0;

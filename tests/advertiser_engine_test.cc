@@ -104,7 +104,9 @@ TEST(CoverageDeltaTest, RemovalReportsExactlyTheDecreasedNodes) {
     const uint32_t removed = col.RemoveCoveredBy(v, &touched);
     EXPECT_TRUE(std::is_sorted(touched.begin(), touched.end()));
     EXPECT_EQ(touched, CoverageDiff(before, col)) << "pick " << i;
-    if (removed == 0) EXPECT_TRUE(touched.empty());
+    if (removed == 0) {
+      EXPECT_TRUE(touched.empty());
+    }
   }
 }
 

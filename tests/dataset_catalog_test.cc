@@ -238,7 +238,9 @@ TEST(WeightingRegimeTest, WeightedCascadeMatchesHandComputedInDegrees) {
     in_sum[g.EdgeDst(e)] += w.value()[0][e];
   }
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    if (g.InDegree(v) > 0) EXPECT_DOUBLE_EQ(in_sum[v], 1.0) << "node " << v;
+    if (g.InDegree(v) > 0) {
+      EXPECT_DOUBLE_EQ(in_sum[v], 1.0) << "node " << v;
+    }
   }
 }
 

@@ -13,6 +13,7 @@
 #include "gtest/gtest.h"
 #include "rrset/rr_collection.h"
 #include "rrset/sample_sizer.h"
+#include "rrset/spill_file.h"
 #include "tests/test_util.h"
 #include "topic/tic_model.h"
 
@@ -369,6 +370,63 @@ TEST(ParallelSamplerTest, StressSharedPoolLargeBatchWithParallelIndex) {
     ASSERT_EQ(serial.CoverageOf(v), parallel.CoverageOf(v)) << "node " << v;
   }
   EXPECT_EQ(serial.store()->SetsContaining(0), parallel.store()->SetsContaining(0));
+}
+
+// The same resident sets, index and byte accounting (vector capacities
+// included), hot ids only.
+void ExpectHotStoresEqual(const RrStore& got, const RrStore& want) {
+  ASSERT_EQ(got.num_sets(), want.num_sets());
+  ASSERT_EQ(got.first_resident_set(), want.first_resident_set());
+  for (uint64_t r = got.first_resident_set(); r < got.num_sets(); ++r) {
+    const auto a = got.SetMembers(r);
+    const auto b = want.SetMembers(r);
+    ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
+        << "set " << r;
+  }
+  for (graph::NodeId v = 0; v < got.num_nodes(); ++v) {
+    ASSERT_EQ(got.SetsContaining(v), want.SetsContaining(v)) << "node " << v;
+  }
+  EXPECT_EQ(got.IndexBytes(), want.IndexBytes());
+  EXPECT_EQ(got.MemoryBytes(), want.MemoryBytes());
+}
+
+// SampleAppend copies each worker's shard straight into the store's
+// columns. The store must come out exactly as if the batch had first been
+// concatenated (SampleToBuffer) and then appended as one part
+// (AppendBatch): at every worker count, across repeated appends, for a
+// trickle batch that runs inline, and for appends after a spill.
+TEST(ParallelSamplerTest, SampleAppendMatchesBufferThenAppendBatch) {
+  const Graph g = MakeBaGraph(400);
+  const std::vector<double> probs(g.num_edges(), 0.1);
+  constexpr uint64_t kMinSetsPerThread = 64;
+  rrset::SpillOptions so;
+  so.chunk_target_bytes = 4u << 10;
+  for (uint32_t threads : {1u, 2u, 4u, 8u}) {
+    SCOPED_TRACE(testing::Message() << threads << " threads");
+    ParallelSampler direct =
+        MakeSampler(g, probs, threads, 2024, kMinSetsPerThread);
+    ParallelSampler buffered =
+        MakeSampler(g, probs, threads, 2024, kMinSetsPerThread);
+    RrStore got(g.num_nodes());
+    RrStore want(g.num_nodes());
+    std::vector<graph::NodeId> nodes;
+    std::vector<uint32_t> sizes;
+    const auto append = [&](uint64_t count) {
+      direct.SampleAppend(got, count);
+      buffered.SampleToBuffer(want.num_sets(), count, &nodes, &sizes);
+      want.AppendBatch(nodes, sizes, buffered.pool(), buffered.base_seed());
+      ExpectHotStoresEqual(got, want);
+    };
+    append(1000);
+    append(3001);
+    append(kMinSetsPerThread - 1);  // below the floor: one inline worker
+    ASSERT_EQ(direct.WorkerCountFor(kMinSetsPerThread - 1), 1u);
+    got.SpillPrefix(got.num_sets() - 700, so);
+    want.SpillPrefix(want.num_sets() - 700, so);
+    ExpectHotStoresEqual(got, want);
+    append(2500);
+    append(1);
+  }
 }
 
 // Stress case for ThreadSanitizer builds: hammer one sampler with many
