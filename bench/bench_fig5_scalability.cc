@@ -14,9 +14,11 @@
 //
 // Beyond the paper's figure, two threads-vs-wallclock sweeps exercise the
 // deterministic parallel engine, each point the median of 5 timed runs:
-//   - raw RR sampling throughput (ParallelSampler on a Barabási–Albert
-//     workload), with an FNV hash of the sampled store per thread count;
-//     each timed run repeats the batch for at least 200 ms;
+//   - raw RR sampling throughput (ParallelSampler::SampleToBuffer on a
+//     Barabási–Albert workload), with an FNV hash of the store one
+//     untimed SampleAppend builds per thread count; each timed run
+//     repeats the batch for at least 200 ms, and the batch's append to a
+//     fresh store (columns and index) is timed apart;
 //   - end-to-end RunTiGreedy (TI-CSRM(5000), DBLP*, h = 5), the shared-
 //     thread-pool path: parallel advertiser init + pilot, sampling, index
 //     build and coverage adoption.
@@ -139,8 +141,9 @@ uint64_t HashStore(const isa::rrset::RrStore& store) {
 }
 
 // Threads-vs-wallclock sweep for the parallel RR-set sampling engine.
-// Emits one row per thread count with throughput (sets/s, median of
-// kSweepReps runs) and speedup vs the 1-thread row, so BENCH_fig5.json
+// Emits one row per thread count with sampling throughput (sets/s, median
+// of kSweepReps runs), speedup vs the 1-thread row and the seconds the
+// batch's append and index build take on their own, so BENCH_fig5.json
 // captures the whole speedup curve. Returns false on a cross-thread-count
 // hash mismatch.
 bool RunParallelSamplerSweep(double scale) {
@@ -162,8 +165,9 @@ bool RunParallelSamplerSweep(double scale) {
               "(BA n=%u, m=%llu, %llu sets, hw=%u cores) ===\n\n",
               g.num_nodes(), (unsigned long long)g.num_edges(),
               (unsigned long long)sets, hw);
-  std::printf("%-8s  %-8s  %9s  %12s  %8s  %18s\n", "threads", "workers",
-              "s/batch", "sets/sec", "speedup", "store hash");
+  std::printf("%-8s  %-8s  %9s  %12s  %8s  %10s  %18s\n", "threads",
+              "workers", "s/batch", "sets/sec", "speedup", "append_s",
+              "store hash");
 
   bool deterministic = true;
   double base_seconds = 0.0;
@@ -185,28 +189,35 @@ bool RunParallelSamplerSweep(double scale) {
     } else if (hash != base_hash) {
       deterministic = false;
     }
-    // Each timed run re-samples the batch into fresh stores until
+    // Each timed run re-samples the batch into caller buffers until
     // kMinSamplerRunS has passed; the point is the median run's seconds
-    // per batch.
-    std::vector<double> batch_seconds;
+    // per batch. Then the run's last batch is appended to a fresh store,
+    // columns and index, on the sampler's pool, timed on its own.
+    std::vector<double> batch_seconds, append_seconds;
+    std::vector<isa::graph::NodeId> nodes;
+    std::vector<uint32_t> sizes;
     for (int rep = 0; rep < kSweepReps; ++rep) {
       uint64_t batches = 0;
       isa::Stopwatch watch;
       do {
-        isa::rrset::RrStore store(g.num_nodes());
-        sampler.SampleAppend(store, sets);
+        sampler.SampleToBuffer(0, sets, &nodes, &sizes);
         ++batches;
       } while (watch.ElapsedSeconds() < kMinSamplerRunS);
       batch_seconds.push_back(watch.ElapsedSeconds() / batches);
+      isa::rrset::RrStore store(g.num_nodes());
+      watch.Reset();
+      store.AppendBatch(nodes, sizes, sampler.pool(), sampler.base_seed());
+      append_seconds.push_back(watch.ElapsedSeconds());
     }
     const double seconds = isa::bench::Median(batch_seconds);
+    const double append_s = isa::bench::Median(append_seconds);
     if (threads == 1) base_seconds = seconds;
     // "workers" is what actually ran: the sampler clamps the request to
     // the hardware, so on few-core hosts high-thread rows coincide.
-    std::printf("%-8u  %-8u  %9.4f  %12.0f  %7.2fx  0x%016llx\n", threads,
-                sampler.WorkerCountFor(sets), seconds,
+    std::printf("%-8u  %-8u  %9.4f  %12.0f  %7.2fx  %10.4f  0x%016llx\n",
+                threads, sampler.WorkerCountFor(sets), seconds,
                 static_cast<double>(sets) / seconds, base_seconds / seconds,
-                (unsigned long long)hash);
+                append_s, (unsigned long long)hash);
     std::fflush(stdout);
     char hash_str[24];
     std::snprintf(hash_str, sizeof(hash_str), "0x%016llx",
@@ -219,6 +230,7 @@ bool RunParallelSamplerSweep(double scale) {
             .Add("seconds", seconds)
             .Add("sets_per_sec", static_cast<double>(sets) / seconds)
             .Add("speedup", base_seconds / seconds)
+            .Add("append_index_seconds", append_s)
             .Add("store_hash", hash_str)
             .str());
   }

@@ -6,8 +6,8 @@
 // (incremental CELF repair vs full rebuild at several coverage-delta
 // densities), window retire throughput (the selection window's tournament
 // tree vs a linear argmax scan over the same window states) and the RR
-// sampling kernel (the coin column vs the per-arc probability walk, plus
-// the column's build time).
+// sampling kernel (the store's coin column, arc codes included, vs the
+// per-arc probability walk, plus the column's build time).
 
 #include <benchmark/benchmark.h>
 
@@ -332,24 +332,28 @@ bool RunWindowRetireSweep(std::vector<std::string>* rows) {
 // ---- Sampling kernel: coin column vs the per-arc walk. ----
 //
 // rrset::RrSampler flips a node's in-arcs with one integer coin when they
-// share a probability, and past the cutover jumps from live arc to live
-// arc by a geometric skip (rr_sampler.h). This sweep samples the same ids
-// twice on one thread — with the real coin column and with an all-mixed
-// column, which sends every node down the per-arc NextBernoulli(probs[e])
-// loop — on the perfbench stand-ins: a topic-mix power-law graph
-// (mix-selection's, uniform topic mix), which has no skip node, and a
-// weighted-cascade Barabási–Albert graph (wc-resident's). Gates:
+// share a probability, past the cutover jumps from live arc to live arc by
+// a geometric skip, and on a mixed node reads each arc's code byte instead
+// of gathering its probability (rr_sampler.h). This sweep samples the same
+// ids twice on one thread — with a store's column (SampleSizer's: node
+// coins plus arc codes) and with an all-mixed column without codes, the
+// literal per-arc NextBernoulli(probs[e]) walk — on the perfbench
+// stand-ins: a topic-mix power-law graph (mix-selection's, uniform topic
+// mix), which has no skip node and whose speedup is the codes' against
+// the gather, and a weighted-cascade Barabási–Albert graph (wc-resident's),
+// which has no mixed node and so no codes. Gates:
 //   - topic-mix: the FNV-1a hashes of the two walks' sets agree — the
-//     threshold coin is bit-exact;
+//     threshold coin and the arc codes are bit-exact;
 //   - weighted cascade: the skip walk equals the per-arc walk in
 //     distribution only, so the two samples must agree within kGateZ
 //     standard errors on mean set size, and node by node on inclusion
 //     counts: |c_coin - c_arc| <= kGateZ * sqrt(c_coin + c_arc + 1), a
 //     normal bound on the difference of two binomial counts (the walks
 //     share each set's root draw, which only tightens the difference).
-// The column's build is timed on its own (`coin_column_build`), and the
-// cutover sweep (`skip_cutover`) prices the skip per in-degree bucket of
-// the weighted-cascade graph (p = 1/d). Returns false when a gate fails.
+// The column's build is timed on its own (`coin_column_build`, with its
+// arc-code bytes), and the cutover sweep (`skip_cutover`) prices the skip
+// per in-degree bucket of the weighted-cascade graph (p = 1/d). Returns
+// false when a gate fails.
 constexpr uint64_t kKernelSets = 100'000;
 constexpr uint64_t kKernelSeed = 29;
 constexpr int kKernelReps = 5;
@@ -456,7 +460,7 @@ void RunSkipCutoverSweep(const Graph& g, std::span<const double> probs,
     auto coins =
         std::make_shared<rr::CoinColumn>(*rr::BuildCoinColumn(g, probs));
     for (isa::graph::NodeId v = 0; v < g.num_nodes(); ++v) {
-      uint64_t& state = (*coins)[v];
+      uint64_t& state = coins->nodes[v];
       const bool threshold_node =
           rr::IsSkipCoin(state) || (state > 0 && state < rr::kCoinAlways);
       if (!threshold_node) continue;
@@ -538,9 +542,9 @@ bool RunSamplingKernelSweep(std::vector<std::string>* kernel_rows,
               "1 thread, median of %d (column build: median of %d)\n",
               static_cast<unsigned long long>(kKernelSets), kKernelReps,
               kBuildReps);
-  std::printf("%-10s %8s %9s %9s %9s %9s %14s %16s %9s  %s\n", "instance",
-              "nodes", "arcs", "uniform", "skip", "build_ms", "coin_sets/s",
-              "per_arc_sets/s", "speedup", "gate");
+  std::printf("%-10s %8s %9s %9s %9s %10s %9s %14s %16s %9s  %s\n",
+              "instance", "nodes", "arcs", "uniform", "skip", "code_bytes",
+              "build_ms", "coin_sets/s", "per_arc_sets/s", "speedup", "gate");
   bool all_ok = true;
   for (const Instance& in : instances) {
     isa::graph::DatasetCatalog::Options copt;
@@ -565,21 +569,25 @@ bool RunSamplingKernelSweep(std::vector<std::string>* kernel_rows,
     std::shared_ptr<const isa::rrset::CoinColumn> coins;
     for (int r = 0; r < kBuildReps; ++r) {
       isa::Stopwatch w;
-      coins = isa::rrset::BuildCoinColumn(g, probs);
+      coins = isa::rrset::BuildCoinColumn(g, probs, /*arc_codes=*/true);
       build_seconds.push_back(w.ElapsedSeconds());
     }
+    const std::vector<uint64_t>& states = coins->nodes;
     const auto uniform = static_cast<uint64_t>(std::count_if(
-        coins->begin(), coins->end(),
+        states.begin(), states.end(),
         [](uint64_t c) { return c != isa::rrset::kCoinMixed; }));
-    const auto skip = static_cast<uint64_t>(std::count_if(
-        coins->begin(), coins->end(), isa::rrset::IsSkipCoin));
+    const auto skip = static_cast<uint64_t>(
+        std::count_if(states.begin(), states.end(), isa::rrset::IsSkipCoin));
+    const uint64_t code_bytes = coins->arc_codes.size();
 
     const auto ic = isa::rrset::DiffusionModel::kIndependentCascade;
     isa::rrset::RrSampler coin(g, probs, ic, coins);
     isa::rrset::RrSampler per_arc(
         g, probs, ic,
         std::make_shared<const isa::rrset::CoinColumn>(
-            g.num_nodes(), isa::rrset::kCoinMixed));
+            isa::rrset::CoinColumn{
+                std::vector<uint64_t>(g.num_nodes(), isa::rrset::kCoinMixed),
+                {}}));
     Walk wc, wa;
     TimeWalks(coin, per_arc, kKernelReps, &wc, &wa);
     const uint64_t coin_hash = HashSets(wc.sizes, wc.nodes);
@@ -589,12 +597,13 @@ bool RunSamplingKernelSweep(std::vector<std::string>* kernel_rows,
     const bool ok = in.bit_exact ? hash_match : dist.ok;
     all_ok = all_ok && ok;
     const double build_ms = 1e3 * isa::bench::Median(build_seconds);
-    std::printf("%-10s %8u %9llu %9llu %9llu %9.3f %14.0f %16.0f %8.2fx  "
-                "%s%s\n",
+    std::printf("%-10s %8u %9llu %9llu %9llu %10llu %9.3f %14.0f %16.0f "
+                "%8.2fx  %s%s\n",
                 in.name, g.num_nodes(),
                 static_cast<unsigned long long>(g.num_edges()),
                 static_cast<unsigned long long>(uniform),
-                static_cast<unsigned long long>(skip), build_ms,
+                static_cast<unsigned long long>(skip),
+                static_cast<unsigned long long>(code_bytes), build_ms,
                 wc.sets_per_s, wa.sets_per_s, wc.sets_per_s / wa.sets_per_s,
                 in.bit_exact ? "set hash" : "distribution",
                 ok ? "" : "  MISMATCH");
@@ -634,6 +643,7 @@ bool RunSamplingKernelSweep(std::vector<std::string>* kernel_rows,
                               .Add("instance", in.name)
                               .Add("nodes", g.num_nodes())
                               .Add("arcs", g.num_edges())
+                              .Add("code_bytes", code_bytes)
                               .Add("build_ms", build_ms)
                               .str());
     if (!in.bit_exact) RunSkipCutoverSweep(g, probs, cutover_rows);

@@ -71,6 +71,10 @@ class Graph {
             in_edge_ids_.data() + in_offsets_[v + 1]};
   }
 
+  /// Position of v's first in-arc in the transpose CSR: InNeighbors(v)[k]
+  /// is in-arc InArcBegin(v) + k of [0, num_edges()).
+  EdgeId InArcBegin(NodeId v) const { return in_offsets_[v]; }
+
   uint32_t OutDegree(NodeId u) const {
     return out_offsets_[u + 1] - out_offsets_[u];
   }

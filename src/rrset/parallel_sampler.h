@@ -33,13 +33,14 @@
 // RrSampler (epoch array), reused across calls.
 //
 // Under IC the sampler takes the (graph, probs) pair's coin column — the
-// store's, from SampleSizer::coins(), or one it builds when handed none
-// (see rr_sampler.h: one coin per node whose in-arcs share a probability,
-// so the walk skips the per-arc probability gather, and on high-in-degree
-// nodes the dead arcs too) — and every worker sampler shares it: workers
-// beyond the first are re-created per multi-worker batch, the column is
-// not. coins() hands it to other samplers of the same pair, e.g. a
-// cold-chunk re-sampler.
+// store's, from SampleSizer::coins(), with arc codes, or node coins only
+// that it builds when handed none (see rr_sampler.h: one coin per node
+// whose in-arcs share a probability, so the walk skips the per-arc
+// probability gather, and on high-in-degree nodes the dead arcs too; one
+// code byte per arc of the other nodes) — and every worker sampler
+// shares it: workers beyond the first are re-created per multi-worker
+// batch, the column is not. coins() hands it to other samplers of the
+// same pair, e.g. a cold-chunk re-sampler.
 
 #ifndef ISA_RRSET_PARALLEL_SAMPLER_H_
 #define ISA_RRSET_PARALLEL_SAMPLER_H_
@@ -83,8 +84,8 @@ struct ParallelSamplerOptions {
 class ParallelSampler {
  public:
   /// `probs` is indexed by forward EdgeId and must outlive the sampler.
-  /// Under IC `coins` must be BuildCoinColumn(g, probs), or null to build
-  /// it here; LT ignores it.
+  /// Under IC `coins` must be BuildCoinColumn(g, probs), with or without
+  /// arc codes, or null to build node coins only here; LT ignores it.
   ParallelSampler(const graph::Graph& g, std::span<const double> probs,
                   DiffusionModel model, uint64_t base_seed,
                   ParallelSamplerOptions options = {},

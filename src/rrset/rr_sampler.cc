@@ -5,8 +5,10 @@
 namespace isa::rrset {
 
 std::shared_ptr<const CoinColumn> BuildCoinColumn(
-    const graph::Graph& g, std::span<const double> probs) {
-  auto coins = std::make_shared<CoinColumn>(g.num_nodes(), kCoinNever);
+    const graph::Graph& g, std::span<const double> probs, bool arc_codes) {
+  auto coins = std::make_shared<CoinColumn>();
+  auto& nodes = coins->nodes = std::vector<uint64_t>(g.num_nodes(), kCoinNever);
+  bool any_mixed = false;
   // Per-node gather over the in-arc ids, leaving at the first mismatch.
   for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
     auto eids = g.InEdgeIds(v);
@@ -20,7 +22,15 @@ std::shared_ptr<const CoinColumn> BuildCoinColumn(
         break;
       }
     }
-    (*coins)[v] = UsesSkip(eids.size(), state) ? SkipCoin(state) : state;
+    any_mixed |= state == kCoinMixed;
+    nodes[v] = UsesSkip(eids.size(), state) ? SkipCoin(state) : state;
+  }
+  if (!arc_codes || !any_mixed) return coins;
+  coins->arc_codes.assign(g.num_edges(), kArcExact);
+  for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
+    if (nodes[v] != kCoinMixed) continue;
+    uint8_t* codes = coins->arc_codes.data() + g.InArcBegin(v);
+    for (const graph::EdgeId e : g.InEdgeIds(v)) *codes++ = ArcCode(probs[e]);
   }
   return coins;
 }
@@ -32,7 +42,10 @@ RrSampler::RrSampler(const graph::Graph& g, std::span<const double> probs,
       visited_epoch_(g.num_nodes(), 0) {
   if (model_ != DiffusionModel::kIndependentCascade) return;
   if (coins_ == nullptr) coins_ = BuildCoinColumn(g, probs);
-  ISA_CHECK(coins_->size() == g.num_nodes());
+  ISA_CHECK(coins_->nodes.size() == g.num_nodes());
+  ISA_CHECK(coins_->arc_codes.empty() ||
+            coins_->arc_codes.size() == g.num_edges());
+  if (!coins_->arc_codes.empty()) arc_codes_ = coins_->arc_codes.data();
 }
 
 graph::NodeId RrSampler::SampleInto(Rng& rng,
@@ -49,7 +62,7 @@ graph::NodeId RrSampler::AppendSet(Rng& rng,
   visited_epoch_[root] = epoch_;
   const size_t first = out->size();
   out->push_back(root);
-  const uint64_t* coins = coins_ != nullptr ? coins_->data() : nullptr;
+  const uint64_t* coins = coins_ != nullptr ? coins_->nodes.data() : nullptr;
   // Reverse BFS over live in-arcs, its queue the set's own members at the
   // tail of `out`; the two models differ only in how a reached node's
   // in-arcs are declared live.
@@ -74,10 +87,25 @@ graph::NodeId RrSampler::AppendSet(Rng& rng,
           out->push_back(u);
         }
       } else if (coin == kCoinMixed) {
+        // Each arc's code byte decides unless it ties the draw's top byte
+        // or reads kArcExact, as every arc does without codes; only then
+        // is probs_[eids[k]] gathered.
+        const uint8_t* code =
+            arc_codes_ == nullptr ? nullptr : arc_codes_ + g_.InArcBegin(v);
         for (size_t k = 0; k < sources.size(); ++k) {
           const graph::NodeId u = sources[k];
           if (visited_epoch_[u] == epoch_) continue;
-          if (rng.NextBernoulli(probs_[eids[k]])) {
+          const uint8_t c = code == nullptr ? kArcExact : code[k];
+          bool live;
+          if (c == kArcExact) {
+            live = rng.NextBernoulli(probs_[eids[k]]);
+          } else {
+            const uint64_t x = rng.Next();
+            const uint64_t hi = x >> 56;
+            live = hi < c ||
+                   (hi == c && CoinAccepts(CoinState(probs_[eids[k]]), x));
+          }
+          if (live) {
             visited_epoch_[u] = epoch_;
             out->push_back(u);
           }

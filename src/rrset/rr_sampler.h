@@ -20,8 +20,9 @@
 //   - a threshold t < 2^53: one draw x per arc, live iff (x >> 11) < t;
 //   - a skip coin (a high-in-degree threshold node, see UsesSkip): one
 //     draw per live arc, which jumps straight to the next live arc;
-//   - kCoinMixed: the in-arcs disagree; the walk falls back to the per-arc
-//     Rng::NextBernoulli(probs[eid]) loop.
+//   - kCoinMixed: the in-arcs disagree; the walk flips each in-arc on its
+//     own probability, reading the arc's code byte (below) when the
+//     column has codes, else Rng::NextBernoulli(probs[eid]).
 // The threshold walk is bit-exact, not approximately equal: NextDouble()
 // is k * 2^-53 for the integer k = x >> 11, scaling by 2^53 is exact, so
 // k * 2^-53 < p  <=>  k < p * 2^53  <=>  k < ceil(p * 2^53) = t. A node is
@@ -29,6 +30,19 @@
 // under which they make identical decisions, so no float equality is
 // involved. NaN maps to t = 0: like NextBernoulli(NaN) it draws once and
 // never succeeds.
+//
+// Arc codes. On a topic-mix graph (Eq. 1) nearly every node is mixed, and
+// its flips gather probs[eid] at random. A store's column (SampleSizer's)
+// adds one byte per in-arc in transpose-CSR order: code = t >> 45, the
+// top 8 of the threshold's 53 bits, or kArcExact (255) for 255, p <= 0 or
+// p >= 1. With hi = x >> 56, the top byte of x >> 11: hi < code gives
+// (x >> 11) < (hi + 1) * 2^45 <= t, live; hi > code gives (x >> 11) >=
+// hi * 2^45 > t, dead; a tie (probability 1/256) compares t exactly. A
+// kArcExact arc runs NextBernoulli(probs[eid]), which draws nothing at
+// p <= 0 or p >= 1. So every flip takes the same draw and verdict as
+// without codes. Other samplers (the singleton-spread estimator, one-off
+// samplers) build none, too few sets to repay the build, nor does a graph
+// without a mixed node; without codes every arc reads kArcExact.
 //
 // Geometric skip (SUBSIM, Guo et al., SIGMOD 2020). The live arcs of a
 // node whose d in-arcs each live with p = t * 2^-53 form a Bernoulli
@@ -81,12 +95,17 @@ enum class DiffusionModel {
   kLinearThreshold,
 };
 
-/// Per-node IC coin states (see the file comment): a threshold below 2^53,
-/// a skip coin, or one of the three sentinels.
-using CoinColumn = std::vector<uint64_t>;
+/// The IC coins of one (graph, probs) pair (see the file comment): one
+/// state per node and, on a store's column over a graph with a mixed node,
+/// one ArcCode per arc, arc_codes[g.InArcBegin(v) + k] for InNeighbors(v)[k].
+struct CoinColumn {
+  std::vector<uint64_t> nodes;
+  std::vector<uint8_t> arc_codes;
+};
 inline constexpr uint64_t kCoinAlways = uint64_t{1} << 53;
 inline constexpr uint64_t kCoinNever = kCoinAlways + 1;
 inline constexpr uint64_t kCoinMixed = ~uint64_t{0};
+inline constexpr uint8_t kArcExact = 255;
 
 /// The coin state deciding exactly as Rng::NextBernoulli(p), draw for draw.
 inline uint64_t CoinState(double p) {
@@ -96,6 +115,13 @@ inline uint64_t CoinState(double p) {
   const double scaled = p * 0x1p53;  // exact: a power-of-two scale
   const auto t = static_cast<uint64_t>(scaled);
   return t + (static_cast<double>(t) != scaled);  // ceil, no libm call
+}
+
+/// The code byte of an in-arc of probability p: the top 8 bits of its
+/// threshold, kArcExact when those read 255 or p <= 0 or p >= 1.
+inline uint8_t ArcCode(double p) {
+  const uint64_t state = CoinState(p);
+  return state >= kCoinAlways ? kArcExact : static_cast<uint8_t>(state >> 45);
 }
 
 /// A threshold coin's verdict on the raw draw `x`: NextDouble() < p for
@@ -148,9 +174,11 @@ inline bool UsesSkip(uint64_t in_degree, uint64_t threshold) {
 
 /// The coin column of `probs` (indexed by forward EdgeId) over g's nodes.
 /// A node with no in-arcs reads kCoinNever; a threshold node past the
-/// cutover reads its skip coin.
+/// cutover reads its skip coin. With `arc_codes`, a graph that has a mixed
+/// node also gets the arc codes (a store's column, see the file comment).
 std::shared_ptr<const CoinColumn> BuildCoinColumn(
-    const graph::Graph& g, std::span<const double> probs);
+    const graph::Graph& g, std::span<const double> probs,
+    bool arc_codes = false);
 
 /// Generates random RR sets for one (graph, arc-probability) pair.
 /// Not thread-safe; create one per thread.
@@ -158,8 +186,8 @@ class RrSampler {
  public:
   /// `probs` is indexed by forward EdgeId and must outlive the sampler.
   /// Under IC the sampler shares `coins`, which must be
-  /// BuildCoinColumn(g, probs), or builds its own when it is null (one-off
-  /// samplers); LT ignores it.
+  /// BuildCoinColumn(g, probs), with or without arc codes, or builds node
+  /// coins only when it is null (one-off samplers); LT ignores it.
   RrSampler(const graph::Graph& g, std::span<const double> probs,
             DiffusionModel model = DiffusionModel::kIndependentCascade,
             std::shared_ptr<const CoinColumn> coins = nullptr);
@@ -190,6 +218,7 @@ class RrSampler {
   std::span<const double> probs_;
   DiffusionModel model_;
   std::shared_ptr<const CoinColumn> coins_;
+  const uint8_t* arc_codes_ = nullptr;  // coins_'s codes, null without
   std::vector<uint32_t> visited_epoch_;
   uint32_t epoch_ = 0;
 };

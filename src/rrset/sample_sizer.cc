@@ -14,7 +14,7 @@ SampleSizer::SampleSizer(const graph::Graph& g, std::span<const double> probs,
       n_(g.num_nodes()),
       m_(g.num_edges()),
       coins_(options.model == DiffusionModel::kIndependentCascade
-                 ? BuildCoinColumn(g, probs)
+                 ? BuildCoinColumn(g, probs, /*arc_codes=*/true)
                  : nullptr) {
   if (options_.run_kpt_pilot && n_ > 1 && m_ > 0) RunPilot(g, probs);
 }

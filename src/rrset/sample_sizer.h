@@ -18,9 +18,10 @@
 //                   KPT ≤ OPT_1 ≤ OPT_s for every s (monotonicity), so one
 //                   pilot serves the whole schedule. SampleSizer::ThetaFor
 //                   is the raw Eq. 8 evaluator over that fixed denominator.
-//                   Under IC it also holds the store's one coin column
-//                   (rr_sampler.h), which the pilot and the store's
-//                   samplers share.
+//                   Under IC it also builds and holds the store's one
+//                   coin column (rr_sampler.h), the only one with arc
+//                   codes, which the pilot and the store's samplers
+//                   share.
 //   ThetaSchedule — the per-s sample-size table L(s, ε) consumed by the
 //                   selection engine: a lazily memoized, monotone
 //                   (running-max) view of ThetaFor. Adopted samples never
@@ -92,7 +93,7 @@ struct SampleSizerOptions {
 /// sizer concurrently.
 class SampleSizer {
  public:
-  /// Under IC builds the store's coin column, then runs the KPT pilot
+  /// Under IC builds the store's coin column with arc codes, then runs the KPT pilot
   /// (unless disabled) through a ParallelSampler over `probs` that shares
   /// it; retains only the pilot's scalar products (KPT estimate,
   /// convergence flag, set count), not the sets.
@@ -125,9 +126,10 @@ class SampleSizer {
   uint64_t n() const { return n_; }
   const SampleSizerOptions& options() const { return options_; }
 
-  /// BuildCoinColumn(g, probs), null under LT. The pilot sampled with it;
-  /// the store's ParallelSamplers take it too, so one column is built per
-  /// store per solve.
+  /// BuildCoinColumn(g, probs, /*arc_codes=*/true), null under LT. The
+  /// pilot sampled with it; the store's ParallelSamplers (θ sample, growth
+  /// batches) and its cold-chunk re-sampler take it too, so one column,
+  /// arc codes included, is built per store per solve.
   const std::shared_ptr<const CoinColumn>& coins() const { return coins_; }
 
  private:

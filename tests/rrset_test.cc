@@ -140,13 +140,14 @@ TEST(CoinColumnTest, NodeIsUniformWhenItsArcsShareAThreshold) {
   set(4, {1.0, 1.5});
   set(5, {0.0, -0.0});
   const auto coins = BuildCoinColumn(g, probs);
-  ASSERT_EQ(coins->size(), 6u);
-  EXPECT_EQ((*coins)[0], kCoinNever);
-  EXPECT_EQ((*coins)[1], CoinState(0.3));
-  EXPECT_EQ((*coins)[2], CoinState(0.1));
-  EXPECT_EQ((*coins)[3], kCoinMixed);
-  EXPECT_EQ((*coins)[4], kCoinAlways);
-  EXPECT_EQ((*coins)[5], kCoinNever);
+  ASSERT_EQ(coins->nodes.size(), 6u);
+  EXPECT_EQ(coins->nodes[0], kCoinNever);
+  EXPECT_EQ(coins->nodes[1], CoinState(0.3));
+  EXPECT_EQ(coins->nodes[2], CoinState(0.1));
+  EXPECT_EQ(coins->nodes[3], kCoinMixed);
+  EXPECT_EQ(coins->nodes[4], kCoinAlways);
+  EXPECT_EQ(coins->nodes[5], kCoinNever);
+  EXPECT_TRUE(coins->arc_codes.empty());
 }
 
 // The documented walk, written out as the reference: a node whose in-arcs
@@ -239,7 +240,7 @@ TEST(CoinColumnTest, SampleIdsMatchesPerArcReferenceSetForSet) {
       }
     }
     const auto coins = BuildCoinColumn(g, probs);
-    for (const uint64_t state : *coins) {
+    for (const uint64_t state : coins->nodes) {
       ++regimes[state == kCoinMixed    ? 0
                 : state == kCoinNever  ? 1
                 : state == kCoinAlways ? 2
@@ -271,6 +272,123 @@ TEST(CoinColumnTest, SampleIdsMatchesPerArcReferenceSetForSet) {
   }
 }
 
+TEST(CoinColumnTest, ArcCodeIsTheThresholdTopByte) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  // Below 1/2 an ulp is under 2^-53, so one ulp down keeps the threshold
+  // k * 2^45; from 1/2 up it is the threshold's last unit.
+  for (int k = 1; k < 255; ++k) {
+    const double p = k / 256.0;
+    EXPECT_EQ(ArcCode(p), k);
+    EXPECT_EQ(ArcCode(std::nextafter(p, 0.0)), p > 0.5 ? k - 1 : k);
+    EXPECT_EQ(ArcCode(std::nextafter(p, 1.0)), k);
+  }
+  EXPECT_EQ(ArcCode(255 / 256.0), kArcExact);
+  EXPECT_EQ(ArcCode(std::nextafter(255 / 256.0, 0.0)), 254);
+  EXPECT_EQ(ArcCode(std::nextafter(1.0, 0.0)), kArcExact);
+  EXPECT_EQ(ArcCode(0x1p-9), 0);
+  EXPECT_EQ(ArcCode(nan), 0);
+  for (const double p : {0.0, -0.0, -1.0, 1.0, 2.0}) {
+    EXPECT_EQ(ArcCode(p), kArcExact) << p;
+  }
+}
+
+// A store's column (arc codes on its mixed nodes) samples the same sets as
+// node coins alone, whose mixed nodes flip NextBernoulli(probs[eid]), at 1
+// and 4 workers. The mixed arcs draw from the code's edge cases: p = 0, 1
+// and NaN, k/256 and one ulp either side (the tie's boundaries), above
+// 255/256 (the kArcExact escape) and below 2^-8 (code 0, every live flip a
+// tie). Zero, NaN and tiny p weigh most, so the sets stay small.
+TEST(CoinColumnTest, ArcCodesSampleTheSameSetsAsNodeCoins) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Rng rng(51);
+  const graph::NodeId n = 300;
+  std::vector<graph::Edge> edges;
+  for (graph::NodeId v = 0; v < n; ++v) {
+    const uint64_t indeg = 2 + rng.NextBounded(4);
+    for (uint64_t k = 0; k < indeg; ++k) {
+      edges.push_back({static_cast<graph::NodeId>(rng.NextBounded(n)), v});
+    }
+  }
+  auto g = test::MustGraph(n, std::move(edges));
+  std::vector<double> probs(g.num_edges());
+  for (double& p : probs) {
+    const double k = static_cast<double>(1 + rng.NextBounded(254)) / 256.0;
+    switch (rng.NextBounded(16)) {
+      case 0: case 1: case 2: p = 0.0; break;
+      case 3: p = 1.0; break;
+      case 4: case 5: p = nan; break;
+      case 6: p = k; break;
+      case 7: p = std::nextafter(k, 0.0); break;
+      case 8: p = std::nextafter(k, 1.0); break;
+      case 9: p = 1.0 - rng.NextDouble() * 0x1p-8; break;
+      case 10: case 11: case 12: case 13:
+        p = rng.NextDouble() * 0x1p-8;
+        break;
+      default: p = rng.NextDouble() * 0.3; break;
+    }
+  }
+  SampleSizerOptions so;
+  so.run_kpt_pilot = false;
+  const auto store_coins = SampleSizer(g, probs, so).coins();
+  const auto node_coins = BuildCoinColumn(g, probs);
+  ASSERT_EQ(store_coins->nodes, node_coins->nodes);
+  ASSERT_TRUE(node_coins->arc_codes.empty());
+  ASSERT_EQ(store_coins->arc_codes.size(), g.num_edges());
+  // Most nodes are mixed; their arcs take both the escape and a code.
+  uint64_t mixed = 0, escapes = 0, coded = 0;
+  for (graph::NodeId v = 0; v < n; ++v) {
+    if (store_coins->nodes[v] != kCoinMixed) continue;
+    ++mixed;
+    auto eids = g.InEdgeIds(v);
+    for (size_t k = 0; k < eids.size(); ++k) {
+      const uint8_t code = store_coins->arc_codes[g.InArcBegin(v) + k];
+      ASSERT_EQ(code, ArcCode(probs[eids[k]]));
+      ++(code == kArcExact ? escapes : coded);
+    }
+  }
+  ASSERT_GT(mixed, n * 9 / 10);
+  ASSERT_GT(escapes, coded / 4);
+  ASSERT_GT(coded, escapes / 2);
+
+  constexpr uint64_t kSets = 100'000;
+  const uint64_t seed = 52;
+  std::vector<uint32_t> want_sizes, got_sizes;
+  std::vector<graph::NodeId> want_nodes, got_nodes;
+  RrSampler(g, probs, DiffusionModel::kIndependentCascade, node_coins)
+      .SampleIds(seed, 0, kSets, &want_sizes, &want_nodes);
+  // Multi-member sets, so the walk flipped many mixed arcs.
+  ASSERT_GT(want_nodes.size(), 3 * want_sizes.size());
+  for (const uint32_t workers : {1u, 4u}) {
+    ParallelSamplerOptions po;
+    po.num_threads = workers;
+    ParallelSampler sampler(g, probs, DiffusionModel::kIndependentCascade,
+                            seed, po, store_coins);
+    sampler.SampleToBuffer(0, kSets, &got_nodes, &got_sizes);
+    ASSERT_EQ(got_sizes, want_sizes) << workers << " workers";
+    ASSERT_EQ(got_nodes, want_nodes) << workers << " workers";
+  }
+}
+
+TEST(CoinColumnTest, GraphWithoutMixedNodesBuildsNoArcCodes) {
+  // Weighted cascade: every in-arc of v lives with 1 / in-degree(v).
+  auto ba = graph::GenerateBarabasiAlbert(
+      {.num_nodes = 500, .edges_per_node = 3, .seed = 4});
+  ASSERT_TRUE(ba.ok());
+  const graph::Graph& g = ba.value();
+  std::vector<double> probs(g.num_edges());
+  for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
+    for (const graph::EdgeId e : g.InEdgeIds(v)) {
+      probs[e] = 1.0 / g.InDegree(v);
+    }
+  }
+  SampleSizerOptions so;
+  so.run_kpt_pilot = false;
+  const auto coins = SampleSizer(g, probs, so).coins();
+  EXPECT_EQ(std::count(coins->nodes.begin(), coins->nodes.end(), kCoinMixed),
+            0);
+  EXPECT_TRUE(coins->arc_codes.empty());
+}
+
 // ---------- Geometric skip ----------
 
 // Hub 0 with in-arcs from leaves 1..d at probability p, and an arc back
@@ -296,7 +414,7 @@ std::vector<double> HubProbs(const graph::Graph& g, double p) {
 std::shared_ptr<const CoinColumn> SkipHubColumn(const graph::Graph& g,
                                                 std::span<const double> probs) {
   auto coins = std::make_shared<CoinColumn>(*BuildCoinColumn(g, probs));
-  (*coins)[0] = SkipCoin(CoinState(probs[g.InEdgeIds(0)[0]]));
+  coins->nodes[0] = SkipCoin(CoinState(probs[g.InEdgeIds(0)[0]]));
   return coins;
 }
 
@@ -317,15 +435,16 @@ TEST(SkipWalkTest, InclusionMatchesPerArcWalk) {
       const auto probs = HubProbs(g, p);
       // The cutover decides the real column; the test forces the skip.
       const uint64_t t = CoinState(p);
-      EXPECT_EQ((*BuildCoinColumn(g, probs))[0],
+      EXPECT_EQ(BuildCoinColumn(g, probs)->nodes[0],
                 UsesSkip(d, t) ? SkipCoin(t) : t);
       if (p == 1.0 / d || p == 0.01) {
         EXPECT_TRUE(UsesSkip(d, t));
       }
       RrSampler skip(g, probs, ic, SkipHubColumn(g, probs));
       RrSampler per_arc(g, probs, ic,
-                        std::make_shared<const CoinColumn>(g.num_nodes(),
-                                                           kCoinMixed));
+                        std::make_shared<const CoinColumn>(CoinColumn{
+                            std::vector<uint64_t>(g.num_nodes(), kCoinMixed),
+                            {}}));
       std::vector<double> c_skip(d + 1, 0.0), c_arc(d + 1, 0.0);
       std::vector<double> not_root(d + 1, kSets);
       std::vector<graph::NodeId> rr;
@@ -414,7 +533,7 @@ TEST(SkipWalkTest, WalkAtTheEdgeProbabilities) {
     if (c.force_skip) {
       coins = SkipHubColumn(g, probs);
     } else {
-      EXPECT_EQ((*coins)[0], 0u);
+      EXPECT_EQ(coins->nodes[0], 0u);
     }
     RrSampler sampler(g, probs, ic, coins);
     Rng rng(50);
@@ -934,7 +1053,7 @@ TEST(SampleSizerTest, KptMatchesLiteralTimPilot) {
   const Case cases[] = {
       {&ba.value(), std::vector<double>(ba.value().num_edges(), 0.08)},
       {&hub, HubProbs(hub, 0.01)}};
-  ASSERT_TRUE(IsSkipCoin((*BuildCoinColumn(hub, cases[1].probs))[0]));
+  ASSERT_TRUE(IsSkipCoin(BuildCoinColumn(hub, cases[1].probs)->nodes[0]));
   ThreadPool two(2), eight(8);
   for (const Case& c : cases) {
     SampleSizerOptions opt;
