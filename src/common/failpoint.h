@@ -30,6 +30,15 @@
 // spec fires at the same hits in every run — the property the chaos suite
 // and the bit-identical-recovery tests rest on. Hit counters are
 // per-entry and process-wide; Clear() removes all entries and resets them.
+//
+// Attribution in core::RunTiGreedy: the spill.* sites are hit from one
+// thread at a time in a fixed order (evictions run in store order, cold
+// reads in the serial round loop), so a fixed spec hits the same store's
+// same write or read in every run. sampler.alloc and pool.alloc are also
+// hit from the parallel per-store tasks: their hit count is fixed, not
+// which store's call takes the Nth hit, and either one firing aborts the
+// run (std::bad_alloc, a ResourceExhausted Status), so the outcome still
+// replays.
 
 #ifndef ISA_COMMON_FAILPOINT_H_
 #define ISA_COMMON_FAILPOINT_H_

@@ -133,6 +133,7 @@ AdvertiserEngine::AdvertiserEngine(uint32_t ad, const RmInstance& instance,
   // run); a missing one would otherwise surface as a null deref deep in
   // Init's first schedule query.
   ISA_CHECK(options_.sizer != nullptr);
+  initial_theta_ = schedule_.ThetaFor(1);
   heap_.Configure(ratio_keyed_heap_, instance.incentives(ad));
   if (windowed()) {
     ISA_CHECK(options_.window < kDirtyBit);
@@ -143,9 +144,13 @@ AdvertiserEngine::AdvertiserEngine(uint32_t ad, const RmInstance& instance,
 
 AdvertiserEngine::~AdvertiserEngine() = default;
 
-Status AdvertiserEngine::Init() {
-  theta_ = schedule_.ThetaFor(1);
-  collection_.AddSets(sampler_, theta_, {});
+void AdvertiserEngine::AdoptUpTo(uint64_t theta) {
+  ISA_CHECK(theta >= theta_ && theta <= initial_theta_);
+  collection_.AddSets(sampler_, theta - theta_, {});
+  theta_ = theta;
+}
+
+Status AdvertiserEngine::BuildCandidateOrder() {
   if (options_.candidate_rule == CandidateRule::kPageRank) {
     auto pr = graph::WeightedPageRank(instance_.graph(),
                                       instance_.ad_probs(ad_));

@@ -234,9 +234,23 @@ class AdvertiserEngine {
                    const AdvertiserEngineOptions& options);
   ~AdvertiserEngine();
 
-  /// Stage 0: initial θ_j = θ(1) sample plus the candidate order (heap, or
-  /// the ad-specific PageRank ranking for the baseline rule).
-  Status Init();
+  /// Stage 0: the initial θ_j = θ(1) sample, then the candidate order.
+  Status Init() {
+    AdoptUpTo(initial_theta_);
+    return BuildCandidateOrder();
+  }
+  /// θ(1), the prefix Stage 0 adopts.
+  uint64_t initial_theta() const { return initial_theta_; }
+  /// Stage 0's first half: grows the adopted prefix to `theta` (at most
+  /// initial_theta()), sampling through this ad's sampler whatever the
+  /// store lacks. RunTiGreedy streams a budgeted store's θ(1) through it
+  /// batch by batch, the group leader's sampler drawing every batch.
+  void AdoptUpTo(uint64_t theta);
+  /// Stage 0's second half, once initial_theta() sets are adopted: the
+  /// candidate order (heap, or the ad-specific PageRank ranking for the
+  /// baseline rule).
+  Status BuildCandidateOrder();
+  rrset::ParallelSampler& sampler() { return sampler_; }
 
   // ---- Candidate stage (Algorithm 2 line 7 + Algorithm 1 line 12). ----
 
@@ -352,6 +366,7 @@ class AdvertiserEngine {
   std::vector<uint8_t> eligible_;  // unassigned globally & still in E for me
   std::vector<graph::NodeId> seeds_;
 
+  uint64_t initial_theta_ = 0;
   uint64_t theta_ = 0;
   uint64_t latent_s_ = 1;  // s̃_j
   double revenue_ = 0.0;

@@ -5,6 +5,7 @@
 #include <memory>
 #include <new>
 #include <unordered_map>
+#include <utility>
 
 #include "common/rng.h"
 #include "common/stopwatch.h"
@@ -34,13 +35,101 @@ uint64_t HashProbVector(std::span<const double> probs) {
 
 // One physical RR store, its out-of-core tier and the advertisers that
 // view it, in ad order. ads.front() is the leader: its probabilities and
-// seed drive the store's KPT pilot and resampler, and the result charges
-// the store to it. Without a memory budget the tier is a no-op.
+// seed drive the store's KPT pilot, resampler and θ(1) sample, and the
+// result charges the store to it. Without a memory budget the tier is a
+// no-op.
 struct StoreGroup {
   std::shared_ptr<rrset::RrStore> store;
   rrset::TieredRrStore tier;
   std::vector<uint32_t> ads;
+  // Sets per batch of the streamed θ(1) sample (FirstSampleBatch); 0 draws
+  // it in one batch.
+  uint64_t batch = 0;
 };
+
+// Fewest sets per streamed batch: each batch pays O(n) passes in its
+// append, adoption and eviction, so a budget of a few sets must not mean
+// batches of a few sets.
+constexpr uint64_t kMinFirstSampleBatch = 1024;
+
+// Sets per batch when a budgeted store streams its θ(1) sample through the
+// tier: about the budget's worth of resident bytes, at an offset plus a
+// member and an index posting per member at the pilot's mean set size. A
+// batch is the most the budget can hold, and with budgets of a chunk or
+// more each eviction writes at least about one chunk. 0, one batch, when
+// unbudgeted or when the whole sample fits the budget.
+uint64_t FirstSampleBatch(const TiOptions& options,
+                          const rrset::SampleSizer& sizer) {
+  const uint64_t budget = options.rr_memory_budget_bytes;
+  const uint64_t theta = sizer.ThetaFor(1);
+  const double set_bytes = sizeof(uint64_t) + 2 * sizeof(graph::NodeId) *
+                                                  sizer.pilot_mean_set_size();
+  if (budget == 0 || budget >= set_bytes * static_cast<double>(theta)) {
+    return 0;
+  }
+  const uint64_t batch =
+      std::max(kMinFirstSampleBatch,
+               static_cast<uint64_t>(static_cast<double>(budget) / set_bytes));
+  return batch < theta ? batch : 0;
+}
+
+// Stage 0 for the stores that stream θ(1) (batch > 0): batch k of every
+// such store is drawn by its leader's sampler, appended, and adopted by
+// each view in ad order. Before batch k + 1 is appended, the store's tier
+// evicts all of it (the next batch fills the budget), so a store holds one
+// batch plus the next one's shards, never the whole sample. Per step one
+// task evicts every store, in group order, while the other tasks draw each
+// store's next batch into shards: spill writes, and so the spill.*
+// failpoint hits, keep one order at any thread count. In the step after
+// its last batch a group builds its candidate orders instead, and its tier
+// evicts down to the budget. The ids and their substreams are those of one
+// big batch, so every set, and everything computed, is bit-identical to
+// the one-batch path; only chunk boundaries and memory counters move.
+void StreamFirstSample(ThreadPool& pool, std::span<StoreGroup* const> streamed,
+                       std::span<const std::unique_ptr<AdvertiserEngine>> ads,
+                       std::span<Status> init_status) {
+  uint64_t steps = 0;
+  for (const StoreGroup* g : streamed) {
+    const uint64_t theta = ads[g->ads.front()]->initial_theta();
+    steps = std::max(steps, (theta + g->batch - 1) / g->batch);
+  }
+  std::vector<std::vector<rrset::RrSetColumns>> shards(streamed.size());
+  for (uint64_t step = 0; step <= steps; ++step) {
+    pool.Run(streamed.size() + 1, [&](uint64_t t) {
+      if (t == 0) {
+        for (StoreGroup* g : streamed) {
+          const bool more =
+              step * g->batch < ads[g->ads.front()]->initial_theta();
+          g->tier.MaybeSpill(
+              g->store->num_sets(), &pool,
+              more ? g->tier.options().rr_memory_budget_bytes : 0);
+        }
+        return;
+      }
+      const StoreGroup& g = *streamed[t - 1];
+      AdvertiserEngine& leader = *ads[g.ads.front()];
+      const uint64_t lo = step * g.batch;
+      const uint64_t theta = leader.initial_theta();
+      if (lo < theta) {
+        shards[t - 1] =
+            leader.sampler().SampleShards(lo, std::min(g.batch, theta - lo));
+      } else if (lo - theta < g.batch) {
+        for (uint32_t j : g.ads) {
+          init_status[j] = ads[j]->BuildCandidateOrder();
+          if (!init_status[j].ok()) return;
+        }
+      }
+    });
+    if (step == steps) return;
+    pool.Run(streamed.size(), [&](uint64_t i) {
+      if (shards[i].empty()) return;
+      const StoreGroup& g = *streamed[i];
+      ads[g.ads.front()]->sampler().AppendShards(*g.store,
+                                                 std::exchange(shards[i], {}));
+      for (uint32_t j : g.ads) ads[j]->AdoptUpTo(g.store->num_sets());
+    });
+  }
+}
 
 // With share_samples, advertisers whose Eq. 1 probabilities are bitwise
 // identical (pure-competition ads) are grouped onto one RR store. A single
@@ -110,7 +199,9 @@ uint32_t SelectAd(SelectionRule rule,
 
 // The round loop of Algorithm 2 (lines 5-22). Each round:
 //   1. spill     — each store's tier may evict its oldest fully-adopted
-//                  sets (ids below min θ_j over the store's views);
+//                  sets (ids below min θ_j over the store's views), in
+//                  store order; a streamed first sample left the store
+//                  within its budget, so this spills only θ-growth;
 //   2. candidate — every advertiser settles a budget-feasible candidate
 //                  (line 7 + the Algorithm 1 line-12 retirement);
 //   3. commit    — the selection rule picks one (node, advertiser) pair
@@ -211,7 +302,9 @@ Result<TiResult> RunTiGreedy(const RmInstance& instance,
     // column every member's sampler and the store's resampler. Each group
     // draws only from its own HashSeed(seed, leader) substreams, so results
     // are bit-identical at any worker count. Tasks themselves reenter the
-    // pool for sampling (see common/thread_pool.h).
+    // pool for sampling (see common/thread_pool.h). A budgeted store whose
+    // θ(1) would not fit its budget gets only its pilot and engines here:
+    // StreamFirstSample then draws its θ(1) through the tier in batches.
     pool.Run(groups.size(), [&](uint64_t gi) {
       StoreGroup& group = groups[gi];
       const uint32_t leader = group.ads.front();
@@ -242,6 +335,7 @@ Result<TiResult> RunTiGreedy(const RmInstance& instance,
             rrset::RrSampler sampler(graph, probs, model, coins);
             sampler.SampleIds(seed, lo, hi - lo, sizes, nodes);
           });
+      group.batch = FirstSampleBatch(options, *sizer);
       for (uint32_t j : group.ads) {
         AdvertiserEngineOptions eo;
         eo.candidate_rule = options.candidate_rule;
@@ -253,10 +347,16 @@ Result<TiResult> RunTiGreedy(const RmInstance& instance,
         eo.sampler.pool = &pool;
         ads[j] = std::make_unique<AdvertiserEngine>(j, instance, group.store,
                                                     eo);
+        if (group.batch != 0) continue;  // streamed below
         init_status[j] = ads[j]->Init();
         if (!init_status[j].ok()) return;
       }
     });
+    std::vector<StoreGroup*> streamed;
+    for (StoreGroup& g : groups) {
+      if (g.batch != 0) streamed.push_back(&g);
+    }
+    if (!streamed.empty()) StreamFirstSample(pool, streamed, ads, init_status);
     for (uint32_t j = 0; j < h; ++j) {
       if (!init_status[j].ok()) return init_status[j];
     }
@@ -287,6 +387,11 @@ Result<TiResult> RunTiGreedy(const RmInstance& instance,
     st.rr_index_bytes = store.IndexBytes();
     st.spilled_bytes = store.SpilledBytes();
     st.spill_chunks = store.SpillChunks();
+    if (store.spill_file() != nullptr) {
+      for (const auto& c : store.spill_file()->chunks()) {
+        st.spill_chunk_ranges.emplace_back(c.set_lo, c.set_hi);
+      }
+    }
     st.scan_reloads = store.scan_reloads();
     st.chunks_read = store.chunks_read();
     st.chunks_skipped = store.chunks_skipped();

@@ -38,6 +38,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -109,12 +110,14 @@ struct TiOptions {
   /// resident footprint exceeds the budget at a barrier round, its oldest
   /// fully-adopted sets are evicted to an on-disk columnar chunk file and
   /// later coverage removals over them read back only the spilled sets
-  /// that contain the committed seed (see rrset/tiered_store.h). Spill
-  /// decisions happen only at the round loop's deterministic barrier (the
-  /// top of every round) and never change any computed value, so a fixed
-  /// seed still yields a bit-identical TiResult (allocations, revenue, θ,
-  /// growth counters) at ANY thread count and ANY budget — only the
-  /// memory/spill statistics differ. The budget is a target:
+  /// that contain the committed seed (see rrset/tiered_store.h). A store
+  /// whose θ(1) sample would not fit draws it in batches of about the
+  /// budget, evicting between them, so it never holds the whole sample.
+  /// Spill decisions happen only at fixed points (between those batches,
+  /// and at the top of every round) and never change any computed value,
+  /// so a fixed seed still yields a bit-identical TiResult (allocations,
+  /// revenue, θ, growth counters) at ANY thread count and ANY budget —
+  /// only the memory/spill statistics differ. The budget is a target:
   /// a hot (not yet fully adopted) tail larger than the budget stays
   /// resident.
   uint64_t rr_memory_budget_bytes = 0;
@@ -149,10 +152,14 @@ struct TiAdStats {
   /// (commits that had to consult the cold tier), chunks that yielded
   /// covered sets vs chunks skipped (node envelope, postings miss, or no
   /// alive hit) across those lookups, and the store's peak RESIDENT
-  /// bytes as observed at the spill barrier checks (0 when unbudgeted —
-  /// use rr_memory_bytes, which is then also the final resident figure).
+  /// bytes as observed after each eviction check, in the streamed first
+  /// sample and at the round barriers (0 when unbudgeted — use
+  /// rr_memory_bytes, which is then also the final resident figure).
   uint64_t spilled_bytes = 0;
   uint64_t spill_chunks = 0;
+  /// [set_lo, set_hi) of each chunk of the store's spill file, in file
+  /// order.
+  std::vector<std::pair<uint64_t, uint64_t>> spill_chunk_ranges;
   uint64_t scan_reloads = 0;
   uint64_t chunks_read = 0;
   uint64_t chunks_skipped = 0;

@@ -120,7 +120,11 @@ void ParallelSampler::SampleToBuffer(uint64_t first_id, uint64_t count,
 
 void ParallelSampler::SampleAppend(RrStore& store, uint64_t count) {
   if (count == 0) return;
-  std::vector<RrSetColumns> shards = SampleShards(store.num_sets(), count);
+  AppendShards(store, SampleShards(store.num_sets(), count));
+}
+
+void ParallelSampler::AppendShards(RrStore& store,
+                                   std::vector<RrSetColumns> shards) {
   // The shards land in the store as one batch, so the resulting store,
   // including vector capacities, is identical to a 1-worker run. For the
   // inline path an already-live pool is forwarded for the index build, but

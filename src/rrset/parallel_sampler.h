@@ -100,6 +100,17 @@ class ParallelSampler {
   /// (RrStore::AppendParts), each copied once, in parallel.
   void SampleAppend(RrStore& store, uint64_t count);
 
+  /// SampleAppend in two halves, for a caller that draws a batch while the
+  /// store is busy (RunTiGreedy draws a budgeted store's next batch while
+  /// its tier evicts the last one). SampleShards samples ids [first_id,
+  /// first_id + count) into one shard per worker, the workers taking
+  /// contiguous id ranges in shard order, on the pool when more than one;
+  /// one "sampler.alloc" failpoint hit per call with count > 0.
+  /// AppendShards appends shards drawn at first_id = store.num_sets() to
+  /// `store` as one batch.
+  std::vector<RrSetColumns> SampleShards(uint64_t first_id, uint64_t count);
+  void AppendShards(RrStore& store, std::vector<RrSetColumns> shards);
+
   /// Samples `count` RR sets with absolute ids [first_id, first_id + count)
   /// into caller buffers (cleared first) without touching any store:
   /// `sizes` holds one cardinality per set, `nodes` the concatenated
@@ -128,11 +139,6 @@ class ParallelSampler {
   const std::shared_ptr<const CoinColumn>& coins() const { return coins_; }
 
  private:
-  // Samples ids [first_id, first_id + count) (count > 0) into one shard per
-  // worker, the workers taking contiguous id ranges in shard order, on the
-  // pool when more than one. One "sampler.alloc" failpoint hit per call.
-  std::vector<RrSetColumns> SampleShards(uint64_t first_id, uint64_t count);
-
   // Samples ids [first_id, first_id + count) into a new shard using the
   // worker-private sampler `w`. The shard grows in the worker's own frame
   // and is moved into place once full: the kernel pushes every member

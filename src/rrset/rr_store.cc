@@ -352,8 +352,9 @@ void RrStore::SpillPrefix(uint64_t new_first, const SpillOptions& options,
   // old capacity alive and the freed bytes would never leave MemoryBytes,
   // defeating the budget the spill exists to honor. This transiently
   // holds old + retained copies of the nodes column (the unavoidable cost
-  // of an exact-fit shrink); the barrier meter samples after the spill,
-  // so size budgets with that headroom in mind.
+  // of an exact-fit shrink), which the tier's resident meter, sampled
+  // after the spill, does not see; between the batches of a streamed
+  // first sample the whole store is evicted, so there it is empty.
   const uint64_t drop = new_first - first_resident_;
   const uint64_t dropped_postings = rr_offsets_[drop];
   std::vector<graph::NodeId> nodes(rr_nodes_.begin() + dropped_postings,

@@ -19,7 +19,9 @@
 // or index append will touch again; a coverage view only revisits them
 // when a committed seed covers one — the cold lookup path). The spill
 // policy (when and how much to evict) lives in tiered_store.h; this class
-// only provides the mechanism.
+// only provides the mechanism. SpillPrefix holds old and retained copies
+// of the hot columns for a moment; the tier's resident meter samples after
+// it returns, so only the process peak sees them.
 //
 // Inverted-index layout: one exact-fit CSR — a flat ascending set-id
 // array plus per-node offsets — over exactly the hot sets, rebuilt on

@@ -62,6 +62,8 @@ void SampleSizer::RunPilot(const graph::Graph& g,
                   std::pow(2.0, i)));
     sampler.SampleToBuffer(pilot_sets_, ci, &nodes, &sizes);
     pilot_sets_ += ci;  // total drawn across rounds, not just this one
+    pilot_mean_set_size_ =
+        static_cast<double>(nodes.size()) / static_cast<double>(ci);
 
     // κ summed in id order — thread count never changes the value.
     double kappa_sum = 0.0;

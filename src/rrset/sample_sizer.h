@@ -122,6 +122,9 @@ class SampleSizer {
 
   /// Number of pilot RR sets drawn (0 if the pilot was disabled).
   uint64_t pilot_sets() const { return pilot_sets_; }
+  /// Mean members per set over the pilot's last round (0 without a
+  /// pilot): what RunTiGreedy sizes a budgeted store's batches by.
+  double pilot_mean_set_size() const { return pilot_mean_set_size_; }
 
   uint64_t n() const { return n_; }
   const SampleSizerOptions& options() const { return options_; }
@@ -142,6 +145,7 @@ class SampleSizer {
   double kpt_ = 0.0;
   bool pilot_converged_ = false;
   uint64_t pilot_sets_ = 0;
+  double pilot_mean_set_size_ = 0.0;
 };
 
 /// The per-s sample-size table θ(s) = running max of SampleSizer::ThetaFor

@@ -19,10 +19,11 @@ TieredRrStore::TieredRrStore(std::shared_ptr<RrStore> store,
   }
 }
 
-void TieredRrStore::MaybeSpill(uint64_t max_evictable, ThreadPool* pool) {
+void TieredRrStore::MaybeSpill(uint64_t max_evictable, ThreadPool* pool,
+                               uint64_t reserve) {
   if (!enabled()) return;
   const uint64_t budget = options_.rr_memory_budget_bytes;
-  const uint64_t resident = store_->MemoryBytes();
+  const uint64_t resident = store_->MemoryBytes() + reserve;
   if (!eviction_disabled_ && resident > budget &&
       max_evictable > store_->first_resident_set()) {
     // Walk the eviction frontier forward until the estimated reclaim

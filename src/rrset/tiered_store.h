@@ -2,12 +2,17 @@
 //
 // One TieredRrStore watches one physical RrStore (private or shared among
 // a share_samples group); RunTiGreedy builds one per store, budgeted or
-// not. At the top of every round, its deterministic barrier, the round
-// loop calls MaybeSpill: if the store's resident bytes exceed the
-// budget, the oldest fully-adopted sets are evicted to the store's spill
-// file until the estimated resident footprint fits (or nothing evictable
-// remains — a hot tail larger than the budget stays resident; the budget
-// is a target, not a hard allocator limit).
+// not. RunTiGreedy calls MaybeSpill at two kinds of fixed points:
+//   - in Stage 0, when a budgeted store streams its θ(1) sample in
+//     batches: before each batch is appended (with the budget as
+//     `reserve`, room for the batch, so the whole store goes cold) and
+//     once after the last;
+//   - at the top of every round, the round loop's deterministic barrier.
+// If the store's resident bytes exceed the budget, the oldest
+// fully-adopted sets are evicted to the store's spill file until the
+// estimated resident footprint fits (or nothing evictable remains — a hot
+// tail larger than the budget stays resident; the budget is a target, not
+// a hard allocator limit).
 //
 // Eviction order is strictly oldest-first (ascending set id). Old sets are
 // the coldest by construction: adoption only touches ids at the top of the
@@ -17,11 +22,18 @@
 // spilling them costs nothing; the remaining alive cold sets are serviced
 // by the cold lookup path (RrStore::ForEachSpilledSetContaining).
 //
-// Determinism: MaybeSpill runs only at barrier rounds (fixed points of the
-// round loop), its inputs — resident bytes, view thetas — are themselves
-// bit-identical at any thread count, and spilling never changes any
-// computed value (see rr_store.h). Fixed seed ⇒ bit-identical TiResult at
-// any thread count AND any budget, including budget 0 (spilling disabled).
+// Determinism: MaybeSpill runs only at those fixed points, its inputs —
+// resident bytes, view thetas — are themselves bit-identical at any thread
+// count, and spilling never changes any computed value (see rr_store.h).
+// Fixed seed ⇒ bit-identical TiResult at any thread count AND any budget,
+// including budget 0 (spilling disabled).
+//
+// Threading: one tier is never entered concurrently, and RunTiGreedy runs
+// every tier's MaybeSpill from one thread at a time, in store order (the
+// streamed Stage 0 from one pool task, while other tasks draw the next
+// batches into shards that no store holds yet). The spill files' writes,
+// and so the process-wide spill.* failpoint hits, therefore keep one order
+// at any thread count. MaybeSpill fans its node-range passes out on `pool`.
 
 #ifndef ISA_RRSET_TIERED_STORE_H_
 #define ISA_RRSET_TIERED_STORE_H_
@@ -52,17 +64,19 @@ struct TieredStoreOptions {
 };
 
 /// Budget policy over one RrStore (see file comment). Not thread-safe;
-/// called from the single round-loop thread at barrier rounds.
+/// called from one thread at a time (see the threading note).
 class TieredRrStore {
  public:
   TieredRrStore(std::shared_ptr<RrStore> store, TieredStoreOptions options);
 
   /// Barrier hook. `max_evictable` is the store's fully-adopted frontier —
   /// min θ_j over every view of this store; only ids below it may go cold.
-  /// Evicts oldest-first until the estimated resident footprint fits the
+  /// Evicts oldest-first until the estimated resident footprint plus
+  /// `reserve` bytes (room for a batch about to be appended) fits the
   /// budget, then records the resident bytes in resident_peak_bytes().
   /// No-op when the budget is 0 or already satisfied.
-  void MaybeSpill(uint64_t max_evictable, ThreadPool* pool = nullptr);
+  void MaybeSpill(uint64_t max_evictable, ThreadPool* pool = nullptr,
+                  uint64_t reserve = 0);
 
   bool enabled() const { return options_.rr_memory_budget_bytes > 0; }
   /// MaybeSpill calls that actually evicted something.
@@ -78,9 +92,10 @@ class TieredRrStore {
   uint64_t degradation_events() const { return degradation_events_; }
 
   /// Peak of the store's resident bytes (RrStore::MemoryBytes) as observed
-  /// after each barrier's eviction — the honest Table 3 number. Spilled
-  /// bytes (RrStore::SpilledBytes) never feed it: they are exactly what
-  /// the budget pushed out of the working set.
+  /// after each MaybeSpill call's eviction — the honest Table 3 number.
+  /// Spilled bytes (RrStore::SpilledBytes) never feed it: they are exactly
+  /// what the budget pushed out of the working set. A batch between its
+  /// append and the next call is not observed: the process peak is.
   uint64_t resident_peak_bytes() const { return resident_peak_bytes_; }
 
   const std::shared_ptr<RrStore>& store() const { return store_; }

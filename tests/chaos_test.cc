@@ -15,7 +15,12 @@
 //
 // Every trigger is a pure function of per-site hit counters, so each spec
 // reproduces the same fault schedule on every run — a red chaos case
-// replays exactly.
+// replays exactly. The spill.* sites keep one attribution per run:
+// evictions (those between the batches of a streamed first sample too)
+// run in a fixed store order, and cold reads happen in the serial round
+// loop. sampler.alloc and pool.alloc are hit from parallel per-store
+// tasks, so only their hit count is fixed; either one firing aborts the
+// run with ResourceExhausted, which replays all the same.
 //
 // NOTE: only this suite (and the registry/recovery suites, which arm
 // their own specs) tolerate a set ISA_FAILPOINTS; the CI chaos job runs

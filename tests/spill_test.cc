@@ -419,8 +419,8 @@ struct SpillEndToEndFixture {
   Graph g = MakeBaGraph(150, 9);
   std::unique_ptr<RmInstance> instance;
 
-  SpillEndToEndFixture() {
-    auto topics = topic::MakeUniform(g, 1, 0.8);
+  explicit SpillEndToEndFixture(double arc_prob = 0.8) {
+    auto topics = topic::MakeUniform(g, 1, arc_prob);
     ISA_CHECK(topics.ok());
     std::vector<core::AdvertiserSpec> ads(3);
     ads[0].cpe = 0.2;
@@ -603,6 +603,85 @@ TEST(SpillEndToEndTest, SharedStoreBudgetedMatchesUnbudgeted) {
     ASSERT_TRUE(budgeted.ok());
     ExpectComputedResultsIdentical(unbudgeted.value(), budgeted.value());
     EXPECT_GT(budgeted.value().total_spilled_bytes, 0u);
+  }
+}
+
+// A budget smaller than the store streams θ(1) through the tier in
+// batches (RunTiGreedy's init), evicting between them; the sets, and so
+// everything computed, are those of the one-batch run, at any thread count
+// and whether one view or several adopt each batch. θ(1) is the θ cap here
+// and never grows, so the chunk list shows the init evictions alone.
+TEST(SpillEndToEndTest, StreamedFirstSampleMatchesUnbudgeted) {
+  SpillEndToEndFixture f(/*arc_prob=*/0.1);  // small sets: cheap batches
+  TiOptions options = f.BaseOptions();
+  constexpr uint64_t kTheta = 10'000;
+  // The fewest sets per batch (RunTiGreedy's floor), which a one-byte
+  // budget gets: 9 full batches and one of 784 sets.
+  constexpr uint64_t kFloorBatch = 1024;
+  options.theta_cap = kTheta;
+  for (const bool share : {false, true}) {
+    SCOPED_TRACE(share ? "one shared store" : "a store per ad");
+    options.share_samples = share;
+    options.rr_memory_budget_bytes = 0;
+    options.num_threads = 1;
+    auto unbudgeted = RunTiGreedy(*f.instance, options);
+    ASSERT_TRUE(unbudgeted.ok()) << unbudgeted.status().message();
+    const TiResult& reference = unbudgeted.value();
+    ASSERT_EQ(reference.total_growth_events, 0u);
+    ASSERT_EQ(reference.ad_stats[0].theta, kTheta);
+    // Resident bytes of ad 0's store: an offset per set, and a member and
+    // an index posting per member (the CSR's node offsets aside).
+    const uint64_t postings =
+        (reference.ad_stats[0].rr_index_bytes -
+         (f.g.num_nodes() + 1) * sizeof(uint64_t)) /
+        sizeof(uint32_t);
+    const uint64_t store_bytes =
+        kTheta * sizeof(uint64_t) + postings * 2 * sizeof(uint32_t);
+
+    struct Budget {
+      const char* name;
+      uint64_t bytes;
+    };
+    const Budget budgets[] = {
+        {"one batch", 2 * store_bytes},
+        {"two batches", store_bytes * 3 / 4},
+        {"ten batches", 1},
+    };
+    for (const Budget& budget : budgets) {
+      SCOPED_TRACE(budget.name);
+      options.rr_memory_budget_bytes = budget.bytes;
+      std::vector<std::vector<std::pair<uint64_t, uint64_t>>> chunks;
+      for (const uint32_t threads : {1u, 2u, 4u, 8u}) {
+        SCOPED_TRACE(testing::Message() << threads << " threads");
+        options.num_threads = threads;
+        auto budgeted = RunTiGreedy(*f.instance, options);
+        ASSERT_TRUE(budgeted.ok()) << budgeted.status().message();
+        ExpectComputedResultsIdentical(reference, budgeted.value());
+        std::vector<std::vector<std::pair<uint64_t, uint64_t>>> ranges;
+        for (const auto& st : budgeted.value().ad_stats) {
+          ranges.push_back(st.spill_chunk_ranges);
+        }
+        if (threads == 1) {
+          chunks = ranges;
+        } else {
+          EXPECT_EQ(ranges, chunks);
+        }
+      }
+      if (budget.bytes > store_bytes) {
+        EXPECT_TRUE(chunks[0].empty());  // the whole sample fits
+        continue;
+      }
+      ASSERT_FALSE(chunks[0].empty());
+      EXPECT_EQ(chunks[0].front().first, 0u);
+      if (budget.bytes == 1) {
+        // Every step evicts the whole store: one chunk per batch.
+        std::vector<std::pair<uint64_t, uint64_t>> grid;
+        for (uint64_t lo = 0; lo < kTheta; lo += kFloorBatch) {
+          grid.emplace_back(lo, std::min(lo + kFloorBatch, kTheta));
+        }
+        EXPECT_EQ(chunks[0], grid);
+      }
+    }
   }
 }
 

@@ -26,8 +26,10 @@ time single-thread kernels and thread scaling, which a shared host moves
 more than any ratio gate allows. Fig5 captures at different scales are
 not compared row by row (CI runs it at a smaller scale than the golden's).
 
-Independent of any golden, every fresh file's determinism gate booleans
-(top-level keys ending in "determinism_ok") must be true.
+Independent of any golden, every fresh file's gate booleans must be true:
+the determinism gates (top-level keys ending in "determinism_ok") and
+BENCH_table3.json's peak_bounded_ok (every budgeted row's process peak
+below the unbudgeted row's).
 
 Usage:
   check_bench_regression.py --golden bench/results --fresh out_dir
@@ -113,9 +115,10 @@ class Report:
 
 
 def check_gate_booleans(name, fresh, report):
-    """Every top-level *determinism_ok key in a fresh capture must be true."""
+    """Every top-level gate boolean in a fresh capture must be true."""
     for key, value in fresh.items():
-        if key.endswith("determinism_ok") and value is not True:
+        gate = key.endswith("determinism_ok") or key == "peak_bounded_ok"
+        if gate and value is not True:
             report.fail(f"{name}: gate boolean '{key}' is {value!r}, "
                         "expected true")
 
@@ -491,6 +494,16 @@ def self_test():
                  "e2e_determinism_ok": False})
     assert not r.ok and "e2e_determinism_ok" in r.failures[0], (
         r.failures)
+
+    # Table 3: a budgeted row whose process peak reached the unbudgeted
+    # row's fails the capture on its own, like a determinism gate.
+    table3 = {"bench": "table3_memory", "repeat_determinism_ok": True,
+              "peak_bounded_ok": True}
+    r = verdict(table3, table3)
+    assert r.ok and not r.notes, (r.failures, r.notes)
+    r = verdict(table3, dict(table3, peak_bounded_ok=False))
+    assert (len(r.failures) == 1
+            and "peak_bounded_ok" in r.failures[0]), r.failures
 
     # Micro sampling kernel: a changed set hash fails, naming the instance;
     # a changed rate passes silently; a missing instance is a coverage
