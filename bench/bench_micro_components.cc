@@ -470,8 +470,7 @@ void RunSkipCutoverSweep(const Graph& g, std::span<const double> probs,
     }
     return std::shared_ptr<const rr::CoinColumn>(std::move(coins));
   };
-  const auto ic = rr::DiffusionModel::kIndependentCascade;
-  rr::RrSampler per_arc(g, probs, ic, column(0, 0));
+  rr::RrSampler per_arc(g, probs, column(0, 0));
   const uint64_t edges[] = {2, 3, 4, 6, 8, 12, 16, 32, UINT32_MAX};
   std::printf("\nskip cutover (wc-ba, p = 1/d): skip on one in-degree bucket "
               "vs none, %llu sets, 1 thread, median of %d\n",
@@ -486,7 +485,7 @@ void RunSkipCutoverSweep(const Graph& g, std::span<const double> probs,
     for (isa::graph::NodeId v = 0; v < g.num_nodes(); ++v) {
       nodes_in += g.InDegree(v) >= lo && g.InDegree(v) < hi;
     }
-    rr::RrSampler skip(g, probs, ic, column(lo, hi));
+    rr::RrSampler skip(g, probs, column(lo, hi));
     Walk wa, ws;
     TimeWalks(per_arc, skip, kCutoverReps, &wa, &ws);
     uint64_t arcs = 0;
@@ -580,10 +579,9 @@ bool RunSamplingKernelSweep(std::vector<std::string>* kernel_rows,
         std::count_if(states.begin(), states.end(), isa::rrset::IsSkipCoin));
     const uint64_t code_bytes = coins->arc_codes.size();
 
-    const auto ic = isa::rrset::DiffusionModel::kIndependentCascade;
-    isa::rrset::RrSampler coin(g, probs, ic, coins);
+    isa::rrset::RrSampler coin(g, probs, coins);
     isa::rrset::RrSampler per_arc(
-        g, probs, ic,
+        g, probs,
         std::make_shared<const isa::rrset::CoinColumn>(
             isa::rrset::CoinColumn{
                 std::vector<uint64_t>(g.num_nodes(), isa::rrset::kCoinMixed),

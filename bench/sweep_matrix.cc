@@ -23,7 +23,6 @@ std::string FormatG(double v) { return StrFormat("%g", v); }
 std::string RenderAxis(const std::string& key, const SweepCell& cell) {
   if (key == "dataset") return cell.dataset;
   if (key == "regime") return graph::WeightingRegimeName(cell.regime);
-  if (key == "model") return DiffusionModelName(cell.model);
   if (key == "rule") return SweepRuleName(cell.rule);
   if (key == "budget") return FormatG(cell.budget);
   if (key == "mem") return FormatG(cell.memory_fraction);
@@ -31,25 +30,14 @@ std::string RenderAxis(const std::string& key, const SweepCell& cell) {
   return {};
 }
 
-constexpr const char* kFilterKeys[] = {"dataset", "regime", "model",
-                                       "rule",    "budget", "mem",
-                                       "threads"};
+constexpr const char* kFilterKeys[] = {"dataset", "regime", "rule",
+                                       "budget",  "mem",    "threads"};
 
 bool KnownFilterKey(std::string_view key) {
   for (const char* k : kFilterKeys) {
     if (key == k) return true;
   }
   return false;
-}
-
-// Linear Threshold interprets arc values as LT weights, which requires
-// Σ_{u→v} w ≤ 1 at every v. Weighted-cascade sums to exactly 1 and
-// topic-mix draws each weight below 1/indeg(v); uniform-IC (constant p)
-// breaks the bound on any node with indeg > 1/p.
-bool ValidCombination(graph::WeightingRegime regime,
-                      rrset::DiffusionModel model) {
-  return model != rrset::DiffusionModel::kLinearThreshold ||
-         regime != graph::WeightingRegime::kUniformIc;
 }
 
 // The fig5 e2e comparator: the full documented determinism invariant,
@@ -90,24 +78,6 @@ Result<SweepRule> ParseSweepRule(std::string_view name) {
                 static_cast<int>(name.size()), name.data()));
 }
 
-const char* DiffusionModelName(rrset::DiffusionModel model) {
-  switch (model) {
-    case rrset::DiffusionModel::kIndependentCascade:
-      return "ic";
-    case rrset::DiffusionModel::kLinearThreshold:
-      return "lt";
-  }
-  return "unknown";
-}
-
-Result<rrset::DiffusionModel> ParseDiffusionModel(std::string_view name) {
-  if (name == "ic") return rrset::DiffusionModel::kIndependentCascade;
-  if (name == "lt") return rrset::DiffusionModel::kLinearThreshold;
-  return Status::InvalidArgument(
-      StrFormat("unknown diffusion model: %.*s (expected ic | lt)",
-                static_cast<int>(name.size()), name.data()));
-}
-
 Result<CellFilter> CellFilter::Parse(std::string_view spec) {
   CellFilter filter;
   if (Trim(spec).empty()) return filter;
@@ -124,8 +94,8 @@ Result<CellFilter> CellFilter::Parse(std::string_view spec) {
     const std::string value{Trim(part.substr(eq + 1))};
     if (!KnownFilterKey(key)) {
       return Status::InvalidArgument(StrFormat(
-          "unknown filter key '%s' (expected dataset | regime | model | "
-          "rule | budget | mem | threads)",
+          "unknown filter key '%s' (expected dataset | regime | rule | "
+          "budget | mem | threads)",
           key.c_str()));
     }
     if (value.empty()) {
@@ -163,7 +133,6 @@ Result<std::vector<SweepCell>> ExpandMatrix(const SweepAxes& axes,
   const AxisCheck checks[] = {
       {"datasets", axes.datasets.empty()},
       {"regimes", axes.regimes.empty()},
-      {"models", axes.models.empty()},
       {"rules", axes.rules.empty()},
       {"budgets", axes.budgets.empty()},
       {"memory_fractions", axes.memory_fractions.empty()},
@@ -187,39 +156,31 @@ Result<std::vector<SweepCell>> ExpandMatrix(const SweepAxes& axes,
   std::vector<SweepCell> cells;
   for (const std::string& dataset : axes.datasets) {
     for (graph::WeightingRegime regime : axes.regimes) {
-      for (rrset::DiffusionModel model : axes.models) {
-        for (SweepRule rule : axes.rules) {
-          for (double budget : axes.budgets) {
-            // Variant axes: memory fraction outermost so the unbudgeted
-            // run leads its group (fraction anchor + determinism base).
-            for (double mem : axes.memory_fractions) {
-              for (uint32_t threads : axes.threads) {
-                ++st.total_combinations;
-                if (!ValidCombination(regime, model)) {
-                  ++st.skipped_invalid;
-                  continue;
-                }
-                SweepCell cell;
-                cell.dataset = dataset;
-                cell.regime = regime;
-                cell.model = model;
-                cell.rule = rule;
-                cell.budget = budget;
-                cell.memory_fraction = mem;
-                cell.num_threads = threads;
-                cell.group = StrFormat(
-                    "%s/%s/%s/%s/b%s", dataset.c_str(),
-                    graph::WeightingRegimeName(regime),
-                    DiffusionModelName(model), SweepRuleName(rule),
-                    FormatG(budget).c_str());
-                cell.id = StrFormat("%s/m%s/t%u", cell.group.c_str(),
-                                    FormatG(mem).c_str(), threads);
-                if (!filter.Matches(cell)) {
-                  ++st.filtered_out;
-                  continue;
-                }
-                cells.push_back(std::move(cell));
+      for (SweepRule rule : axes.rules) {
+        for (double budget : axes.budgets) {
+          // Variant axes: memory fraction outermost so the unbudgeted run
+          // leads its group (fraction anchor + determinism base).
+          for (double mem : axes.memory_fractions) {
+            for (uint32_t threads : axes.threads) {
+              ++st.total_combinations;
+              SweepCell cell;
+              cell.dataset = dataset;
+              cell.regime = regime;
+              cell.rule = rule;
+              cell.budget = budget;
+              cell.memory_fraction = mem;
+              cell.num_threads = threads;
+              cell.group = StrFormat("%s/%s/%s/b%s", dataset.c_str(),
+                                     graph::WeightingRegimeName(regime),
+                                     SweepRuleName(rule),
+                                     FormatG(budget).c_str());
+              cell.id = StrFormat("%s/m%s/t%u", cell.group.c_str(),
+                                  FormatG(mem).c_str(), threads);
+              if (!filter.Matches(cell)) {
+                ++st.filtered_out;
+                continue;
               }
+              cells.push_back(std::move(cell));
             }
           }
         }
@@ -238,9 +199,8 @@ struct DatasetEntry {
   std::string source;
 };
 
-// Per-(dataset, regime, budget) instance shared across model/rule/variant
-// cells (the instance depends on neither the diffusion model nor the TI
-// rule — both live in TiOptions).
+// Per-(dataset, regime, budget) instance shared across rule/variant cells
+// (the instance does not depend on the TI rule, which lives in TiOptions).
 struct InstanceEntry {
   core::RmInstance instance;
 };
@@ -314,7 +274,6 @@ core::TiOptions CellTiOptions(const SweepCell& cell, uint64_t budget_bytes,
   opt.epsilon = options.epsilon;
   opt.theta_cap = options.theta_cap;
   opt.seed = 42;  // fixed: the determinism groups compare across variants
-  opt.propagation = cell.model;
   switch (cell.rule) {
     case SweepRule::kCarm:
       opt.candidate_rule = core::CandidateRule::kCoverage;
@@ -464,7 +423,6 @@ std::string MatrixReportToJson(const MatrixReport& report,
             .Add("group", o.cell.group)
             .Add("dataset", o.cell.dataset)
             .Add("regime", graph::WeightingRegimeName(o.cell.regime))
-            .Add("model", DiffusionModelName(o.cell.model))
             .Add("rule", SweepRuleName(o.cell.rule))
             .Add("budget", o.cell.budget)
             .Add("memory_fraction", o.cell.memory_fraction)
@@ -489,15 +447,13 @@ std::string MatrixReportToJson(const MatrixReport& report,
       JsonObject()
           .Add("total_combinations",
                static_cast<uint64_t>(report.stats.total_combinations))
-          .Add("skipped_invalid",
-               static_cast<uint64_t>(report.stats.skipped_invalid))
           .Add("filtered_out",
                static_cast<uint64_t>(report.stats.filtered_out))
           .Add("cells", static_cast<uint64_t>(report.stats.cells))
           .str();
   return JsonObject()
       .Add("bench", "sweep_matrix")
-      .Add("schema_version", 1)
+      .Add("schema_version", 2)
       .Add("scale", options.scale)
       .Add("seed", options.seed)
       .Add("advertisers", options.num_advertisers)

@@ -1,16 +1,13 @@
-// Scenario-matrix sweep: dataset × weighting regime × diffusion model ×
-// algorithm rule × budget × threads × memory budget.
+// Scenario-matrix sweep: dataset × weighting regime × algorithm rule ×
+// budget × threads × memory budget.
 //
 // The expander turns a `SweepAxes` declaration into a flat, stably-ordered
 // list of `SweepCell`s — genmake-style: every cell carries a deterministic
-// id ("com-dblp/wc/ic/carm/b1500/m0/t1") so two captures of the same
+// id ("com-dblp/wc/carm/b1500/m0/t1") so two captures of the same
 // matrix can be diffed cell by cell (tools/check_bench_regression.py).
-// Combinations that are invalid by construction (Linear Threshold needs
-// Σ in-weights ≤ 1, which uniform-IC does not guarantee) are skipped and
-// counted, never silently emitted.
 //
 // Cells group by everything the determinism invariant says cannot change
-// the result: (dataset, regime, model, rule, budget) is the GROUP; threads
+// the result: (dataset, regime, rule, budget) is the GROUP; threads
 // and memory fraction are VARIANTS within it. The runner
 // executes each group's cells in order (memory fraction 0 first, so the
 // unbudgeted run both anchors the fraction → bytes conversion and serves
@@ -37,7 +34,6 @@
 #include "common/status.h"
 #include "core/ti_greedy.h"
 #include "graph/dataset_catalog.h"
-#include "rrset/rr_sampler.h"
 
 namespace isa::bench {
 
@@ -50,16 +46,12 @@ enum class SweepRule {
 const char* SweepRuleName(SweepRule rule);
 Result<SweepRule> ParseSweepRule(std::string_view name);
 
-const char* DiffusionModelName(rrset::DiffusionModel model);
-Result<rrset::DiffusionModel> ParseDiffusionModel(std::string_view name);
-
 /// The declared matrix. Axis order is also expansion order (outermost
-/// first): dataset, regime, model, rule, budget | mem, threads.
+/// first): dataset, regime, rule, budget | mem, threads.
 /// The last two are the variant axes — see the file comment.
 struct SweepAxes {
   std::vector<std::string> datasets;  // DatasetCatalog names
   std::vector<graph::WeightingRegime> regimes;
-  std::vector<rrset::DiffusionModel> models;
   std::vector<SweepRule> rules;
   /// Unscaled budgets; the runner multiplies by its scale (budgets track
   /// graph size, per the paper's "seeds required < n" design rule).
@@ -71,10 +63,9 @@ struct SweepAxes {
 /// One expanded run. `id` and `group` are stable across hosts and runs.
 struct SweepCell {
   std::string id;     // "<group>/m<frac>/t<threads>"
-  std::string group;  // "<dataset>/<regime>/<model>/<rule>/b<budget>"
+  std::string group;  // "<dataset>/<regime>/<rule>/b<budget>"
   std::string dataset;
   graph::WeightingRegime regime = graph::WeightingRegime::kWeightedCascade;
-  rrset::DiffusionModel model = rrset::DiffusionModel::kIndependentCascade;
   SweepRule rule = SweepRule::kCarm;
   double budget = 0.0;           // unscaled axis value
   double memory_fraction = 0.0;  // 0 = unbudgeted
@@ -82,7 +73,7 @@ struct SweepCell {
 };
 
 /// `--only` filter: comma-separated key=value constraints, ANDed. Keys:
-/// dataset, regime, model, rule, budget, mem, threads.
+/// dataset, regime, rule, budget, mem, threads.
 /// Repeating a key ORs its values ("dataset=a,dataset=b").
 class CellFilter {
  public:
@@ -99,7 +90,6 @@ class CellFilter {
 
 struct ExpandStats {
   size_t total_combinations = 0;  // full cross product
-  size_t skipped_invalid = 0;     // LT × uniform-IC (weights not LT-valid)
   size_t filtered_out = 0;        // removed by the --only filter
   size_t cells = 0;               // emitted
 };

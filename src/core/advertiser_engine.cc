@@ -124,7 +124,8 @@ AdvertiserEngine::AdvertiserEngine(uint32_t ad, const RmInstance& instance,
           options.candidate_rule == CandidateRule::kCoverageCostRatio &&
           (options.window == 0 || options.window >= instance.num_nodes())),
       collection_(std::move(store)),
-      sampler_(instance.graph(), instance.ad_probs(ad), options.model,
+      sampler_(instance.graph(), instance.ad_probs(ad),
+               rrset::DiffusionModel::kIndependentCascade,
                options.sampler_seed, options.sampler,
                options.sizer != nullptr ? options.sizer->coins() : nullptr),
       schedule_(options.sizer),

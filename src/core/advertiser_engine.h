@@ -211,7 +211,6 @@ struct AdvertiserEngineOptions {
   /// heap is keyed by coverage/cost directly.
   uint32_t window = 0;
   uint64_t sampler_seed = 0;
-  rrset::DiffusionModel model = rrset::DiffusionModel::kIndependentCascade;
   /// The store's sample sizer, with the KPT pilot already run — built once
   /// per RR store by the driver (ads sharing a store share one pilot) and
   /// consumed here through a per-ad ThetaSchedule. The engine's sampler

@@ -312,7 +312,6 @@ Result<TiResult> RunTiGreedy(const RmInstance& instance,
       so.epsilon = options.epsilon;
       so.theta_cap = options.theta_cap;
       so.seed = HashSeed(options.seed, 1000 + leader);
-      so.model = options.propagation;
       // When the group tasks alone saturate the pool, a nested parallel
       // pilot buys no wall-clock but allocates O(concurrency) worker
       // samplers (O(n) epoch arrays) per concurrent pilot; run those
@@ -328,11 +327,11 @@ Result<TiResult> RunTiGreedy(const RmInstance& instance,
       // the whole group's.
       group.store->SetResampler(
           [&graph = instance.graph(), probs = instance.ad_probs(leader),
-           model = options.propagation, coins = sizer->coins()](
+           coins = sizer->coins()](
               uint64_t seed, uint64_t lo, uint64_t hi,
               std::vector<uint32_t>* sizes,
               std::vector<graph::NodeId>* nodes) {
-            rrset::RrSampler sampler(graph, probs, model, coins);
+            rrset::RrSampler sampler(graph, probs, coins);
             sampler.SampleIds(seed, lo, hi - lo, sizes, nodes);
           });
       group.batch = FirstSampleBatch(options, *sizer);
@@ -341,7 +340,6 @@ Result<TiResult> RunTiGreedy(const RmInstance& instance,
         eo.candidate_rule = options.candidate_rule;
         eo.window = options.window;
         eo.sampler_seed = HashSeed(options.seed, j);
-        eo.model = options.propagation;
         eo.sizer = sizer;
         eo.sampler.num_threads = options.num_threads;
         eo.sampler.pool = &pool;

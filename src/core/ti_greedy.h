@@ -92,10 +92,8 @@ struct TiOptions {
   /// the estimator (a smaller sample only loosens the accuracy guarantee).
   /// Must be in [1, 2^32 - 1]: the RR store indexes set ids as uint32_t.
   uint64_t theta_cap = 2'000'000;
-  /// Propagation model the RR sets are drawn under. The paper uses TIC
-  /// (topic-aware IC); Linear Threshold is supported because RR-set theory
-  /// covers all triggering models — under LT the arc values are interpreted
-  /// as LT weights (Σ in-weights ≤ 1; weighted-cascade satisfies this).
+  /// Read by nothing: RR sets are always drawn under TIC (topic-aware IC).
+  /// Kept only because perfbench sets it (ROADMAP item 2).
   rrset::DiffusionModel propagation =
       rrset::DiffusionModel::kIndependentCascade;
   /// Share one physical RR sample among advertisers with identical Eq. 1

@@ -11,12 +11,11 @@ namespace isa::rrset {
 
 ParallelSampler::ParallelSampler(const graph::Graph& g,
                                  std::span<const double> probs,
-                                 DiffusionModel model, uint64_t base_seed,
+                                 DiffusionModel /*model*/, uint64_t base_seed,
                                  ParallelSamplerOptions options,
                                  std::shared_ptr<const CoinColumn> coins)
     : g_(g),
       probs_(probs),
-      model_(model),
       base_seed_(base_seed),
       min_sets_per_thread_(std::max<uint64_t>(1, options.min_sets_per_thread)),
       // max_threads_ bounds shard count and per-worker sampler memory, not
@@ -35,9 +34,8 @@ ParallelSampler::ParallelSampler(const graph::Graph& g,
               ? options.pool->concurrency()
               : 4 * std::max(1u, std::thread::hardware_concurrency()))),
       borrowed_pool_(options.pool),
-      coins_(model != DiffusionModel::kIndependentCascade ? nullptr
-             : coins != nullptr ? std::move(coins)
-                                : BuildCoinColumn(g, probs)) {}
+      coins_(coins != nullptr ? std::move(coins)
+                              : BuildCoinColumn(g, probs)) {}
 
 ParallelSampler::~ParallelSampler() = default;
 ParallelSampler::ParallelSampler(ParallelSampler&&) noexcept = default;
@@ -60,7 +58,7 @@ ThreadPool* ParallelSampler::pool() {
 RrSetColumns ParallelSampler::SampleRange(uint32_t w, uint64_t first_id,
                                           uint64_t count) {
   if (workers_[w] == nullptr) {
-    workers_[w] = std::make_unique<RrSampler>(g_, probs_, model_, coins_);
+    workers_[w] = std::make_unique<RrSampler>(g_, probs_, coins_);
   }
   RrSetColumns shard;
   workers_[w]->SampleIds(base_seed_, first_id, count, &shard.sizes,

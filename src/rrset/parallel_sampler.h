@@ -32,7 +32,7 @@
 // noise next to the reverse BFS each set runs. Each worker keeps its own
 // RrSampler (epoch array), reused across calls.
 //
-// Under IC the sampler takes the (graph, probs) pair's coin column — the
+// The sampler takes the (graph, probs) pair's coin column — the
 // store's, from SampleSizer::coins(), with arc codes, or node coins only
 // that it builds when handed none (see rr_sampler.h: one coin per node
 // whose in-arcs share a probability, so the walk skips the per-arc
@@ -84,10 +84,12 @@ struct ParallelSamplerOptions {
 class ParallelSampler {
  public:
   /// `probs` is indexed by forward EdgeId and must outlive the sampler.
-  /// Under IC `coins` must be BuildCoinColumn(g, probs), with or without
-  /// arc codes, or null to build node coins only here; LT ignores it.
+  /// `coins` must be BuildCoinColumn(g, probs), with or without arc codes,
+  /// or null to build node coins only here. The DiffusionModel parameter
+  /// is read by nothing, kept only because perfbench passes it (ROADMAP
+  /// item 2).
   ParallelSampler(const graph::Graph& g, std::span<const double> probs,
-                  DiffusionModel model, uint64_t base_seed,
+                  DiffusionModel /*model*/, uint64_t base_seed,
                   ParallelSamplerOptions options = {},
                   std::shared_ptr<const CoinColumn> coins = nullptr);
   // Out of line: the owned pool's deleter needs the complete ThreadPool.
@@ -135,7 +137,7 @@ class ParallelSampler {
 
   uint64_t base_seed() const { return base_seed_; }
   uint32_t max_threads() const { return max_threads_; }
-  /// The shared coin column (null under LT).
+  /// The shared coin column.
   const std::shared_ptr<const CoinColumn>& coins() const { return coins_; }
 
  private:
@@ -148,7 +150,6 @@ class ParallelSampler {
 
   const graph::Graph& g_;
   std::span<const double> probs_;
-  DiffusionModel model_;
   uint64_t base_seed_;
   uint64_t min_sets_per_thread_;
   uint32_t max_threads_;

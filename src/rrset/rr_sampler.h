@@ -11,7 +11,7 @@
 // Ad-specificity (TIC): each ad has its own arc probabilities (Eq. 1), so
 // each advertiser keeps its own sampler + collection, as in Algorithm 2.
 //
-// Coin column (IC only). Under weighted cascade and uniform IC every in-arc
+// Coin column. Under weighted cascade and uniform IC every in-arc
 // of a node shares one probability, so the per-arc gather probs[eid] and
 // its int-to-double coin are redundant. A CoinColumn holds one uint64_t per
 // node, built once per (graph, probs) pair:
@@ -58,10 +58,10 @@
 // Scope of exactness. A skip node's live arcs follow the per-arc walk's
 // law but come from different draws, so the two walks agree in
 // distribution, not draw for draw. A sampled set equals the per-arc
-// walk's draw for draw exactly when it reaches no skip node: every LT
-// set, every set on a graph below the cutover, and every topic-mix set on
-// the catalog's graphs (their topic-mix nodes with two or more in-arcs
-// are mixed). Either way a set is
+// walk's draw for draw exactly when it reaches no skip node: every set on
+// a graph below the cutover, and every topic-mix set on the catalog's
+// graphs (their topic-mix nodes with two or more in-arcs are mixed).
+// Either way a set is
 // a pure function of (seed, set id). The gap calls std::log and
 // std::log1p, which are not correctly rounded everywhere: a libm whose
 // last bit differs moves a gap only when log(u) * inv_log1m lands within
@@ -83,16 +83,11 @@
 
 namespace isa::rrset {
 
-/// Propagation model the RR sets are drawn under. RR-set theory (Borgs et
-/// al.) covers all *triggering* models:
-///   - Independent Cascade: each in-arc (u, v) is live independently with
-///     probability p_{u,v};
-///   - Linear Threshold: node v picks AT MOST ONE live in-arc, arc (u, v)
-///     with probability b_{u,v} (and none with 1 − Σ_u b_{u,v}; requires
-///     Σ_u b_{u,v} ≤ 1 — weighted-cascade weights satisfy this exactly).
+/// The propagation model: Independent Cascade, each in-arc (u, v) live
+/// independently with probability p_{u,v}. The one model sampled; the enum
+/// is kept only because perfbench names it (ROADMAP item 2).
 enum class DiffusionModel {
   kIndependentCascade,
-  kLinearThreshold,
 };
 
 /// The IC coins of one (graph, probs) pair (see the file comment): one
@@ -185,11 +180,10 @@ std::shared_ptr<const CoinColumn> BuildCoinColumn(
 class RrSampler {
  public:
   /// `probs` is indexed by forward EdgeId and must outlive the sampler.
-  /// Under IC the sampler shares `coins`, which must be
-  /// BuildCoinColumn(g, probs), with or without arc codes, or builds node
-  /// coins only when it is null (one-off samplers); LT ignores it.
+  /// The sampler shares `coins`, which must be BuildCoinColumn(g, probs),
+  /// with or without arc codes, or builds node coins only when it is null
+  /// (one-off samplers).
   RrSampler(const graph::Graph& g, std::span<const double> probs,
-            DiffusionModel model = DiffusionModel::kIndependentCascade,
             std::shared_ptr<const CoinColumn> coins = nullptr);
 
   /// Samples one RR set into `out` (cleared first). Returns the root node.
@@ -216,7 +210,6 @@ class RrSampler {
 
   const graph::Graph& g_;
   std::span<const double> probs_;
-  DiffusionModel model_;
   std::shared_ptr<const CoinColumn> coins_;
   const uint8_t* arc_codes_ = nullptr;  // coins_'s codes, null without
   std::vector<uint32_t> visited_epoch_;

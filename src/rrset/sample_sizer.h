@@ -69,8 +69,7 @@ struct SampleSizerOptions {
   bool run_kpt_pilot = true;
   uint64_t theta_cap = 20'000'000;  // safety valve on θ per advertiser
   uint64_t seed = 7;
-  /// Propagation model the pilot samples under (must match the main
-  /// sample's model).
+  /// Read by nothing; kept only because perfbench sets it (ROADMAP item 2).
   DiffusionModel model = DiffusionModel::kIndependentCascade;
   /// Borrowed pool the pilot's sampler runs on (not owned; must outlive
   /// the constructor call). Null = a single-threaded pilot; widths are
@@ -93,7 +92,7 @@ struct SampleSizerOptions {
 /// sizer concurrently.
 class SampleSizer {
  public:
-  /// Under IC builds the store's coin column with arc codes, then runs the KPT pilot
+  /// Builds the store's coin column with arc codes, then runs the KPT pilot
   /// (unless disabled) through a ParallelSampler over `probs` that shares
   /// it; retains only the pilot's scalar products (KPT estimate,
   /// convergence flag, set count), not the sets.
@@ -129,7 +128,7 @@ class SampleSizer {
   uint64_t n() const { return n_; }
   const SampleSizerOptions& options() const { return options_; }
 
-  /// BuildCoinColumn(g, probs, /*arc_codes=*/true), null under LT. The
+  /// BuildCoinColumn(g, probs, /*arc_codes=*/true), never null. The
   /// pilot sampled with it; the store's ParallelSamplers (θ sample, growth
   /// batches) and its cold-chunk re-sampler take it too, so one column,
   /// arc codes included, is built per store per solve.

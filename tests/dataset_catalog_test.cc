@@ -231,8 +231,7 @@ TEST(WeightingRegimeTest, WeightedCascadeMatchesHandComputedInDegrees) {
     const NodeId dst = g.EdgeDst(e);
     EXPECT_DOUBLE_EQ(w.value()[0][e], 1.0 / g.InDegree(dst)) << "edge " << e;
   }
-  // Per-node sum of in-weights is exactly 1 (the LT-validity property the
-  // sweep expander relies on).
+  // Per-node sum of in-weights is exactly 1.
   std::vector<double> in_sum(g.num_nodes(), 0.0);
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
     in_sum[g.EdgeDst(e)] += w.value()[0][e];

@@ -91,31 +91,6 @@ TEST(ParallelSamplerTest, IncrementalGrowthMatchesOneBatch) {
   ExpectStoresIdentical(one_batch, grown);
 }
 
-TEST(ParallelSamplerTest, LinearThresholdModelIsDeterministicToo) {
-  const Graph g = MakeBaGraph();
-  // Weighted-cascade LT weights: 1/in-degree, Σ in-weights = 1.
-  std::vector<double> probs(g.num_edges(), 0.0);
-  for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
-    auto eids = g.InEdgeIds(v);
-    for (uint32_t eid : eids) {
-      probs[eid] = 1.0 / static_cast<double>(eids.size());
-    }
-  }
-  auto sample = [&](uint32_t threads) {
-    RrStore store(g.num_nodes());
-    ParallelSamplerOptions opts;
-    opts.num_threads = threads;
-    opts.min_sets_per_thread = 1;
-    ParallelSampler sampler(g, probs,
-                            rrset::DiffusionModel::kLinearThreshold, 77, opts);
-    sampler.SampleAppend(store, 2000);
-    return store;
-  };
-  const RrStore reference = sample(1);
-  const RrStore parallel = sample(8);
-  ExpectStoresIdentical(reference, parallel);
-}
-
 TEST(ParallelSamplerTest, CollectionAddSetsAdoptsParallelSamples) {
   const Graph g = MakeBaGraph();
   const std::vector<double> probs(g.num_edges(), 0.1);
@@ -213,10 +188,6 @@ TEST(ParallelSamplerTest, SharedCoinColumnFromSizerMatchesOwnColumn) {
   shared.SampleAppend(a, 3000);
   own.SampleAppend(b, 3000);
   ExpectStoresIdentical(a, b);
-
-  // LT has no column to share.
-  so.model = rrset::DiffusionModel::kLinearThreshold;
-  EXPECT_EQ(rrset::SampleSizer(g, probs, so).coins(), nullptr);
 }
 
 TEST(ParallelSamplerTest, TiCsrmAllocationInvariantAcrossThreadCounts) {

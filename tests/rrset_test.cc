@@ -354,7 +354,7 @@ TEST(CoinColumnTest, ArcCodesSampleTheSameSetsAsNodeCoins) {
   const uint64_t seed = 52;
   std::vector<uint32_t> want_sizes, got_sizes;
   std::vector<graph::NodeId> want_nodes, got_nodes;
-  RrSampler(g, probs, DiffusionModel::kIndependentCascade, node_coins)
+  RrSampler(g, probs, node_coins)
       .SampleIds(seed, 0, kSets, &want_sizes, &want_nodes);
   // Multi-member sets, so the walk flipped many mixed arcs.
   ASSERT_GT(want_nodes.size(), 3 * want_sizes.size());
@@ -427,7 +427,6 @@ TEST(SkipWalkTest, InclusionMatchesPerArcWalk) {
   // within kZ standard deviations of their exact mean sum_i R_i p.
   constexpr uint64_t kSets = 20'000;
   constexpr double kZ = 6.0;
-  const auto ic = DiffusionModel::kIndependentCascade;
   for (const graph::NodeId d : {8u, 100u, 1000u}) {
     const auto g = HubGraph(d);
     for (const double p : {1.0 / d, 0.01, 0.3, 0.9}) {
@@ -440,8 +439,8 @@ TEST(SkipWalkTest, InclusionMatchesPerArcWalk) {
       if (p == 1.0 / d || p == 0.01) {
         EXPECT_TRUE(UsesSkip(d, t));
       }
-      RrSampler skip(g, probs, ic, SkipHubColumn(g, probs));
-      RrSampler per_arc(g, probs, ic,
+      RrSampler skip(g, probs, SkipHubColumn(g, probs));
+      RrSampler per_arc(g, probs,
                         std::make_shared<const CoinColumn>(CoinColumn{
                             std::vector<uint64_t>(g.num_nodes(), kCoinMixed),
                             {}}));
@@ -514,7 +513,6 @@ TEST(SkipWalkTest, GapAtTheEdges) {
 TEST(SkipWalkTest, WalkAtTheEdgeProbabilities) {
   const graph::NodeId d = 1000;
   const auto g = HubGraph(d);
-  const auto ic = DiffusionModel::kIndependentCascade;
   const double nan = std::numeric_limits<double>::quiet_NaN();
   struct Case {
     double p;
@@ -535,7 +533,7 @@ TEST(SkipWalkTest, WalkAtTheEdgeProbabilities) {
     } else {
       EXPECT_EQ(coins->nodes[0], 0u);
     }
-    RrSampler sampler(g, probs, ic, coins);
+    RrSampler sampler(g, probs, coins);
     Rng rng(50);
     std::vector<graph::NodeId> rr;
     for (int i = 0; i < 200; ++i) {
@@ -997,7 +995,7 @@ LiteralPilot LiteralTimPilot(const graph::Graph& g,
   const double m = g.num_edges();
   const uint32_t rounds = std::min<uint32_t>(
       8, static_cast<uint32_t>(std::log2(n)));
-  RrSampler sampler(g, probs, opt.model);
+  RrSampler sampler(g, probs);
   std::vector<uint32_t> sizes;
   std::vector<graph::NodeId> nodes;
   LiteralPilot pilot;

@@ -1,7 +1,7 @@
 // Sweep-matrix expander tests: cell-count arithmetic, stable ids and
-// ordering, invalid-combination skipping, --only filter semantics, and a
-// tiny RunMatrix exercising the group determinism gate in-process (the
-// full mini-matrix runs as the ctest entry sweep.mini_matrix).
+// ordering, --only filter semantics, and a tiny RunMatrix exercising the
+// group determinism gate in-process (the full mini-matrix runs as the
+// ctest entry sweep.mini_matrix).
 
 #include <string>
 #include <vector>
@@ -14,13 +14,11 @@ namespace isa::bench {
 namespace {
 
 using graph::WeightingRegime;
-using rrset::DiffusionModel;
 
 SweepAxes SmallAxes() {
   SweepAxes axes;
   axes.datasets = {"com-dblp"};
   axes.regimes = {WeightingRegime::kWeightedCascade};
-  axes.models = {DiffusionModel::kIndependentCascade};
   axes.rules = {SweepRule::kCarm, SweepRule::kCsrm};
   axes.budgets = {1'500};
   axes.memory_fractions = {0.0};
@@ -44,33 +42,11 @@ TEST(SweepExpandTest, CellCountIsTheCrossProduct) {
   ExpandStats stats;
   auto cells = ExpandMatrix(axes, NoFilter(), &stats);
   ASSERT_TRUE(cells.ok()) << cells.status().ToString();
-  // 2 ds x 2 regimes x 1 model x 2 rules x 2 budgets x 2 mem x 2 thr.
+  // 2 ds x 2 regimes x 2 rules x 2 budgets x 2 mem x 2 thr.
   EXPECT_EQ(stats.total_combinations, 64u);
   EXPECT_EQ(stats.cells, 64u);
   EXPECT_EQ(cells.value().size(), 64u);
-  EXPECT_EQ(stats.skipped_invalid, 0u);
   EXPECT_EQ(stats.filtered_out, 0u);
-}
-
-TEST(SweepExpandTest, LinearThresholdWithUniformIcIsSkipped) {
-  SweepAxes axes = SmallAxes();
-  axes.regimes = {WeightingRegime::kWeightedCascade,
-                  WeightingRegime::kUniformIc};
-  axes.models = {DiffusionModel::kIndependentCascade,
-                 DiffusionModel::kLinearThreshold};
-  ExpandStats stats;
-  auto cells = ExpandMatrix(axes, NoFilter(), &stats);
-  ASSERT_TRUE(cells.ok());
-  // Of 2 regimes x 2 models, the lt+uniform quadrant is invalid (constant
-  // p does not satisfy LT's per-node in-weight bound).
-  EXPECT_EQ(stats.total_combinations, 16u);
-  EXPECT_EQ(stats.skipped_invalid, 4u);
-  EXPECT_EQ(stats.cells, 12u);
-  for (const SweepCell& cell : cells.value()) {
-    EXPECT_FALSE(cell.model == DiffusionModel::kLinearThreshold &&
-                 cell.regime == WeightingRegime::kUniformIc)
-        << cell.id;
-  }
 }
 
 TEST(SweepExpandTest, IdsAreStableAndMemoryFractionZeroLeadsItsGroup) {
@@ -81,11 +57,11 @@ TEST(SweepExpandTest, IdsAreStableAndMemoryFractionZeroLeadsItsGroup) {
   ASSERT_EQ(cells.value().size(), 8u);
   // Golden ids: the contract with check_bench_regression.py and with any
   // committed BENCH_matrix.json — changing the scheme invalidates goldens.
-  EXPECT_EQ(cells.value()[0].id, "com-dblp/wc/ic/carm/b1500/m0/t1");
-  EXPECT_EQ(cells.value()[0].group, "com-dblp/wc/ic/carm/b1500");
-  EXPECT_EQ(cells.value()[1].id, "com-dblp/wc/ic/carm/b1500/m0/t2");
-  EXPECT_EQ(cells.value()[2].id, "com-dblp/wc/ic/carm/b1500/m0.25/t1");
-  EXPECT_EQ(cells.value()[4].id, "com-dblp/wc/ic/csrm/b1500/m0/t1");
+  EXPECT_EQ(cells.value()[0].id, "com-dblp/wc/carm/b1500/m0/t1");
+  EXPECT_EQ(cells.value()[0].group, "com-dblp/wc/carm/b1500");
+  EXPECT_EQ(cells.value()[1].id, "com-dblp/wc/carm/b1500/m0/t2");
+  EXPECT_EQ(cells.value()[2].id, "com-dblp/wc/carm/b1500/m0.25/t1");
+  EXPECT_EQ(cells.value()[4].id, "com-dblp/wc/csrm/b1500/m0/t1");
   // Within each group the unbudgeted cells come first (the runner uses the
   // leading unbudgeted run as fraction anchor and determinism base), and
   // expansion never interleaves groups.
@@ -141,7 +117,7 @@ TEST(SweepFilterTest, SameKeyOrsDifferentKeysAnd) {
   cells = ExpandMatrix(axes, and_filter.value(), &stats);
   ASSERT_TRUE(cells.ok());
   ASSERT_EQ(stats.cells, 1u);
-  EXPECT_EQ(cells.value()[0].id, "com-dblp/wc/ic/csrm/b1500/m0/t2");
+  EXPECT_EQ(cells.value()[0].id, "com-dblp/wc/csrm/b1500/m0/t2");
 
   // Numeric axes match on their rendered form ("budget=1500").
   auto budget_filter = CellFilter::Parse("budget=1500,mem=0");
@@ -151,20 +127,13 @@ TEST(SweepFilterTest, SameKeyOrsDifferentKeysAnd) {
   EXPECT_EQ(stats.cells, 12u);
 }
 
-TEST(SweepParseTest, RuleAndModelNamesRoundTrip) {
+TEST(SweepParseTest, RuleNamesRoundTrip) {
   for (SweepRule r : {SweepRule::kCarm, SweepRule::kCsrm}) {
     auto parsed = ParseSweepRule(SweepRuleName(r));
     ASSERT_TRUE(parsed.ok());
     EXPECT_EQ(parsed.value(), r);
   }
   EXPECT_FALSE(ParseSweepRule("pagerank").ok());
-  for (DiffusionModel m : {DiffusionModel::kIndependentCascade,
-                           DiffusionModel::kLinearThreshold}) {
-    auto parsed = ParseDiffusionModel(DiffusionModelName(m));
-    ASSERT_TRUE(parsed.ok());
-    EXPECT_EQ(parsed.value(), m);
-  }
-  EXPECT_FALSE(ParseDiffusionModel("sir").ok());
 }
 
 // End-to-end on a two-variant group at tiny scale: the thread variant must
@@ -198,7 +167,7 @@ TEST(SweepRunTest, ThreadVariantsAreBitIdenticalAndReported) {
       MatrixReportToJson(report.value(), opt, "{}");
   EXPECT_NE(json.find("\"bench\": \"sweep_matrix\""), std::string::npos);
   EXPECT_NE(json.find("\"determinism_ok\": true"), std::string::npos);
-  EXPECT_NE(json.find("com-dblp/wc/ic/carm/b1500/m0/t2"),
+  EXPECT_NE(json.find("com-dblp/wc/carm/b1500/m0/t2"),
             std::string::npos);
 }
 

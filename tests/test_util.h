@@ -89,8 +89,7 @@ inline rrset::RrStore::ResampleFn IcResampler(const graph::Graph& g,
              uint64_t seed, uint64_t lo, uint64_t hi,
              std::vector<uint32_t>* sizes,
              std::vector<graph::NodeId>* nodes) {
-    rrset::RrSampler sampler(g, probs,
-                             rrset::DiffusionModel::kIndependentCascade);
+    rrset::RrSampler sampler(g, probs);
     sizes->clear();
     nodes->clear();
     std::vector<graph::NodeId> scratch;

@@ -4,16 +4,17 @@
 Compares a fresh bench capture against the checked-in goldens under
 bench/results/ and separates three field classes:
 
-  bit-exact   revenue, seeding cost, seed counts, theta, graph sizes —
-              the determinism contract says these cannot drift for a fixed
-              (scale, seed); any difference fails.
+  bit-exact   revenue, seeding cost, seed counts, theta, graph sizes and
+              the matrix's RR-store byte counters — the determinism
+              contract says these cannot drift for a fixed (scale, seed);
+              any difference fails. A change that moves bytes on purpose
+              re-captures the golden.
   tolerance   wall-clock seconds — gated on a slowdown RATIO (default 8x,
               --time-ratio), and only when both sides are above a noise
               floor; speedups never fail.
-  annotate    hardware_concurrency, dataset provenance (file vs synthetic),
-              memory/spill byte counters — printed as notes, never fatal
-              (goldens may come from a different host class than the run
-              being checked).
+  annotate    hardware_concurrency, dataset provenance (file vs synthetic)
+              — printed as notes, never fatal (goldens may come from a
+              different host class than the run being checked).
 
 BENCH_growth.json rows are matched by regime: their seed, revenue, theta
 and growth counters are bit-exact, their seconds ratio-gated as above.
@@ -47,7 +48,10 @@ import json
 import os
 import sys
 
-# Cell-level field classes for BENCH_matrix.json (schema_version 1).
+# Cell-level field classes for BENCH_matrix.json (schema_version 2). The
+# byte counters are thread-count-invariant like the results: a store's
+# footprint, what it spilled and the budget resolved from it are pure
+# functions of the cell.
 MATRIX_BIT_EXACT = (
     "revenue",
     "seeding_cost",
@@ -57,13 +61,11 @@ MATRIX_BIT_EXACT = (
     "arcs",
     "topics",
     "effective_budget",
-)
-MATRIX_ANNOTATE = (
-    "source",
     "rr_bytes",
     "spilled_bytes",
     "memory_budget_bytes",
 )
+MATRIX_ANNOTATE = ("source",)
 # Captures taken under different values of these knobs are not comparable
 # cell-by-cell; refusing beats quietly diffing apples against oranges.
 MATRIX_COMPAT = (
@@ -318,7 +320,7 @@ def run(golden_path, fresh_path, time_ratio, allow_missing):
 
 def _matrix_doc(**overrides):
     cell = {
-        "id": "ds/wc/ic/carm/b1500/m0/t1",
+        "id": "ds/wc/carm/b1500/m0/t1",
         "revenue": 123.5,
         "seeding_cost": 40.0,
         "seeds": 17,
@@ -337,7 +339,7 @@ def _matrix_doc(**overrides):
     cell.update(overrides.pop("cell", {}))
     doc = {
         "bench": "sweep_matrix",
-        "schema_version": 1,
+        "schema_version": 2,
         "scale": 0.04,
         "seed": 2017,
         "advertisers": 4,
@@ -423,11 +425,17 @@ def self_test():
     assert r.ok and any("hardware_concurrency" in n for n in r.notes), (
         r.failures, r.notes)
 
-    # Annotate-class drift (provenance, byte counters) notes, never fails.
+    # Annotate-class drift (provenance) notes, never fails.
     r = verdict(_matrix_doc(),
-                _matrix_doc(cell={"source": "file:/data/x.txt",
-                                  "rr_bytes": 2000}))
-    assert r.ok and len(r.notes) == 2, (r.failures, r.notes)
+                _matrix_doc(cell={"source": "file:/data/x.txt"}))
+    assert r.ok and len(r.notes) == 1, (r.failures, r.notes)
+
+    # Byte counters are bit-exact: one byte of drift in any of them fails,
+    # naming the field.
+    for field, value in (("rr_bytes", 1001), ("spilled_bytes", 1),
+                         ("memory_budget_bytes", 1)):
+        r = verdict(_matrix_doc(), _matrix_doc(cell={field: value}))
+        assert len(r.failures) == 1 and field in r.failures[0], r.failures
 
     # A false gate boolean fails even when the golden matches.
     bad = _matrix_doc(determinism_ok=False)
@@ -451,7 +459,7 @@ def self_test():
     # New fresh cell is a note, not a failure.
     extra = _matrix_doc()
     extra["cells"].append(dict(extra["cells"][0],
-                               id="ds/wc/ic/carm/b1500/m0/t2"))
+                               id="ds/wc/carm/b1500/m0/t2"))
     r = verdict(_matrix_doc(), extra)
     assert r.ok and any("new cell" in n for n in r.notes), (r.failures,
                                                            r.notes)

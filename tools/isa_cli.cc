@@ -25,7 +25,6 @@
 #include "core/incentives.h"
 #include "core/ti_greedy.h"
 #include "diffusion/cascade.h"
-#include "diffusion/linear_threshold.h"
 #include "eval/workload.h"
 #include "graph/generators.h"
 #include "graph/graph_io.h"
@@ -45,7 +44,6 @@ constexpr const char* kUsage = R"(isa_cli — incentivized social advertising ca
   --incentives MODEL    linear|constant|sublinear|superlinear  [linear]
   --alpha A             incentive scale                  [0.2]
   --algorithm NAME      ti-csrm | ti-carm | pagerank-gr | pagerank-rr [ti-csrm]
-  --model PROP          ic | lt (propagation model)      [ic]
   --epsilon E           RR estimation accuracy           [0.3]
   --window W            TI-CSRM window size (0 = full; the Fig. 4
                         quality/latency trade-off knob)  [0]
@@ -134,7 +132,7 @@ int main(int argc, char** argv) {
   auto flags_result = isa::Flags::Parse(
       argc, argv,
       {"graph", "synthetic", "nodes", "ads", "budget", "cpe", "incentives",
-       "alpha", "algorithm", "model", "epsilon", "window", "theta-cap",
+       "alpha", "algorithm", "epsilon", "window", "theta-cap",
        "threads", "share-samples", "rr-memory-budget", "spill-dir",
        "spill-chunk-bytes", "failpoints", "seed", "seeds-csv", "validate",
        "help"});
@@ -262,7 +260,7 @@ int main(int argc, char** argv) {
   std::fprintf(stderr, "graph: %u nodes, %u arcs\n", graph.num_nodes(),
                graph.num_edges());
 
-  // ---- Influence model (weighted cascade; valid for both IC and LT). ----
+  // ---- Influence model (weighted cascade). ----
   auto topics_result = isa::topic::MakeWeightedCascade(graph, 1);
   if (!topics_result.ok()) return Fail(topics_result.status());
   const auto& topics = topics_result.value();
@@ -300,12 +298,6 @@ int main(int argc, char** argv) {
   options.rr_memory_budget_bytes = static_cast<uint64_t>(rr_budget);
   options.spill_directory = spill_dir;
   options.spill_chunk_bytes = static_cast<uint64_t>(spill_chunk_bytes);
-  const std::string prop = flags.GetString("model", "ic").value_or("ic");
-  if (prop == "lt") {
-    options.propagation = isa::rrset::DiffusionModel::kLinearThreshold;
-  } else if (prop != "ic") {
-    return Fail(isa::Status::InvalidArgument("unknown --model: " + prop));
-  }
 
   const std::string algo =
       flags.GetString("algorithm", "ti-csrm").value_or("ti-csrm");
@@ -407,22 +399,17 @@ int main(int argc, char** argv) {
   }
 
   if (validate) {
-    // Cascades under the model the RR sets were drawn under.
-    isa::diffusion::CascadeSimulator ic_sim(graph);
-    isa::diffusion::LtCascadeSimulator lt_sim(graph);
+    isa::diffusion::CascadeSimulator sim(graph);
     double mc_revenue = 0.0;
     for (uint32_t j = 0; j < h; ++j) {
       const auto& seeds = result.allocation.seed_sets[j];
       if (seeds.empty()) continue;
       const auto probs = instance.ad_probs(j);
-      const double spread =
-          prop == "lt" ? lt_sim.EstimateSpread(probs, seeds, 2000, seed + 7)
-                       : ic_sim.EstimateSpread(probs, seeds, 2000, seed + 7);
-      mc_revenue += instance.cpe(j) * spread;
+      mc_revenue += instance.cpe(j) *
+                    sim.EstimateSpread(probs, seeds, 2000, seed + 7);
     }
-    std::printf("Monte-Carlo validation (%s): revenue %.2f (RR estimate "
-                "%.2f)\n",
-                prop.c_str(), mc_revenue, result.total_revenue);
+    std::printf("Monte-Carlo validation: revenue %.2f (RR estimate %.2f)\n",
+                mc_revenue, result.total_revenue);
   }
   return 0;
 }

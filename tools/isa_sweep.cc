@@ -1,11 +1,11 @@
 // isa_sweep — scenario-matrix driver over the dataset catalog.
 //
-// Expands dataset × weighting regime × diffusion model × rule × budget ×
-// threads × memory budget into a run list (bench/sweep_matrix.h),
+// Expands dataset × weighting regime × rule × budget × threads × memory
+// budget into a run list (bench/sweep_matrix.h),
 // executes every cell through RunTiGreedy, and emits one self-describing
 // BENCH_matrix.json ($ISA_BENCH_JSON_DIR or cwd; schema in
-// docs/BENCHMARKS.md). Within each (dataset, regime, model, rule, budget)
-// group the thread/memory variants must produce bit-identical
+// docs/BENCHMARKS.md). Within each (dataset, regime, rule, budget) group
+// the thread/memory variants must produce bit-identical
 // TiResults — any violation makes the driver EXIT NON-ZERO, so CI runs it
 // as a determinism gate.
 //
@@ -15,12 +15,13 @@
 //   isa_sweep --list                  # print cell ids, run nothing
 //
 // Presets:
-//   full   2 datasets × 3 regimes × {ic} × 2 rules × 2 budgets ×
-//          mem {0} × threads {1,2,8}                         (72 cells)
-//   smoke  1 dataset × 1 regime × {ic,lt} × 2 rules × 1 budget ×
-//          mem {0,0.25} × threads {1,2}                      (16 cells)
-// The smoke preset deliberately varies both determinism axes at once
-// (threads, memory budget) — it is the ctest mini-matrix.
+//   full   2 datasets × 3 regimes × 2 rules × 2 budgets ×
+//          mem {0,0.25} × threads {1,2,8}                   (144 cells)
+//   smoke  1 dataset × 1 regime × 2 rules × 1 budget ×
+//          mem {0,0.25} × threads {1,2}                       (8 cells)
+// Both presets vary both determinism axes at once (threads, memory
+// budget): every group's spilled twins must match its unbudgeted base.
+// The smoke preset is the ctest mini-matrix.
 
 #include <cstdint>
 #include <cstdio>
@@ -36,7 +37,6 @@ namespace {
 using isa::bench::SweepAxes;
 using isa::bench::SweepRule;
 using isa::graph::WeightingRegime;
-using isa::rrset::DiffusionModel;
 
 [[noreturn]] void Fail(const isa::Status& status) {
   std::fprintf(stderr, "isa_sweep: error: %s\n",
@@ -55,10 +55,9 @@ SweepAxes FullPreset() {
   axes.datasets = {"com-dblp", "soc-epinions1"};
   axes.regimes = {WeightingRegime::kWeightedCascade,
                   WeightingRegime::kUniformIc, WeightingRegime::kTopicMix};
-  axes.models = {DiffusionModel::kIndependentCascade};
   axes.rules = {SweepRule::kCarm, SweepRule::kCsrm};
   axes.budgets = {1'500, 4'500};
-  axes.memory_fractions = {0.0};
+  axes.memory_fractions = {0.0, 0.25};
   axes.threads = {1, 2, 8};
   return axes;
 }
@@ -67,8 +66,6 @@ SweepAxes SmokePreset() {
   SweepAxes axes;
   axes.datasets = {"com-dblp"};
   axes.regimes = {WeightingRegime::kWeightedCascade};
-  axes.models = {DiffusionModel::kIndependentCascade,
-                 DiffusionModel::kLinearThreshold};
   axes.rules = {SweepRule::kCarm, SweepRule::kCsrm};
   axes.budgets = {1'500};
   axes.memory_fractions = {0.0, 0.25};
@@ -82,14 +79,10 @@ std::string AxesJson(const SweepAxes& axes) {
     for (const std::string& s : v) quoted.push_back("\"" + s + "\"");
     return isa::bench::JsonArray(quoted);
   };
-  std::vector<std::string> regimes, models, rules, budgets, mems, threads;
+  std::vector<std::string> regimes, rules, budgets, mems, threads;
   for (auto r : axes.regimes) {
     regimes.push_back(std::string("\"") +
                       isa::graph::WeightingRegimeName(r) + "\"");
-  }
-  for (auto m : axes.models) {
-    models.push_back(std::string("\"") + isa::bench::DiffusionModelName(m) +
-                     "\"");
   }
   for (auto r : axes.rules) {
     rules.push_back(std::string("\"") + isa::bench::SweepRuleName(r) + "\"");
@@ -102,7 +95,6 @@ std::string AxesJson(const SweepAxes& axes) {
   return isa::bench::JsonObject()
       .AddRaw("datasets", strings(axes.datasets))
       .AddRaw("regimes", isa::bench::JsonArray(regimes))
-      .AddRaw("models", isa::bench::JsonArray(models))
       .AddRaw("rules", isa::bench::JsonArray(rules))
       .AddRaw("budgets", isa::bench::JsonArray(budgets))
       .AddRaw("memory_fractions", isa::bench::JsonArray(mems))
@@ -115,7 +107,7 @@ void PrintHelp() {
       "isa_sweep: scenario-matrix driver (BENCH_matrix.json emitter)\n\n"
       "  --preset full|smoke   matrix preset (default full)\n"
       "  --only k=v,...        keep only matching cells; keys: dataset,\n"
-      "                        regime, model, rule, budget, mem, threads\n"
+      "                        regime, rule, budget, mem, threads\n"
       "                        (repeat a key to OR values)\n"
       "  --list                print cell ids and exit (no runs)\n"
       "  --scale S             dataset/budget scale in (0,1] (default 1;\n"
@@ -167,10 +159,8 @@ int main(int argc, char** argv) {
 
   if (flags.Has("list")) {
     for (const auto& cell : cells) std::printf("%s\n", cell.id.c_str());
-    std::printf("# %zu cells (%zu combinations, %zu invalid skipped, "
-                "%zu filtered out)\n",
-                stats.cells, stats.total_combinations, stats.skipped_invalid,
-                stats.filtered_out);
+    std::printf("# %zu cells (%zu combinations, %zu filtered out)\n",
+                stats.cells, stats.total_combinations, stats.filtered_out);
     return 0;
   }
 
