@@ -33,6 +33,7 @@
 #include <thread>
 
 #include "bench/bench_util.h"
+#include "common/thread_pool.h"
 #include "graph/generators.h"
 #include "rrset/parallel_sampler.h"
 #include "rrset/rr_collection.h"
@@ -173,8 +174,10 @@ bool RunParallelSamplerSweep(double scale) {
   double base_seconds = 0.0;
   uint64_t base_hash = 0;
   for (uint32_t threads : {1u, 2u, 4u, 8u}) {
+    isa::ThreadPool pool(threads);
     isa::rrset::ParallelSamplerOptions popt;
     popt.num_threads = threads;
+    popt.pool = &pool;
     isa::rrset::ParallelSampler sampler(
         g, probs, isa::rrset::DiffusionModel::kIndependentCascade,
         /*base_seed=*/42, popt);
@@ -212,8 +215,8 @@ bool RunParallelSamplerSweep(double scale) {
     const double seconds = isa::bench::Median(batch_seconds);
     const double append_s = isa::bench::Median(append_seconds);
     if (threads == 1) base_seconds = seconds;
-    // "workers" is what actually ran: the sampler clamps the request to
-    // the hardware, so on few-core hosts high-thread rows coincide.
+    // "workers" is what actually ran: the pool caps the request at 4x the
+    // hardware threads.
     std::printf("%-8u  %-8u  %9.4f  %12.0f  %7.2fx  %10.4f  0x%016llx\n",
                 threads, sampler.WorkerCountFor(sets), seconds,
                 static_cast<double>(sets) / seconds, base_seconds / seconds,

@@ -549,7 +549,6 @@ bool RunSamplingKernelSweep(std::vector<std::string>* kernel_rows,
     isa::graph::DatasetCatalog::Options copt;
     copt.scale = in.scale;
     copt.seed = 1;
-    copt.cache_synthetic = false;
     auto loaded = isa::graph::DatasetCatalog::Load(in.dataset, in.regime,
                                                    copt)
                       .value();

@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "common/thread_pool.h"
 #include "core/incentives.h"
 #include "core/ti_greedy.h"
 #include "graph/generators.h"
@@ -37,6 +38,7 @@ int main() {
   // as in the paper's marketplace).
   std::vector<isa::core::AdvertiserSpec> ads(4);
   std::vector<std::vector<double>> incentives;
+  isa::ThreadPool pool;  // hardware concurrency, shared by the 4 estimates
   for (int i = 0; i < 4; ++i) {
     ads[i].cpe = 1.0 + 0.25 * i;
     ads[i].budget = 800.0;
@@ -48,7 +50,7 @@ int main() {
     auto mixed =
         isa::topic::AdProbabilities::Mix(topics, ads[i].gamma).value();
     auto spreads = isa::rrset::EstimateAllSingletonSpreads(
-                       graph, mixed.probs(), 30'000, 100 + i)
+                       graph, mixed.probs(), 30'000, 100 + i, &pool)
                        .value();
     incentives.push_back(isa::core::ComputeIncentives(
                              isa::core::IncentiveModel::kLinear, 0.3,

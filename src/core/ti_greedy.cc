@@ -341,7 +341,6 @@ Result<TiResult> RunTiGreedy(const RmInstance& instance,
         eo.window = options.window;
         eo.sampler_seed = HashSeed(options.seed, j);
         eo.sizer = sizer;
-        eo.sampler.num_threads = options.num_threads;
         eo.sampler.pool = &pool;
         ads[j] = std::make_unique<AdvertiserEngine>(j, instance, group.store,
                                                     eo);

@@ -1,8 +1,10 @@
 #include "eval/workload.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "diffusion/cascade.h"
 #include "rrset/singleton_estimator.h"
 #include "topic/topic_distribution.h"
@@ -61,13 +63,16 @@ Result<std::vector<std::vector<double>>> ComputeSingletonSpreads(
     return spreads;
   }
 
+  // One pool at hardware concurrency, shared by every ad's RR estimate.
+  std::optional<ThreadPool> pool;
+  if (options.spread_source == SpreadSource::kRrEstimate) pool.emplace();
   for (size_t i = 0; i < ads.size(); ++i) {
     auto mixed = topic::AdProbabilities::Mix(dataset.topics, ads[i].gamma);
     if (!mixed.ok()) return mixed.status();
     if (options.spread_source == SpreadSource::kRrEstimate) {
       auto est = rrset::EstimateAllSingletonSpreads(
           dataset.graph, mixed.value().probs(), options.spread_effort,
-          HashSeed(options.seed, 0x5109 + i));
+          HashSeed(options.seed, 0x5109 + i), &*pool);
       if (!est.ok()) return est.status();
       spreads.push_back(std::move(est).value());
     } else {

@@ -65,6 +65,7 @@ Result<std::vector<core::AdvertiserSpec>> MakeAdvertisers(
     const Dataset& dataset, const WorkloadOptions& options);
 
 /// Computes σ_i({u}) estimates for every ad under the configured source.
+/// kRrEstimate samples every ad on one pool at hardware concurrency.
 Result<std::vector<std::vector<double>>> ComputeSingletonSpreads(
     const Dataset& dataset, const std::vector<core::AdvertiserSpec>& ads,
     const WorkloadOptions& options);

@@ -94,22 +94,6 @@ Result<Graph> GenerateFallback(const DatasetSpec& spec,
   return Status::InvalidArgument("unknown fallback family");
 }
 
-// Cache key for the generated fallback: anything that changes the graph
-// (family, size targets, scale, seeds) must change the file name, so a
-// stale cache can never be confused for the requested graph.
-std::string CacheFileName(const DatasetSpec& spec,
-                          const DatasetCatalog::Options& options) {
-  return StrFormat("%s.synthetic-%s-n%u-m%llu-e%u%s-s%.4f-r%llu-r%llu.bin",
-                   spec.name.c_str(), FallbackName(spec.fallback),
-                   spec.fallback_nodes,
-                   static_cast<unsigned long long>(spec.fallback_edges),
-                   spec.fallback_edges_per_node,
-                   spec.fallback_bidirectional ? "-bidi" : "",
-                   options.scale,
-                   static_cast<unsigned long long>(spec.fallback_seed),
-                   static_cast<unsigned long long>(options.seed));
-}
-
 std::string EffectiveDataDir(const DatasetCatalog::Options& options) {
   if (!options.data_dir.empty()) return options.data_dir;
   const char* env = std::getenv("ISA_DATA_DIR");
@@ -291,33 +275,12 @@ Result<LoadedDataset> DatasetCatalog::Load(const DatasetSpec& spec,
     }
   }
 
-  // 2./3. Cached or freshly generated synthetic fallback.
+  // 2. The synthetic fallback.
   if (!out.from_file) {
-    const std::string cache_path =
-        dir.empty() ? std::string() : dir + "/" + CacheFileName(spec, options);
-    bool from_cache = false;
-    if (!cache_path.empty() &&
-        std::filesystem::is_regular_file(cache_path, ec)) {
-      auto cached = LoadBinary(cache_path);
-      if (cached.ok()) {
-        out.graph = std::move(cached).value();
-        out.source = "cache:" + cache_path;
-        from_cache = true;
-      }
-      // An unreadable/stale cache is not fatal — fall through and
-      // regenerate (the rewrite below replaces it).
-    }
-    if (!from_cache) {
-      auto g = GenerateFallback(spec, options);
-      if (!g.ok()) return g.status();
-      out.graph = std::move(g).value();
-      out.source = StrFormat("synthetic:%s", FallbackName(spec.fallback));
-      if (options.cache_synthetic && !cache_path.empty() &&
-          std::filesystem::is_directory(dir, ec)) {
-        // Best effort: a read-only data dir just skips the cache.
-        (void)SaveBinary(out.graph, cache_path);
-      }
-    }
+    auto g = GenerateFallback(spec, options);
+    if (!g.ok()) return g.status();
+    out.graph = std::move(g).value();
+    out.source = StrFormat("synthetic:%s", FallbackName(spec.fallback));
   }
 
   auto weights = MakeRegimeWeights(

@@ -3,18 +3,15 @@
 // The paper evaluates on SNAP graphs (com-DBLP, LiveJournal, Epinions) and
 // on FLIXSTER.
 // `DatasetCatalog` resolves a dataset NAME to a graph plus per-arc
-// influence weights, in three steps:
+// influence weights, in two steps:
 //
 //   1. a SNAP edge-list file under the data directory ($ISA_DATA_DIR or
 //      Options::data_dir) — plain or gzip (detected by magic, see
 //      graph_io.h); undirected lists are doubled into both arc
 //      directions, as the paper does for DBLP;
-//   2. a cached synthetic fallback binary under the same directory
-//      (written by an earlier run — loading 300K-node generators from
-//      cache beats regenerating them per bench process);
-//   3. the deterministic synthetic fallback generator itself — every
-//      catalog entry carries a generator spec with matched directedness
-//      and heavy-tailed degrees, so CI and offline hosts never need the
+//   2. the deterministic synthetic fallback generator — every catalog
+//      entry carries a generator spec with matched directedness and
+//      heavy-tailed degrees, so CI and offline hosts never need the
 //      network and two hosts at the same (scale, seed) get bit-identical
 //      graphs.
 //
@@ -83,8 +80,8 @@ struct DatasetSpec {
 /// A materialized dataset: provenance, graph, and per-topic arc weights.
 struct LoadedDataset {
   DatasetSpec spec;          // with the regime actually applied
-  /// "file:<path>", "file-gz:<path>", "cache:<path>" or
-  /// "synthetic:<family>" — self-describing provenance for bench JSON.
+  /// "file:<path>", "file-gz:<path>" or "synthetic:<family>" —
+  /// self-describing provenance for bench JSON.
   std::string source;
   bool from_file = false;    // true for file/file-gz (real data)
   Graph graph;
@@ -99,16 +96,16 @@ struct LoadedDataset {
 class DatasetCatalog {
  public:
   struct Options {
-    /// Directory searched for SNAP files and synthetic-fallback caches.
-    /// Empty means $ISA_DATA_DIR; if that is unset too, resolution goes
-    /// straight to the generator. Missing directories are not an error.
+    /// Directory searched for SNAP files. Empty means $ISA_DATA_DIR; if
+    /// that is unset too, resolution goes straight to the generator.
+    /// Missing directories are not an error.
     std::string data_dir;
     /// Shrinks the synthetic fallback targets (files always load whole).
     double scale = 1.0;
     /// Mixed into the fallback generator and weighting seeds.
     uint64_t seed = 2017;
-    /// Write the generated fallback graph to the data dir (binary format)
-    /// so later runs at the same (scale, seed) load it from cache.
+    /// Read by nothing; kept only because perfbench sets it (ROADMAP
+    /// item 2).
     bool cache_synthetic = true;
   };
 
@@ -120,8 +117,8 @@ class DatasetCatalog {
   /// Looks `name` up among the built-ins.
   static Result<DatasetSpec> Resolve(std::string_view name);
 
-  /// Materializes `spec` under `options`: file, then cache, then
-  /// generator (see file comment). Weights follow spec.regime.
+  /// Materializes `spec` under `options`: file, else generator (see file
+  /// comment). Weights follow spec.regime.
   static Result<LoadedDataset> Load(const DatasetSpec& spec,
                                     const Options& options);
 

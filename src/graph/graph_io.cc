@@ -15,10 +15,6 @@
 namespace isa::graph {
 
 namespace {
-constexpr uint32_t kBinaryMagic = 0x49534147;  // "ISAG"
-}  // namespace
-
-namespace {
 
 // Strict unsigned-decimal token parse. istream >> uint64_t would accept
 // "-1" by two's-complement wrap and stop quietly at the first non-digit;
@@ -193,40 +189,6 @@ Status SaveEdgeListText(const Graph& g, const std::string& path) {
   }
   if (!f) return Status::IOError("write failed: " + path);
   return Status::OK();
-}
-
-Status SaveBinary(const Graph& g, const std::string& path) {
-  std::ofstream f(path, std::ios::binary);
-  if (!f) return Status::IOError("cannot open for write: " + path);
-  uint32_t header[3] = {kBinaryMagic, g.num_nodes(), g.num_edges()};
-  f.write(reinterpret_cast<const char*>(header), sizeof(header));
-  for (NodeId u = 0; u < g.num_nodes(); ++u) {
-    for (NodeId v : g.OutNeighbors(u)) {
-      uint32_t pair[2] = {u, v};
-      f.write(reinterpret_cast<const char*>(pair), sizeof(pair));
-    }
-  }
-  if (!f) return Status::IOError("write failed: " + path);
-  return Status::OK();
-}
-
-Result<Graph> LoadBinary(const std::string& path) {
-  std::ifstream f(path, std::ios::binary);
-  if (!f) return Status::IOError("cannot open: " + path);
-  uint32_t header[3];
-  f.read(reinterpret_cast<char*>(header), sizeof(header));
-  if (!f || header[0] != kBinaryMagic) {
-    return Status::InvalidArgument("not an isa binary graph: " + path);
-  }
-  const uint32_t n = header[1], m = header[2];
-  std::vector<Edge> edges(m);
-  for (uint32_t i = 0; i < m; ++i) {
-    uint32_t pair[2];
-    f.read(reinterpret_cast<char*>(pair), sizeof(pair));
-    if (!f) return Status::IOError("truncated binary graph: " + path);
-    edges[i] = Edge{pair[0], pair[1]};
-  }
-  return Graph::FromEdges(n, std::move(edges));
 }
 
 }  // namespace isa::graph

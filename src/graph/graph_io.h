@@ -1,5 +1,4 @@
-// Edge-list I/O: whitespace-separated text (SNAP style, '#' comments) and a
-// compact binary format for cached synthetic datasets.
+// Edge-list I/O: whitespace-separated text (SNAP style, '#' comments).
 
 #ifndef ISA_GRAPH_GRAPH_IO_H_
 #define ISA_GRAPH_GRAPH_IO_H_
@@ -59,10 +58,6 @@ bool GzipSupported();
 
 /// Writes "src dst" per line with a header comment.
 Status SaveEdgeListText(const Graph& g, const std::string& path);
-
-/// Binary round-trip: magic, node/edge counts, forward edge array.
-Status SaveBinary(const Graph& g, const std::string& path);
-Result<Graph> LoadBinary(const std::string& path);
 
 }  // namespace isa::graph
 

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <new>
-#include <thread>
 
 #include "common/failpoint.h"
+#include "common/logging.h"
 #include "common/thread_pool.h"
 
 namespace isa::rrset {
@@ -19,40 +19,24 @@ ParallelSampler::ParallelSampler(const graph::Graph& g,
       base_seed_(base_seed),
       min_sets_per_thread_(std::max<uint64_t>(1, options.min_sets_per_thread)),
       // max_threads_ bounds shard count and per-worker sampler memory, not
-      // just threads, so even explicit requests are capped: by the borrowed
-      // pool's concurrency, or by a small multiple of the hardware (over-
-      // subscribing pure-CPU work buys nothing). Determinism is unaffected:
-      // worker count never changes the sampled sets.
-      max_threads_(std::clamp(
-          options.num_threads != 0
-              ? options.num_threads
-              : (options.pool != nullptr
-                     ? options.pool->concurrency()
-                     : std::max(1u, std::thread::hardware_concurrency())),
-          1u,
-          options.pool != nullptr
-              ? options.pool->concurrency()
-              : 4 * std::max(1u, std::thread::hardware_concurrency()))),
-      borrowed_pool_(options.pool),
+      // just threads, so even explicit requests are capped by the pool.
+      // Determinism is unaffected: worker count never changes the sets.
+      max_threads_(options.pool == nullptr
+                       ? 1
+                       : std::clamp(options.num_threads != 0
+                                        ? options.num_threads
+                                        : options.pool->concurrency(),
+                                    1u, options.pool->concurrency())),
+      pool_(max_threads_ > 1 ? options.pool : nullptr),
       coins_(coins != nullptr ? std::move(coins)
-                              : BuildCoinColumn(g, probs)) {}
-
-ParallelSampler::~ParallelSampler() = default;
-ParallelSampler::ParallelSampler(ParallelSampler&&) noexcept = default;
+                              : BuildCoinColumn(g, probs)) {
+  ISA_CHECK(options.pool != nullptr || options.num_threads <= 1);
+}
 
 uint32_t ParallelSampler::WorkerCountFor(uint64_t count) const {
   const uint64_t by_work = count / min_sets_per_thread_;
   return static_cast<uint32_t>(
       std::clamp<uint64_t>(by_work, 1, max_threads_));
-}
-
-ThreadPool* ParallelSampler::pool() {
-  if (max_threads_ <= 1) return nullptr;  // explicit single-thread request
-  if (borrowed_pool_ != nullptr) return borrowed_pool_;
-  if (owned_pool_ == nullptr) {
-    owned_pool_ = std::make_unique<ThreadPool>(max_threads_);
-  }
-  return owned_pool_.get();
 }
 
 RrSetColumns ParallelSampler::SampleRange(uint32_t w, uint64_t first_id,
@@ -91,7 +75,7 @@ std::vector<RrSetColumns> ParallelSampler::SampleShards(uint64_t first_id,
   for (uint32_t w = 0; w < workers; ++w) {
     lo[w + 1] = lo[w] + base + (w < extra ? 1 : 0);
   }
-  pool()->Run(workers, [&](uint64_t w) {
+  pool_->Run(workers, [&](uint64_t w) {
     shards[w] =
         SampleRange(static_cast<uint32_t>(w), lo[w], lo[w + 1] - lo[w]);
   });
@@ -111,9 +95,7 @@ void ParallelSampler::SampleToBuffer(uint64_t first_id, uint64_t count,
   nodes->clear();
   sizes->clear();
   if (count == 0) return;
-  std::vector<RrSetColumns> shards = SampleShards(first_id, count);
-  ThreadPool* p = shards.size() > 1 ? pool() : nullptr;
-  ConcatSetColumns(std::move(shards), p, nodes, sizes);
+  ConcatSetColumns(SampleShards(first_id, count), pool_, nodes, sizes);
 }
 
 void ParallelSampler::SampleAppend(RrStore& store, uint64_t count) {
@@ -124,22 +106,11 @@ void ParallelSampler::SampleAppend(RrStore& store, uint64_t count) {
 void ParallelSampler::AppendShards(RrStore& store,
                                    std::vector<RrSetColumns> shards) {
   // The shards land in the store as one batch, so the resulting store,
-  // including vector capacities, is identical to a 1-worker run. For the
-  // inline path an already-live pool is forwarded for the index build, but
-  // none is created just for it: every batch, however small, rebuilds the
-  // hot index (an O(hot postings) copy plus the batch's sort), which then
-  // runs on one worker for a standalone sampler whose pool was never
-  // needed for sampling — an accepted trade-off; RunTiGreedy always passes
-  // a borrowed pool.
-  ThreadPool* p = shards.size() == 1
-                      ? (max_threads_ > 1 && borrowed_pool_ != nullptr
-                             ? borrowed_pool_
-                             : owned_pool_.get())
-                      : pool();
+  // including vector capacities, is identical to a 1-worker run.
   // base_seed_ is recorded as the batch's provenance: every appended id is
   // reproducible as Rng(HashSeed(base_seed_, id)), which is what lets the
   // store re-sample a lost cold chunk (see RrStore::SetResampler).
-  store.AppendParts(std::move(shards), p, base_seed_);
+  store.AppendParts(std::move(shards), pool_, base_seed_);
 }
 
 }  // namespace isa::rrset

@@ -23,14 +23,14 @@
 //   - base_seed is recorded as each batch's provenance, so a lost cold
 //     chunk can be re-sampled bit for bit (see RrStore::SetResampler).
 //
-// Execution: shard tasks run on a ThreadPool — either one *borrowed*
-// through ParallelSamplerOptions::pool (the shared per-RunTiGreedy pool,
-// so the driver's many samplers reuse one set of threads) or, for
-// standalone use, a pool the sampler lazily creates and owns. Either way
-// no thread is spawned per batch; num_threads = 1 runs inline on the
-// calling thread. The per-set Rng re-seed costs four SplitMix64 draws —
-// noise next to the reverse BFS each set runs. Each worker keeps its own
-// RrSampler (epoch array), reused across calls.
+// Execution: shard tasks run on the ThreadPool the caller hands in
+// through ParallelSamplerOptions::pool (RunTiGreedy's per-solve pool, so
+// the driver's many samplers reuse one set of threads), or inline on the
+// calling thread when there is none. The sampler never creates a pool, so
+// no thread is spawned per batch or per sampler. The per-set Rng re-seed
+// costs four SplitMix64 draws — noise next to the reverse BFS each set
+// runs. Each worker keeps its own RrSampler (epoch array), reused across
+// calls.
 //
 // The sampler takes the (graph, probs) pair's coin column — the
 // store's, from SampleSizer::coins(), with arc codes, or node coins only
@@ -61,25 +61,25 @@ class ThreadPool;
 namespace isa::rrset {
 
 struct ParallelSamplerOptions {
-  /// Worker threads. 0 = std::thread::hardware_concurrency() (or, when
-  /// `pool` is set, the pool's concurrency); 1 = run inline on the calling
-  /// thread — the sampled sets are identical either way, only wall-clock
-  /// changes.
+  /// Workers, when `pool` is set: 0 = the pool's concurrency, and any
+  /// request is capped by it. Without a pool the sampler runs inline, and
+  /// a request above 1 is a checked error (it would silently lose its
+  /// parallelism). The sampled sets are identical at any worker count,
+  /// only wall-clock changes.
   uint32_t num_threads = 0;
   /// Below this many sets per would-be worker, fewer workers are used
   /// (down to inline execution): parallel dispatch for a handful of sets
   /// costs more than it saves.
   uint64_t min_sets_per_thread = 64;
-  /// Borrowed pool to run shard tasks on (not owned; must outlive the
-  /// sampler). When null, the sampler lazily creates a private pool the
-  /// first time a batch is worth parallelizing.
+  /// Pool to run shard tasks on (not owned; must outlive the sampler), or
+  /// null to run inline.
   ThreadPool* pool = nullptr;
 };
 
 /// Samples RR sets for one (graph, arc-probability) pair across a worker
 /// pool, appending to an RrStore in deterministic order. Not thread-safe
 /// itself (one ParallelSampler per advertiser, as with RrSampler), though
-/// many samplers may share one borrowed pool — including reentrantly from
+/// many samplers may share one pool — including reentrantly from
 /// tasks already running on that pool (see common/thread_pool.h).
 class ParallelSampler {
  public:
@@ -92,9 +92,6 @@ class ParallelSampler {
                   DiffusionModel /*model*/, uint64_t base_seed,
                   ParallelSamplerOptions options = {},
                   std::shared_ptr<const CoinColumn> coins = nullptr);
-  // Out of line: the owned pool's deleter needs the complete ThreadPool.
-  ~ParallelSampler();
-  ParallelSampler(ParallelSampler&&) noexcept;
 
   /// Samples `count` RR sets with absolute ids [store.num_sets(),
   /// store.num_sets() + count) and appends them to `store` in id order:
@@ -129,11 +126,10 @@ class ParallelSampler {
   /// Workers that would be used for a `count`-set batch (diagnostics).
   uint32_t WorkerCountFor(uint64_t count) const;
 
-  /// The pool shard tasks run on: the borrowed one, or the lazily created
-  /// private one. Null when this sampler is single-threaded (max_threads
-  /// 1) and will never parallelize. Exposed so downstream consumers of a
+  /// The pool shard tasks run on; null when this sampler runs inline
+  /// (no pool, or max_threads 1). Exposed so downstream consumers of a
   /// batch (index build, coverage adoption) can share the same threads.
-  ThreadPool* pool();
+  ThreadPool* pool() const { return pool_; }
 
   uint64_t base_seed() const { return base_seed_; }
   uint32_t max_threads() const { return max_threads_; }
@@ -153,8 +149,7 @@ class ParallelSampler {
   uint64_t base_seed_;
   uint64_t min_sets_per_thread_;
   uint32_t max_threads_;
-  ThreadPool* borrowed_pool_;
-  std::unique_ptr<ThreadPool> owned_pool_;
+  ThreadPool* pool_;
   std::shared_ptr<const CoinColumn> coins_;
   // Worker-private samplers (epoch arrays), created lazily, reused across
   // SampleAppend calls.

@@ -33,14 +33,7 @@ void RrCollection::AddSets(ParallelSampler& sampler, uint64_t count,
   if (store_->num_sets() < target) {
     sampler.SampleAppend(*store_, target - store_->num_sets());
   }
-  // sampler.pool() may lazily create a pool; only ask for one when the
-  // adoption is big enough to shard at all.
-  const uint64_t postings = store_->PostingsInRange(theta_, target);
-  const bool worth_sharding =
-      postings >= 2 * std::max<uint64_t>(kMinPostingsPerAdoptWorker,
-                                         store_->num_nodes());
-  AdoptUpTo(target, current_seeds, worth_sharding ? sampler.pool() : nullptr,
-            touched);
+  AdoptUpTo(target, current_seeds, sampler.pool(), touched);
 }
 
 void RrCollection::AdoptUpTo(uint64_t new_theta,

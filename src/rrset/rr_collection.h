@@ -78,8 +78,9 @@ class RrCollection {
   /// any newly adopted set containing one of `current_seeds` is marked
   /// covered immediately so covered_fraction() stays the estimator of
   /// F_R(S) over the enlarged sample. Coverage accumulation over the newly
-  /// adopted sets runs on the sampler's pool (per-worker count arrays
-  /// merged in node order — integer sums, so again bit-identical). When
+  /// adopted sets runs on the sampler's pool, if it has one, when the
+  /// batch holds enough postings to shard (per-worker count arrays merged
+  /// in node order — integer sums, so again bit-identical). When
   /// `touched` is non-null it is cleared and filled with the nodes whose
   /// coverage increased, ascending at any worker count — the delta set
   /// incremental heap repair keys on (see core/advertiser_engine.h).

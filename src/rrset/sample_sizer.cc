@@ -39,11 +39,9 @@ void SampleSizer::RunPilot(const graph::Graph& g,
   //
   // Pilot set `id` counts across rounds, so each round continues the
   // sampler's id sequence where the last one stopped.
-  ParallelSamplerOptions po;
-  po.num_threads = options_.pool == nullptr ? 1 : 0;
-  po.pool = options_.pool;
   ParallelSampler sampler(g, probs, options_.model,
-                          HashSeed(options_.seed, 0x4b7), po, coins_);
+                          HashSeed(options_.seed, 0x4b7),
+                          {.pool = options_.pool}, coins_);
   const double log_n = std::log(static_cast<double>(n_));
   const double log_log_n =
       std::log(std::max(2.0, std::log2(static_cast<double>(n_))));

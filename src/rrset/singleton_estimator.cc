@@ -8,7 +8,7 @@ namespace isa::rrset {
 
 Result<std::vector<double>> EstimateAllSingletonSpreads(
     const graph::Graph& g, std::span<const double> probs, uint64_t theta,
-    uint64_t seed) {
+    uint64_t seed, ThreadPool* pool) {
   if (theta == 0) {
     return Status::InvalidArgument("EstimateAllSingletonSpreads: theta == 0");
   }
@@ -17,7 +17,7 @@ Result<std::vector<double>> EstimateAllSingletonSpreads(
   // drawn, since set `id` depends only on (seed, id).
   constexpr uint64_t kBatch = uint64_t{1} << 16;
   ParallelSampler sampler(g, probs, DiffusionModel::kIndependentCascade,
-                          seed);
+                          seed, {.pool = pool});
   std::vector<uint64_t> count(g.num_nodes(), 0);
   std::vector<graph::NodeId> nodes;
   std::vector<uint32_t> sizes;

@@ -162,8 +162,7 @@ TEST(DatasetCatalogTest, RealFileWinsAndUndirectedDoubles) {
 
 TEST(DatasetCatalogTest, FallbackGeneratorIsDeterministic) {
   DatasetCatalog::Options opt;
-  opt.data_dir = MakeTempDir("det");  // empty: no file, no cache
-  opt.cache_synthetic = false;
+  opt.data_dir = MakeTempDir("det");  // empty: no file
   opt.scale = 0.01;
   auto a = DatasetCatalog::Load("soc-epinions1",
                                 WeightingRegime::kWeightedCascade, opt);
@@ -184,33 +183,6 @@ TEST(DatasetCatalogTest, FallbackGeneratorIsDeterministic) {
                                 WeightingRegime::kWeightedCascade, seeded);
   ASSERT_TRUE(c.ok()) << c.status().ToString();
   EXPECT_NE(GraphHash(a.value().graph), GraphHash(c.value().graph));
-}
-
-TEST(DatasetCatalogTest, SyntheticCacheRoundTrip) {
-  DatasetCatalog::Options opt;
-  opt.data_dir = MakeTempDir("cache");
-  opt.scale = 0.01;
-  auto first = DatasetCatalog::Load("com-dblp",
-                                    WeightingRegime::kWeightedCascade, opt);
-  ASSERT_TRUE(first.ok()) << first.status().ToString();
-  EXPECT_EQ(first.value().source, "synthetic:ba");
-  auto second = DatasetCatalog::Load("com-dblp",
-                                     WeightingRegime::kWeightedCascade, opt);
-  ASSERT_TRUE(second.ok()) << second.status().ToString();
-  EXPECT_EQ(second.value().source.rfind("cache:", 0), 0u)
-      << second.value().source;
-  EXPECT_EQ(GraphHash(first.value().graph),
-            GraphHash(second.value().graph));
-  // The cache key embeds the scale: a different scale regenerates.
-  auto rescaled = opt;
-  rescaled.scale = 0.005;
-  auto third = DatasetCatalog::Load("com-dblp",
-                                    WeightingRegime::kWeightedCascade,
-                                    rescaled);
-  ASSERT_TRUE(third.ok()) << third.status().ToString();
-  EXPECT_EQ(third.value().source, "synthetic:ba");
-  EXPECT_LT(third.value().graph.num_nodes(),
-            first.value().graph.num_nodes());
 }
 
 // --- Weighting regimes ----------------------------------------------------

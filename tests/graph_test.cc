@@ -195,36 +195,6 @@ TEST(GraphIoTest, TextRejectsMissingField) {
 
 TEST(GraphIoTest, MissingFile) {
   EXPECT_FALSE(LoadEdgeListText("/no/such/file").ok());
-  EXPECT_FALSE(LoadBinary("/no/such/file").ok());
-}
-
-TEST(GraphIoTest, BinaryRoundTrip) {
-  Graph g = test::MustGraph(5, {{0, 1}, {1, 2}, {4, 0}, {3, 4}});
-  const std::string path = ::testing::TempDir() + "/isa_g.bin";
-  ASSERT_TRUE(SaveBinary(g, path).ok());
-  auto loaded = LoadBinary(path);
-  ASSERT_TRUE(loaded.ok());
-  const Graph& g2 = loaded.value();
-  ASSERT_EQ(g2.num_nodes(), g.num_nodes());
-  ASSERT_EQ(g2.num_edges(), g.num_edges());
-  for (NodeId u = 0; u < g.num_nodes(); ++u) {
-    auto a = g.OutNeighbors(u);
-    auto b = g2.OutNeighbors(u);
-    ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()));
-  }
-  std::remove(path.c_str());
-}
-
-TEST(GraphIoTest, BinaryRejectsBadMagic) {
-  const std::string path = ::testing::TempDir() + "/isa_bad.bin";
-  {
-    std::FILE* f = std::fopen(path.c_str(), "wb");
-    uint32_t junk[3] = {0xdeadbeef, 2, 1};
-    std::fwrite(junk, sizeof(junk), 1, f);
-    std::fclose(f);
-  }
-  EXPECT_FALSE(LoadBinary(path).ok());
-  std::remove(path.c_str());
 }
 
 // ---------- stats ----------

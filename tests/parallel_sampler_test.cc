@@ -13,6 +13,7 @@
 #include "gtest/gtest.h"
 #include "rrset/rr_collection.h"
 #include "rrset/sample_sizer.h"
+#include "rrset/singleton_estimator.h"
 #include "rrset/spill_file.h"
 #include "tests/test_util.h"
 #include "topic/tic_model.h"
@@ -40,6 +41,7 @@ ParallelSampler MakeSampler(const Graph& g, std::span<const double> probs,
                             uint64_t min_sets_per_thread = 1) {
   ParallelSamplerOptions opts;
   opts.num_threads = threads;
+  opts.pool = test::SharedPool(threads);
   opts.min_sets_per_thread = min_sets_per_thread;
   return ParallelSampler(g, probs, rrset::DiffusionModel::kIndependentCascade,
                          seed, opts);
@@ -110,26 +112,75 @@ TEST(ParallelSamplerTest, CollectionAddSetsAdoptsParallelSamples) {
   }
 }
 
-TEST(ParallelSamplerTest, BorrowedPoolMatchesOwnedPool) {
+// A sampler runs on the pool it is handed: num_threads 0 takes all of
+// the pool's concurrency, a larger request is capped by it, and pools of
+// different sizes fill identical stores.
+TEST(ParallelSamplerTest, PoolsOfDifferentSizesMatch) {
   const Graph g = MakeBaGraph();
   const std::vector<double> probs(g.num_edges(), 0.1);
   constexpr uint64_t kSets = 3000;
+  const auto sample_on = [&](uint32_t concurrency) {
+    ThreadPool pool(concurrency);
+    ParallelSamplerOptions opts;
+    opts.min_sets_per_thread = 1;
+    opts.pool = &pool;
+    ParallelSampler sampler(g, probs,
+                            rrset::DiffusionModel::kIndependentCascade, 123,
+                            opts);
+    EXPECT_EQ(sampler.pool(), &pool);
+    EXPECT_EQ(sampler.WorkerCountFor(kSets), pool.concurrency());
+    opts.num_threads = 64;
+    EXPECT_EQ(ParallelSampler(g, probs,
+                              rrset::DiffusionModel::kIndependentCascade,
+                              123, opts)
+                  .max_threads(),
+              pool.concurrency());
+    RrStore store(g.num_nodes());
+    sampler.SampleAppend(store, kSets);
+    return store;
+  };
+  ExpectStoresIdentical(sample_on(2), sample_on(5));
+}
 
-  RrStore own_pool(g.num_nodes());
-  MakeSampler(g, probs, /*threads=*/4).SampleAppend(own_pool, kSets);
-
-  ThreadPool shared(4);
+// Without a pool, or with one but a one-worker request, a sampler runs
+// inline whatever the batch size.
+TEST(ParallelSamplerTest, PoollessSamplerRunsInline) {
+  const Graph g = MakeBaGraph();
+  const std::vector<double> probs(g.num_edges(), 0.1);
+  for (uint32_t threads : {0u, 1u}) {
+    SCOPED_TRACE(testing::Message() << threads << " threads");
+    const ParallelSampler sampler = MakeSampler(g, probs, threads);
+    EXPECT_EQ(sampler.pool(), nullptr);
+    EXPECT_EQ(sampler.WorkerCountFor(1 << 20), 1u);
+  }
+  ThreadPool pool(4);
   ParallelSamplerOptions opts;
-  opts.num_threads = 4;
-  opts.min_sets_per_thread = 1;
-  opts.pool = &shared;
-  ParallelSampler borrowed(g, probs,
-                           rrset::DiffusionModel::kIndependentCascade, 123,
-                           opts);
-  RrStore shared_pool_store(g.num_nodes());
-  borrowed.SampleAppend(shared_pool_store, kSets);
-  EXPECT_EQ(borrowed.pool(), &shared);
-  ExpectStoresIdentical(own_pool, shared_pool_store);
+  opts.num_threads = 1;
+  opts.pool = &pool;
+  const ParallelSampler one(g, probs,
+                            rrset::DiffusionModel::kIndependentCascade, 123,
+                            opts);
+  EXPECT_EQ(one.pool(), nullptr);
+  EXPECT_EQ(one.WorkerCountFor(1 << 20), 1u);
+}
+
+// The singleton-spread estimator samples on the pool it is handed, or
+// inline: the same sets either way, so bit-identical estimates.
+TEST(ParallelSamplerTest, SingletonSpreadsIdenticalInlineAndOnPools) {
+  const Graph g = MakeBaGraph();
+  const std::vector<double> probs(g.num_edges(), 0.1);
+  constexpr uint64_t kTheta = 70'000;  // past one 2^16-set batch
+  const auto want =
+      rrset::EstimateAllSingletonSpreads(g, probs, kTheta, 23, nullptr);
+  ASSERT_TRUE(want.ok());
+  for (uint32_t threads : {2u, 4u}) {
+    SCOPED_TRACE(testing::Message() << threads << " threads");
+    ThreadPool pool(threads);
+    const auto got =
+        rrset::EstimateAllSingletonSpreads(g, probs, kTheta, 23, &pool);
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(want.value(), got.value());
+  }
 }
 
 TEST(ParallelSamplerTest, PilotWidthsIdenticalSerialAndParallel) {
@@ -176,6 +227,7 @@ TEST(ParallelSamplerTest, SharedCoinColumnFromSizerMatchesOwnColumn) {
   ParallelSamplerOptions opts;
   opts.num_threads = 3;
   opts.min_sets_per_thread = 1;
+  opts.pool = test::SharedPool(3);
   ParallelSampler shared(g, probs, rrset::DiffusionModel::kIndependentCascade,
                          123, opts, sizer.coins());
   EXPECT_EQ(shared.coins(), sizer.coins());

@@ -264,6 +264,7 @@ TEST(CoinColumnTest, SampleIdsMatchesPerArcReferenceSetForSet) {
     ParallelSamplerOptions po;
     po.num_threads = 3;
     po.min_sets_per_thread = 100;
+    po.pool = test::SharedPool(3);
     ParallelSampler parallel(g, probs, DiffusionModel::kIndependentCascade,
                              seed, po);
     parallel.SampleToBuffer(0, 3000, &got_nodes, &got_sizes);
@@ -361,6 +362,7 @@ TEST(CoinColumnTest, ArcCodesSampleTheSameSetsAsNodeCoins) {
   for (const uint32_t workers : {1u, 4u}) {
     ParallelSamplerOptions po;
     po.num_threads = workers;
+    po.pool = test::SharedPool(workers);
     ParallelSampler sampler(g, probs, DiffusionModel::kIndependentCascade,
                             seed, po, store_coins);
     sampler.SampleToBuffer(0, kSets, &got_nodes, &got_sizes);
@@ -1092,7 +1094,7 @@ TEST(SampleSizerTest, DeterministicInSeed) {
 TEST(SingletonEstimatorTest, MatchesExactOnDiamond) {
   auto g = test::MakeDiamond();
   std::vector<double> probs = {0.5, 0.5, 0.5, 0.5};
-  auto est = EstimateAllSingletonSpreads(g, probs, 300'000, 21);
+  auto est = EstimateAllSingletonSpreads(g, probs, 300'000, 21, nullptr);
   ASSERT_TRUE(est.ok());
   for (graph::NodeId u = 0; u < 4; ++u) {
     const graph::NodeId seeds[1] = {u};
@@ -1104,7 +1106,7 @@ TEST(SingletonEstimatorTest, MatchesExactOnDiamond) {
 TEST(SingletonEstimatorTest, FloorsAtOne) {
   auto g = test::MustGraph(3, {{0, 1}});
   std::vector<double> probs = {0.0};
-  auto est = EstimateAllSingletonSpreads(g, probs, 1000, 22);
+  auto est = EstimateAllSingletonSpreads(g, probs, 1000, 22, nullptr);
   ASSERT_TRUE(est.ok());
   for (double v : est.value()) EXPECT_GE(v, 1.0);
 }
@@ -1125,7 +1127,8 @@ TEST(SingletonEstimatorTest, CountsSampleIdsSets) {
   std::vector<uint64_t> count(g.value().num_nodes(), 0);
   for (const graph::NodeId v : nodes) ++count[v];
 
-  auto est = EstimateAllSingletonSpreads(g.value(), probs, theta, 23);
+  auto est = EstimateAllSingletonSpreads(g.value(), probs, theta, 23,
+                                         nullptr);
   ASSERT_TRUE(est.ok());
   ASSERT_EQ(est.value().size(), count.size());
   const double scale = 300.0 / static_cast<double>(theta);
@@ -1139,7 +1142,7 @@ TEST(SingletonEstimatorTest, CountsSampleIdsSets) {
 TEST(SingletonEstimatorTest, RejectsZeroTheta) {
   auto g = test::MakeDiamond();
   std::vector<double> probs(g.num_edges(), 0.5);
-  EXPECT_FALSE(EstimateAllSingletonSpreads(g, probs, 0, 1).ok());
+  EXPECT_FALSE(EstimateAllSingletonSpreads(g, probs, 0, 1, nullptr).ok());
 }
 
 }  // namespace

@@ -64,6 +64,7 @@ ParallelSampler MakeSampler(const Graph& g, std::span<const double> probs,
                             uint32_t threads, uint64_t seed = 123) {
   ParallelSamplerOptions opts;
   opts.num_threads = threads;
+  opts.pool = test::SharedPool(threads);
   opts.min_sets_per_thread = 1;
   return ParallelSampler(g, probs, rrset::DiffusionModel::kIndependentCascade,
                          seed, opts);

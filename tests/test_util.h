@@ -5,13 +5,16 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <string_view>
 #include <vector>
 
 #include "common/logging.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "core/problem.h"
 #include "eval/datasets.h"
 #include "graph/dataset_catalog.h"
@@ -39,6 +42,19 @@ inline Result<std::unique_ptr<eval::Dataset>> LoadDataset(
   opt.scale = scale;
   opt.seed = seed;
   return eval::MakeDataset(graph::DatasetCatalog::Load(name, opt));
+}
+
+/// The pool a test's `threads`-worker sampler runs on: one ThreadPool of
+/// that concurrency per size, shared by the binary's tests; null (inline)
+/// for 0 or 1.
+inline ThreadPool* SharedPool(uint32_t threads) {
+  if (threads <= 1) return nullptr;
+  static std::mutex mu;
+  static std::map<uint32_t, std::unique_ptr<ThreadPool>> pools;
+  std::lock_guard<std::mutex> lock(mu);
+  std::unique_ptr<ThreadPool>& pool = pools[threads];
+  if (pool == nullptr) pool = std::make_unique<ThreadPool>(threads);
+  return pool.get();
 }
 
 /// A one-worker IC ParallelSampler: the deterministic sampling path run

@@ -19,6 +19,12 @@ bench/results/ and separates three field classes:
 BENCH_growth.json rows are matched by regime: their seed, revenue, theta
 and growth counters are bit-exact, their seconds ratio-gated as above.
 
+BENCH_table3.json's rows are matched by (dataset, h) and its budget_rows
+by (budget_bytes, threads, failpoints): every byte, chunk, lookup and seed
+field and the matches_unbudgeted / recovery_ok verdicts are bit-exact, and
+elapsed_seconds only annotates. Table 3 captures at different scales are
+not compared row by row (CI runs it at a smaller scale than the golden's).
+
 BENCH_micro.json's sampling_kernel rows are matched by instance and
 BENCH_fig5.json's sampler and end-to-end thread-sweep rows by thread
 count: the sampled-set hash, the sampled store's hash and the end-to-end
@@ -95,6 +101,27 @@ GROWTH_BIT_EXACT = (
 MICRO_KERNEL_BIT_EXACT = ("sets_hash",)
 FIG5_SAMPLER_BIT_EXACT = ("store_hash",)
 FIG5_E2E_BIT_EXACT = ("seeds", "revenue")
+# Row-level bit-exact fields for BENCH_table3.json: its rows, keyed by
+# (dataset, h), and its budget_rows, keyed by (budget_bytes, threads,
+# failpoints). A faulted budget row carries the recovery counters in place
+# of the byte and chunk fields; a field absent from both sides matches.
+TABLE3_ROW_BIT_EXACT = ("carm_bytes", "csrm_bytes", "carm_seeds",
+                        "csrm_seeds", "index_bytes")
+TABLE3_BUDGET_BIT_EXACT = (
+    "resident_final_bytes",
+    "resident_peak_bytes",
+    "spilled_bytes",
+    "spill_chunks",
+    "scan_reloads",
+    "chunks_read",
+    "chunks_skipped",
+    "seeds",
+    "matches_unbudgeted",
+    "degradation_events",
+    "recovered_sets",
+    "spill_retries",
+    "recovery_ok",
+)
 TIME_NOISE_FLOOR_SECONDS = 0.05
 
 
@@ -138,10 +165,11 @@ def check_compat(name, golden, fresh, keys, report):
 
 
 def check_rows(name, kind, golden_rows, fresh_rows, bit_exact, report,
-               time_ratio, allow_missing, time_fatal=True):
-    """Coverage, bit-exact fields and the seconds ratio gate of rows keyed
-    by id (a note instead of a failure unless time_fatal); returns (id,
-    golden row, fresh row) for every id in both."""
+               time_ratio, allow_missing, time_fatal=True,
+               time_field="seconds"):
+    """Coverage, bit-exact fields and the time_field ratio gate of rows
+    keyed by id (a note instead of a failure unless time_fatal); returns
+    (id, golden row, fresh row) for every id in both."""
     for rid in golden_rows:
         if rid not in fresh_rows:
             msg = f"{name}: {kind} '{rid}' present in golden, missing fresh"
@@ -165,8 +193,8 @@ def check_rows(name, kind, golden_rows, fresh_rows, bit_exact, report,
                 report.fail(f"{name}: {kind} '{rid}': bit-exact field "
                             f"'{field}' drifted: golden {gv!r} -> fresh "
                             f"{fv!r}")
-        gs = golden_row.get("seconds") or 0.0
-        fs = fresh_row.get("seconds") or 0.0
+        gs = golden_row.get(time_field) or 0.0
+        fs = fresh_row.get(time_field) or 0.0
         if (gs > TIME_NOISE_FLOOR_SECONDS
                 and fs > TIME_NOISE_FLOOR_SECONDS and fs > gs * time_ratio):
             (report.fail if time_fatal else report.note)(
@@ -243,6 +271,32 @@ def check_fig5(name, golden, fresh, report, time_ratio, allow_missing):
                    time_ratio, allow_missing, time_fatal=False)
 
 
+def table3_row_key(row):
+    return f"{row['dataset']}/h{row['h']}"
+
+
+def table3_budget_key(row):
+    key = f"budget {row['budget_bytes']}/threads {row['threads']}"
+    return key + (f"/{row['failpoints']}" if row.get("failpoints") else "")
+
+
+def check_table3(name, golden, fresh, report, time_ratio, allow_missing):
+    if golden.get("scale") != fresh.get("scale"):
+        report.note(f"{name}: captured at scale {fresh.get('scale')!r}, "
+                    f"the golden at {golden.get('scale')!r}: rows not "
+                    "compared")
+        return
+    for array, kind, key, bit_exact in (
+            ("rows", "row", table3_row_key, TABLE3_ROW_BIT_EXACT),
+            ("budget_rows", "budget row", table3_budget_key,
+             TABLE3_BUDGET_BIT_EXACT)):
+        check_rows(name, kind,
+                   {key(r): r for r in golden.get(array, [])},
+                   {key(r): r for r in fresh.get(array, [])}, bit_exact,
+                   report, time_ratio, allow_missing, time_fatal=False,
+                   time_field="elapsed_seconds")
+
+
 def check_file(name, golden, fresh, report, time_ratio, allow_missing):
     check_gate_booleans(name, fresh, report)
     kinds = (golden.get("bench"), fresh.get("bench"))
@@ -256,6 +310,8 @@ def check_file(name, golden, fresh, report, time_ratio, allow_missing):
         check_micro(name, golden, fresh, report, time_ratio, allow_missing)
     elif kinds == ("fig5_scalability", "fig5_scalability"):
         check_fig5(name, golden, fresh, report, time_ratio, allow_missing)
+    elif kinds == ("table3_memory", "table3_memory"):
+        check_table3(name, golden, fresh, report, time_ratio, allow_missing)
     if golden.get("hardware_concurrency") is not None and golden.get(
             "hardware_concurrency") != fresh.get("hardware_concurrency"):
         report.note(f"{name}: hardware_concurrency differs (golden "
@@ -400,6 +456,32 @@ def _fig5_doc(**overrides):
     return doc
 
 
+def _table3_doc(**overrides):
+    row = {"dataset": "com-dblp", "h": 1, "carm_bytes": 5638848,
+           "csrm_bytes": 5865704, "carm_seeds": 2, "csrm_seeds": 11,
+           "index_bytes": 4713768}
+    budget = {"budget_bytes": 2961512, "threads": 0,
+              "resident_final_bytes": 14638790,
+              "resident_peak_bytes": 11250832, "spilled_bytes": 18454388,
+              "spill_chunks": 60, "scan_reloads": 54, "chunks_read": 515,
+              "chunks_skipped": 133, "seeds": 54,
+              "matches_unbudgeted": True, "elapsed_seconds": 0.27,
+              "solve_ratio_vs_unbudgeted": 1.31, "process_peak_mib": 31.9}
+    faulted = {"budget_bytes": 1480756, "threads": 0,
+               "failpoints": "spill.read.eio@every:1",
+               "degradation_events": 105, "recovered_sets": 400000,
+               "spill_retries": 0, "recovery_ok": True,
+               "elapsed_seconds": 0.78, "process_peak_mib": 30.2}
+    row.update(overrides.pop("row", {}))
+    budget.update(overrides.pop("budget", {}))
+    faulted.update(overrides.pop("faulted", {}))
+    doc = {"bench": "table3_memory", "scale": 0.06,
+           "repeat_determinism_ok": True, "peak_bounded_ok": True,
+           "rows": [row], "budget_rows": [budget, faulted]}
+    doc.update(overrides)
+    return doc
+
+
 def self_test():
     def verdict(golden, fresh, time_ratio=8.0, allow_missing=False):
         report = Report()
@@ -505,13 +587,33 @@ def self_test():
 
     # Table 3: a budgeted row whose process peak reached the unbudgeted
     # row's fails the capture on its own, like a determinism gate.
-    table3 = {"bench": "table3_memory", "repeat_determinism_ok": True,
-              "peak_bounded_ok": True}
-    r = verdict(table3, table3)
+    r = verdict(_table3_doc(), _table3_doc())
     assert r.ok and not r.notes, (r.failures, r.notes)
-    r = verdict(table3, dict(table3, peak_bounded_ok=False))
+    r = verdict(_table3_doc(), _table3_doc(peak_bounded_ok=False))
     assert (len(r.failures) == 1
             and "peak_bounded_ok" in r.failures[0]), r.failures
+
+    # Table 3 rows: one byte of spill drift, a changed seed count or a
+    # failed recovery fails, naming the field; a slower solve or another
+    # process peak only annotates; another scale is not compared.
+    for part, field, value in (("budget", "spilled_bytes", 18454389),
+                               ("row", "csrm_seeds", 12),
+                               ("row", "index_bytes", 4713769),
+                               ("budget", "seeds", 53),
+                               ("faulted", "recovery_ok", False)):
+        r = verdict(_table3_doc(), _table3_doc(**{part: {field: value}}))
+        assert len(r.failures) == 1 and field in r.failures[0], r.failures
+    r = verdict(_table3_doc(), _table3_doc(budget={"elapsed_seconds": 9.0,
+                                                   "process_peak_mib": 99}))
+    assert r.ok and len(r.notes) == 1 and "wall-clock" in r.notes[0], (
+        r.failures, r.notes)
+    r = verdict(_table3_doc(), _table3_doc(scale=0.04,
+                                           row={"csrm_seeds": 12}))
+    assert r.ok and "not compared" in r.notes[0], (r.failures, r.notes)
+    gone = _table3_doc()
+    gone["budget_rows"].pop()
+    r = verdict(_table3_doc(), gone)
+    assert not r.ok and "coverage regression" in r.failures[0], r.failures
 
     # Micro sampling kernel: a changed set hash fails, naming the instance;
     # a changed rate passes silently; a missing instance is a coverage

@@ -22,6 +22,7 @@
 #include "common/flags.h"
 #include "common/strings.h"
 #include "common/table_writer.h"
+#include "common/thread_pool.h"
 #include "core/incentives.h"
 #include "core/ti_greedy.h"
 #include "diffusion/cascade.h"
@@ -270,8 +271,13 @@ int main(int argc, char** argv) {
       flags.GetString("incentives", "linear").value_or("linear"));
   if (!model_result.ok()) return Fail(model_result.status());
 
-  auto spreads_result = isa::rrset::EstimateAllSingletonSpreads(
-      graph, topics.topic(0), 50'000, seed + 1);
+  // --threads bounds this stage as it bounds the solve; the pool is gone
+  // before the solve starts its own.
+  auto spreads_result = [&] {
+    isa::ThreadPool pool(threads);
+    return isa::rrset::EstimateAllSingletonSpreads(
+        graph, topics.topic(0), 50'000, seed + 1, &pool);
+  }();
   if (!spreads_result.ok()) return Fail(spreads_result.status());
   auto incentives_result = isa::core::ComputeIncentives(
       model_result.value(), alpha, spreads_result.value());
