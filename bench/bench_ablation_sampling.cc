@@ -15,6 +15,7 @@
 #include "common/table_writer.h"
 #include "diffusion/cascade.h"
 #include "diffusion/exact.h"
+#include "graph/dataset_catalog.h"
 #include "graph/generators.h"
 #include "rrset/parallel_sampler.h"
 #include "rrset/rr_collection.h"
@@ -53,8 +54,13 @@ void SampleSizeStudy() {
       isa::graph::GenerateBarabasiAlbert(
           {.num_nodes = 2000, .edges_per_node = 3, .seed = 1}),
       "graph");
-  auto topics =
-      isa::bench::MustValue(isa::topic::MakeWeightedCascade(g, 1), "wc");
+  auto topics = isa::bench::MustValue(
+      isa::topic::TopicEdgeProbabilities::Create(
+          g, isa::bench::MustValue(
+                 isa::graph::MakeRegimeWeights(
+                     g, isa::graph::WeightingRegime::kWeightedCascade),
+                 "wc")),
+      "topics");
   isa::TableWriter table({"epsilon", "s", "theta (pilot)",
                           "theta (no pilot)", "pilot OPT_lb"});
   for (double eps : {0.1, 0.3, 0.5}) {

@@ -21,6 +21,7 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
+#include "graph/dataset_catalog.h"
 #include "graph/generators.h"
 #include "topic/tic_model.h"
 
@@ -30,8 +31,8 @@ std::vector<std::string> g_rows;
 
 struct Regime {
   const char* name;
-  bool weighted_cascade;
-  double uniform_p;  // ignored when weighted_cascade
+  isa::graph::WeightingRegime weighting;
+  double uniform_p;  // read only by kUniformIc
 };
 
 isa::core::RmInstance MakeInstance(const isa::graph::Graph& g,
@@ -116,23 +117,28 @@ int main() {
               "growths", "engaged", "idle", "idle-rev", "cap-hits",
               "pilots");
 
+  using isa::graph::WeightingRegime;
   const Regime regimes[] = {
-      {"weighted-cascade", true, 0.0},
-      {"uniform-p0.02", false, 0.02},
-      {"uniform-p0.30", false, 0.30},
+      {"weighted-cascade", WeightingRegime::kWeightedCascade, 0.0},
+      {"uniform-p0.02", WeightingRegime::kUniformIc, 0.02},
+      {"uniform-p0.30", WeightingRegime::kUniformIc, 0.30},
   };
 
   bool default_regime_grows = true;
   for (const Regime& regime : regimes) {
-    auto topics =
-        regime.weighted_cascade
-            ? isa::bench::MustValue(isa::topic::MakeWeightedCascade(g, 1),
-                                    "wc")
-            : isa::bench::MustValue(
-                  isa::topic::MakeUniform(g, 1, regime.uniform_p), "uniform");
+    auto topics = isa::bench::MustValue(
+        isa::topic::TopicEdgeProbabilities::Create(
+            g, isa::bench::MustValue(
+                   isa::graph::MakeRegimeWeights(g, regime.weighting, 1,
+                                                 regime.uniform_p),
+                   "weights")),
+        "topics");
     auto inst = MakeInstance(g, topics);
     const uint64_t growths = RunCell(inst, regime.name);
-    if (regime.weighted_cascade && growths == 0) default_regime_grows = false;
+    if (regime.weighting == WeightingRegime::kWeightedCascade &&
+        growths == 0) {
+      default_regime_grows = false;
+    }
   }
 
   isa::bench::WriteBenchJson(

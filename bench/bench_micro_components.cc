@@ -36,6 +36,7 @@
 namespace {
 
 using isa::graph::Graph;
+using isa::graph::WeightingRegime;
 
 const Graph& SharedBaGraph() {
   static const Graph g = isa::graph::GenerateBarabasiAlbert(
@@ -46,8 +47,13 @@ const Graph& SharedBaGraph() {
 }
 
 const isa::topic::TopicEdgeProbabilities& SharedWc() {
+  const Graph& g = SharedBaGraph();
   static const auto topics =
-      isa::topic::MakeWeightedCascade(SharedBaGraph(), 1).value();
+      isa::topic::TopicEdgeProbabilities::Create(
+          g, isa::graph::MakeRegimeWeights(g,
+                                           WeightingRegime::kWeightedCascade)
+                 .value())
+          .value();
   return topics;
 }
 
@@ -77,7 +83,11 @@ BENCHMARK(BM_GenerateRmat)->Arg(10)->Arg(14);
 void BM_MixAdProbabilities(benchmark::State& state) {
   const auto& g = SharedBaGraph();
   const auto topics =
-      isa::topic::MakeDegreeScaledRandom(g, 10, 7).value();
+      isa::topic::TopicEdgeProbabilities::Create(
+          g, isa::graph::MakeRegimeWeights(g, WeightingRegime::kTopicMix, 10,
+                                           0.0, 7)
+                 .value())
+          .value();
   const auto gamma =
       isa::topic::TopicDistribution::Concentrated(10, 2, 0.91).value();
   for (auto _ : state) {

@@ -1,13 +1,12 @@
 // The Figure 2 / Figure 3 sweep: for each quality dataset (FLIXSTER*,
 // EPINIONS*), each incentive model, and each α on the paper's grid, run all
 // four algorithms and record total revenue and total seeding cost.
-// bench_fig2 prints the revenue series, bench_fig3 the seeding-cost series.
+// bench_fig2 runs it once and prints both series.
 
 #ifndef ISA_BENCH_QUALITY_SWEEP_H_
 #define ISA_BENCH_QUALITY_SWEEP_H_
 
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <vector>
 
@@ -24,69 +23,11 @@ struct SweepPoint {
   std::vector<AlgoOutcome> outcomes;  // 4 algorithms
 };
 
-/// Cache file shared by bench_fig2 and bench_fig3: the two binaries print
-/// different metrics of the SAME sweep, so whichever runs first persists
-/// the results and the other reuses them.
-inline std::string SweepCachePath(double scale) {
-  return StrFormat("isa_quality_sweep_%.3f.csv", scale);
-}
-
-inline void SaveSweep(const std::vector<SweepPoint>& points,
-                      const std::string& path) {
-  std::ofstream f(path);
-  if (!f) return;
-  for (const SweepPoint& p : points) {
-    for (const AlgoOutcome& o : p.outcomes) {
-      f << p.dataset << ',' << core::IncentiveModelName(p.model) << ','
-        << FormatDouble(p.alpha, 6) << ',' << o.name << ','
-        << FormatDouble(o.revenue, 4) << ',' << FormatDouble(o.seeding_cost, 4)
-        << ',' << o.seeds << ',' << FormatDouble(o.seconds, 4) << ','
-        << o.rr_bytes << '\n';
-    }
-  }
-}
-
-inline bool LoadSweep(const std::string& path,
-                      std::vector<SweepPoint>* points) {
-  std::ifstream f(path);
-  if (!f) return false;
-  points->clear();
-  std::string line;
-  while (std::getline(f, line)) {
-    auto cells = Split(line, ',');
-    if (cells.size() != 9) return false;
-    auto model = core::ParseIncentiveModel(std::string(cells[1]));
-    auto alpha = ParseDouble(cells[2]);
-    if (!model.ok() || !alpha.ok()) return false;
-    if (points->empty() || points->back().dataset != cells[0] ||
-        points->back().model != model.value() ||
-        points->back().alpha != alpha.value()) {
-      points->push_back(SweepPoint{std::string(cells[0]), model.value(),
-                                   alpha.value(), {}});
-    }
-    AlgoOutcome o;
-    o.name = std::string(cells[3]);
-    o.revenue = ParseDouble(cells[4]).value_or(0);
-    o.seeding_cost = ParseDouble(cells[5]).value_or(0);
-    o.seeds = static_cast<uint64_t>(ParseInt(cells[6]).value_or(0));
-    o.seconds = ParseDouble(cells[7]).value_or(0);
-    o.rr_bytes = static_cast<uint64_t>(ParseInt(cells[8]).value_or(0));
-    points->back().outcomes.push_back(std::move(o));
-  }
-  return !points->empty();
-}
-
-/// Runs the full sweep at the given scale (or loads the cached results a
-/// sibling bench already produced). Singleton spreads are computed once per
-/// dataset and reused across (model, α) points, matching how the paper
-/// varies incentives on fixed spreads.
+/// Runs the full sweep at the given scale. Singleton spreads are computed
+/// once per dataset and reused across (model, α) points, matching how the
+/// paper varies incentives on fixed spreads.
 inline std::vector<SweepPoint> RunQualitySweep(double scale) {
   std::vector<SweepPoint> points;
-  const std::string cache = SweepCachePath(scale);
-  if (LoadSweep(cache, &points)) {
-    std::fprintf(stderr, "  [loaded cached sweep from %s]\n", cache.c_str());
-    return points;
-  }
   for (const std::string name : {"flixster", "soc-epinions1"}) {
     auto ds = LoadDataset(name, scale);
     auto workload = QualityWorkload(name, scale);
@@ -109,7 +50,6 @@ inline std::vector<SweepPoint> RunQualitySweep(double scale) {
       }
     }
   }
-  SaveSweep(points, cache);
   return points;
 }
 

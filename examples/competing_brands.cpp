@@ -15,6 +15,7 @@
 #include "common/thread_pool.h"
 #include "core/incentives.h"
 #include "core/ti_greedy.h"
+#include "graph/dataset_catalog.h"
 #include "graph/generators.h"
 #include "rrset/singleton_estimator.h"
 #include "topic/tic_model.h"
@@ -30,7 +31,12 @@ int main() {
                  return opt;
                }())
                    .value();
-  auto topics = isa::topic::MakeDegreeScaledRandom(graph, 2, 11).value();
+  auto topics = isa::topic::TopicEdgeProbabilities::Create(
+                    graph, isa::graph::MakeRegimeWeights(
+                               graph, isa::graph::WeightingRegime::kTopicMix,
+                               2, 0.0, 11)
+                               .value())
+                    .value();
 
   const char* names[4] = {"Runfast shoes", "Stride shoes", "Lumix cameras",
                           "Prisma cameras"};

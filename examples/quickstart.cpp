@@ -15,6 +15,7 @@
 #include "core/spread_oracle.h"
 #include "core/ti_greedy.h"
 #include "diffusion/cascade.h"
+#include "graph/dataset_catalog.h"
 #include "graph/generators.h"
 #include "topic/tic_model.h"
 
@@ -29,7 +30,12 @@ int main() {
     return 1;
   }
   const isa::graph::Graph& graph = graph_result.value();
-  auto topics = isa::topic::MakeWeightedCascade(graph, 1).value();
+  auto topics = isa::topic::TopicEdgeProbabilities::Create(
+                    graph, isa::graph::MakeRegimeWeights(
+                               graph,
+                               isa::graph::WeightingRegime::kWeightedCascade)
+                               .value())
+                    .value();
 
   // 2. One advertiser: $1.50 per engagement, $500 campaign budget.
   isa::core::AdvertiserSpec advertiser;

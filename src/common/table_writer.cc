@@ -104,22 +104,6 @@ std::string TableWriter::ToCsv() const {
   return out;
 }
 
-std::string TableWriter::ToMarkdown() const {
-  std::string out = "|";
-  for (const auto& h : headers_) out += " " + h + " |";
-  out += "\n|";
-  for (size_t c = 0; c < headers_.size(); ++c) out += "---|";
-  out += "\n";
-  for (const auto& row : rows_) {
-    out += "|";
-    for (size_t c = 0; c < headers_.size(); ++c) {
-      out += " " + (c < row.size() ? row[c] : std::string()) + " |";
-    }
-    out += "\n";
-  }
-  return out;
-}
-
 void TableWriter::Print(std::ostream& os) const { os << ToText() << "\n"; }
 
 Status TableWriter::WriteCsvFile(const std::string& path) const {

@@ -14,8 +14,8 @@
 
 namespace isa {
 
-/// Collects rows of string cells and renders them as an aligned text table,
-/// a CSV document, or GitHub-flavoured Markdown.
+/// Collects rows of string cells and renders them as an aligned text table
+/// or a CSV document.
 class TableWriter {
  public:
   /// Creates a table with the given column headers.
@@ -40,8 +40,6 @@ class TableWriter {
   std::string ToText() const;
   /// RFC-4180-ish CSV (quotes cells containing comma/quote/newline).
   std::string ToCsv() const;
-  /// GitHub-flavoured Markdown.
-  std::string ToMarkdown() const;
 
   /// Writes ToText() to `os` followed by a newline.
   void Print(std::ostream& os) const;

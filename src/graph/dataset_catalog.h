@@ -19,9 +19,10 @@
 // be materialized under weighted-cascade (p = 1/indeg, the paper's
 // EPINIONS/DBLP/LIVEJOURNAL setting), uniform-IC (constant p), or
 // topic-mix (L degree-scaled random topic layers, the FLIXSTER-style TIC
-// marketplace) weights. The weights are returned as raw per-topic arrays
-// indexed by forward EdgeId — this layer sits below src/topic, so callers
-// wrap them in topic::TopicEdgeProbabilities themselves.
+// marketplace) weights. MakeRegimeWeights is the repository's one weight
+// builder; it returns raw per-topic arrays indexed by forward EdgeId. This
+// layer sits below src/topic, so callers wrap them in
+// topic::TopicEdgeProbabilities::Create themselves.
 
 #ifndef ISA_GRAPH_DATASET_CATALOG_H_
 #define ISA_GRAPH_DATASET_CATALOG_H_
@@ -132,11 +133,14 @@ class DatasetCatalog {
                                     const Options& options);
 };
 
-/// Computes the regime's per-topic arc weights for an already-built graph
-/// (exposed for tests: hand-checkable against in-degrees).
+/// Computes the regime's per-topic arc weights for an already-built graph:
+/// the one builder behind the catalog, the tools, the benches and the
+/// tests. `uniform_p` is read only by kUniformIc; `topic_mix_topics` and
+/// `seed` only by kTopicMix, whose topic z depends on (graph, seed, z)
+/// alone.
 Result<std::vector<std::vector<double>>> MakeRegimeWeights(
-    const Graph& graph, WeightingRegime regime, uint32_t topic_mix_topics,
-    double uniform_p, uint64_t seed);
+    const Graph& graph, WeightingRegime regime, uint32_t topic_mix_topics = 1,
+    double uniform_p = 0.0, uint64_t seed = 0);
 
 }  // namespace isa::graph
 

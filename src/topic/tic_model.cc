@@ -1,6 +1,5 @@
 #include "topic/tic_model.h"
 
-#include "common/rng.h"
 #include "common/strings.h"
 
 namespace isa::topic {
@@ -26,58 +25,6 @@ Result<TopicEdgeProbabilities> TopicEdgeProbabilities::Create(
   TopicEdgeProbabilities out;
   out.p_ = std::move(per_topic);
   return out;
-}
-
-uint64_t TopicEdgeProbabilities::MemoryBytes() const {
-  uint64_t bytes = 0;
-  for (const auto& arr : p_) bytes += arr.capacity() * sizeof(double);
-  return bytes;
-}
-
-Result<TopicEdgeProbabilities> MakeWeightedCascade(const graph::Graph& g,
-                                                   uint32_t num_topics) {
-  if (num_topics == 0) {
-    return Status::InvalidArgument("MakeWeightedCascade: num_topics == 0");
-  }
-  std::vector<double> probs(g.num_edges());
-  for (graph::EdgeId e = 0; e < g.num_edges(); ++e) {
-    const graph::NodeId dst = g.EdgeDst(e);
-    probs[e] = 1.0 / static_cast<double>(g.InDegree(dst));
-  }
-  std::vector<std::vector<double>> per_topic(num_topics, probs);
-  return TopicEdgeProbabilities::Create(g, std::move(per_topic));
-}
-
-Result<TopicEdgeProbabilities> MakeUniform(const graph::Graph& g,
-                                           uint32_t num_topics, double p) {
-  if (num_topics == 0) {
-    return Status::InvalidArgument("MakeUniform: num_topics == 0");
-  }
-  if (p < 0.0 || p > 1.0) {
-    return Status::InvalidArgument("MakeUniform: p outside [0,1]");
-  }
-  std::vector<std::vector<double>> per_topic(
-      num_topics, std::vector<double>(g.num_edges(), p));
-  return TopicEdgeProbabilities::Create(g, std::move(per_topic));
-}
-
-Result<TopicEdgeProbabilities> MakeDegreeScaledRandom(const graph::Graph& g,
-                                                      uint32_t num_topics,
-                                                      uint64_t seed) {
-  if (num_topics == 0) {
-    return Status::InvalidArgument("MakeDegreeScaledRandom: num_topics == 0");
-  }
-  std::vector<std::vector<double>> per_topic(num_topics);
-  for (uint32_t z = 0; z < num_topics; ++z) {
-    Rng rng(HashSeed(seed, 0x7091c + z));
-    auto& arr = per_topic[z];
-    arr.resize(g.num_edges());
-    for (graph::EdgeId e = 0; e < g.num_edges(); ++e) {
-      const graph::NodeId dst = g.EdgeDst(e);
-      arr[e] = rng.NextDouble() / static_cast<double>(g.InDegree(dst));
-    }
-  }
-  return TopicEdgeProbabilities::Create(g, std::move(per_topic));
 }
 
 Result<AdProbabilities> AdProbabilities::Mix(

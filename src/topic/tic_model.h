@@ -20,7 +20,8 @@
 namespace isa::topic {
 
 /// Per-topic arc probabilities: L parallel arrays, each indexed by forward
-/// EdgeId. Construction is via the factory models below or from raw data.
+/// EdgeId. The arrays come from graph::MakeRegimeWeights (weighted cascade,
+/// uniform p or topic-mix) or from raw data.
 class TopicEdgeProbabilities {
  public:
   /// Wraps raw per-topic probability arrays; each must have one entry per
@@ -35,29 +36,9 @@ class TopicEdgeProbabilities {
   std::span<const double> topic(uint32_t z) const { return p_[z]; }
   double prob(uint32_t z, graph::EdgeId e) const { return p_[z][e]; }
 
-  /// Approximate heap footprint in bytes.
-  uint64_t MemoryBytes() const;
-
  private:
   std::vector<std::vector<double>> p_;
 };
-
-/// Weighted-Cascade probabilities (Kempe et al.): p_{u,v} = 1 / indeg(v),
-/// identical across all L topics. The paper uses this (with L = 1) for
-/// EPINIONS, DBLP and LIVEJOURNAL.
-Result<TopicEdgeProbabilities> MakeWeightedCascade(const graph::Graph& g,
-                                                   uint32_t num_topics = 1);
-
-/// Constant probability p on every (arc, topic).
-Result<TopicEdgeProbabilities> MakeUniform(const graph::Graph& g,
-                                           uint32_t num_topics, double p);
-
-/// Degree-scaled random: per (arc, topic), U(0,1) / indeg(dst) — a rough
-/// stand-in for MLE-learned Flixster probabilities: heterogeneous across
-/// topics with weighted-cascade scale. Deterministic in `seed`.
-Result<TopicEdgeProbabilities> MakeDegreeScaledRandom(const graph::Graph& g,
-                                                      uint32_t num_topics,
-                                                      uint64_t seed);
 
 /// Ad-specific probability view: p^i indexed by forward EdgeId (Eq. 1),
 /// materialized once per ad (O(L·m)) and shared by the cascade simulator,

@@ -308,7 +308,8 @@ class WindowCrossCheck : public ::testing::TestWithParam<uint32_t> {};
 TEST_P(WindowCrossCheck, CandidateMatchesBruteForceWindowArgmax) {
   const uint32_t w = GetParam();
   const Graph g = MakeBaGraph(500, 13);
-  auto topics = topic::MakeUniform(g, 1, 0.1);
+  auto topics =
+      test::RegimeTopics(g, graph::WeightingRegime::kUniformIc, 1, 0.1);
   ASSERT_TRUE(topics.ok());
   std::vector<AdvertiserSpec> ads(1);
   ads[0].cpe = 0.2;
@@ -456,7 +457,8 @@ void PrintTo(const ExitRule& rule, std::ostream* os) { *os << rule.name; }
 class ExhaustedAdExit : public ::testing::TestWithParam<ExitRule> {
  protected:
   ExhaustedAdExit() {
-    auto topics = topic::MakeUniform(g_, 1, 0.1);
+    auto topics =
+        test::RegimeTopics(g_, graph::WeightingRegime::kUniformIc, 1, 0.1);
     ISA_CHECK(topics.ok());
     std::vector<AdvertiserSpec> ads(1);
     ads[0].cpe = 0.2;
@@ -659,7 +661,8 @@ struct GrowthFixture {
   std::unique_ptr<RmInstance> instance;
 
   GrowthFixture() {
-    auto topics = topic::MakeUniform(g, 1, 0.8);
+    auto topics =
+        test::RegimeTopics(g, graph::WeightingRegime::kUniformIc, 1, 0.8);
     ISA_CHECK(topics.ok());
     std::vector<AdvertiserSpec> ads(3);
     ads[0].cpe = 0.2;
@@ -796,7 +799,8 @@ struct DefaultInfluenceFixture {
   std::unique_ptr<RmInstance> instance;
 
   DefaultInfluenceFixture() {
-    auto topics = topic::MakeWeightedCascade(g, 1);
+    auto topics =
+        test::RegimeTopics(g, graph::WeightingRegime::kWeightedCascade);
     ISA_CHECK(topics.ok());
     std::vector<AdvertiserSpec> ads(2);
     ads[0].cpe = 0.2;

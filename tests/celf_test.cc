@@ -58,7 +58,9 @@ TEST(CelfTest, SavesOracleQueriesOnLargerInstance) {
   auto g = graph::GenerateBarabasiAlbert(
                {.num_nodes = 60, .edges_per_node = 2, .seed = 3})
                .value();
-  auto topics = topic::MakeUniform(g, 1, 0.05).value();
+  auto topics =
+      test::RegimeTopics(g, graph::WeightingRegime::kUniformIc, 1, 0.05)
+          .value();
   std::vector<double> cost(g.num_nodes(), 0.5);
   auto inst = RmInstance::Create(g, topics, {Ad(1.0, 20.0), Ad(1.0, 20.0)},
                                  {cost, cost})
@@ -79,7 +81,8 @@ TEST(CelfTest, RespectsBudgetAndMatroid) {
   auto g = graph::GenerateBarabasiAlbert(
                {.num_nodes = 40, .edges_per_node = 2, .seed = 9})
                .value();
-  auto topics = topic::MakeUniform(g, 1, 0.1).value();
+  auto topics =
+      test::RegimeTopics(g, graph::WeightingRegime::kUniformIc, 1, 0.1).value();
   std::vector<double> cost(g.num_nodes());
   for (graph::NodeId u = 0; u < g.num_nodes(); ++u) {
     cost[u] = 0.3 * (1 + g.OutDegree(u));

@@ -59,7 +59,8 @@ struct ChaosFixture {
     auto graph = graph::GenerateBarabasiAlbert(gopts);
     ISA_CHECK(graph.ok());
     g = std::move(graph).value();
-    auto topics = topic::MakeUniform(g, 1, 0.8);
+    auto topics =
+        test::RegimeTopics(g, graph::WeightingRegime::kUniformIc, 1, 0.8);
     ISA_CHECK(topics.ok());
     std::vector<core::AdvertiserSpec> ads(3);
     ads[0].cpe = 0.2;

@@ -277,15 +277,6 @@ TEST(TableWriterTest, CellBuilderApi) {
   EXPECT_NE(csv.find("-3,2.5,z"), std::string::npos);
 }
 
-TEST(TableWriterTest, MarkdownShape) {
-  TableWriter t({"x", "y"});
-  ASSERT_TRUE(t.AddRow({"1", "2"}).ok());
-  const std::string md = t.ToMarkdown();
-  EXPECT_NE(md.find("| x | y |"), std::string::npos);
-  EXPECT_NE(md.find("|---|---|"), std::string::npos);
-  EXPECT_NE(md.find("| 1 | 2 |"), std::string::npos);
-}
-
 TEST(TableWriterTest, WriteCsvFile) {
   TableWriter t({"a"});
   ASSERT_TRUE(t.AddRow({"1"}).ok());

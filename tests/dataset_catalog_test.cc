@@ -244,6 +244,14 @@ TEST(WeightingRegimeTest, TopicMixIsBoundedDeterministicAndPerTopic) {
   // Distinct topic layers draw from distinct substreams.
   EXPECT_NE(a.value()[0], a.value()[1]);
   EXPECT_NE(a.value()[1], a.value()[2]);
+  // Topic z's array depends on (graph, seed, z) alone: the first three
+  // topics of an L = 5 draw are the L = 3 draw.
+  auto five = MakeRegimeWeights(g, WeightingRegime::kTopicMix, 5, 0.0, 2017);
+  ASSERT_TRUE(five.ok());
+  ASSERT_EQ(five.value().size(), 5u);
+  for (uint32_t z = 0; z < 3; ++z) {
+    EXPECT_EQ(five.value()[z], a.value()[z]) << "topic " << z;
+  }
   // Seed sensitivity.
   auto c = MakeRegimeWeights(g, WeightingRegime::kTopicMix, 3, 0.0, 99);
   ASSERT_TRUE(c.ok());

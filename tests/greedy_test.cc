@@ -121,11 +121,8 @@ TEST(GreedyTest, MaxSeedsCap) {
 }
 
 TEST(GreedyTest, EmptyGraphRejected) {
-  auto g = test::MustGraph(0, {});
-  auto topics = topic::MakeUniform(g, 1, 0.5);
-  // Can't even build an instance with 0 nodes and an ad needing incentives;
-  // exercise RunGreedy's own guard via a 1-node graph with no edges is not
-  // possible (MakeUniform needs edges sized arrays, 0 edges fine).
+  // An instance needs a node for each incentive, so the smallest input
+  // RunGreedy sees is a 1-node graph with no edges.
   auto owned = test::MakeInstance(1, {}, 0.5, {Ad(1.0, 10.0)}, {{0.5}});
   auto oracle = ExactSpreadOracle::Create(*owned.instance);
   ASSERT_TRUE(oracle.ok());

@@ -244,7 +244,8 @@ TEST(ParallelSamplerTest, SharedCoinColumnFromSizerMatchesOwnColumn) {
 
 TEST(ParallelSamplerTest, TiCsrmAllocationInvariantAcrossThreadCounts) {
   const Graph g = MakeBaGraph(200);
-  auto topics = topic::MakeUniform(g, 1, 0.08);
+  auto topics =
+      test::RegimeTopics(g, graph::WeightingRegime::kUniformIc, 1, 0.08);
   ISA_CHECK(topics.ok());
 
   std::vector<core::AdvertiserSpec> ads(2);
@@ -287,7 +288,8 @@ TEST(ParallelSamplerTest, TiCsrmAllocationInvariantAcrossThreadCounts) {
 // advertiser init and pilot included.
 TEST(ParallelSamplerTest, TiResultBitIdenticalAcrossThreadCountsAllRules) {
   const Graph g = MakeBaGraph(200);
-  auto topics = topic::MakeUniform(g, 1, 0.08);
+  auto topics =
+      test::RegimeTopics(g, graph::WeightingRegime::kUniformIc, 1, 0.08);
   ISA_CHECK(topics.ok());
 
   std::vector<core::AdvertiserSpec> ads(3);

@@ -35,7 +35,8 @@ TEST(RmInstanceTest, CreateAndAccessors) {
 
 TEST(RmInstanceTest, ValidationErrors) {
   auto g = test::MustGraph(2, {{0, 1}});
-  auto topics = topic::MakeUniform(g, 1, 0.5).value();
+  auto topics =
+      test::RegimeTopics(g, graph::WeightingRegime::kUniformIc, 1, 0.5).value();
   auto mk = [&](double cpe, double budget,
                 std::vector<std::vector<double>> inc) {
     AdvertiserSpec a = Ad(cpe, budget);

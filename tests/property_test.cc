@@ -248,7 +248,9 @@ TEST_P(TiSweep, FeasibleAcrossEpsilonAndWindow) {
   auto g = graph::GenerateBarabasiAlbert(
       {.num_nodes = 200, .edges_per_node = 2, .seed = 13});
   ASSERT_TRUE(g.ok());
-  auto topics = topic::MakeWeightedCascade(g.value(), 1).value();
+  auto topics =
+      test::RegimeTopics(g.value(), graph::WeightingRegime::kWeightedCascade)
+          .value();
   std::vector<double> cost(g.value().num_nodes());
   for (graph::NodeId u = 0; u < g.value().num_nodes(); ++u) {
     cost[u] = 0.2 * (1 + g.value().OutDegree(u));

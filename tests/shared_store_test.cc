@@ -101,7 +101,8 @@ Fixture MakePureCompetition(uint32_t h) {
       {.num_nodes = 300, .edges_per_node = 3, .seed = 21});
   ISA_CHECK(g.ok());
   f.graph = std::make_unique<graph::Graph>(std::move(g).value());
-  auto topics = topic::MakeWeightedCascade(*f.graph, 1);
+  auto topics =
+      test::RegimeTopics(*f.graph, graph::WeightingRegime::kWeightedCascade);
   ISA_CHECK(topics.ok());
   f.topics = std::make_unique<topic::TopicEdgeProbabilities>(
       std::move(topics).value());
@@ -207,7 +208,9 @@ TEST(SharedStoreTest, DistinctProbabilitiesGetDistinctStores) {
   auto g = graph::GenerateBarabasiAlbert(
       {.num_nodes = 200, .edges_per_node = 3, .seed = 22});
   ASSERT_TRUE(g.ok());
-  auto topics = topic::MakeDegreeScaledRandom(g.value(), 2, 5).value();
+  auto topics = test::RegimeTopics(g.value(), graph::WeightingRegime::kTopicMix,
+                                   2, 0.0, 5)
+                    .value();
   std::vector<double> cost(g.value().num_nodes(), 1.0);
   std::vector<core::AdvertiserSpec> ads(2);
   ads[0].cpe = ads[1].cpe = 1.0;

@@ -416,7 +416,8 @@ struct SpillFaultEndToEndFixture {
   std::unique_ptr<RmInstance> instance;
 
   SpillFaultEndToEndFixture() {
-    auto topics = topic::MakeUniform(g, 1, 0.8);
+    auto topics =
+        test::RegimeTopics(g, graph::WeightingRegime::kUniformIc, 1, 0.8);
     ISA_CHECK(topics.ok());
     std::vector<core::AdvertiserSpec> ads(3);
     ads[0].cpe = 0.2;

@@ -223,7 +223,8 @@ struct RecoveryEndToEndFixture {
   std::unique_ptr<RmInstance> instance;
 
   RecoveryEndToEndFixture() {
-    auto topics = topic::MakeUniform(g, 1, 0.8);
+    auto topics =
+        test::RegimeTopics(g, graph::WeightingRegime::kUniformIc, 1, 0.8);
     ISA_CHECK(topics.ok());
     std::vector<core::AdvertiserSpec> ads(3);
     ads[0].cpe = 0.2;

@@ -421,7 +421,8 @@ struct SpillEndToEndFixture {
   std::unique_ptr<RmInstance> instance;
 
   explicit SpillEndToEndFixture(double arc_prob = 0.8) {
-    auto topics = topic::MakeUniform(g, 1, arc_prob);
+    auto topics =
+        test::RegimeTopics(g, graph::WeightingRegime::kUniformIc, 1, arc_prob);
     ISA_CHECK(topics.ok());
     std::vector<core::AdvertiserSpec> ads(3);
     ads[0].cpe = 0.2;

@@ -35,6 +35,17 @@ inline graph::Graph MustGraph(graph::NodeId n,
   return std::move(g).value();
 }
 
+/// `regime`'s arc weights on `g` (graph::MakeRegimeWeights, same
+/// arguments), wrapped as per-topic probabilities.
+inline Result<topic::TopicEdgeProbabilities> RegimeTopics(
+    const graph::Graph& g, graph::WeightingRegime regime,
+    uint32_t topic_mix_topics = 1, double uniform_p = 0.0, uint64_t seed = 0) {
+  auto weights =
+      graph::MakeRegimeWeights(g, regime, topic_mix_topics, uniform_p, seed);
+  if (!weights.ok()) return weights.status();
+  return topic::TopicEdgeProbabilities::Create(g, std::move(weights).value());
+}
+
 /// Catalog entry `name` at (scale, seed), wrapped for the eval layer.
 inline Result<std::unique_ptr<eval::Dataset>> LoadDataset(
     std::string_view name, double scale, uint64_t seed) {
@@ -134,7 +145,8 @@ inline OwnedInstance MakeInstance(graph::NodeId n,
   OwnedInstance owned;
   owned.graph =
       std::make_unique<graph::Graph>(MustGraph(n, std::move(edges)));
-  auto topics = topic::MakeUniform(*owned.graph, 1, p);
+  auto topics =
+      RegimeTopics(*owned.graph, graph::WeightingRegime::kUniformIc, 1, p);
   ISA_CHECK(topics.ok());
   owned.topics = std::make_unique<topic::TopicEdgeProbabilities>(
       std::move(topics).value());

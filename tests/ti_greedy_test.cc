@@ -35,7 +35,8 @@ MediumFixture MakeMedium(uint32_t h, double budget, double alpha = 0.2,
       {.num_nodes = n, .edges_per_node = 3, .seed = 7});
   ISA_CHECK(g.ok());
   f.graph = std::make_unique<graph::Graph>(std::move(g).value());
-  auto topics = topic::MakeWeightedCascade(*f.graph, 1);
+  auto topics =
+      test::RegimeTopics(*f.graph, graph::WeightingRegime::kWeightedCascade);
   ISA_CHECK(topics.ok());
   f.topics = std::make_unique<topic::TopicEdgeProbabilities>(
       std::move(topics).value());

@@ -79,40 +79,6 @@ TEST(TopicEdgeProbabilitiesTest, CreateValidates) {
   EXPECT_TRUE(TopicEdgeProbabilities::Create(g, {{0.5, 0.25}}).ok());
 }
 
-TEST(WeightedCascadeTest, ProbabilityIsInverseInDegree) {
-  // Node 2 has in-degree 3; node 1 has in-degree 1.
-  auto g = test::MustGraph(4, {{0, 1}, {0, 2}, {1, 2}, {3, 2}});
-  auto wc = MakeWeightedCascade(g);
-  ASSERT_TRUE(wc.ok());
-  for (graph::EdgeId e = 0; e < g.num_edges(); ++e) {
-    const double expected = 1.0 / g.InDegree(g.EdgeDst(e));
-    EXPECT_NEAR(wc.value().prob(0, e), expected, 1e-12);
-  }
-}
-
-TEST(UniformTest, ConstantEverywhere) {
-  auto g = test::MustGraph(3, {{0, 1}, {1, 2}});
-  auto u = MakeUniform(g, 3, 0.42);
-  ASSERT_TRUE(u.ok());
-  EXPECT_EQ(u.value().num_topics(), 3u);
-  for (uint32_t z = 0; z < 3; ++z) {
-    EXPECT_DOUBLE_EQ(u.value().prob(z, 1), 0.42);
-  }
-  EXPECT_FALSE(MakeUniform(g, 1, 1.5).ok());
-}
-
-TEST(DegreeScaledRandomTest, BoundedByInverseInDegree) {
-  auto g = test::MustGraph(4, {{0, 2}, {1, 2}, {3, 2}, {0, 1}});
-  auto m = MakeDegreeScaledRandom(g, 4, 5);
-  ASSERT_TRUE(m.ok());
-  for (uint32_t z = 0; z < 4; ++z) {
-    for (graph::EdgeId e = 0; e < g.num_edges(); ++e) {
-      EXPECT_LE(m.value().prob(z, e), 1.0 / g.InDegree(g.EdgeDst(e)) + 1e-12);
-      EXPECT_GE(m.value().prob(z, e), 0.0);
-    }
-  }
-}
-
 // ---------- AdProbabilities (Eq. 1) ----------
 
 TEST(AdProbabilitiesTest, MixIsWeightedAverage) {
@@ -145,7 +111,9 @@ TEST(AdProbabilitiesTest, RejectsTopicCountMismatch) {
 
 TEST(AdProbabilitiesTest, PureCompetitionAdsShareProbabilities) {
   auto g = test::MustGraph(4, {{0, 1}, {1, 2}, {2, 3}, {3, 0}});
-  auto topics = MakeDegreeScaledRandom(g, 10, 3).value();
+  auto topics =
+      test::RegimeTopics(g, graph::WeightingRegime::kTopicMix, 10, 0.0, 3)
+          .value();
   auto ds = MakePureCompetitionMarketplace(4, 10).value();
   auto p0 = AdProbabilities::Mix(topics, ds[0]).value();
   auto p1 = AdProbabilities::Mix(topics, ds[1]).value();
@@ -158,12 +126,6 @@ TEST(AdProbabilitiesTest, PureCompetitionAdsShareProbabilities) {
     any_diff |= std::abs(p0.prob(e) - p2.prob(e)) > 1e-9;
   }
   EXPECT_TRUE(any_diff);  // different pair -> different probabilities
-}
-
-TEST(TopicEdgeProbabilitiesTest, MemoryBytesPositive) {
-  auto g = test::MustGraph(3, {{0, 1}, {1, 2}});
-  auto topics = MakeUniform(g, 2, 0.1).value();
-  EXPECT_GT(topics.MemoryBytes(), 0u);
 }
 
 }  // namespace

@@ -27,6 +27,7 @@
 #include "core/ti_greedy.h"
 #include "diffusion/cascade.h"
 #include "eval/workload.h"
+#include "graph/dataset_catalog.h"
 #include "graph/generators.h"
 #include "graph/graph_io.h"
 #include "rrset/singleton_estimator.h"
@@ -262,7 +263,11 @@ int main(int argc, char** argv) {
                graph.num_edges());
 
   // ---- Influence model (weighted cascade). ----
-  auto topics_result = isa::topic::MakeWeightedCascade(graph, 1);
+  auto weights_result = isa::graph::MakeRegimeWeights(
+      graph, isa::graph::WeightingRegime::kWeightedCascade);
+  if (!weights_result.ok()) return Fail(weights_result.status());
+  auto topics_result = isa::topic::TopicEdgeProbabilities::Create(
+      graph, std::move(weights_result).value());
   if (!topics_result.ok()) return Fail(topics_result.status());
   const auto& topics = topics_result.value();
 
